@@ -5,8 +5,6 @@ from .geom import (
     EigenDecomp,
     LabeledCloud,
     Pose,
-    SpatialIndex,
-    build_index,
     covariance,
     eigen_sym3,
     estimate_normals,

@@ -204,11 +204,18 @@ def cmd_sweep(args) -> int:
 def cmd_threshold(args) -> int:
     scores, truth = [], []
     with open(args.scores, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().lower() == "score":
                 continue
-            scores.append(float(row[0]))
-            truth.append(bool(int(float(row[1]))))
+            try:
+                score, label = float(row[0]), bool(int(float(row[1])))
+            except (ValueError, IndexError):
+                raise TrussKitError(
+                    f"{args.scores}:{reader.line_num}: expected a score,truth "
+                    f"row of two numbers, got {','.join(row)!r}") from None
+            scores.append(score)
+            truth.append(label)
     select = tmetrics.select_threshold_roc if args.method == "roc" else \
         tmetrics.select_threshold_pr
     threshold, curve = select(np.asarray(scores), np.asarray(truth))
@@ -258,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a configuration value")
         p.add_argument("--jobs", type=_positive_int, default=None,
                        help="parallel workers (default 1)")
-        p.add_argument("--deterministic", action="store_true",
-                       help="assert fixed-seed reproducibility (outputs are "
-                            "deterministic for a fixed seed regardless)")
 
     p = sub.add_parser("generate", help="synthesise a labeled scan dataset")
     common(p)

@@ -11,10 +11,6 @@ class TrussKitError(Exception):
 
 # geometry / containers
 
-class EmptyCloudError(TrussKitError, ValueError):
-    """An operation requiring at least one point received none."""
-
-
 class NonFiniteError(TrussKitError, ValueError):
     """A coordinate is NaN or infinite."""
 

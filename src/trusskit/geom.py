@@ -1,9 +1,9 @@
 """Core point-cloud geometry.
 
 Points are plain ``(n, 3)`` float64 numpy arrays throughout the package.
-This module provides the labeled-cloud container, an exact spatial index,
-PCA-based normal/curvature estimation, voxel-grid downsampling and small
-projection helpers used by the segmentation stages.
+This module provides the labeled-cloud container, an exact k-nearest-neighbour
+table, PCA-based normal/curvature estimation, voxel-grid downsampling and
+small projection helpers used by the segmentation stages.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
-    EmptyCloudError,
     EmptySubsetError,
     NonFiniteError,
     NonPositiveLeafError,
@@ -172,59 +171,6 @@ class EigenDecomp:
         return float(self.eigenvalues[0] / s) if s > 0.0 else 0.0
 
 
-class SpatialIndex:
-    """Exact k-NN / fixed-radius queries over a fixed point set."""
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self._tree = cKDTree(points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def knn(self, query, k: int):
-        """Distances and indices of the k nearest points (self included when
-        the query point belongs to the indexed set)."""
-        if not 1 <= k <= len(self.points):
-            raise ValueError(f"k={k} outside [1, {len(self.points)}]")
-        d, i = self._tree.query(np.asarray(query, dtype=np.float64), k=k)
-        return np.atleast_1d(d), np.atleast_1d(i)
-
-    def knn_batch(self, queries: np.ndarray, k: int):
-        """Vectorised knn: (m, k) distances and indices."""
-        if not 1 <= k <= len(self.points):
-            raise ValueError(f"k={k} outside [1, {len(self.points)}]")
-        d, i = self._tree.query(queries, k=k)
-        if k == 1:
-            d, i = d[:, None], i[:, None]
-        return d, i
-
-    def radius(self, query, r: float) -> np.ndarray:
-        """Indices of all points within distance r (inclusive) of query."""
-        idx = self._tree.query_ball_point(np.asarray(query, dtype=np.float64), r)
-        return np.asarray(sorted(idx), dtype=np.intp)
-
-    def radius_counts(self, queries: np.ndarray, r: float) -> np.ndarray:
-        """Number of indexed points within r of each query point."""
-        return np.asarray(
-            self._tree.query_ball_point(queries, r, return_length=True), dtype=np.int64
-        )
-
-
-def build_index(points) -> SpatialIndex:
-    """Build an exact spatial index over the given points.
-
-    Raises EmptyCloudError for zero points and NonFiniteError for NaN/inf
-    coordinates.
-    """
-    pts = _as_points(points) if np.size(points) else np.zeros((0, 3))
-    if len(pts) == 0:
-        raise EmptyCloudError("cannot index an empty cloud")
-    if not np.isfinite(pts).all():
-        raise NonFiniteError("cannot index NaN/inf coordinates")
-    return SpatialIndex(pts)
-
-
 def covariance(points, subset=None):
     """Centroid and covariance C = (1/k) * sum (p - mean)(p - mean)^T.
 
@@ -282,6 +228,15 @@ def _batched_pca(points: np.ndarray, neighbor_idx: np.ndarray):
     return lam, V
 
 
+def knn_table(points: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) indices of each point's k nearest points, nearest first, from
+    an exact kd-tree query. A point is its own first neighbour; k is capped
+    at n."""
+    k = min(k, len(points))
+    _, idx = cKDTree(points).query(points, k=k)
+    return idx.reshape(len(points), k)
+
+
 def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
                            viewpoint) -> tuple[np.ndarray, np.ndarray]:
     """Normals and curvature given precomputed neighbour indices.
@@ -323,9 +278,8 @@ def estimate_normals(cloud: LabeledCloud, k: int = 30,
         raise TooFewPointsError(f"k={k} must be at least 3")
     if len(cloud) < k:
         raise TooFewPointsError(f"cloud has {len(cloud)} points, needs >= {k}")
-    index = build_index(cloud.points)
-    _, idx = index.knn_batch(cloud.points, k)
-    return normals_from_neighbors(cloud.points, idx, viewpoint)
+    return normals_from_neighbors(cloud.points, knn_table(cloud.points, k),
+                                  viewpoint)
 
 
 def voxel_downsample(cloud: LabeledCloud, leaf: float) -> LabeledCloud:

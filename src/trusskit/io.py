@@ -445,7 +445,6 @@ _SCHEMA = {
         "rg_min_cluster": "int", "eigen_mode": "str", "ratio_threshold": "float",
         "magnitude_threshold": "float", "density_radius": "float",
         "density_min_points": "int", "stage_mode": "str",
-        "density_count_structure_only": "bool", "fine_normals_full_cloud": "bool",
     },
     "dataset": {
         "out_dir": "str", "n_scans": "int", "seed": "int", "jobs": "int",

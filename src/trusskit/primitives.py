@@ -137,13 +137,6 @@ class Scene:
             raise InvalidSpecError(
                 "structure labels must form a consecutive 1..K set")
 
-    @property
-    def structure_label_count(self) -> int:
-        labels = [s.labels() for s in self.solids]
-        if not labels:
-            return 0
-        return int(max((l.max() for l in labels), default=0))
-
 
 # ---------------------------------------------------------------------------
 # ray intersections (single origin, batched unit directions)

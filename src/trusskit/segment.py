@@ -10,6 +10,7 @@ density filter finally demotes sparse structure points.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +22,7 @@ from .geom import (
     EigenDecomp,
     LabeledCloud,
     extent_along,
+    knn_table,
     normals_from_neighbors,
     pca_stats,
     voxel_downsample,
@@ -32,6 +34,9 @@ FULL, WITHOUT_FINE, WITHOUT_COARSE = "full", "without_fine", "without_coarse"
 STRUCTURE, GROUND = "structure", "ground"
 
 _MIN_GROUND_INLIER_FRACTION = 0.05
+
+# latency_ms keys of run_pipeline, in stage order; skipped stages report 0.0
+_STAGES = ("coarse", "normals", "region_growing", "density")
 
 
 @dataclass(frozen=True)
@@ -52,12 +57,6 @@ class PipelineConfig:
     density_radius: float = 0.25
     density_min_points: int = 10
     stage_mode: str = FULL
-    # neighbour counting restricted to structure-marked points (default: the
-    # whole scan, since the filter models local scan density)
-    density_count_structure_only: bool = False
-    # estimate fine-step normals on the whole cloud instead of the coarse
-    # ground subset
-    fine_normals_full_cloud: bool = False
 
     def __post_init__(self):
         for name in ("voxel_leaf", "ransac_threshold", "magnitude_threshold",
@@ -245,7 +244,7 @@ def _wave_bfs(start: int, knn_idx: np.ndarray, normals: np.ndarray,
 
 def region_grow(points: np.ndarray, subset: np.ndarray, normals: np.ndarray,
                 curvatures: np.ndarray, cfg: PipelineConfig,
-                knn_idx: Optional[np.ndarray] = None) -> list[Cluster]:
+                knn_idx: np.ndarray) -> list[Cluster]:
     """Curvature-seeded region growing restricted to ``subset``.
 
     Seeds start at the lowest-curvature unvisited point; a neighbour joins
@@ -253,20 +252,14 @@ def region_grow(points: np.ndarray, subset: np.ndarray, normals: np.ndarray,
     within the threshold, and becomes a seed itself when its curvature is
     at most the curvature threshold. Regions smaller than rg_min_cluster
     are dropped. ``normals``/``curvatures`` align with ``subset``; cluster
-    indices refer to the original cloud. ``knn_idx`` (neighbours within the
-    subset, in subset-local indices) may be passed to reuse a prior query.
+    indices refer to the original cloud. ``knn_idx`` is the neighbour table
+    of the subset's points in subset-local indices, as built by
+    ``geom.knn_table`` for the normals (``_normals_for`` returns it).
     """
     subset = np.asarray(subset, dtype=np.intp)
     m = len(subset)
     if m == 0:
         return []
-    sub_pts = points[subset]
-    k = min(cfg.normal_k, m)
-    if knn_idx is None:
-        tree = cKDTree(sub_pts)
-        _, knn_idx = tree.query(sub_pts, k=k)
-        if k == 1:
-            knn_idx = knn_idx[:, None]
     cos_thr = np.cos(np.deg2rad(cfg.rg_angle_threshold_deg))
     expandable = np.asarray(curvatures) <= cfg.rg_curvature_threshold
     unvisited = np.ones(m, dtype=bool)
@@ -316,30 +309,27 @@ def classify_cluster(cluster: Cluster, cfg: PipelineConfig) -> str:
 
 
 def density_filter(points: np.ndarray, structure_mask: np.ndarray,
-                   cfg: PipelineConfig,
-                   tree: Optional[cKDTree] = None) -> np.ndarray:
+                   cfg: PipelineConfig) -> np.ndarray:
     """Demote structure points with too few neighbours inside the radius.
 
-    Neighbours are counted over the full cloud (excluding the point itself)
-    unless density_count_structure_only is set. Never promotes ground.
+    A structure point stays when at least density_min_points points of the
+    whole cloud (structure and ground, the point itself excluded) lie
+    within density_radius, boundary inclusive. Never promotes ground.
     """
     mask = np.asarray(structure_mask, dtype=bool).copy()
     idx = np.flatnonzero(mask)
     if len(idx) == 0 or cfg.density_min_points == 0:
         return mask
-    if cfg.density_count_structure_only:
-        tree = cKDTree(points[idx])
-    elif tree is None:
-        tree = cKDTree(points)
     # "at least m neighbours within r (excluding self)" is equivalent to
     # "the (m+1)-th nearest indexed point (self included, distance 0) lies
     # within r" -- a pruned knn query instead of full neighbour enumeration
     k = cfg.density_min_points + 1
-    if tree.n < k:
+    if len(points) < k:
         mask[idx] = False
         return mask
     bound = np.nextafter(cfg.density_radius, np.inf)
-    dist, _ = tree.query(points[idx], k=k, distance_upper_bound=bound)
+    dist, _ = cKDTree(points).query(points[idx], k=k,
+                                    distance_upper_bound=bound)
     sparse = ~(dist[:, -1] <= cfg.density_radius)
     mask[idx[sparse]] = False
     return mask
@@ -349,13 +339,19 @@ def _normals_for(points, subset, cfg, viewpoint=(0.0, 0.0, 0.0)):
     """Subset normals/curvature plus the subset-local knn table (reused by
     region growing)."""
     sub_pts = points[subset]
-    k = min(cfg.normal_k, len(sub_pts))
-    tree = cKDTree(sub_pts)
-    _, knn_idx = tree.query(sub_pts, k=k)
-    if k == 1:
-        knn_idx = knn_idx[:, None]
+    knn_idx = knn_table(sub_pts, cfg.normal_k)
     normals, curv = normals_from_neighbors(sub_pts, knn_idx, viewpoint)
     return normals, curv, knn_idx
+
+
+@contextmanager
+def _timed(latency: dict, stage: str):
+    """Record the wall time of the block as latency[stage] in ms."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        latency[stage] = (time.perf_counter() - t0) * 1e3
 
 
 def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig) -> SegmentationOutput:
@@ -369,56 +365,37 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig) -> SegmentationOutput
         raise DegenerateCloudError("cannot segment an empty cloud")
     n = len(cloud)
     pts = cloud.points
-    latency: dict[str, float] = {}
+    latency = dict.fromkeys(_STAGES, 0.0)
     warnings: list[str] = []
     plane = None
     clusters: list[Cluster] = []
-    coarse_ground = np.empty(0, dtype=np.intp)
     mask = np.zeros(n, dtype=bool)
 
-    t0 = time.perf_counter()
     if cfg.stage_mode in (FULL, WITHOUT_FINE):
-        cs = coarse_split(cloud, cfg)
-        plane = cs.plane
-        coarse_ground = cs.ground
-        if cs.warning:
-            warnings.append(cs.warning)
-        mask[cs.structure] = True
-        latency["coarse"] = (time.perf_counter() - t0) * 1e3
+        with _timed(latency, "coarse"):
+            cs = coarse_split(cloud, cfg)
+            plane = cs.plane
+            coarse_ground = cs.ground
+            if cs.warning:
+                warnings.append(cs.warning)
+            mask[cs.structure] = True
     else:
         coarse_ground = np.arange(n, dtype=np.intp)
-        latency["coarse"] = 0.0
 
-    if cfg.stage_mode in (FULL, WITHOUT_COARSE):
-        t0 = time.perf_counter()
-        subset = coarse_ground
-        normals = curv = knn_idx = None
-        if len(subset) >= 3:
-            if cfg.fine_normals_full_cloud and len(subset) < n:
-                full_normals, full_curv, _ = _normals_for(
-                    pts, np.arange(n, dtype=np.intp), cfg)
-                normals, curv = full_normals[subset], full_curv[subset]
-            else:
-                normals, curv, knn_idx = _normals_for(pts, subset, cfg)
-        latency["normals"] = (time.perf_counter() - t0) * 1e3
-
-        t0 = time.perf_counter()
-        if normals is not None:
-            clusters = region_grow(pts, subset, normals, curv, cfg,
+    if cfg.stage_mode in (FULL, WITHOUT_COARSE) and len(coarse_ground) >= 3:
+        with _timed(latency, "normals"):
+            normals, curv, knn_idx = _normals_for(pts, coarse_ground, cfg)
+        with _timed(latency, "region_growing"):
+            clusters = region_grow(pts, coarse_ground, normals, curv, cfg,
                                    knn_idx=knn_idx)
             for c in clusters:
                 c.verdict = classify_cluster(c, cfg)
                 if c.verdict == STRUCTURE:
                     mask[c.indices] = True
-        latency["region_growing"] = (time.perf_counter() - t0) * 1e3
-    else:
-        latency["normals"] = 0.0
-        latency["region_growing"] = 0.0
 
-    t0 = time.perf_counter()
-    before = mask.copy()
-    mask = density_filter(pts, mask, cfg)
-    latency["density"] = (time.perf_counter() - t0) * 1e3
+    with _timed(latency, "density"):
+        before = mask.copy()
+        mask = density_filter(pts, mask, cfg)
     removed = np.flatnonzero(before & ~mask)
 
     return SegmentationOutput(

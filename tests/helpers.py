@@ -5,6 +5,8 @@ characteristic polynomials) so the production code is checked against a
 different route, not against itself.
 """
 
+from collections import deque
+
 import numpy as np
 
 
@@ -144,13 +146,13 @@ def ray_ground_fine_march(origin, direction, ground, t_max, step=0.002):
     f = lambda t: (origin[2] + t * direction[2]
                    - float(ground.height(origin[0] + t * direction[0],
                                          origin[1] + t * direction[1])))
-    t_prev, f_prev = 0.0, f(0.0)
-    if f_prev <= 0:
+    if f(0.0) <= 0:
         return 0.0
-    t = step
-    while t <= t_max:
-        ft = f(t)
-        if ft <= 0:
+    t_prev = 0.0
+    # the last sample is t_max itself: a crossing inside the final partial
+    # step (say just before a solid hit that caps t_max) is not skipped
+    for t in np.append(np.arange(step, t_max, step), t_max).tolist():
+        if f(t) <= 0:
             lo, hi = t_prev, t
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
@@ -159,8 +161,7 @@ def ray_ground_fine_march(origin, direction, ground, t_max, step=0.002):
                 else:
                     lo = mid
             return 0.5 * (lo + hi)
-        t_prev, f_prev = t, ft
-        t += step
+        t_prev = t
     return np.inf
 
 
@@ -216,3 +217,43 @@ def surface_residual(scene, point_world):
     if scene.ground is not None:
         best = min(best, abs(p[2] - float(scene.ground.height(p[0], p[1]))))
     return best
+
+
+def region_grow_sequential(normals, curvatures, knn_idx, cos_thr,
+                           curvature_threshold, min_size):
+    """PCL-style region growing (Rabbani et al. 2006), one point at a time.
+
+    Seeds are taken in ascending curvature (stable order). Each region
+    grows from a FIFO queue: the point at the front is expanded, and each
+    of its unlabelled k-NN neighbours joins when the dot product of the two
+    normals is at least cos_thr, and is queued when its own curvature is at
+    most curvature_threshold. Regions under min_size points are dropped but
+    their points stay labelled. Returns the regions' sorted local indices
+    in seed order.
+    """
+    m = len(curvatures)
+    order = sorted(range(m), key=lambda i: curvatures[i])
+    labelled = [False] * m
+    regions = []
+    for seed in order:
+        if labelled[seed]:
+            continue
+        labelled[seed] = True
+        region = [seed]
+        queue = deque([seed])
+        while queue:
+            cur = queue.popleft()
+            a = normals[cur]
+            for nb in knn_idx[cur].tolist():
+                if labelled[nb]:
+                    continue
+                b = normals[nb]
+                if a[0] * b[0] + a[1] * b[1] + a[2] * b[2] < cos_thr:
+                    continue
+                labelled[nb] = True
+                region.append(nb)
+                if curvatures[nb] <= curvature_threshold:
+                    queue.append(nb)
+        if len(region) >= min_size:
+            regions.append(sorted(region))
+    return regions

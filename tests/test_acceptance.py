@@ -94,18 +94,32 @@ def test_criterion_3_eigen_curvature_suite():
 
 def test_criterion_4_geometry_oracles():
     rng = np.random.default_rng(7)
+    kept = demoted = 0
     for _ in range(100):
         n = int(rng.integers(4, 2000))
         pts = rng.uniform(-5, 5, (n, 3))
-        index = geom.build_index(pts)
-        q = rng.uniform(-6, 6, 3)
-        k = int(rng.integers(1, min(n, 16) + 1))
-        _, got = index.knn(q, k)
-        want = brute_knn(pts, q, k)
-        assert np.array_equal(np.sort(got), np.sort(want))
-        r = float(rng.uniform(0.2, 3.0))
-        assert set(index.radius(q, r).tolist()) == \
-            set(brute_radius(pts, q, r).tolist())
+        # a dyadic radius makes |(r, 0, 0)| == r exact: a pair on the boundary
+        r = int(rng.integers(2, 24)) / 8
+        pts[:2] = [[0.0, 0.0, 0.0], [r, 0.0, 0.0]]
+        # the neighbour table behind the pipeline's normals and region growing
+        k = int(rng.integers(1, 31))
+        table = geom.knn_table(pts, k)
+        for i in rng.choice(n, size=min(n, 10), replace=False):
+            assert set(table[i].tolist()) == \
+                set(brute_knn(pts, pts[i], min(k, n)).tolist())
+        # the density filter's neighbour count (self excluded, r inclusive)
+        cfg = segment.PipelineConfig(
+            density_radius=r, density_min_points=int(rng.integers(0, 16)))
+        mask = rng.random(n) < 0.5
+        mask[:2] = True
+        count = np.zeros(n, dtype=int)
+        for i in np.flatnonzero(mask):
+            count[i] = len(brute_radius(pts, pts[i], r)) - 1
+        want = mask & (count >= cfg.density_min_points)
+        assert np.array_equal(segment.density_filter(pts, mask, cfg), want)
+        kept += int(want.sum())
+        demoted += int((mask & ~want).sum())
+    assert kept and demoted
 
     worst_residual = 0.0
     for trial in range(20):
@@ -156,7 +170,9 @@ def test_criterion_4_geometry_oracles():
     expected_range = 2.0 / np.sin(np.deg2rad(22.5))
     assert abs(lowest - expected_range) <= 1e-6
     report("criterion 4", True,
-           f"knn/radius = exhaustive on 100 clouds; raycast = exhaustive on "
+           f"knn table and density filter ({kept} kept, {demoted} demoted, "
+           f"boundary pairs inclusive) = exhaustive on 100 clouds; "
+           f"raycast = exhaustive on "
            f"20 scenes (max surface residual {worst_residual:.2e} m); "
            f"flat-ground range {lowest:.6f} ~ {expected_range:.6f}")
 

@@ -175,6 +175,17 @@ class TestThreshold:
         rc = cli.main(["threshold", "--scores", str(path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("bad_row", ["abc,0", "0.5"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, capsys,
+                                               bad_row):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"score,truth\n0.1,0\n{bad_row}\n0.9,1\n")
+        rc = cli.main(["threshold", "--scores", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3:")
+        assert bad_row in err
+
 
 class TestExport:
     def test_ply_vertex_count(self, tmp_path, capsys):

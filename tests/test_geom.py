@@ -3,7 +3,6 @@ import pytest
 
 from trusskit import geom
 from trusskit.errors import (
-    EmptyCloudError,
     EmptySubsetError,
     NonFiniteError,
     NonPositiveLeafError,
@@ -11,57 +10,29 @@ from trusskit.errors import (
     NotSymmetricError,
     TooFewPointsError,
 )
-from helpers import brute_knn, brute_radius, covariance_loop, eigvals_via_roots
+from helpers import brute_knn, covariance_loop, eigvals_via_roots
 
 
 def random_cloud(rng, n, scale=5.0):
     return geom.LabeledCloud(rng.uniform(-scale, scale, size=(n, 3)))
 
 
-class TestSpatialIndex:
+class TestKnnTable:
     def test_singleton(self):
-        idx = geom.build_index([[1.0, 2.0, 3.0]])
-        d, i = idx.knn([1.0, 2.0, 3.0], k=1)
-        assert i[0] == 0 and d[0] == 0.0
+        assert geom.knn_table(np.array([[1.0, 2.0, 3.0]]), 5).tolist() == [[0]]
 
-    def test_empty_and_nonfinite(self):
-        with pytest.raises(EmptyCloudError):
-            geom.build_index(np.zeros((0, 3)))
-        with pytest.raises(NonFiniteError):
-            geom.build_index([[0.0, np.nan, 0.0]])
-
-    def test_radius_matches_bruteforce(self):
-        rng = np.random.default_rng(42)
-        pts = rng.random((1000, 3))
-        idx = geom.build_index(pts)
-        for _ in range(20):
-            q = rng.random(3)
-            got = set(idx.radius(q, 0.25).tolist())
-            want = set(brute_radius(pts, q, 0.25).tolist())
-            assert got == want
-
-    def test_query_outside_bbox(self):
-        rng = np.random.default_rng(7)
-        pts = rng.random((500, 3))
-        idx = geom.build_index(pts)
-        q = np.array([10.0, -5.0, 20.0])
-        _, i = idx.knn(q, k=1)
-        assert i[0] == brute_knn(pts, q, 1)[0]
-
-    def test_knn_radius_property_random_clouds(self):
+    def test_rows_match_brute_knn_random_clouds(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            n = int(rng.integers(5, 2000))
+            n = int(rng.integers(5, 800))
             pts = rng.uniform(-3, 3, size=(n, 3))
-            idx = geom.build_index(pts)
-            q = rng.uniform(-4, 4, size=3)
-            k = int(rng.integers(1, min(n, 12) + 1))
-            _, got = idx.knn(q, k)
-            want = brute_knn(pts, q, k)
-            assert np.array_equal(np.sort(got), np.sort(want))
-            r = float(rng.uniform(0.1, 2.0))
-            assert set(idx.radius(q, r).tolist()) == \
-                set(brute_radius(pts, q, r).tolist())
+            k = int(rng.integers(1, 31))
+            table = geom.knn_table(pts, k)
+            assert table.shape == (n, min(k, n))
+            assert (table[:, 0] == np.arange(n)).all()
+            for i in range(n):
+                assert set(table[i].tolist()) == \
+                    set(brute_knn(pts, pts[i], min(k, n)).tolist())
 
 
 class TestCovariance:
@@ -174,6 +145,13 @@ class TestNormals:
             geom.estimate_normals(cloud, k=6)
         with pytest.raises(TooFewPointsError):
             geom.estimate_normals(cloud, k=2)
+
+    def test_empty_and_nonfinite(self):
+        # the guards in front of the kNN query: no empty or NaN cloud reaches it
+        with pytest.raises(TooFewPointsError):
+            geom.estimate_normals(geom.LabeledCloud(np.zeros((0, 3))))
+        with pytest.raises(NonFiniteError):
+            geom.LabeledCloud([[0.0, np.nan, 0.0]])
 
     def test_curvature_range_random_clouds(self):
         rng = np.random.default_rng(17)

@@ -5,7 +5,14 @@ from trusskit import geom, segment, synth
 from trusskit.errors import DegenerateCloudError
 from trusskit.geom import LabeledCloud, Pose
 from trusskit.primitives import HeightFieldGround, Scene
-from helpers import brute_knn, covariance_loop, eigvals_via_roots
+from helpers import (
+    brute_knn,
+    brute_radius,
+    covariance_loop,
+    eigvals_via_roots,
+    region_grow_sequential,
+)
+from test_acceptance import _reduced_scan
 
 CFG = segment.PipelineConfig()
 
@@ -150,14 +157,16 @@ class TestRegionGrow:
         pts, normals, curv, _ = make_two_patches()
         flat_only = np.arange(400)
         clusters = segment.region_grow(pts, flat_only, normals[:400],
-                                       curv[:400], CFG)
+                                       curv[:400], CFG,
+                                       geom.knn_table(pts[:400], CFG.normal_k))
         assert len(clusters) == 1
         assert len(clusters[0].indices) == 400
 
     def test_two_patches_match_components_oracle(self):
         pts, normals, curv, n_flat = make_two_patches()
         subset = np.arange(len(pts))
-        clusters = segment.region_grow(pts, subset, normals, curv, CFG)
+        clusters = segment.region_grow(pts, subset, normals, curv, CFG,
+                                       geom.knn_table(pts, CFG.normal_k))
         got = {frozenset(c.indices.tolist()) for c in clusters}
         k = min(CFG.normal_k, len(pts))
         cos_thr = np.cos(np.deg2rad(CFG.rg_angle_threshold_deg))
@@ -171,12 +180,36 @@ class TestRegionGrow:
                         [0, 0, 5], [5, 5, 5]], float)
         normals = np.tile([0.0, 0.0, 1.0], (5, 1))
         clusters = segment.region_grow(pts, np.arange(5), normals,
-                                       np.zeros(5), CFG)
+                                       np.zeros(5), CFG,
+                                       geom.knn_table(pts, CFG.normal_k))
         assert clusters == []
 
     def test_empty_subset(self):
+        no_neighbours = np.zeros((0, CFG.normal_k), dtype=np.intp)
         assert segment.region_grow(np.zeros((3, 3)), np.array([], dtype=int),
-                                   np.zeros((0, 3)), np.zeros(0), CFG) == []
+                                   np.zeros((0, 3)), np.zeros(0), CFG,
+                                   no_neighbours) == []
+
+    # (scan seed, curvature threshold): 10-20 % of each scan's coarse ground
+    # lies above the threshold, so growth stops at points inside a region
+    @pytest.mark.parametrize("seed,threshold",
+                             [(2, 0.005), (3, 0.0075), (8, 0.01)])
+    def test_mixed_curvature_matches_sequential_oracle(self, seed, threshold):
+        cloud = _reduced_scan(seed)
+        cfg = segment.PipelineConfig(rg_curvature_threshold=threshold)
+        ground = segment.coarse_split(cloud, cfg).ground
+        normals, curv, knn_idx = segment._normals_for(cloud.points, ground,
+                                                      cfg)
+        assert 0.10 <= (curv > threshold).mean() <= 0.20
+        got = segment.region_grow(cloud.points, ground, normals, curv, cfg,
+                                  knn_idx)
+        want = region_grow_sequential(
+            normals, curv, knn_idx,
+            np.cos(np.deg2rad(cfg.rg_angle_threshold_deg)), threshold,
+            cfg.rg_min_cluster)
+        assert len(got) >= 3
+        assert [c.indices.tolist() for c in got] == \
+            [ground[r].tolist() for r in want]
 
 
 def sampled_rectangle_cluster(width=0.15, length=0.5, n=20000, seed=0):
@@ -283,6 +316,33 @@ class TestDensityFilter:
         mask = np.ones(200, bool)
         out = segment.density_filter(pts, mask, CFG)
         assert out.all()
+
+    def test_matches_brute_radius_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(20, 600))
+            pts = rng.uniform(-1, 1, (n, 3)) * rng.uniform(0.3, 2.0)
+            mask = rng.random(n) < 0.5
+            cfg = segment.PipelineConfig(
+                density_radius=float(rng.uniform(0.1, 0.6)),
+                density_min_points=int(rng.integers(0, 16)))
+            got = segment.density_filter(pts, mask, cfg)
+            count = np.array([len(brute_radius(pts, p, cfg.density_radius)) - 1
+                              for p in pts])
+            assert np.array_equal(got, mask & (count >= cfg.density_min_points))
+
+    def test_radius_boundary_inclusive(self):
+        # point 0 has density_min_points - 1 close neighbours plus one at
+        # exactly density_radius (0.25: the distance is exact in float64)
+        r, m = CFG.density_radius, CFG.density_min_points
+        close = np.column_stack([np.linspace(-0.01, 0.01, m - 1),
+                                 np.full(m - 1, 0.02), np.zeros(m - 1)])
+        for edge, kept in ((r, True), (np.nextafter(r, 1.0), False)):
+            pts = np.vstack([[0.0, 0.0, 0.0], close, [edge, 0.0, 0.0]])
+            mask = np.zeros(len(pts), bool)
+            mask[0] = True
+            assert len(brute_radius(pts, pts[0], r)) - 1 == (m if kept else m - 1)
+            assert segment.density_filter(pts, mask, CFG)[0] == kept
 
     def test_monotone_removal(self):
         rng = np.random.default_rng(6)
