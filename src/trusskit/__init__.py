@@ -29,6 +29,7 @@ from .segment import (
     PipelineConfig,
     Plane,
     SegmentationOutput,
+    StageCache,
     classify_cluster,
     coarse_split,
     density_filter,

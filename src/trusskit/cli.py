@@ -29,6 +29,7 @@ from .segment import (
     RATIO,
     WITHOUT_COARSE,
     WITHOUT_FINE,
+    StageCache,
     run_pipeline,
 )
 from .synth import generate_dataset
@@ -110,32 +111,47 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _segment_one(task) -> tuple[str, str]:
-    """Worker: segment one file; returns (file name, error or '')."""
-    path, out_dir, pipeline = task
+def _segment_one(task) -> tuple[str, list]:
+    """Worker: read one file and run each variant of ``(out_dir, config)``
+    pairs on it through one stage cache; returns (file name, [error or ''
+    per variant])."""
+    path, variants = task
+    name = Path(path).name
     try:
         cloud = tio.read_pcd(path)
-        result = run_pipeline(cloud, pipeline)
-        out_path = Path(out_dir) / Path(path).name
-        tio.write_prediction_pcd(cloud, result.prediction, out_path)
-        payload = {"stages_ms": result.latency_ms, "total_ms": result.total_ms,
-                   "warnings": result.warnings}
-        out_path.with_suffix(".latency.json").write_text(
-            json.dumps(payload, sort_keys=True) + "\n")
-        return Path(path).name, ""
     except Exception as exc:
-        return Path(path).name, f"{type(exc).__name__}: {exc}"
+        return name, [f"{type(exc).__name__}: {exc}"] * len(variants)
+    cache = StageCache()
+    errors = []
+    for out_dir, pipeline in variants:
+        try:
+            result = run_pipeline(cloud, pipeline, cache)
+            out_path = Path(out_dir) / name
+            tio.write_prediction_pcd(cloud, result.prediction, out_path)
+            payload = {"stages_ms": result.latency_ms,
+                       "total_ms": result.total_ms,
+                       "warnings": result.warnings}
+            out_path.with_suffix(".latency.json").write_text(
+                json.dumps(payload, sort_keys=True) + "\n")
+            errors.append("")
+        except Exception as exc:
+            errors.append(f"{type(exc).__name__}: {exc}")
+    return name, errors
 
 
-def _segment_dir(files, out_dir, pipeline, jobs: int) -> list:
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    tasks = [(str(f), str(out_dir), pipeline) for f in files]
+def _segment_dir(files, variants, jobs: int) -> list:
+    """Segment every file with every ``(out_dir, config)`` variant; returns
+    the (file name, error) failures of each variant."""
+    for out_dir, _ in variants:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    tasks = [(str(f), [(str(d), cfg) for d, cfg in variants]) for f in files]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_segment_one, tasks))
     else:
         results = [_segment_one(t) for t in tasks]
-    return [(name, err) for name, err in results if err]
+    return [[(name, errs[i]) for name, errs in results if errs[i]]
+            for i in range(len(variants))]
 
 
 def cmd_segment(args) -> int:
@@ -143,7 +159,7 @@ def cmd_segment(args) -> int:
     jobs = args.jobs or _env_int("TRUSSKIT_JOBS") or 1
     pipeline = _mode_config(cfg.pipeline, args.mode)
     files = _pcd_files(args.in_dir)
-    failures = _segment_dir(files, args.out, pipeline, jobs)
+    [failures] = _segment_dir(files, [(args.out, pipeline)], jobs)
     for name, err in failures:
         print(f"error: {name}: {err}", file=sys.stderr)
     print(f"segmented {len(files) - len(failures)}/{len(files)} clouds "
@@ -178,17 +194,20 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs or _env_int("TRUSSKIT_JOBS") or 1
     files = _pcd_files(args.in_dir)
     out = Path(args.out)
+    # one pass over the scans: each is read once and its seven variants
+    # share the pipeline stages they have in common
+    variants = [(out / mode, _mode_config(cfg.pipeline, mode))
+                for mode in MODES]
+    failures = _segment_dir(files, variants, jobs)
     rows = []
     failed = False
-    for mode in MODES:
+    for mode, mode_failures in zip(MODES, failures):
         pred_dir = out / mode
-        failures = _segment_dir(files, pred_dir, _mode_config(cfg.pipeline, mode),
-                                jobs)
         report = tmetrics.evaluate_dataset(files, pred_dir=pred_dir)
         report.write_json(pred_dir / "report.json")
         report.write_csv(pred_dir / "report.csv")
         _print_summary(mode, report)
-        failed = failed or bool(failures) or bool(report.errors)
+        failed = failed or bool(mode_failures) or bool(report.errors)
         rows.append({"mode": mode, "mean_f1": report.mean_f1,
                      "mean_iou": report.mean_iou,
                      "latency_mean_ms": report.latency_mean_ms,
@@ -209,13 +228,16 @@ def cmd_threshold(args) -> int:
             if not row or row[0].strip().lower() == "score":
                 continue
             try:
-                score, label = float(row[0]), bool(int(float(row[1])))
+                score, label = float(row[0]), float(row[1])
+                if label not in (0.0, 1.0):
+                    raise ValueError("truth is not 0 or 1")
             except (ValueError, IndexError):
                 raise TrussKitError(
                     f"{args.scores}:{reader.line_num}: expected a score,truth "
-                    f"row of two numbers, got {','.join(row)!r}") from None
+                    f"row of a number and 0 or 1, got {','.join(row)!r}"
+                ) from None
             scores.append(score)
-            truth.append(label)
+            truth.append(label == 1.0)
     select = tmetrics.select_threshold_roc if args.method == "roc" else \
         tmetrics.select_threshold_pr
     threshold, curve = select(np.asarray(scores), np.asarray(truth))

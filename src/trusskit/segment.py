@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -118,6 +118,31 @@ class CoarseSplit:
     ground: np.ndarray
     structure: np.ndarray
     warning: Optional[str] = None
+
+
+class StageCache:
+    """Stage results of one cloud, shared by pipeline calls on it.
+
+    Each result is stored under a key naming the stage and every config
+    field the stage reads, so calls whose configs agree on those fields
+    (the seven sweep variants, say) compute it once. The cache belongs to
+    the points of its first lookup; the cloud must not change while the
+    cache is in use.
+    """
+
+    def __init__(self):
+        self._points = None
+        self._results: dict = {}
+
+    def get(self, points: np.ndarray, key: tuple, compute):
+        """The result stored under ``key``, from ``compute()`` on a miss."""
+        if self._points is None:
+            self._points = points
+        elif points is not self._points:
+            raise ValueError("this stage cache holds another cloud's stages")
+        if key not in self._results:
+            self._results[key] = compute()
+        return self._results[key]
 
 
 @dataclass
@@ -309,12 +334,17 @@ def classify_cluster(cluster: Cluster, cfg: PipelineConfig) -> str:
 
 
 def density_filter(points: np.ndarray, structure_mask: np.ndarray,
-                   cfg: PipelineConfig) -> np.ndarray:
+                   cfg: PipelineConfig,
+                   cache: Optional[StageCache] = None) -> np.ndarray:
     """Demote structure points with too few neighbours inside the radius.
 
     A structure point stays when at least density_min_points points of the
     whole cloud (structure and ground, the point itself excluded) lie
     within density_radius, boundary inclusive. Never promotes ground.
+
+    With a ``cache`` of ``points``, the kd-tree and each point's verdict
+    per (density_radius, density_min_points) are kept, so a later call
+    queries only the structure points no earlier call has judged.
     """
     mask = np.asarray(structure_mask, dtype=bool).copy()
     idx = np.flatnonzero(mask)
@@ -327,11 +357,19 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     if len(points) < k:
         mask[idx] = False
         return mask
-    bound = np.nextafter(cfg.density_radius, np.inf)
-    dist, _ = cKDTree(points).query(points[idx], k=k,
-                                    distance_upper_bound=bound)
-    sparse = ~(dist[:, -1] <= cfg.density_radius)
-    mask[idx[sparse]] = False
+    cache = StageCache() if cache is None else cache
+    tree = cache.get(points, ("kdtree",), lambda: cKDTree(points))
+    # per point: 0 not yet queried, 1 dense, 2 sparse. A point's verdict
+    # does not depend on which other points are queried with it.
+    verdict = cache.get(points, ("density", cfg.density_radius,
+                                 cfg.density_min_points),
+                        lambda: np.zeros(len(points), dtype=np.int8))
+    todo = idx[verdict[idx] == 0]
+    if len(todo):
+        bound = np.nextafter(cfg.density_radius, np.inf)
+        dist, _ = tree.query(points[todo], k=k, distance_upper_bound=bound)
+        verdict[todo] = np.where(dist[:, -1] <= cfg.density_radius, 1, 2)
+    mask[idx[verdict[idx] == 2]] = False
     return mask
 
 
@@ -354,17 +392,25 @@ def _timed(latency: dict, stage: str):
         latency[stage] = (time.perf_counter() - t0) * 1e3
 
 
-def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig) -> SegmentationOutput:
+def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig,
+                 cache: Optional[StageCache] = None) -> SegmentationOutput:
     """Run the configured pipeline variant on one scan.
 
     full: coarse split, then fine segmentation inside the coarse ground,
     then the density filter. without_fine: coarse split + density filter.
     without_coarse: fine segmentation over the whole cloud + density filter.
+
+    Calls that pass the same ``cache`` for one cloud compute each stage
+    once per distinct setting of the config fields it reads; predictions
+    equal those of independent calls. latency_ms holds the time this call
+    spent, so a stage served from the cache records about 0. Outputs share
+    arrays with the cache: treat them as read-only.
     """
     if len(cloud) == 0:
         raise DegenerateCloudError("cannot segment an empty cloud")
     n = len(cloud)
     pts = cloud.points
+    cache = StageCache() if cache is None else cache
     latency = dict.fromkeys(_STAGES, 0.0)
     warnings: list[str] = []
     plane = None
@@ -372,30 +418,40 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig) -> SegmentationOutput
     mask = np.zeros(n, dtype=bool)
 
     if cfg.stage_mode in (FULL, WITHOUT_FINE):
+        subset_key = ("coarse", cfg.voxel_leaf, cfg.ransac_threshold,
+                      cfg.ransac_iterations, cfg.ransac_seed)
         with _timed(latency, "coarse"):
-            cs = coarse_split(cloud, cfg)
+            cs = cache.get(pts, subset_key, lambda: coarse_split(cloud, cfg))
             plane = cs.plane
             coarse_ground = cs.ground
             if cs.warning:
                 warnings.append(cs.warning)
             mask[cs.structure] = True
     else:
+        subset_key = ("cloud",)
         coarse_ground = np.arange(n, dtype=np.intp)
 
     if cfg.stage_mode in (FULL, WITHOUT_COARSE) and len(coarse_ground) >= 3:
+        normals_key = ("normals", subset_key, cfg.normal_k)
         with _timed(latency, "normals"):
-            normals, curv, knn_idx = _normals_for(pts, coarse_ground, cfg)
+            normals, curv, knn_idx = cache.get(
+                pts, normals_key, lambda: _normals_for(pts, coarse_ground, cfg))
         with _timed(latency, "region_growing"):
-            clusters = region_grow(pts, coarse_ground, normals, curv, cfg,
-                                   knn_idx=knn_idx)
+            grown = cache.get(
+                pts, ("region_grow", normals_key, cfg.rg_angle_threshold_deg,
+                      cfg.rg_curvature_threshold, cfg.rg_min_cluster),
+                lambda: region_grow(pts, coarse_ground, normals, curv, cfg,
+                                    knn_idx=knn_idx))
+            # the cached clusters stay verdict-free; each call gets copies
+            clusters = [replace(c, verdict=classify_cluster(c, cfg))
+                        for c in grown]
             for c in clusters:
-                c.verdict = classify_cluster(c, cfg)
                 if c.verdict == STRUCTURE:
                     mask[c.indices] = True
 
     with _timed(latency, "density"):
         before = mask.copy()
-        mask = density_filter(pts, mask, cfg)
+        mask = density_filter(pts, mask, cfg, cache)
     removed = np.flatnonzero(before & ~mask)
 
     return SegmentationOutput(

@@ -144,25 +144,25 @@ def ray_ground_fine_march(origin, direction, ground, t_max, step=0.002):
     if origin[2] > ground.amplitude and direction[2] >= 0:
         return np.inf
     f = lambda t: (origin[2] + t * direction[2]
-                   - float(ground.height(origin[0] + t * direction[0],
-                                         origin[1] + t * direction[1])))
+                   - ground.height(origin[0] + t * direction[0],
+                                   origin[1] + t * direction[1]))
     if f(0.0) <= 0:
         return 0.0
-    t_prev = 0.0
     # the last sample is t_max itself: a crossing inside the final partial
     # step (say just before a solid hit that caps t_max) is not skipped
-    for t in np.append(np.arange(step, t_max, step), t_max).tolist():
-        if f(t) <= 0:
-            lo, hi = t_prev, t
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if f(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-        t_prev = t
-    return np.inf
+    ts = np.append(np.arange(step, t_max, step), t_max)
+    below = np.flatnonzero(f(ts) <= 0)
+    if len(below) == 0:
+        return np.inf
+    i = below[0]
+    lo, hi = (ts[i - 1] if i else 0.0), ts[i]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def exhaustive_scene_hit(scene, origin, direction, t_max):

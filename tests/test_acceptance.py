@@ -6,6 +6,7 @@ and sweeps all seven pipeline variants, so it dominates the runtime; the
 remaining criteria are property suites that run in seconds.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -357,14 +358,13 @@ def test_criterion_2_exact_parity_not_claimed():
 # criterion 1: statistical reproduction on regenerated datasets (slow)
 # --------------------------------------------------------------------------
 
-def _sweep_dataset(files):
-    means = {}
-    for mode, (stage, eigen) in cli.MODES.items():
-        cfg = segment.PipelineConfig(stage_mode=stage, eigen_mode=eigen)
-        rep = tm.evaluate_dataset(files, pipeline_cfg=cfg)
-        assert not rep.errors, rep.errors
-        means[mode] = rep.mean_iou
-    return means
+def _sweep_dataset(data_dir, out):
+    """Per-mode mIoU of `trusskit sweep` over a dataset directory."""
+    rc = cli.main(["sweep", "--in", str(data_dir), "--out", str(out),
+                   "--jobs", "1"])
+    assert rc == 0
+    rows = json.loads((out / "sweep_report.json").read_text())
+    return {row["mode"]: row["mean_iou"] for row in rows}
 
 
 def test_criterion_1_trend_reproduction(tmp_path):
@@ -375,9 +375,8 @@ def test_criterion_1_trend_reproduction(tmp_path):
         out = tmp_path / name
         synth.generate_dataset(run.scene, N_SCANS, seed=2026, out_dir=out,
                                sensor=run.sensor)
-        files = sorted((out / "clouds").glob("*.pcd"))
-        assert len(files) == N_SCANS
-        miou[name] = _sweep_dataset(files)
+        assert len(list((out / "clouds").glob("*.pcd"))) == N_SCANS
+        miou[name] = _sweep_dataset(out, tmp_path / f"{name}-sweep")
         row = "  ".join(f"{m}={miou[name][m] * 100:5.2f}%" for m in cli.MODES)
         print(f"  {name:<8} {row}")
 

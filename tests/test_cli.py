@@ -147,6 +147,23 @@ class TestSweep:
         csv_lines = (out / "sweep_report.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 8     # header + 7 modes
 
+    def test_jobs_do_not_change_predictions(self, tmp_path):
+        data = make_tiny_dataset(tmp_path, n=2)
+        preds, miou = {}, {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sweep{jobs}"
+            rc = cli.main(["sweep", "--config", "configs/ortho.cfg",
+                           "--in", str(data), "--out", str(out),
+                           "--jobs", jobs])
+            assert rc == 0
+            preds[jobs] = {str(p.relative_to(out)): p.read_bytes()
+                           for p in sorted(out.glob("*/*.pcd"))}
+            rows = json.loads((out / "sweep_report.json").read_text())
+            miou[jobs] = {r["mode"]: r["mean_iou"] for r in rows}
+        assert len(preds["1"]) == 2 * len(cli.MODES)
+        assert preds["1"] == preds["2"]
+        assert miou["1"] == miou["2"]
+
 
 class TestThreshold:
     def test_separable_scores(self, tmp_path, capsys):
@@ -175,7 +192,7 @@ class TestThreshold:
         rc = cli.main(["threshold", "--scores", str(path)])
         assert rc == 1
 
-    @pytest.mark.parametrize("bad_row", ["abc,0", "0.5"])
+    @pytest.mark.parametrize("bad_row", ["abc,0", "0.5", "0.1,0.7", "0.2,2"])
     def test_malformed_row_names_file_and_line(self, tmp_path, capsys,
                                                bad_row):
         path = tmp_path / "scores.csv"

@@ -1,7 +1,9 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from trusskit import geom, segment, synth
+from trusskit import cli, geom, segment, synth
 from trusskit.errors import DegenerateCloudError
 from trusskit.geom import LabeledCloud, Pose
 from trusskit.primitives import HeightFieldGround, Scene
@@ -423,3 +425,79 @@ def in_any_cluster(out, added_mask):
         if c.verdict == segment.STRUCTURE:
             member[c.indices] = True
     return member[added_mask].all()
+
+
+def tiny_coarse_ground_cloud():
+    """Voxel centroids on the plane z = 0.5 but only two points within the
+    1 mm RANSAC threshold of it: the coarse ground has < 3 points."""
+    cfg = segment.PipelineConfig(voxel_leaf=1.0, ransac_threshold=1e-3)
+    xy = np.array([(x + 0.5, y + 0.5) for x in range(5) for y in range(4)])
+    pairs = [np.column_stack([xy, np.full(len(xy), z)]) for z in (0.49, 0.51)]
+    on_plane = [[7.5, 0.5, 0.5], [8.5, 0.5, 0.5]]
+    column = [[2.5, 9.5, z] for z in np.arange(1.5, 6.0, 0.5)]
+    return LabeledCloud(np.vstack(pairs + [on_plane, column])), cfg
+
+
+def output_digest(out):
+    """Everything a run_pipeline output reports except its timings."""
+    plane = None if out.plane is None else (out.plane.normal.tobytes(),
+                                            out.plane.d)
+    return {"prediction": out.prediction.tobytes(),
+            "coarse_ground": out.coarse_ground.tobytes(),
+            "density_removed": out.density_removed.tobytes(),
+            "warnings": out.warnings, "plane": plane,
+            "clusters": [(c.indices.tobytes(), c.verdict)
+                         for c in out.clusters]}
+
+
+class TestStageCache:
+    @pytest.mark.parametrize("scan", ["seed1", "seed2", "seed3",
+                                      "ground_not_found", "tiny_ground"])
+    def test_shared_sweep_equals_independent_runs(self, scan):
+        if scan == "ground_not_found":
+            rng = np.random.default_rng(13)
+            cloud, base = LabeledCloud(rng.uniform(-50, 50, (2000, 3))), CFG
+        elif scan == "tiny_ground":
+            cloud, base = tiny_coarse_ground_cloud()
+        else:
+            cloud, base = _reduced_scan(int(scan[-1])), CFG
+        cache = segment.StageCache()
+        shared = {}
+        for mode, (stage, eigen) in cli.MODES.items():
+            cfg = replace(base, stage_mode=stage, eigen_mode=eigen)
+            shared[mode] = segment.run_pipeline(cloud, cfg, cache)
+            fresh = segment.run_pipeline(cloud, cfg)
+            assert output_digest(shared[mode]) == output_digest(fresh), mode
+        if scan == "ground_not_found":
+            assert "GroundNotFound" in shared["H"].warnings[0]
+        if scan == "tiny_ground":
+            assert 0 < len(shared["H"].coarse_ground) < 3
+        # each call owns its Cluster objects; the cached ones keep no verdict
+        ids = {id(c) for c in shared["R"].clusters}
+        assert not ids & {id(c) for c in shared["H"].clusters}
+
+    def test_every_config_field_is_in_its_stage_key(self):
+        cloud = _reduced_scan(2)
+        other = {"voxel_leaf": 0.2, "ransac_threshold": 0.3,
+                 "ransac_iterations": 50, "ransac_seed": 1, "normal_k": 12,
+                 "rg_angle_threshold_deg": 10.0,
+                 "rg_curvature_threshold": 0.01, "rg_min_cluster": 40,
+                 "eigen_mode": segment.RATIO, "ratio_threshold": 0.6,
+                 "magnitude_threshold": 1.0, "density_radius": 0.15,
+                 "density_min_points": 4,
+                 "stage_mode": segment.WITHOUT_COARSE}
+        fresh_a = output_digest(segment.run_pipeline(cloud, CFG))
+        for f in fields(segment.PipelineConfig):
+            cfg_b = replace(CFG, **{f.name: other[f.name]})
+            cache = segment.StageCache()
+            segment.run_pipeline(cloud, CFG, cache)
+            shared_b = output_digest(segment.run_pipeline(cloud, cfg_b, cache))
+            fresh_b = output_digest(segment.run_pipeline(cloud, cfg_b))
+            assert fresh_b != fresh_a, f"{f.name} change does not show"
+            assert shared_b == fresh_b, f.name
+
+    def test_cache_of_another_cloud_is_refused(self):
+        cache = segment.StageCache()
+        segment.run_pipeline(_reduced_scan(1), CFG, cache)
+        with pytest.raises(ValueError):
+            segment.run_pipeline(_reduced_scan(1), CFG, cache)
