@@ -199,15 +199,27 @@ def cmd_sweep(args) -> int:
     variants = [(out / mode, _mode_config(cfg.pipeline, mode))
                 for mode in MODES]
     failures = _segment_dir(files, variants, jobs)
+    # one line per failed scan, however many of the variants it failed in
+    reported = {}
+    for mode_failures in failures:
+        for name, err in mode_failures:
+            reported.setdefault(name, err)
+    for name in sorted(reported):
+        print(f"error: {name}: {reported[name]}", file=sys.stderr)
     rows = []
-    failed = False
-    for mode, mode_failures in zip(MODES, failures):
+    for mode in MODES:
         pred_dir = out / mode
         report = tmetrics.evaluate_dataset(files, pred_dir=pred_dir)
         report.write_json(pred_dir / "report.json")
         report.write_csv(pred_dir / "report.csv")
         _print_summary(mode, report)
-        failed = failed or bool(mode_failures) or bool(report.errors)
+        # a scan that failed to segment has no prediction to score
+        unreported = [r for r in report.rows
+                      if r.error and r.file not in reported]
+        if unreported:
+            r = unreported[0]
+            print(f"error: {r.file}: {r.error} (mode {mode})", file=sys.stderr)
+            reported[r.file] = r.error
         rows.append({"mode": mode, "mean_f1": report.mean_f1,
                      "mean_iou": report.mean_iou,
                      "latency_mean_ms": report.latency_mean_ms,
@@ -217,7 +229,7 @@ def cmd_sweep(args) -> int:
         w.writeheader()
         w.writerows(rows)
     (out / "sweep_report.json").write_text(json.dumps(rows, indent=2) + "\n")
-    return 1 if failed else 0
+    return 1 if reported else 0
 
 
 def cmd_threshold(args) -> int:

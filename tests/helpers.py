@@ -165,6 +165,90 @@ def ray_ground_fine_march(origin, direction, ground, t_max, step=0.002):
     return 0.5 * (lo + hi)
 
 
+def ray_ground_stepwise(origin, dirs, ground, t_upper, step=None):
+    """Reference for ``primitives.ray_ground``: its earlier form, kept
+    verbatim as a bit-identity gate. It re-gathers ``dirs[mask]`` on every
+    surface evaluation, re-concatenates the brackets on every march step
+    and always runs all 80 bisection halvings.
+
+    First crossing of the ground surface along each ray, below t_upper.
+
+    amplitude 0 is solved exactly against the plane z = 0. Otherwise the
+    surface is bracketed by marching within the |z| <= amplitude band and
+    refined by bisection to sub-nanometre residuals.
+    """
+    from trusskit.primitives import _EPS
+
+    oz = origin[2]
+    dz = dirs[:, 2]
+    t = np.full(len(dirs), np.inf)
+
+    if ground.amplitude == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tp = -oz / dz
+        good = (np.abs(dz) > _EPS) & (tp > 0.0) & (tp < t_upper)
+        return np.where(good, tp, np.inf)
+
+    A = ground.amplitude
+    if step is None:
+        step = min(0.05, ground.wavelength / 64.0)
+
+    def f(tv, mask):
+        p = origin + tv[:, None] * dirs[mask]
+        return p[:, 2] - ground.height(p[:, 0], p[:, 1])
+
+    # per-ray parameter interval where |z| <= A (clipped to t_upper)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (-A - oz) / dz
+        tb = (A - oz) / dz
+    lo = np.minimum(ta, tb)
+    hi = np.maximum(ta, tb)
+    level = np.abs(dz) <= _EPS
+    lo = np.where(level, 0.0, lo)
+    hi = np.where(level, t_upper, hi)
+    inside_band = np.abs(oz) <= A
+    lo = np.maximum(lo, 0.0)
+    hi = np.minimum(hi, t_upper)
+    active = (hi > lo) & (~level | inside_band)
+    if not active.any():
+        return t
+
+    idx = np.flatnonzero(active)
+    cur = lo[idx]
+    end = hi[idx]
+    f_cur = f(cur, idx)
+    # origin below the surface inside the band: treat as immediate contact
+    immediate = f_cur <= 0.0
+    t[idx[immediate]] = cur[immediate]
+    alive = ~immediate
+    idx, cur, end, f_cur = idx[alive], cur[alive], end[alive], f_cur[alive]
+
+    bracket_lo = np.empty(0)
+    bracket_hi = np.empty(0)
+    bracket_idx = np.empty(0, dtype=np.intp)
+    while len(idx):
+        nxt = np.minimum(cur + step, end)
+        f_nxt = f(nxt, idx)
+        crossed = f_nxt <= 0.0
+        if crossed.any():
+            bracket_lo = np.concatenate([bracket_lo, cur[crossed]])
+            bracket_hi = np.concatenate([bracket_hi, nxt[crossed]])
+            bracket_idx = np.concatenate([bracket_idx, idx[crossed]])
+        alive = ~crossed & (nxt < end)
+        idx, cur, f_cur = idx[alive], nxt[alive], f_nxt[alive]
+        end = end[alive]
+
+    if len(bracket_idx):
+        lo_b, hi_b = bracket_lo, bracket_hi
+        for _ in range(80):
+            mid = 0.5 * (lo_b + hi_b)
+            below = f(mid, bracket_idx) <= 0.0
+            hi_b = np.where(below, mid, hi_b)
+            lo_b = np.where(below, lo_b, mid)
+        t[bracket_idx] = 0.5 * (lo_b + hi_b)
+    return t
+
+
 def exhaustive_scene_hit(scene, origin, direction, t_max):
     """Minimum-distance hit over every primitive, naive per-type math."""
     from trusskit.primitives import Ellipsoid, OrientedBox, VerticalCylinder

@@ -164,6 +164,21 @@ class TestSweep:
         assert preds["1"] == preds["2"]
         assert miou["1"] == miou["2"]
 
+    def test_failed_scan_named_once_on_stderr(self, tmp_path, capsys):
+        data = make_tiny_dataset(tmp_path, n=1)
+        (data / "clouds" / "bad.pcd").write_text("not a point cloud\n")
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", "configs/ortho.cfg",
+                       "--in", str(data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        # the read failure shows once, not once per mode or per report
+        assert err.count("bad.pcd") == 1
+        assert err.startswith("error: bad.pcd: ")
+        # the good scan was still segmented in every mode
+        for mode in cli.MODES:
+            assert (out / mode / "scan_00000.pcd").exists()
+
 
 class TestThreshold:
     def test_separable_scores(self, tmp_path, capsys):

@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trusskit import synth
+from trusskit import io as tio
 from trusskit.errors import InvalidBoundsError, InvalidSpecError
 from trusskit.geom import Pose, quat_to_matrix
-from trusskit.primitives import HeightFieldGround, OrientedBox, Scene
-from helpers import exhaustive_scene_hit, surface_residual
+from trusskit.primitives import HeightFieldGround, OrientedBox, Scene, ray_ground
+from helpers import exhaustive_scene_hit, ray_ground_stepwise, surface_residual
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_SENSOR = synth.SensorConfig(v_resolution=16, h_resolution=64,
                                   noise_sigma=0.0)
@@ -222,6 +226,117 @@ class TestRaycast:
             np.linalg.norm(clean.points, axis=1)
         assert abs(delta.std() / 0.008 - 1.0) <= 0.02
         assert np.array_equal(clean.face_label, noisy.face_label)
+
+
+def _ground_f(origin, dirs, ground, t):
+    """Signed height above the ground at t, in ray_ground's float operations."""
+    ox, oy, oz = origin
+    return (oz + t * dirs[:, 2]) - ground.height(ox + t * dirs[:, 0],
+                                                  oy + t * dirs[:, 1])
+
+
+class TestRayGround:
+    GROUND = HeightFieldGround(amplitude=0.2, wavelength=10.0)
+
+    def _call(self, origin, dirs, t_upper, ground=GROUND):
+        origin = np.asarray(origin, dtype=np.float64)
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+        t_upper = np.full(len(dirs), float(t_upper))
+        return ray_ground(origin, dirs, ground, t_upper)
+
+    @pytest.mark.parametrize("config", ["training", "ortho"])
+    def test_bit_identical_to_stepwise_reference(self, config, tmp_path,
+                                                 monkeypatch):
+        # every ray of one real scan, with the t_upper raycast_scan passes:
+        # a box field around the fixed sensor, and a pose inside the truss
+        cfg = tio.load_config(CONFIGS / f"{config}.cfg")
+        calls = []
+
+        def recording(origin, dirs, ground, t_upper):
+            calls.append((origin, dirs, ground, t_upper))
+            return ray_ground(origin, dirs, ground, t_upper)
+
+        monkeypatch.setattr(synth, "ray_ground", recording)
+        synth.generate_dataset(cfg.scene, 1, 3, tmp_path, sensor=cfg.sensor,
+                               fixed_position=cfg.dataset.sensor_position)
+        [(origin, dirs, ground, t_upper)] = calls
+        assert len(dirs) == cfg.sensor.v_resolution * cfg.sensor.h_resolution
+        got = ray_ground(origin, dirs, ground, t_upper)
+        want = ray_ground_stepwise(origin, dirs, ground, t_upper)
+        assert np.isfinite(got).sum() > 1000
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_origin_below_surface_is_immediate_contact(self):
+        # height(2.5, 2.5) = 0.2: an origin at z = 0.1 is inside the band
+        # and below the surface, so every ray touches at its start
+        dirs = [(0, 0, -1), (0, 0, 1), (1, 0, 0), (0.6, 0, -0.8)]
+        t = self._call((2.5, 2.5, 0.1), dirs, 10.0)
+        assert np.array_equal(t, np.zeros(4))
+
+    def test_level_ray_inside_band(self):
+        # along y = 2.5 the surface is 0.2 sin(2 pi x / 10); z = 0.1 is
+        # reached at x = 5/6
+        for dz in (0.0, 1e-13):
+            t = self._call((0.0, 2.5, 0.1), (1.0, 0.0, dz), 10.0)
+            assert abs(t[0] - 5.0 / 6.0) <= 1e-12
+
+    def test_level_ray_outside_band_misses(self):
+        for z in (0.5, -0.5):
+            t = self._call((0.0, 2.5, z), (1.0, 0.0, 0.0), 100.0)
+            assert t[0] == np.inf
+
+    def test_ray_never_entering_band_misses(self):
+        # pointing up from above the band, and pointing down but capped
+        # by t_upper before reaching it
+        assert self._call((0, 0, 2.0), (0, 0.6, 0.8), 50.0)[0] == np.inf
+        assert self._call((0, 0, 2.0), (0, 0, -1.0), 1.7)[0] == np.inf
+
+    def test_crossing_in_last_partial_step(self):
+        # march steps of 0.05 reach ~0.80; the crossing at 5/6 lies in the
+        # partial step up to t_upper = 0.84, and beyond t_upper = 0.83
+        origin, d = (0.0, 2.5, 0.1), (1.0, 0.0, 0.0)
+        assert abs(self._call(origin, d, 0.84)[0] - 5.0 / 6.0) <= 1e-12
+        assert self._call(origin, d, 0.83)[0] == np.inf
+
+    def test_flat_ground_solved_exactly(self):
+        flat = HeightFieldGround(amplitude=0.0)
+        dirs = np.array([(0, 0, -1.0), (0.0, 0.28, -0.96), (0.6, 0.0, -0.8),
+                         (0.6, 0.0, 0.8), (1.0, 0.0, 0.0)])
+        t = self._call((0.3, -0.2, 2.0), dirs, 2.4, ground=flat)
+        assert np.array_equal(t[:2], -2.0 / dirs[:2, 2])
+        # beyond t_upper, pointing up, level
+        assert np.array_equal(t[2:], np.full(3, np.inf))
+
+    @pytest.mark.parametrize("wavelength", [10.0, 2.5])
+    def test_random_rays_bracket_closed(self, wavelength):
+        # each non-immediate hit sits on a sign change of f between two
+        # adjacent floats, which an early exit before the brackets close
+        # would not give
+        ground = HeightFieldGround(amplitude=0.2, wavelength=wavelength)
+        rng = np.random.default_rng(11)
+        for trial in range(8):
+            # odd trials start inside the |z| <= 0.2 band, where level rays
+            # can hit and origins below the surface touch at t = 0
+            z = rng.uniform(-0.2, 0.2) if trial % 2 else rng.uniform(0.3, 3.0)
+            origin = np.append(rng.uniform(-20, 20, 2), z)
+            dirs = rng.normal(size=(500, 3))
+            dirs[:, 2] = -np.abs(dirs[:, 2])
+            dirs[:50, 2] = 0.0                      # level rays
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            t_upper = rng.uniform(1.0, 40.0, len(dirs))
+            t = ray_ground(origin, dirs, ground, t_upper)
+            assert np.array_equal(
+                t.view(np.int64),
+                ray_ground_stepwise(origin, dirs, ground, t_upper).view(np.int64))
+            ok = np.isfinite(t) & (t > 0.0)
+            assert (t[ok] < t_upper[ok]).all()
+            d, th = dirs[ok], t[ok]
+            f_t = _ground_f(origin, d, ground, th)
+            f_prev = _ground_f(origin, d, ground, np.nextafter(th, -np.inf))
+            f_next = _ground_f(origin, d, ground, np.nextafter(th, np.inf))
+            closed = ((f_t <= 0.0) & (f_prev > 0.0)) | \
+                ((f_t > 0.0) & (f_next <= 0.0))
+            assert closed.all(), f"trial {trial}: {np.flatnonzero(~closed)}"
 
 
 class TestGenerateDataset:
