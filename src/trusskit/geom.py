@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptySubsetError,
@@ -232,6 +231,9 @@ def knn_table(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of each point's k nearest points, nearest first, from
     an exact kd-tree query. A point is its own first neighbour; k is capped
     at n."""
+    # scipy.spatial takes ~0.35 s to import; only kd-tree users pay for it
+    from scipy.spatial import cKDTree
+
     k = min(k, len(points))
     _, idx = cKDTree(points).query(points, k=k)
     return idx.reshape(len(points), k)

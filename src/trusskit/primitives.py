@@ -8,11 +8,12 @@ misses. Directions and origins are expressed in the world frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NonFiniteError
 
 _EPS = 1e-12
 
@@ -137,46 +138,149 @@ class Scene:
             raise InvalidSpecError(
                 "structure labels must form a consecutive 1..K set")
 
+    @cached_property
+    def boxes(self) -> "PackedBoxes":
+        """The OrientedBox solids, packed once per scene."""
+        return pack_boxes(self.solids)
+
+
+@dataclass(frozen=True)
+class PackedBoxes:
+    """Boxes as arrays, in scene order, with a sphere cover of each.
+
+    ``solid_index`` is each box's position in its scene's solid list. Cover
+    sphere j (``cover_center``, ``cover_radius``) belongs to box
+    ``cover_box[j]``; the covers of one box are consecutive and together
+    contain it.
+    """
+
+    solid_index: np.ndarray     # (B,)
+    center: np.ndarray          # (B, 3)
+    half_extents: np.ndarray    # (B, 3)
+    rotation: np.ndarray        # (B, 3, 3)
+    face_labels: np.ndarray     # (B, 6)
+    cover_center: np.ndarray    # (S, 3) world frame
+    cover_radius: np.ndarray    # (S,)
+    cover_box: np.ndarray       # (S,) ascending
+
+    def __len__(self) -> int:
+        return len(self.solid_index)
+
+    @property
+    def bounding_radius(self) -> np.ndarray:
+        return np.linalg.norm(self.half_extents, axis=1)
+
+
+def pack_boxes(solids) -> PackedBoxes:
+    """Pack the OrientedBox entries of ``solids`` and cover each box.
+
+    A box is cut across its longest axis into n equal slices, each about as
+    long as the box's cross-section is wide: n = ceil(long half extent /
+    cross-section half diagonal). Each slice's circumscribed sphere, grown
+    by a relative 1e-9 against rounding, is one cover sphere. A 2 m x
+    0.15 m bar gets 10 spheres of radius 0.15 m instead of one of 1.0 m.
+    """
+    index = [i for i, s in enumerate(solids) if isinstance(s, OrientedBox)]
+    boxes = [solids[i] for i in index]
+    center = np.array([b.center for b in boxes]).reshape(-1, 3)
+    half = np.array([b.half_extents for b in boxes]).reshape(-1, 3)
+    rotation = np.array([b.rotation for b in boxes]).reshape(-1, 3, 3)
+    labels = np.array([b.face_labels for b in boxes], dtype=np.int64).reshape(-1, 6)
+
+    axis = np.argmax(half, axis=1)
+    by_size = np.sort(half, axis=1)
+    long, cross = by_size[:, 2], np.hypot(by_size[:, 0], by_size[:, 1])
+    n = np.ceil(long / cross).astype(np.intp)
+    step = long / n
+    radius = np.hypot(step, cross) * (1.0 + 1e-9)
+    cover_box = np.repeat(np.arange(len(boxes)), n)
+    slot = np.arange(len(cover_box)) - np.repeat(np.cumsum(n) - n, n)
+    offset = (2 * slot + 1) * step[cover_box] - long[cover_box]
+    along = rotation[cover_box, :, axis[cover_box]]
+    return PackedBoxes(
+        solid_index=np.asarray(index, dtype=np.intp), center=center,
+        half_extents=half, rotation=rotation, face_labels=labels,
+        cover_center=center[cover_box] + along * offset[:, None],
+        cover_radius=radius[cover_box], cover_box=cover_box)
+
 
 # ---------------------------------------------------------------------------
 # ray intersections (single origin, batched unit directions)
 # ---------------------------------------------------------------------------
 
+# slab-test pairs per chunk: keeps each temporary within ~200 kB
+_PAIR_CHUNK = 8192
+
+
+def ray_boxes(origin: np.ndarray, dirs: np.ndarray, boxes: PackedBoxes,
+              ray: np.ndarray, box: np.ndarray):
+    """Slab test of ray/box pairs: row ``ray[p]`` of ``dirs`` against box
+    ``box[p]`` of ``boxes``, for pairs grouped by box.
+
+    Returns (hit, t, face): the indices of the pairs that hit, their hit
+    parameters and face indices. Rays starting inside a box hit the exit
+    face. Every pair gets the arithmetic of a test against its box alone:
+    local directions ``dirs[ray] @ rotation`` per box, and the local origin
+    ``rotation.T @ (origin - center)``.
+    """
+    o = ((origin - boxes.center)[:, None, :] @ boxes.rotation)[:, 0]
+    h = boxes.half_extents
+    near, far, outside = -h - o, h - o, np.abs(o) > h
+    hits, ts, faces = [], [], []
+    for a in range(0, len(ray), _PAIR_CHUNK):
+        k = box[a:a + _PAIR_CHUNK]
+        dw = dirs[ray[a:a + _PAIR_CHUNK]]
+        D = np.empty_like(dw)                    # local directions
+        cut = np.flatnonzero(k[1:] != k[:-1]) + 1
+        for s, e in zip(np.r_[0, cut], np.r_[cut, len(k)]):
+            np.matmul(dw[s:e], boxes.rotation[k[s]], out=D[s:e])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / D
+            t1 = near[k] * inv
+            t2 = far[k] * inv
+        tn = np.minimum(t1, t2)
+        tf = np.maximum(t1, t2)
+        # a slab the ray runs parallel to: no bound, or a miss from outside it
+        par = np.flatnonzero(np.abs(D.ravel()) < _EPS)
+        tn.ravel()[par] = -np.inf
+        tf.ravel()[par] = np.inf
+        miss = par[outside[k[par // 3], par % 3]] // 3
+        t_enter = np.maximum(np.maximum(tn[:, 0], tn[:, 1]), tn[:, 2])
+        t_exit = np.minimum(np.minimum(tf[:, 0], tf[:, 1]), tf[:, 2])
+        ok = (t_enter <= t_exit) & (t_exit > 0.0)
+        ok[miss] = False
+        hit = np.flatnonzero(ok)
+
+        # axis and face only for the pairs that hit: the first axis whose
+        # slab gives the entry (or, from inside, the exit) parameter
+        inside = t_enter[hit] <= 0.0
+        t = np.where(inside, t_exit[hit], t_enter[hit])
+        bound = np.where(inside[:, None], tf[hit], tn[hit])
+        axis = np.where(bound[:, 0] == t, 0, np.where(bound[:, 1] == t, 1, 2))
+        d_axis = D.ravel()[3 * hit + axis]
+        # entering: a ray moving +axis crosses the -axis face; exiting: the +axis face
+        plus_side = np.where(inside, d_axis > 0.0, d_axis < 0.0)
+        hits.append(hit + a)
+        ts.append(t)
+        faces.append(2 * axis + plus_side)
+    if not hits:
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64)
+    return np.concatenate(hits), np.concatenate(ts), np.concatenate(faces)
+
+
 def ray_box(origin: np.ndarray, dirs: np.ndarray, box: OrientedBox):
     """Hit parameters and face indices for a batch of rays against one box.
 
-    Returns (t, face) with t = inf on miss. Rays starting inside the box hit
-    the exit face.
+    Returns (t, face) with t = inf and face 0 on miss. Rays starting inside
+    the box hit the exit face.
     """
-    o = box.rotation.T @ (origin - box.center)
-    D = dirs @ box.rotation                      # (m, 3) local directions
-    h = box.half_extents
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / D
-        t1 = (-h - o) * inv
-        t2 = (h - o) * inv
-    tn = np.minimum(t1, t2)
-    tf = np.maximum(t1, t2)
-    parallel = np.abs(D) < _EPS
-    outside = np.abs(o) > h
-    tn = np.where(parallel, -np.inf, tn)
-    tf = np.where(parallel, np.inf, tf)
-    miss_parallel = (parallel & outside).any(axis=1)
-
-    axis_in = np.argmax(tn, axis=1)
-    axis_out = np.argmin(tf, axis=1)
-    t_enter = np.take_along_axis(tn, axis_in[:, None], axis=1)[:, 0]
-    t_exit = np.take_along_axis(tf, axis_out[:, None], axis=1)[:, 0]
-    hit = (t_enter <= t_exit) & (t_exit > 0.0) & ~miss_parallel
-
-    inside = t_enter <= 0.0
-    t = np.where(inside, t_exit, t_enter)
-    axis = np.where(inside, axis_out, axis_in)
-    d_axis = np.take_along_axis(D, axis[:, None], axis=1)[:, 0]
-    # entering: a ray moving +axis crosses the -axis face; exiting: the +axis face
-    plus_side = np.where(inside, d_axis > 0.0, d_axis < 0.0)
-    face = 2 * axis + plus_side.astype(np.int64)
-    t = np.where(hit, t, np.inf)
+    n = len(dirs)
+    hit, t_hit, face_hit = ray_boxes(origin, dirs, pack_boxes([box]),
+                                     np.arange(n), np.zeros(n, dtype=np.intp))
+    t = np.full(n, np.inf)
+    face = np.zeros(n, dtype=np.int64)
+    t[hit] = t_hit
+    face[hit] = face_hit
     return t, face
 
 
@@ -238,6 +342,8 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     its lo or hi, i.e. the brackets are adjacent floats: from then on each
     halving maps (lo, hi) to itself, so the result is that of all 80
     halvings (a 0.05 bracket at 1 <= t < 32 closes after about 44-48).
+    A level ray starting inside the band is marched up to its t_upper,
+    which must then be finite (NonFiniteError otherwise).
     """
     oz = origin[2]
     dz = dirs[:, 2]
@@ -272,6 +378,9 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     active = (hi > lo) & (~level | inside_band)
     if not active.any():
         return t
+    if not np.isfinite(hi[active]).all():
+        raise NonFiniteError("t_upper must be finite for a level ray that "
+                             "starts inside the ground band")
 
     idx = np.flatnonzero(active)
     cur, end = lo[idx], hi[idx]

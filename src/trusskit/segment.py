@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateCloudError, InvalidSpecError
 from .geom import (
@@ -357,6 +356,8 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     if len(points) < k:
         mask[idx] = False
         return mask
+    from scipy.spatial import cKDTree     # deferred, as in geom.knn_table
+
     cache = StageCache() if cache is None else cache
     tree = cache.get(points, ("kdtree",), lambda: cKDTree(points))
     # per point: 0 not yet queried, 1 dense, 2 sparse. A point's verdict

@@ -1,8 +1,11 @@
 """Parametric truss/world construction and deterministic LiDAR simulation.
 
 Scans are produced by an analytic raycaster: rays are laid out on the
-sensor's elevation/azimuth grid, intersected with every scene solid (with
-conservative angular culling as a broad phase) and the nearest surface wins.
+sensor's elevation/azimuth grid and the nearest surface along each wins.
+A conservative angular broad phase picks the rays each solid can meet: for
+boxes, the caps of a row of small spheres covering each box, culled for all
+boxes at once, then one batched slab test of the surviving (ray, box)
+pairs; for trunks and canopies, the cap of one bounding sphere per solid.
 Points are stored in the sensor frame; the ground-truth label of each point
 is the label of the face its noiseless ray hit.
 """
@@ -24,9 +27,11 @@ from .primitives import (
     Ellipsoid,
     HeightFieldGround,
     OrientedBox,
+    PackedBoxes,
     Scene,
     VerticalCylinder,
     intersect_solid,
+    ray_boxes,
     ray_ground,
 )
 
@@ -280,12 +285,12 @@ def pose_has_clearance(scene: Scene, position, margin: float = 0.2) -> bool:
     impossible scan, so dataset generation rejects such draws.
     """
     p = np.asarray(position, dtype=np.float64)
+    boxes = scene.boxes
+    local = np.abs(((p - boxes.center)[:, None, :] @ boxes.rotation)[:, 0])
+    if (local <= boxes.half_extents + margin).all(axis=1).any():
+        return False
     for solid in scene.solids:
-        if isinstance(solid, OrientedBox):
-            local = np.abs(solid.rotation.T @ (p - solid.center))
-            if (local <= solid.half_extents + margin).all():
-                return False
-        elif isinstance(solid, VerticalCylinder):
+        if isinstance(solid, VerticalCylinder):
             r = np.hypot(p[0] - solid.base[0], p[1] - solid.base[1])
             z0 = solid.base[2] - margin
             z1 = solid.base[2] + solid.height + margin
@@ -370,12 +375,82 @@ def _candidate_rays(center_s, radius, els, azs):
     return (rows[:, None] * h + cols[None, :]).ravel()
 
 
+def _box_pairs(boxes: PackedBoxes, R, origin, els, azs, max_range):
+    """(ray, box) candidate pairs, grouped by box in scene order, for every
+    ray whose direction can meet a cover sphere of a box in range.
+
+    All cover spheres are culled in one pass with the spherical-cap bound
+    of ``_candidate_rays``, widened to the row band and the azimuth column
+    span of each cap; a sphere containing the sensor takes every ray. Per
+    box and row, the column spans of its spheres merge into their hull, so
+    a pair repeats only where a box's spans on both sides of azimuth 0
+    overlap. A box is dropped by the same test on its bounding sphere as a
+    trunk or canopy; a cover sphere only when it lies wholly beyond
+    max_range + 1, so every box hit that can decide a point or the
+    ground's march limit is kept.
+    """
+    h_res = len(azs)
+    center_s = (boxes.center - origin) @ R
+    reach = np.linalg.norm(center_s, axis=1) - boxes.bounding_radius
+    borderline = np.flatnonzero(np.abs(reach - max_range) < 1e-9)
+    for b in borderline:          # decided by the per-solid expression
+        reach[b] = np.linalg.norm(R.T @ (boxes.center[b] - origin)) \
+            - float(np.linalg.norm(boxes.half_extents[b]))
+
+    c = (boxes.cover_center - origin) @ R
+    r = boxes.cover_radius
+    dist = np.linalg.norm(c, axis=1)
+    keep = (reach[boxes.cover_box] <= max_range) & (dist - r <= max_range + 1.0)
+    c, r, dist, owner = c[keep], r[keep], dist[keep], boxes.cover_box[keep]
+
+    inside = dist <= r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arcsin(np.minimum(1.0, r / dist)) + 1e-9
+        el_c = np.arcsin(np.clip(c[:, 2] / dist, -1.0, 1.0))
+        d_az = np.arcsin(np.minimum(1.0, np.sin(half) / np.cos(el_c))) + 1e-9
+    row0 = np.searchsorted(els, el_c - half - 1e-12, side="left")
+    row1 = np.searchsorted(els, el_c + half + 1e-12, side="right")
+    row0[inside], row1[inside] = 0, len(els)
+    # a cap reaching a pole spans every azimuth: a half width just over pi
+    d_az[inside | (np.abs(el_c) + half >= np.pi / 2 - 1e-9)] = np.pi + 1e-9
+    az_c = np.arctan2(c[:, 1], c[:, 0])
+    lo, hi = az_c - d_az, az_c + d_az
+
+    # per box, row and column span, the hull of its spheres' column ranges:
+    # each (box, ray) pair comes once, grouped by box in scene order
+    n_rows = np.maximum(row1 - row0, 0)
+    ent = np.repeat(np.arange(len(n_rows)), n_rows)
+    row = row0[ent] + np.arange(len(ent)) \
+        - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
+    new_box = np.r_[True, owner[1:] != owner[:-1]]
+    v_res = len(els)
+    cell = 2 * ((np.cumsum(new_box) - 1)[ent] * v_res + row)
+    first = np.full(2 * v_res * int(new_box.sum()), h_res)
+    last = np.zeros_like(first)
+    # azimuths lie in [0, 2 pi) and [lo, hi] in [-2 pi, 2 pi] (to 1e-9): a
+    # column is in the span when its azimuth, or that minus 2 pi, is
+    for span, shift in enumerate((0.0, 2.0 * np.pi)):
+        c0 = np.searchsorted(azs, lo + shift, side="left")[ent]
+        c1 = np.searchsorted(azs, hi + shift, side="right")[ent]
+        use = c1 > c0
+        np.minimum.at(first, cell[use] + span, c0[use])
+        np.maximum.at(last, cell[use] + span, c1[use])
+    cells = np.flatnonzero(last > first)
+    width = last[cells] - first[cells]
+    rect = np.repeat(np.arange(len(cells)), width)
+    local = np.arange(len(rect)) - np.repeat(np.cumsum(width) - width, width)
+    ray = (cells // 2 % v_res)[rect] * h_res + first[cells][rect] + local
+    return ray, owner[new_box][cells // (2 * v_res)][rect]
+
+
 def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig) -> LabeledCloud:
     """Simulate one scan: nearest-hit labels, range gating, along-ray noise.
 
     Rays outside [min_range, max_range] of their nearest hit yield no point.
-    Noise draws come from one per-ray slot of a counter-based stream keyed by
-    cfg.seed, so output does not depend on evaluation order.
+    Each ray takes the smallest hit parameter over all solids, ties going to
+    the solid listed first. Noise draws come from one per-ray slot of a
+    counter-based stream keyed by cfg.seed, so output does not depend on
+    evaluation order.
     """
     dirs_s, els, azs = ray_grid(cfg)
     R = pose.rotation_matrix()
@@ -385,23 +460,44 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig) -> LabeledCloud:
 
     t_best = np.full(n, np.inf)
     label_best = np.zeros(n, dtype=np.int64)
-    for solid in scene.solids:
+    solid_best = np.full(n, -1)       # scene index of the winning solid
+    boxes = scene.boxes
+    if len(boxes):
+        ray, box = _box_pairs(boxes, R, origin, els, azs, cfg.max_range)
+        hit, t, face = ray_boxes(origin, dirs_w, boxes, ray, box)
+        ray, box = ray[hit], box[hit]
+        np.minimum.at(t_best, ray, t)
+        # of the boxes reaching a ray's minimum, the first in scene order
+        # (lowest packed index) wins; a repeated pair has one face
+        win = t == t_best[ray]
+        ray, box, face = ray[win], box[win], face[win]
+        first = np.full(n, len(boxes))
+        np.minimum.at(first, ray, box)
+        win = box == first[ray]
+        ray, box = ray[win], box[win]
+        label_best[ray] = boxes.face_labels[box, face[win]]
+        solid_best[ray] = boxes.solid_index[box]
+
+    for j, solid in enumerate(scene.solids):
+        if isinstance(solid, OrientedBox):
+            continue
         center_s = R.T @ (solid.center - origin)
         r = solid.bounding_radius
         if np.linalg.norm(center_s) - r > cfg.max_range:
             continue
         idx = _candidate_rays(center_s, r, els, azs)
         if idx is None:
+            idx = np.arange(n)
             t, labels = intersect_solid(origin, dirs_w, solid)
-            better = t < t_best
-            t_best[better] = t[better]
-            label_best[better] = labels[better]
         elif len(idx):
             t, labels = intersect_solid(origin, dirs_w[idx], solid)
-            better = t < t_best[idx]
-            upd = idx[better]
-            t_best[upd] = t[better]
-            label_best[upd] = labels[better]
+        else:
+            continue
+        better = (t < t_best[idx]) | ((t == t_best[idx]) & (j < solid_best[idx]))
+        upd = idx[better]
+        t_best[upd] = t[better]
+        label_best[upd] = labels[better]
+        solid_best[upd] = j
 
     if scene.ground is not None:
         t_upper = np.minimum(t_best, cfg.max_range + 1.0)
@@ -430,6 +526,20 @@ def spec_fingerprint(scene_spec: SceneSpec, sensor: SensorConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# the last (SceneSpec, Scene) _scan_record used, kept at module level so it
+# outlives one generate_dataset call (a scan per `trusskit generate --n 1`):
+# a structure scene is built and packed once per process, a training scene
+# (a new seed per scan) once per scan. Scenes are deterministic in their spec.
+_last_scene: Optional[tuple] = None
+
+
+def _scene_for(spec: SceneSpec) -> Scene:
+    global _last_scene
+    if _last_scene is None or _last_scene[0] != spec:
+        _last_scene = (spec, build_scene(spec))
+    return _last_scene[1]
+
+
 def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
                  fixed_position, base_seed: int, out_dir: str) -> dict:
     """Build, scan and write one cloud; returns its manifest record."""
@@ -441,7 +551,7 @@ def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
     if scene_spec.boxes is not None:
         spec_i = replace(scene_spec,
                          seed=int(scene_child.generate_state(1, np.uint64)[0]))
-    scene = build_scene(spec_i)
+    scene = _scene_for(spec_i)
 
     pose_rng = np.random.default_rng(pose_child)
     if scene_spec.structure is not None:

@@ -249,6 +249,132 @@ def ray_ground_stepwise(origin, dirs, ground, t_upper, step=None):
     return t
 
 
+def ray_box_slab(origin, dirs, box):
+    """Reference for the slab test of ``primitives.ray_boxes``: the earlier
+    one-box ``ray_box``, kept verbatim as a bit-identity gate. It resolves
+    the axis and face of every ray, hit or miss."""
+    from trusskit.primitives import _EPS
+
+    o = box.rotation.T @ (origin - box.center)
+    D = dirs @ box.rotation                      # (m, 3) local directions
+    h = box.half_extents
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / D
+        t1 = (-h - o) * inv
+        t2 = (h - o) * inv
+    tn = np.minimum(t1, t2)
+    tf = np.maximum(t1, t2)
+    parallel = np.abs(D) < _EPS
+    outside = np.abs(o) > h
+    tn = np.where(parallel, -np.inf, tn)
+    tf = np.where(parallel, np.inf, tf)
+    miss_parallel = (parallel & outside).any(axis=1)
+
+    axis_in = np.argmax(tn, axis=1)
+    axis_out = np.argmin(tf, axis=1)
+    t_enter = np.take_along_axis(tn, axis_in[:, None], axis=1)[:, 0]
+    t_exit = np.take_along_axis(tf, axis_out[:, None], axis=1)[:, 0]
+    hit = (t_enter <= t_exit) & (t_exit > 0.0) & ~miss_parallel
+
+    inside = t_enter <= 0.0
+    t = np.where(inside, t_exit, t_enter)
+    axis = np.where(inside, axis_out, axis_in)
+    d_axis = np.take_along_axis(D, axis[:, None], axis=1)[:, 0]
+    plus_side = np.where(inside, d_axis > 0.0, d_axis < 0.0)
+    face = 2 * axis + plus_side.astype(np.int64)
+    t = np.where(hit, t, np.inf)
+    return t, face
+
+
+def candidate_rays_cap(center_s, radius, els, azs):
+    """Reference broad phase: grid rays whose direction can meet a bounding
+    sphere (conservative spherical-cap bound); None means all rays."""
+    dist = float(np.linalg.norm(center_s))
+    if dist <= radius:
+        return None
+    half = np.arcsin(min(1.0, radius / dist)) + 1e-9
+    el_c = np.arcsin(np.clip(center_s[2] / dist, -1.0, 1.0))
+    lo, hi = el_c - half, el_c + half
+    i0 = int(np.searchsorted(els, lo - 1e-12, side="left"))
+    i1 = int(np.searchsorted(els, hi + 1e-12, side="right")) - 1
+    if i1 < i0:
+        return np.empty(0, dtype=np.intp)
+    rows = np.arange(i0, i1 + 1)
+
+    h = len(azs)
+    if abs(el_c) + half >= np.pi / 2 - 1e-9:
+        cols = np.arange(h)
+    else:
+        az_c = np.arctan2(center_s[1], center_s[0])
+        d_az = np.arcsin(min(1.0, np.sin(half) / np.cos(el_c))) + 1e-9
+        diff = (azs - az_c + np.pi) % (2 * np.pi) - np.pi
+        cols = np.flatnonzero(np.abs(diff) <= d_az)
+        if len(cols) == 0:
+            return np.empty(0, dtype=np.intp)
+    return (rows[:, None] * h + cols[None, :]).ravel()
+
+
+def raycast_scan_per_solid(scene, pose, cfg):
+    """Reference for ``synth.raycast_scan``: its earlier form, kept verbatim
+    as a bit-identity gate. It culls and intersects one solid at a time, in
+    scene order, with ``ray_box_slab`` for boxes."""
+    from trusskit.geom import LabeledCloud
+    from trusskit.primitives import (
+        OrientedBox,
+        intersect_solid,
+        ray_ground,
+    )
+    from trusskit.synth import ray_grid
+
+    dirs_s, els, azs = ray_grid(cfg)
+    R = pose.rotation_matrix()
+    origin = np.asarray(pose.translation, dtype=np.float64)
+    dirs_w = dirs_s @ R.T
+    n = len(dirs_s)
+
+    def intersect(dirs, solid):
+        if isinstance(solid, OrientedBox):
+            t, face = ray_box_slab(origin, dirs, solid)
+            return t, solid.face_labels[face]
+        return intersect_solid(origin, dirs, solid)
+
+    t_best = np.full(n, np.inf)
+    label_best = np.zeros(n, dtype=np.int64)
+    for solid in scene.solids:
+        center_s = R.T @ (solid.center - origin)
+        r = solid.bounding_radius
+        if np.linalg.norm(center_s) - r > cfg.max_range:
+            continue
+        idx = candidate_rays_cap(center_s, r, els, azs)
+        if idx is None:
+            t, labels = intersect(dirs_w, solid)
+            better = t < t_best
+            t_best[better] = t[better]
+            label_best[better] = labels[better]
+        elif len(idx):
+            t, labels = intersect(dirs_w[idx], solid)
+            better = t < t_best[idx]
+            upd = idx[better]
+            t_best[upd] = t[better]
+            label_best[upd] = labels[better]
+
+    if scene.ground is not None:
+        t_upper = np.minimum(t_best, cfg.max_range + 1.0)
+        tg = ray_ground(origin, dirs_w, scene.ground, t_upper)
+        better = tg < t_best
+        t_best[better] = tg[better]
+        label_best[better] = 0
+
+    hit = np.isfinite(t_best) & (t_best >= cfg.min_range) & (t_best <= cfg.max_range)
+    ranges = t_best[hit]
+    if cfg.noise_sigma > 0.0:
+        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        noise = rng.normal(0.0, cfg.noise_sigma, size=n)
+        ranges = ranges + noise[hit]
+    points = dirs_s[hit] * ranges[:, None]
+    return LabeledCloud(points, label_best[hit], sensor_pose=pose)
+
+
 def exhaustive_scene_hit(scene, origin, direction, t_max):
     """Minimum-distance hit over every primitive, naive per-type math."""
     from trusskit.primitives import Ellipsoid, OrientedBox, VerticalCylinder

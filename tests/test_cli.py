@@ -252,3 +252,20 @@ class TestExport:
         rc = cli.main(["export", "--cloud", str(src),
                        "--out", str(tmp_path / "x.ply")])
         assert rc == 1
+
+
+def test_import_does_not_load_scipy_spatial():
+    # scipy.spatial is imported by the kd-tree users only, so commands that
+    # build no kd-tree (generate, evaluate, threshold, export) skip it
+    import subprocess
+    import sys
+
+    import trusskit
+
+    src = str(Path(trusskit.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import trusskit, trusskit.cli; "
+            "print('scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

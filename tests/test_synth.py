@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +7,25 @@ import pytest
 
 from trusskit import synth
 from trusskit import io as tio
-from trusskit.errors import InvalidBoundsError, InvalidSpecError
+from trusskit.errors import InvalidBoundsError, InvalidSpecError, NonFiniteError
 from trusskit.geom import Pose, quat_to_matrix
-from trusskit.primitives import HeightFieldGround, OrientedBox, Scene, ray_ground
-from helpers import exhaustive_scene_hit, ray_ground_stepwise, surface_residual
+from trusskit.primitives import (
+    Ellipsoid,
+    HeightFieldGround,
+    OrientedBox,
+    Scene,
+    VerticalCylinder,
+    pack_boxes,
+    ray_box,
+    ray_ground,
+)
+from helpers import (
+    exhaustive_scene_hit,
+    ray_box_slab,
+    ray_ground_stepwise,
+    raycast_scan_per_solid,
+    surface_residual,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -228,6 +244,210 @@ class TestRaycast:
         assert np.array_equal(clean.face_label, noisy.face_label)
 
 
+def _assert_same_scan(scene, pose, cfg):
+    got = synth.raycast_scan(scene, pose, cfg)
+    want = raycast_scan_per_solid(scene, pose, cfg)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert np.array_equal(got.face_label, want.face_label)
+    return got
+
+
+def _box_ring(count=12, radius=6.0, seed=0):
+    """Boxes of assorted sizes and rotations around the origin, at every
+    azimuth, with a trunk and a canopy between them."""
+    rng = np.random.default_rng(seed)
+    solids = []
+    for b in range(count):
+        az = 2 * np.pi * b / count
+        c = [radius * np.cos(az), radius * np.sin(az), rng.uniform(0.5, 3.5)]
+        solids.append(OrientedBox(
+            c, rng.uniform(0.03, 1.5, 3),
+            quat_to_matrix(synth.random_unit_quaternion(rng)),
+            np.arange(6 * b + 1, 6 * b + 7)))
+    solids.insert(3, VerticalCylinder([2.0, -2.0, 0.0], 2.5, 0.2, label=0))
+    solids.append(Ellipsoid([-2.0, 2.0, 3.0], [1.0, 0.8, 1.2], label=0))
+    return Scene(solids, HeightFieldGround(0.2, 8.0))
+
+
+class TestBatchedBoxes:
+    """synth.raycast_scan against its earlier per-solid form, bit for bit."""
+
+    @pytest.mark.parametrize("config", ["ortho", "crossed", "training"])
+    def test_real_scans_bit_identical(self, config, tmp_path, monkeypatch):
+        cfg = tio.load_config(CONFIGS / f"{config}.cfg")
+        calls = []
+
+        def recording(scene, pose, sensor):
+            calls.append((scene, pose, sensor))
+            return raycast(scene, pose, sensor)
+
+        raycast = synth.raycast_scan
+        monkeypatch.setattr(synth, "raycast_scan", recording)
+        synth.generate_dataset(cfg.scene, 2, 5, tmp_path, sensor=cfg.sensor,
+                               fixed_position=cfg.dataset.sensor_position)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        for scene, pose, sensor in calls:
+            cloud = _assert_same_scan(scene, pose, sensor)
+            assert (cloud.face_label > 0).sum() > 1000
+
+    def test_sensor_inside_a_cover_sphere(self):
+        # outside the bar but inside one of its cover spheres: that sphere
+        # takes every ray
+        bar = OrientedBox([0.0, 0.0, 2.0], [1.0, 0.075, 0.075], np.eye(3),
+                          np.arange(1, 7))
+        cover = pack_boxes([bar])
+        p = np.array([0.1, 0.12, 2.0])
+        assert (np.linalg.norm(cover.cover_center - p, axis=1)
+                <= cover.cover_radius).any()
+        scene = Scene([bar, OrientedBox([4.0, 0.0, 2.0], [0.5, 0.5, 0.5],
+                                        np.eye(3), np.arange(7, 13))],
+                      HeightFieldGround(0.2, 10.0))
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            pose = Pose(tuple(p), tuple(synth.random_unit_quaternion(rng)))
+            _assert_same_scan(scene, pose, SMALL_SENSOR)
+        # and from inside the bar itself: every ray hits its exit face
+        inside = synth.raycast_scan(Scene([bar]), Pose((0.5, 0.0, 2.0)),
+                                    SMALL_SENSOR)
+        assert len(inside) == 16 * 64
+        _assert_same_scan(Scene([bar]), Pose((0.5, 0.0, 2.0)), SMALL_SENSOR)
+
+    def test_cap_over_the_pole_takes_every_azimuth(self):
+        # a cube right above the sensor: the cap of its cover sphere holds
+        # the zenith, so rays at every azimuth can meet it
+        cube = OrientedBox([0.0, 0.0, 0.9], [0.5, 0.5, 0.5], np.eye(3),
+                           np.arange(1, 7))
+        cfg = synth.SensorConfig(v_resolution=16, h_resolution=36,
+                                 v_fov_deg=150.0, noise_sigma=0.0)
+        cloud = _assert_same_scan(Scene([cube]), Pose((0.0, 0.0, 0.0)), cfg)
+        assert len(cloud) >= 4 * 36
+
+    @pytest.mark.parametrize("h_fov", [360.0, 270.0, 90.0])
+    def test_partial_azimuth_fov(self, h_fov):
+        scene = _box_ring()
+        rng = np.random.default_rng(int(h_fov))
+        cfg = synth.SensorConfig(v_resolution=32, h_resolution=200,
+                                 h_fov_deg=h_fov, seed=2)
+        for _ in range(4):
+            pose = Pose((0.0, 0.0, 2.0), tuple(synth.random_unit_quaternion(rng)))
+            _assert_same_scan(scene, pose, cfg)
+
+    def test_single_channel(self):
+        scene = _box_ring(seed=1)
+        cfg = synth.SensorConfig(v_resolution=1, h_resolution=720, seed=3)
+        for az in (0.0, 0.3, -2.0):
+            q = (np.cos(az / 2), 0.0, 0.0, np.sin(az / 2))
+            cloud = _assert_same_scan(scene, Pose((0.0, 0.0, 2.0), q), cfg)
+            assert (cloud.face_label > 0).any()
+
+    def test_scene_without_boxes(self):
+        scene = synth.build_scene(synth.SceneSpec(tree_count=8, seed=2,
+                                                  tree_xy_min=(-6, -6),
+                                                  tree_xy_max=(6, 6)))
+        assert len(scene.boxes) == 0
+        rng = np.random.default_rng(8)
+        pose = Pose((0.0, 0.0, 2.0), tuple(synth.random_unit_quaternion(rng)))
+        cloud = _assert_same_scan(scene, pose, SMALL_SENSOR)
+        assert len(cloud) > 0
+
+    def test_ray_parallel_to_box_faces(self):
+        # the level channel's azimuth-0 ray runs along +x, parallel to the
+        # y and z slabs: it grazes the +y face plane of the first box and
+        # enters it through its -x face, and misses the second, whose y
+        # slab it runs beside
+        grazed = OrientedBox([5.0, -0.5, 2.0], [0.5, 0.5, 0.5], np.eye(3),
+                             np.arange(1, 7))
+        beside = OrientedBox([5.0, 0.6, 2.0], [4.0, 0.05, 0.5], np.eye(3),
+                             np.arange(7, 13))
+        cfg = synth.SensorConfig(v_resolution=3, h_resolution=8, v_fov_deg=10.0,
+                                 noise_sigma=0.0)
+        dirs, _, _ = synth.ray_grid(cfg)
+        origin = np.array([0.0, 0.0, 2.0])
+        assert np.array_equal(dirs[8], [1.0, 0.0, 0.0])
+        t, face = ray_box(origin, dirs[8:9], grazed)
+        assert t[0] == 4.5 and face[0] == 0
+        t, _ = ray_box(origin, dirs[8:9], beside)
+        assert t[0] == np.inf
+        for scene in (Scene([grazed, beside]), Scene([beside, grazed])):
+            cloud = _assert_same_scan(scene, Pose(tuple(origin)), cfg)
+            along_x = np.flatnonzero((cloud.points[:, 1] == 0.0)
+                                     & (cloud.points[:, 2] == 0.0))
+            assert len(along_x) == 1
+            assert cloud.face_label[along_x[0]] == 1
+
+    def test_ray_box_matches_slab_reference(self):
+        rng = np.random.default_rng(21)
+        dirs = rng.normal(size=(4000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for trial in range(20):
+            box = OrientedBox(rng.uniform(-2, 2, 3), rng.uniform(0.05, 1.5, 3),
+                              quat_to_matrix(synth.random_unit_quaternion(rng)))
+            origin = rng.uniform(-3, 3, 3)
+            t, face = ray_box(origin, dirs, box)
+            want_t, want_face = ray_box_slab(origin, dirs, box)
+            assert np.array_equal(t.view(np.int64), want_t.view(np.int64))
+            hit = np.isfinite(want_t)
+            assert hit.any()
+            assert np.array_equal(face[hit], want_face[hit])
+
+    @pytest.mark.parametrize("h_fov", [360.0, 200.0])
+    def test_box_pairs_hold_every_hit(self, h_fov):
+        # the broad phase may keep rays that miss, never a (ray, box) pair
+        # that hits: checked against every ray of every box, with boxes
+        # all around the sensor and one bar next to it
+        rng = np.random.default_rng(int(h_fov))
+        cfg = synth.SensorConfig(v_resolution=24, h_resolution=90,
+                                 h_fov_deg=h_fov, max_range=12.0)
+        dirs_s, els, azs = synth.ray_grid(cfg)
+        for trial in range(6):
+            boxes = [OrientedBox(rng.uniform(-6, 6, 3),
+                                 rng.uniform(0.03, 2.0, 3),
+                                 quat_to_matrix(synth.random_unit_quaternion(rng)))
+                     for _ in range(30)]
+            boxes.append(OrientedBox([0.0, 0.0, 0.0], [2.0, 0.1, 0.1],
+                                     quat_to_matrix(synth.random_unit_quaternion(rng))))
+            packed = pack_boxes(boxes)
+            pose = Pose(tuple(rng.uniform(-0.3, 0.3, 3)),
+                        tuple(synth.random_unit_quaternion(rng)))
+            R = pose.rotation_matrix()
+            origin = np.asarray(pose.translation)
+            ray, box = synth._box_pairs(packed, R, origin, els, azs,
+                                        cfg.max_range)
+            assert (np.diff(box) >= 0).all()
+            kept = set(zip(box.tolist(), ray.tolist()))
+            hits = 0
+            for b, solid in enumerate(boxes):
+                t, _ = ray_box(origin, dirs_s @ R.T, solid)
+                for r in np.flatnonzero(t <= cfg.max_range + 1.0):
+                    assert (b, r) in kept, (trial, b, r)
+                    hits += 1
+            assert hits > 100
+
+    def test_cover_contains_its_box(self):
+        # every surface sample of a random box, corners included, lies in
+        # one of the box's cover spheres
+        rng = np.random.default_rng(13)
+        boxes = [OrientedBox(rng.uniform(-10, 10, 3),
+                             np.exp(rng.uniform(np.log(0.025), np.log(2.0), 3)),
+                             quat_to_matrix(synth.random_unit_quaternion(rng)))
+                 for _ in range(200)]
+        packed = pack_boxes(boxes)
+        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
+                          for sz in (-1, 1)], dtype=float)
+        for b, box in enumerate(boxes):
+            local = rng.uniform(-1, 1, (400, 3))
+            face_axis = rng.integers(0, 3, len(local))
+            local[np.arange(len(local)), face_axis] = \
+                rng.choice([-1.0, 1.0], len(local))
+            local = np.vstack([local, signs]) * box.half_extents
+            world = local @ box.rotation.T + box.center
+            own = packed.cover_box == b
+            dist = np.linalg.norm(world[:, None, :]
+                                  - packed.cover_center[own][None], axis=2)
+            assert (dist <= packed.cover_radius[own][None]).any(axis=1).all()
+
+
 def _ground_f(origin, dirs, ground, t):
     """Signed height above the ground at t, in ray_ground's float operations."""
     ox, oy, oz = origin
@@ -297,6 +517,15 @@ class TestRayGround:
         origin, d = (0.0, 2.5, 0.1), (1.0, 0.0, 0.0)
         assert abs(self._call(origin, d, 0.84)[0] - 5.0 / 6.0) <= 1e-12
         assert self._call(origin, d, 0.83)[0] == np.inf
+
+    def test_unbounded_level_march_raises(self):
+        # a level ray inside the band whose surface never rises to it: with
+        # an infinite t_upper the march would never end
+        with pytest.raises(NonFiniteError):
+            self._call((0.0, 0.0, 0.1), (1.0, 0.0, 0.0), np.inf)
+        # rays that leave the band stay bounded by it
+        t = self._call((0.0, 2.5, 2.0), (0.6, 0.0, -0.8), np.inf)
+        assert np.isfinite(t[0])
 
     def test_flat_ground_solved_exactly(self):
         flat = HeightFieldGround(amplitude=0.0)
@@ -380,3 +609,52 @@ class TestGenerateDataset:
         assert (cloud.face_label >= 0).all()
         assert cloud.truss_mask.any()          # boxes labeled >= 1
         assert (~cloud.truss_mask).any()       # ground/trees labeled 0
+
+    def test_structure_scene_built_once(self, tmp_path, monkeypatch):
+        # an unchanged SceneSpec reuses its scene; a box field draws a new
+        # world per scan and is built for each
+        builds = []
+
+        def counting(spec):
+            builds.append(spec)
+            return build(spec)
+
+        build = synth.build_scene
+        monkeypatch.setattr(synth, "build_scene", counting)
+        monkeypatch.setattr(synth, "_last_scene", None)
+        spec = synth.SceneSpec(structure=synth.TrussSpec((2, 2, 3)),
+                               tree_count=2, seed=6)
+        synth.generate_dataset(spec, 3, 42, tmp_path / "a", sensor=SMALL_SENSOR)
+        synth.generate_dataset(spec, 2, 43, tmp_path / "b", sensor=SMALL_SENSOR)
+        assert builds == [spec]
+        fresh = tmp_path / "fresh"
+        monkeypatch.setattr(synth, "_last_scene", None)
+        synth.generate_dataset(spec, 3, 42, fresh, sensor=SMALL_SENSOR)
+        for f in sorted((tmp_path / "a" / "clouds").glob("*.pcd")):
+            assert f.read_bytes() == (fresh / "clouds" / f.name).read_bytes()
+
+        builds.clear()
+        boxes = replace(spec, structure=None, boxes=synth.BoxFieldSpec(count=4))
+        synth.generate_dataset(boxes, 3, 42, tmp_path / "c", sensor=SMALL_SENSOR)
+        assert len(builds) == 3 and len({b.seed for b in builds}) == 3
+
+    def test_clearance_matches_per_solid_test(self):
+        spec = synth.SceneSpec(structure=synth.TrussSpec((3, 3, 3), crossed=True),
+                               tree_count=4, tree_xy_min=(-5, -5),
+                               tree_xy_max=(5, 5), seed=3)
+        scene = synth.build_scene(spec)
+        rng = np.random.default_rng(5)
+        points = rng.uniform([-3, -3, 0], [3, 3, 4.5], (400, 3))
+        verdicts = []
+        for p in points:
+            want = True
+            for solid in scene.solids:
+                if isinstance(solid, OrientedBox):
+                    local = np.abs(solid.rotation.T @ (p - solid.center))
+                    want &= not (local <= solid.half_extents + 0.2).all()
+            if want:        # trunks and canopies are tested as before
+                want = synth.pose_has_clearance(Scene(
+                    [s for s in scene.solids if not isinstance(s, OrientedBox)]), p)
+            assert synth.pose_has_clearance(scene, p) == want
+            verdicts.append(want)
+        assert 50 < sum(verdicts) < 350
