@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -144,14 +144,21 @@ class Scene:
         return pack_boxes(self.solids)
 
 
+class SphereCover(NamedTuple):
+    """Spheres covering boxes: sphere j (``center[j]``, ``radius[j]``)
+    belongs to box ``box[j]``; the spheres of one box are consecutive and
+    together contain it."""
+
+    center: np.ndarray          # (S, 3) world frame
+    radius: np.ndarray          # (S,)
+    box: np.ndarray             # (S,) ascending
+
+
 @dataclass(frozen=True)
 class PackedBoxes:
-    """Boxes as arrays, in scene order, with a sphere cover of each.
+    """Boxes as arrays, in scene order.
 
-    ``solid_index`` is each box's position in its scene's solid list. Cover
-    sphere j (``cover_center``, ``cover_radius``) belongs to box
-    ``cover_box[j]``; the covers of one box are consecutive and together
-    contain it.
+    ``solid_index`` is each box's position in its scene's solid list.
     """
 
     solid_index: np.ndarray     # (B,)
@@ -159,9 +166,6 @@ class PackedBoxes:
     half_extents: np.ndarray    # (B, 3)
     rotation: np.ndarray        # (B, 3, 3)
     face_labels: np.ndarray     # (B, 6)
-    cover_center: np.ndarray    # (S, 3) world frame
-    cover_radius: np.ndarray    # (S,)
-    cover_box: np.ndarray       # (S,) ascending
 
     def __len__(self) -> int:
         return len(self.solid_index)
@@ -170,38 +174,43 @@ class PackedBoxes:
     def bounding_radius(self) -> np.ndarray:
         return np.linalg.norm(self.half_extents, axis=1)
 
+    @cached_property
+    def cover(self) -> SphereCover:
+        """A row of small spheres along each box's longest axis.
+
+        A box is cut across its longest axis into n equal slices, each about
+        as long as the box's cross-section is wide: n = ceil(long half
+        extent / cross-section half diagonal). Each slice's circumscribed
+        sphere, grown by a relative 1e-9 against rounding, is one cover
+        sphere. A 2 m x 0.15 m bar gets 10 spheres of radius 0.15 m instead
+        of one of 1.0 m.
+        """
+        half = self.half_extents
+        axis = np.argmax(half, axis=1)
+        by_size = np.sort(half, axis=1)
+        long, cross = by_size[:, 2], np.hypot(by_size[:, 0], by_size[:, 1])
+        n = np.ceil(long / cross).astype(np.intp)
+        step = long / n
+        radius = np.hypot(step, cross) * (1.0 + 1e-9)
+        box = np.repeat(np.arange(len(half)), n)
+        slot = np.arange(len(box)) - np.repeat(np.cumsum(n) - n, n)
+        offset = (2 * slot + 1) * step[box] - long[box]
+        along = self.rotation[box, :, axis[box]]
+        return SphereCover(self.center[box] + along * offset[:, None],
+                           radius[box], box)
+
 
 def pack_boxes(solids) -> PackedBoxes:
-    """Pack the OrientedBox entries of ``solids`` and cover each box.
-
-    A box is cut across its longest axis into n equal slices, each about as
-    long as the box's cross-section is wide: n = ceil(long half extent /
-    cross-section half diagonal). Each slice's circumscribed sphere, grown
-    by a relative 1e-9 against rounding, is one cover sphere. A 2 m x
-    0.15 m bar gets 10 spheres of radius 0.15 m instead of one of 1.0 m.
-    """
+    """Pack the OrientedBox entries of ``solids``, in order."""
     index = [i for i, s in enumerate(solids) if isinstance(s, OrientedBox)]
     boxes = [solids[i] for i in index]
-    center = np.array([b.center for b in boxes]).reshape(-1, 3)
-    half = np.array([b.half_extents for b in boxes]).reshape(-1, 3)
-    rotation = np.array([b.rotation for b in boxes]).reshape(-1, 3, 3)
-    labels = np.array([b.face_labels for b in boxes], dtype=np.int64).reshape(-1, 6)
-
-    axis = np.argmax(half, axis=1)
-    by_size = np.sort(half, axis=1)
-    long, cross = by_size[:, 2], np.hypot(by_size[:, 0], by_size[:, 1])
-    n = np.ceil(long / cross).astype(np.intp)
-    step = long / n
-    radius = np.hypot(step, cross) * (1.0 + 1e-9)
-    cover_box = np.repeat(np.arange(len(boxes)), n)
-    slot = np.arange(len(cover_box)) - np.repeat(np.cumsum(n) - n, n)
-    offset = (2 * slot + 1) * step[cover_box] - long[cover_box]
-    along = rotation[cover_box, :, axis[cover_box]]
     return PackedBoxes(
-        solid_index=np.asarray(index, dtype=np.intp), center=center,
-        half_extents=half, rotation=rotation, face_labels=labels,
-        cover_center=center[cover_box] + along * offset[:, None],
-        cover_radius=radius[cover_box], cover_box=cover_box)
+        solid_index=np.asarray(index, dtype=np.intp),
+        center=np.array([b.center for b in boxes]).reshape(-1, 3),
+        half_extents=np.array([b.half_extents for b in boxes]).reshape(-1, 3),
+        rotation=np.array([b.rotation for b in boxes]).reshape(-1, 3, 3),
+        face_labels=np.array([b.face_labels for b in boxes],
+                             dtype=np.int64).reshape(-1, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -397,11 +398,14 @@ def _box_pairs(boxes: PackedBoxes, R, origin, els, azs, max_range):
         reach[b] = np.linalg.norm(R.T @ (boxes.center[b] - origin)) \
             - float(np.linalg.norm(boxes.half_extents[b]))
 
-    c = (boxes.cover_center - origin) @ R
-    r = boxes.cover_radius
+    cover = boxes.cover
+    c = (cover.center - origin) @ R
+    r = cover.radius
     dist = np.linalg.norm(c, axis=1)
-    keep = (reach[boxes.cover_box] <= max_range) & (dist - r <= max_range + 1.0)
-    c, r, dist, owner = c[keep], r[keep], dist[keep], boxes.cover_box[keep]
+    keep = (reach[cover.box] <= max_range) & (dist - r <= max_range + 1.0)
+    if not keep.any():
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    c, r, dist, owner = c[keep], r[keep], dist[keep], cover.box[keep]
 
     inside = dist <= r
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -526,18 +530,13 @@ def spec_fingerprint(scene_spec: SceneSpec, sensor: SensorConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# the last (SceneSpec, Scene) _scan_record used, kept at module level so it
-# outlives one generate_dataset call (a scan per `trusskit generate --n 1`):
-# a structure scene is built and packed once per process, a training scene
+# the last scene _scan_record built, kept at module level so it outlives
+# one generate_dataset call (a scan per `trusskit generate --n 1`): a
+# structure scene is built and packed once per process, a training scene
 # (a new seed per scan) once per scan. Scenes are deterministic in their spec.
-_last_scene: Optional[tuple] = None
-
-
+@lru_cache(maxsize=1)
 def _scene_for(spec: SceneSpec) -> Scene:
-    global _last_scene
-    if _last_scene is None or _last_scene[0] != spec:
-        _last_scene = (spec, build_scene(spec))
-    return _last_scene[1]
+    return build_scene(spec)
 
 
 def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,

@@ -296,10 +296,10 @@ class TestBatchedBoxes:
         # takes every ray
         bar = OrientedBox([0.0, 0.0, 2.0], [1.0, 0.075, 0.075], np.eye(3),
                           np.arange(1, 7))
-        cover = pack_boxes([bar])
+        cover = pack_boxes([bar]).cover
         p = np.array([0.1, 0.12, 2.0])
-        assert (np.linalg.norm(cover.cover_center - p, axis=1)
-                <= cover.cover_radius).any()
+        assert (np.linalg.norm(cover.center - p, axis=1)
+                <= cover.radius).any()
         scene = Scene([bar, OrientedBox([4.0, 0.0, 2.0], [0.5, 0.5, 0.5],
                                         np.eye(3), np.arange(7, 13))],
                       HeightFieldGround(0.2, 10.0))
@@ -350,6 +350,23 @@ class TestBatchedBoxes:
         pose = Pose((0.0, 0.0, 2.0), tuple(synth.random_unit_quaternion(rng)))
         cloud = _assert_same_scan(scene, pose, SMALL_SENSOR)
         assert len(cloud) > 0
+
+    def test_every_box_beyond_max_range(self):
+        # the range cull keeps no cover sphere: the scan holds the ground
+        # and the trunk only
+        far = [OrientedBox([50.0, 0.0, 2.0], [0.5, 0.5, 0.5], np.eye(3),
+                           np.arange(1, 7)),
+               OrientedBox([0.0, -40.0, 1.0], [2.0, 0.1, 0.1], np.eye(3),
+                           np.arange(7, 13))]
+        trunk = VerticalCylinder([3.0, 1.0, 0.0], 3.0, 0.3, label=0)
+        rng = np.random.default_rng(21)
+        for solids in (far, far + [trunk]):
+            scene = Scene(solids, HeightFieldGround(0.2, 10.0))
+            for cfg in (SMALL_SENSOR, replace(SMALL_SENSOR, max_range=8.0)):
+                pose = Pose((0.0, 0.0, 2.0),
+                            tuple(synth.random_unit_quaternion(rng)))
+                cloud = _assert_same_scan(scene, pose, cfg)
+                assert len(cloud) > 0 and (cloud.face_label == 0).all()
 
     def test_ray_parallel_to_box_faces(self):
         # the level channel's azimuth-0 ray runs along +x, parallel to the
@@ -432,7 +449,7 @@ class TestBatchedBoxes:
                              np.exp(rng.uniform(np.log(0.025), np.log(2.0), 3)),
                              quat_to_matrix(synth.random_unit_quaternion(rng)))
                  for _ in range(200)]
-        packed = pack_boxes(boxes)
+        cover = pack_boxes(boxes).cover
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
                           for sz in (-1, 1)], dtype=float)
         for b, box in enumerate(boxes):
@@ -442,10 +459,10 @@ class TestBatchedBoxes:
                 rng.choice([-1.0, 1.0], len(local))
             local = np.vstack([local, signs]) * box.half_extents
             world = local @ box.rotation.T + box.center
-            own = packed.cover_box == b
+            own = cover.box == b
             dist = np.linalg.norm(world[:, None, :]
-                                  - packed.cover_center[own][None], axis=2)
-            assert (dist <= packed.cover_radius[own][None]).any(axis=1).all()
+                                  - cover.center[own][None], axis=2)
+            assert (dist <= cover.radius[own][None]).any(axis=1).all()
 
 
 def _ground_f(origin, dirs, ground, t):
@@ -621,14 +638,14 @@ class TestGenerateDataset:
 
         build = synth.build_scene
         monkeypatch.setattr(synth, "build_scene", counting)
-        monkeypatch.setattr(synth, "_last_scene", None)
+        synth._scene_for.cache_clear()
         spec = synth.SceneSpec(structure=synth.TrussSpec((2, 2, 3)),
                                tree_count=2, seed=6)
         synth.generate_dataset(spec, 3, 42, tmp_path / "a", sensor=SMALL_SENSOR)
         synth.generate_dataset(spec, 2, 43, tmp_path / "b", sensor=SMALL_SENSOR)
         assert builds == [spec]
         fresh = tmp_path / "fresh"
-        monkeypatch.setattr(synth, "_last_scene", None)
+        synth._scene_for.cache_clear()
         synth.generate_dataset(spec, 3, 42, fresh, sensor=SMALL_SENSOR)
         for f in sorted((tmp_path / "a" / "clouds").glob("*.pcd")):
             assert f.read_bytes() == (fresh / "clouds" / f.name).read_bytes()
