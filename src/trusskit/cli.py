@@ -22,6 +22,7 @@ import numpy as np
 from . import io as tio
 from . import metrics as tmetrics
 from .errors import TrussKitError
+from .geom import single_threaded_queries
 from .segment import (
     FULL,
     HYBRID,
@@ -139,6 +140,13 @@ def _segment_one(task) -> tuple[str, list]:
     return name, errors
 
 
+def _segment_pool(jobs: int) -> ProcessPoolExecutor:
+    """Worker processes for ``_segment_dir``; each runs its kd-tree queries
+    on one thread, so ``jobs`` workers keep ``jobs`` cores busy."""
+    return ProcessPoolExecutor(max_workers=jobs,
+                               initializer=single_threaded_queries)
+
+
 def _segment_dir(files, variants, jobs: int) -> list:
     """Segment every file with every ``(out_dir, config)`` variant; returns
     the (file name, error) failures of each variant."""
@@ -146,7 +154,7 @@ def _segment_dir(files, variants, jobs: int) -> list:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     tasks = [(str(f), [(str(d), cfg) for d, cfg in variants]) for f in files]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _segment_pool(jobs) as pool:
             results = list(pool.map(_segment_one, tasks))
     else:
         results = [_segment_one(t) for t in tasks]

@@ -4,10 +4,23 @@ Points are plain ``(n, 3)`` float64 numpy arrays throughout the package.
 This module provides the labeled-cloud container, an exact k-nearest-neighbour
 table, PCA-based normal/curvature estimation, voxel-grid downsampling and
 small projection helpers used by the segmentation stages.
+
+Per-point normals take the batched neighbourhood covariances through a
+closed-form symmetric 3x3 eigensolver: Smith's trigonometric eigenvalues
+(Smith 1961) and the normal as the largest cross product of two rows of
+``C - lambda0 I`` (Kopp 2008, "Efficient numerical diagonalization of
+hermitian 3x3 matrices"). Rows whose smallest eigenvalue is not well
+separated from the middle one (an all-duplicate or collinear
+neighbourhood, say) fall back to ``np.linalg.eigh``.
+
+kd-tree queries run on every CPU this process may run on; a worker process
+of a ``--jobs`` pool calls ``single_threaded_queries`` so the workers do not
+oversubscribe the cores.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +36,13 @@ from .errors import (
 )
 
 MAX_CURVATURE = 1.0 / 3.0
+
+# a covariance row whose lambda1 - lambda0 is at most this share of its trace
+# goes to np.linalg.eigh: there the closed-form normal is ill-conditioned
+_EIGEN_GAP_TOL = 1e-4
+
+# threads of one kd-tree query; None means every CPU this process may run on
+_query_workers: Optional[int] = None
 
 
 def _as_points(points) -> np.ndarray:
@@ -214,28 +234,103 @@ def pca_stats(points, subset=None) -> EigenDecomp:
     return eigen_sym3(C, centroid)
 
 
-def _batched_pca(points: np.ndarray, neighbor_idx: np.ndarray):
-    """Eigenvalues/vectors of per-row neighbourhood covariances.
+def query_workers() -> int:
+    """Threads of one kd-tree query: the CPUs this process may run on, or 1
+    after ``single_threaded_queries``."""
+    if _query_workers is not None:
+        return _query_workers
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else 1
 
-    neighbor_idx is (n, k); returns (lam (n, 3) ascending, V (n, 3, 3)).
+
+def single_threaded_queries() -> None:
+    """Make this process's kd-tree queries single-threaded (an initializer
+    for worker processes that share the cores with each other)."""
+    global _query_workers
+    _query_workers = 1
+
+
+def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and smallest-eigenvalue eigenvector of a stack
+    of symmetric 3x3 matrices, read from their upper triangles.
+
+    Eigenvalues come from Smith's trigonometric closed form, the eigenvector
+    from the largest cross product of two rows of ``C - lambda0 I`` (unit
+    length, arbitrary sign), both on ``C / trace(C)`` so that no product
+    under- or overflows. Rows where ``lambda1 - lambda0`` is not above
+    ``_EIGEN_GAP_TOL`` times the trace (NaN included, as for ``C = c I``
+    and ``C = 0``) take both from ``np.linalg.eigh`` instead.
+
+    cov is (n, 3, 3); returns (lam (n, 3), v0 (n, 3)).
+    """
+    n = len(cov)
+    # C = 0 and C = c I make NaNs here; the gap test below routes them
+    with np.errstate(invalid="ignore", divide="ignore"):
+        trace = cov[:, 0, 0] + cov[:, 1, 1] + cov[:, 2, 2]
+        inv = 1.0 / trace
+        a00, a01, a02, a11, a12, a22 = (
+            cov[:, i, j] * inv
+            for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+        q = 1.0 / 3.0                            # trace of C / trace(C)
+        b00, b11, b22 = a00 - q, a11 - q, a22 - q
+        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                     + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+        det = (b00 * (b11 * b22 - a12 * a12) - a01 * (a01 * b22 - a12 * a02)
+               + a02 * (a01 * a12 - b11 * a02))
+        phi = np.arccos(np.clip(det / (2.0 * p * p * p), -1.0, 1.0)) / 3.0
+        lam2 = q + 2.0 * p * np.cos(phi)
+        lam0 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+        lam1 = 1.0 - lam0 - lam2
+
+        # C - lam0 I has rank 2 when lam0 is simple: the cross products of
+        # its rows all lie along the null vector, the largest most exactly
+        m00, m11, m22 = a00 - lam0, a11 - lam0, a22 - lam0
+        cand = np.empty((n, 3, 3))
+        cand[:, 0, 0] = a01 * a12 - a02 * m11       # row 0 x row 1
+        cand[:, 0, 1] = a02 * a01 - m00 * a12
+        cand[:, 0, 2] = m00 * m11 - a01 * a01
+        cand[:, 1, 0] = a01 * m22 - a02 * a12       # row 0 x row 2
+        cand[:, 1, 1] = a02 * a02 - m00 * m22
+        cand[:, 1, 2] = m00 * a12 - a01 * a02
+        cand[:, 2, 0] = m11 * m22 - a12 * a12       # row 1 x row 2
+        cand[:, 2, 1] = a12 * a02 - a01 * m22
+        cand[:, 2, 2] = a01 * a12 - m11 * a02
+        norm2 = np.einsum("nij,nij->ni", cand, cand)
+        rows = np.arange(n)
+        best = np.argmax(norm2, axis=1)
+        v0 = cand[rows, best] / np.sqrt(norm2[rows, best])[:, None]
+    lam = np.stack([lam0, lam1, lam2], axis=1) * trace[:, None]
+
+    bad = np.flatnonzero(~(lam1 - lam0 > _EIGEN_GAP_TOL))
+    if len(bad):
+        lam[bad], V = np.linalg.eigh(cov[bad])
+        v0[bad] = V[:, :, 0]
+    return lam, v0
+
+
+def _batched_pca(points: np.ndarray, neighbor_idx: np.ndarray):
+    """Eigenvalues and normal direction of per-row neighbourhood
+    covariances.
+
+    neighbor_idx is (n, k); returns (lam (n, 3) ascending, v0 (n, 3) the
+    unit smallest-eigenvalue eigenvector).
     """
     neigh = points[neighbor_idx]                      # (n, k, 3)
     mu = neigh.mean(axis=1, keepdims=True)
     X = neigh - mu
-    cov = np.einsum("nki,nkj->nij", X, X) / neighbor_idx.shape[1]
-    lam, V = np.linalg.eigh(cov)
-    return lam, V
+    cov = np.matmul(X.transpose(0, 2, 1), X) / neighbor_idx.shape[1]
+    return eigh3_smallest(cov)
 
 
 def knn_table(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of each point's k nearest points, nearest first, from
-    an exact kd-tree query. A point is its own first neighbour; k is capped
-    at n."""
+    an exact kd-tree query on ``query_workers()`` threads. A point is its
+    own first neighbour; k is capped at n."""
     # scipy.spatial takes ~0.35 s to import; only kd-tree users pay for it
     from scipy.spatial import cKDTree
 
     k = min(k, len(points))
-    _, idx = cKDTree(points).query(points, k=k)
+    _, idx = cKDTree(points).query(points, k=k, workers=query_workers())
     return idx.reshape(len(points), k)
 
 
@@ -247,9 +342,14 @@ def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
     the normal, flipped to point toward ``viewpoint``. Curvature is
     lambda0 / (lambda0 + lambda1 + lambda2), defined as 0 for an all-zero
     covariance, and always lies in [0, 1/3].
+
+    The eigen-analysis is closed-form (Smith 1961; Kopp 2008, see
+    ``eigh3_smallest``), which agrees with ``np.linalg.eigh`` to ~1e-14
+    relative. A neighbourhood whose lambda1 - lambda0 is at most 1e-4 of
+    its trace (all duplicates, collinear points) gets ``np.linalg.eigh``'s
+    normal and eigenvalues exactly.
     """
-    lam, V = _batched_pca(points, neighbor_idx)
-    normals = V[:, :, 0]
+    lam, normals = _batched_pca(points, neighbor_idx)
     nrm = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = normals / np.maximum(nrm, 1e-300)
     to_view = np.asarray(viewpoint, dtype=np.float64) - points

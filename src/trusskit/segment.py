@@ -24,6 +24,7 @@ from .geom import (
     knn_table,
     normals_from_neighbors,
     pca_stats,
+    query_workers,
     voxel_downsample,
 )
 
@@ -368,7 +369,8 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     todo = idx[verdict[idx] == 0]
     if len(todo):
         bound = np.nextafter(cfg.density_radius, np.inf)
-        dist, _ = tree.query(points[todo], k=k, distance_upper_bound=bound)
+        dist, _ = tree.query(points[todo], k=k, distance_upper_bound=bound,
+                             workers=query_workers())
         verdict[todo] = np.where(dist[:, -1] <= cfg.density_radius, 1, 2)
     mask[idx[verdict[idx] == 2]] = False
     return mask

@@ -48,6 +48,34 @@ def eigvals_via_roots(C):
     return np.sort(roots.real)
 
 
+def lattice(n_side, spacing):
+    """Points of an n_side^3 grid: every point has many neighbours at
+    exactly equal distances."""
+    g = np.arange(n_side) * spacing
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def normals_eigh(points, neighbor_idx, viewpoint):
+    """Normals and curvature with ``np.linalg.eigh`` as the eigensolver, the
+    form ``geom.normals_from_neighbors`` had before its closed form. The
+    covariance is built by the same expression as in ``geom``, so that on
+    degenerate neighbourhoods, where eigh's smallest eigenvector is an
+    arbitrary member of a plane, both see bit-equal matrices."""
+    neigh = points[neighbor_idx]
+    X = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = np.matmul(X.transpose(0, 2, 1), X) / neighbor_idx.shape[1]
+    lam, V = np.linalg.eigh(cov)
+    normals = V[:, :, 0]
+    normals = normals / np.maximum(
+        np.linalg.norm(normals, axis=1, keepdims=True), 1e-300)
+    flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - points) < 0
+    normals[flip] *= -1.0
+    total = lam.sum(axis=1)
+    curvature = np.where(total > 0.0, np.maximum(lam[:, 0], 0.0)
+                         / np.maximum(total, 1e-300), 0.0)
+    return normals, np.clip(curvature, 0.0, 1.0 / 3.0)
+
+
 def ray_triangle(origin, direction, v0, v1, v2):
     """Moller-Trumbore; returns t or inf."""
     e1, e2 = v1 - v0, v2 - v0

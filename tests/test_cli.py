@@ -1,10 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trusskit import cli
+from trusskit import cli, geom
 from trusskit import io as tio
 from trusskit.geom import LabeledCloud
 
@@ -163,6 +164,13 @@ class TestSweep:
         assert len(preds["1"]) == 2 * len(cli.MODES)
         assert preds["1"] == preds["2"]
         assert miou["1"] == miou["2"]
+
+    def test_pool_workers_query_on_one_thread(self):
+        # --jobs N workers share the cores: one kd-tree thread each
+        with cli._segment_pool(2) as pool:
+            assert [pool.submit(geom.query_workers).result()
+                    for _ in range(2)] == [1, 1]
+        assert geom.query_workers() == len(os.sched_getaffinity(0))
 
     def test_failed_scan_named_once_on_stderr(self, tmp_path, capsys):
         data = make_tiny_dataset(tmp_path, n=1)

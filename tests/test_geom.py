@@ -1,5 +1,10 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from trusskit import geom
 from trusskit.errors import (
@@ -10,7 +15,13 @@ from trusskit.errors import (
     NotSymmetricError,
     TooFewPointsError,
 )
-from helpers import brute_knn, covariance_loop, eigvals_via_roots
+from helpers import (
+    brute_knn,
+    covariance_loop,
+    eigvals_via_roots,
+    lattice,
+    normals_eigh,
+)
 
 
 def random_cloud(rng, n, scale=5.0):
@@ -33,6 +44,23 @@ class TestKnnTable:
             for i in range(n):
                 assert set(table[i].tolist()) == \
                     set(brute_knn(pts, pts[i], min(k, n)).tolist())
+
+
+class TestQueryWorkers:
+    def test_default_is_the_affinity_set(self):
+        assert geom.query_workers() == len(os.sched_getaffinity(0))
+
+    def test_threaded_knn_equals_single_thread_on_ties(self, monkeypatch):
+        pts = lattice(9, 0.5)
+        monkeypatch.setattr(geom, "_query_workers", 2)
+        for k in (7, 19, 30):
+            _, expect = cKDTree(pts).query(pts, k=k, workers=1)
+            assert np.array_equal(geom.knn_table(pts, k), expect)
+
+    def test_single_threaded_queries(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", None)
+        geom.single_threaded_queries()
+        assert geom.query_workers() == 1
 
 
 class TestCovariance:
@@ -81,6 +109,74 @@ class TestEigen:
             # eigenvalue sum equals the trace
             assert abs(dec.eigenvalues.sum() - np.trace(C)) <= \
                 1e-9 * max(1.0, abs(np.trace(C)))
+
+    @staticmethod
+    def _rotated(rng, m, diag):
+        """m covariances R diag(d) R^T, one random rotation and d each."""
+        out = np.empty((m, 3, 3))
+        for i in range(m):
+            R = geom.quat_to_matrix(geom.random_unit_quaternion(rng))
+            out[i] = R @ np.diag(diag(rng)) @ R.T
+        return (out + out.transpose(0, 2, 1)) / 2.0
+
+    @staticmethod
+    def _offset_neighbourhoods(rng, m):
+        """Covariances of 30-point anisotropic clusters ~30 m from the origin."""
+        out = np.empty((m, 3, 3))
+        for i in range(m):
+            pts = rng.normal(size=(30, 3)) * rng.uniform(0.001, 0.3, 3) \
+                + rng.uniform(-30.0, 30.0, 3)
+            out[i] = covariance_loop(pts)[1]
+        return out
+
+    # name: (covariance stack, lambda0 well separated?, root multiplicity)
+    CASES = {
+        "random_spd": (lambda rng: (lambda A: A @ A.transpose(0, 2, 1))(
+            rng.normal(size=(200, 3, 3))), True, 1),
+        "isotropic": (lambda rng: rng.uniform(0.01, 10.0, 20)[:, None, None]
+                      * np.eye(3), False, 3),
+        "all_zero": (lambda rng: np.zeros((3, 3, 3)), False, 3),
+        "rank1": (lambda rng: (lambda u: u[:, :, None] * u[:, None, :])(
+            rng.normal(size=(50, 3))), False, 2),
+        "rank2": (lambda rng: TestEigen._rotated(
+            rng, 50, lambda r: [0.0, *r.uniform(0.1, 1.0, 2)]), True, 1),
+        "near_l0_l1": (lambda rng: TestEigen._rotated(
+            rng, 50, lambda r: np.array([1.0, 1.0 + 1e-9, 3.0])
+            * r.uniform(0.1, 10.0)), False, 2),
+        "near_l1_l2": (lambda rng: TestEigen._rotated(
+            rng, 50, lambda r: np.array([0.1, 1.0, 1.0 + 1e-9])
+            * r.uniform(0.1, 10.0)), True, 2),
+        "offset_30m": (lambda rng: TestEigen._offset_neighbourhoods(rng, 50),
+                       True, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_closed_form_matches_eigh_and_roots(self, case):
+        make, separated, multiplicity = self.CASES[case]
+        cov = make(np.random.default_rng(sorted(self.CASES).index(case)))
+        lam, v0 = geom.eigh3_smallest(cov)
+        L, V = np.linalg.eigh(cov)
+        scale = np.maximum(np.trace(cov, axis1=1, axis2=2), 1e-300)[:, None]
+        # near a double eigenvalue the trigonometric form is only
+        # sqrt(eps)-accurate in lambda1 and lambda2; lambda0 stays at eps
+        assert (np.abs(lam - L) <= 1e-8 * scale).all()
+        roots = np.array([eigvals_via_roots(c) for c in cov])
+        # the characteristic-cubic oracle itself is eps^(1/m)-accurate at a
+        # root of multiplicity m
+        root_tol = {1: 1e-12, 2: 1e-7, 3: 1e-5}[multiplicity]
+        assert (np.abs(lam - roots) <= root_tol * scale).all()
+        assert np.allclose(np.linalg.norm(v0, axis=1), 1.0, atol=1e-12)
+
+        gap = (L[:, 1] - L[:, 0]) / scale[:, 0]
+        assert (gap > 2e-4).all() if separated else (gap < 5e-5).all()
+        if separated:
+            assert (np.abs(lam[:, 0] - L[:, 0]) <= 1e-13 * scale[:, 0]).all()
+            cos = np.abs(np.einsum("ni,ni->n", v0, V[:, :, 0]))
+            assert (cos >= 1.0 - 1e-9).all()
+        else:
+            # ill-separated rows are eigh's answer, bit for bit
+            assert np.array_equal(lam, L)
+            assert np.array_equal(v0, V[:, :, 0])
 
     def test_not_symmetric(self):
         M = np.eye(3)
@@ -152,6 +248,51 @@ class TestNormals:
             geom.estimate_normals(geom.LabeledCloud(np.zeros((0, 3))))
         with pytest.raises(NonFiniteError):
             geom.LabeledCloud([[0.0, np.nan, 0.0]])
+
+    def test_all_duplicate_neighbourhood_is_eigh_form(self):
+        for point in ([2.5, -1.25, 0.75], [30.1, -2.7, 1.3]):
+            pts = np.repeat([point], 12, axis=0)
+            idx = np.tile(np.arange(12), (12, 1))
+            normals, curv = geom.normals_from_neighbors(pts, idx, (0, 0, 0))
+            expect_n, expect_c = normals_eigh(pts, idx, (0, 0, 0))
+            assert np.array_equal(normals, expect_n)
+            assert np.array_equal(curv, expect_c)
+            assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
+            assert curv.max() <= 1e-12
+        # a duplicate whose mean is exact has an all-zero covariance
+        pts = np.repeat([[2.5, -1.25, 0.75]], 12, axis=0)
+        _, curv = geom.normals_from_neighbors(pts, idx, (0, 0, 0))
+        assert (curv == 0.0).all()
+
+    def test_collinear_neighbourhood_is_eigh_form(self):
+        t = np.arange(16.0)
+        for direction, origin in (([1.0, 2.0, 2.0], [2.0, -1.0, 0.5]),
+                                  ([0.3, -0.7, 0.2], [28.0, 4.1, -1.7])):
+            pts = np.asarray(origin) + t[:, None] * np.asarray(direction)
+            idx = geom.knn_table(pts, 8)
+            normals, curv = geom.normals_from_neighbors(pts, idx, (0, 0, 0))
+            expect_n, expect_c = normals_eigh(pts, idx, (0, 0, 0))
+            assert np.array_equal(normals, expect_n)
+            assert np.array_equal(curv, expect_c)
+            # the normal is perpendicular to the line
+            d = np.asarray(direction) / np.linalg.norm(direction)
+            assert np.abs(normals @ d).max() <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.lists(st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+                         min_size=1, max_size=25),
+           copies=st.lists(st.integers(1, 4), min_size=25, max_size=25),
+           k=st.integers(3, 20))
+    def test_clouds_with_duplicates(self, base, copies, k):
+        pts = np.repeat(np.array(base), copies[:len(base)], axis=0)
+        k = min(k, len(pts))
+        if k < 3:
+            return
+        normals, curv = geom.estimate_normals(geom.LabeledCloud(pts), k=k)
+        assert np.isfinite(normals).all()
+        assert np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() <= 1e-6
+        assert curv.min() >= 0.0
+        assert curv.max() <= 1 / 3
 
     def test_curvature_range_random_clouds(self):
         rng = np.random.default_rng(17)

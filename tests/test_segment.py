@@ -12,6 +12,7 @@ from helpers import (
     brute_radius,
     covariance_loop,
     eigvals_via_roots,
+    lattice,
     region_grow_sequential,
 )
 from test_acceptance import _reduced_scan
@@ -345,6 +346,21 @@ class TestDensityFilter:
             mask[0] = True
             assert len(brute_radius(pts, pts[0], r)) - 1 == (m if kept else m - 1)
             assert segment.density_filter(pts, mask, CFG)[0] == kept
+
+    def test_threaded_verdict_equals_single_thread_on_ties(self, monkeypatch):
+        # a 0.25 m lattice: the six face neighbours lie exactly on the radius
+        pts = lattice(8, 0.25)
+        mask = np.random.default_rng(2).random(len(pts)) < 0.7
+        for m in (5, 6, 7, 18):
+            cfg = replace(CFG, density_radius=0.25, density_min_points=m)
+            got = {}
+            for workers in (1, 2):
+                monkeypatch.setattr(geom, "_query_workers", workers)
+                got[workers] = segment.density_filter(pts, mask, cfg)
+            assert np.array_equal(got[1], got[2])
+            count = np.array([len(brute_radius(pts, p, 0.25)) - 1
+                              for p in pts])
+            assert np.array_equal(got[2], mask & (count >= m))
 
     def test_monotone_removal(self):
         rng = np.random.default_rng(6)
