@@ -13,6 +13,10 @@ hermitian 3x3 matrices"). Rows whose smallest eigenvalue is not well
 separated from the middle one (an all-duplicate or collinear
 neighbourhood, say) fall back to ``np.linalg.eigh``.
 
+Full eigen-decompositions (cluster statistics) go through one stacked path,
+``eigen_sym3_stack``: one ``np.linalg.eigh`` call over an ``(n, 3, 3)``
+stack. ``eigen_sym3`` and ``pca_stats`` are that path on a stack of one.
+
 kd-tree queries run on every CPU this process may run on; a worker process
 of a ``--jobs`` pool calls ``single_threaded_queries`` so the workers do not
 oversubscribe the cores.
@@ -212,20 +216,35 @@ def covariance(points, subset=None):
     return centroid, C
 
 
-def eigen_sym3(C: np.ndarray, centroid=(0.0, 0.0, 0.0)) -> EigenDecomp:
-    """Eigen-decomposition of a symmetric 3x3 matrix, ascending eigenvalues.
+def eigen_sym3_stack(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompositions of a stack of symmetric 3x3 matrices in one
+    ``np.linalg.eigh`` call; each matrix gets the eigenvalues and vectors a
+    lone call on it would.
 
-    Tiny negative round-off eigenvalues are clamped to zero. Raises
-    NotSymmetricError when ``|C - C.T|`` exceeds 1e-9.
+    C is (n, 3, 3); returns (lam (n, 3) ascending, V (n, 3, 3) with
+    eigenvector j of matrix i in column j of V[i]). Tiny negative round-off
+    eigenvalues (in [-1e-9, 0)) are clamped to zero. Raises
+    NotSymmetricError when ``|C - C.T|`` of any matrix exceeds 1e-9.
     """
+    C = np.asarray(C, dtype=np.float64)
+    if C.ndim != 3 or C.shape[1:] != (3, 3):
+        raise ValueError(f"expected (n, 3, 3) stack, got {C.shape}")
+    Ct = C.transpose(0, 2, 1)
+    if len(C) and np.abs(C - Ct).max() > 1e-9:
+        raise NotSymmetricError("matrix is not symmetric within 1e-9")
+    lam, V = np.linalg.eigh((C + Ct) / 2.0)
+    lam = np.where((lam < 0.0) & (lam >= -1e-9), 0.0, lam)
+    return lam, V
+
+
+def eigen_sym3(C: np.ndarray, centroid=(0.0, 0.0, 0.0)) -> EigenDecomp:
+    """Eigen-decomposition of a symmetric 3x3 matrix, ascending eigenvalues
+    (``eigen_sym3_stack`` on a stack of one)."""
     C = np.asarray(C, dtype=np.float64)
     if C.shape != (3, 3):
         raise ValueError(f"expected 3x3 matrix, got {C.shape}")
-    if np.abs(C - C.T).max() > 1e-9:
-        raise NotSymmetricError("matrix is not symmetric within 1e-9")
-    lam, V = np.linalg.eigh((C + C.T) / 2.0)
-    lam = np.where((lam < 0.0) & (lam >= -1e-9), 0.0, lam)
-    return EigenDecomp(lam, V, np.asarray(centroid, dtype=np.float64))
+    lam, V = eigen_sym3_stack(C[None])
+    return EigenDecomp(lam[0], V[0], np.asarray(centroid, dtype=np.float64))
 
 
 def pca_stats(points, subset=None) -> EigenDecomp:

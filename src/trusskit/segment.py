@@ -20,10 +20,11 @@ from .errors import DegenerateCloudError, InvalidSpecError
 from .geom import (
     EigenDecomp,
     LabeledCloud,
+    covariance,
+    eigen_sym3_stack,
     extent_along,
     knn_table,
     normals_from_neighbors,
-    pca_stats,
     query_workers,
     voxel_downsample,
 )
@@ -240,31 +241,24 @@ def coarse_split(cloud: LabeledCloud, cfg: PipelineConfig) -> CoarseSplit:
                        structure=np.flatnonzero(~near))
 
 
-def _wave_bfs(start: int, knn_idx: np.ndarray, normals: np.ndarray,
-              cos_thr: float, expandable: np.ndarray,
-              unvisited: np.ndarray) -> np.ndarray:
-    """Grow one region; membership matches sequential seeded growth because
-    a point joins iff any seed reaching it while unvisited passes the angle
-    test, regardless of queue order."""
-    member = [np.array([start], dtype=np.intp)]
-    unvisited[start] = False
-    frontier = member[0]
-    while len(frontier):
-        nb = knn_idx[frontier].ravel()
-        src = np.repeat(frontier, knn_idx.shape[1])
-        keep = unvisited[nb]
-        nb, src = nb[keep], src[keep]
-        if len(nb) == 0:
-            break
-        dots = np.einsum("ij,ij->i", normals[nb], normals[src])
-        nb = nb[dots >= cos_thr]
-        if len(nb) == 0:
-            break
-        nb = np.unique(nb)
-        unvisited[nb] = False
-        member.append(nb)
-        frontier = nb[expandable[nb]]
-    return np.concatenate(member)
+def _edge_table(normals: np.ndarray, knn_idx: np.ndarray,
+                cos_thr: float) -> np.ndarray:
+    """(m, k) angle test of every neighbour edge: row i, column j is True
+    when ``normals[i] . normals[knn_idx[i, j]] >= cos_thr``.
+
+    The dot product is summed x, y, z left to right, in place, so at most
+    two (m, k) float temporaries exist at once.
+    """
+    nx, ny, nz = (np.ascontiguousarray(normals[:, d]) for d in range(3))
+    dot = nx[knn_idx]
+    dot *= nx[:, None]
+    term = ny[knn_idx]
+    term *= ny[:, None]
+    dot += term
+    np.take(nz, knn_idx, out=term)
+    term *= nz[:, None]
+    dot += term
+    return dot >= cos_thr
 
 
 def region_grow(points: np.ndarray, subset: np.ndarray, normals: np.ndarray,
@@ -272,14 +266,25 @@ def region_grow(points: np.ndarray, subset: np.ndarray, normals: np.ndarray,
                 knn_idx: np.ndarray) -> list[Cluster]:
     """Curvature-seeded region growing restricted to ``subset``.
 
-    Seeds start at the lowest-curvature unvisited point; a neighbour joins
-    when the angle between its normal and the current seed's normal is
-    within the threshold, and becomes a seed itself when its curvature is
-    at most the curvature threshold. Regions smaller than rg_min_cluster
-    are dropped. ``normals``/``curvatures`` align with ``subset``; cluster
-    indices refer to the original cloud. ``knn_idx`` is the neighbour table
-    of the subset's points in subset-local indices, as built by
-    ``geom.knn_table`` for the normals (``_normals_for`` returns it).
+    Seeds start at the lowest-curvature unvisited point (stable order); a
+    neighbour joins when the angle between its normal and the current
+    seed's normal is within the threshold, and becomes a seed itself when
+    its curvature is at most the curvature threshold. Regions smaller than
+    rg_min_cluster are dropped. ``normals``/``curvatures`` align with
+    ``subset``; cluster indices refer to the original cloud. ``knn_idx`` is
+    the neighbour table of the subset's points in subset-local indices, as
+    built by ``geom.knn_table`` for the normals (``_normals_for`` returns
+    it).
+
+    The angle test runs once, over the whole ``(m, k)`` edge table
+    (``_edge_table``); a region then grows in waves, one breadth-first
+    level per wave, that only gather and mask that table. Membership
+    equals sequential seeded growth (Rabbani et al. 2006) because a point
+    joins iff some member reaching it while it is unvisited passes the
+    angle test, whatever the queue order. When a seed is taken, every
+    point before it in seed order is already visited, so a seed with no
+    passing edge to a point later in the order grows alone: it is marked
+    visited without a wave.
     """
     subset = np.asarray(subset, dtype=np.intp)
     m = len(subset)
@@ -287,29 +292,67 @@ def region_grow(points: np.ndarray, subset: np.ndarray, normals: np.ndarray,
         return []
     cos_thr = np.cos(np.deg2rad(cfg.rg_angle_threshold_deg))
     expandable = np.asarray(curvatures) <= cfg.rg_curvature_threshold
-    unvisited = np.ones(m, dtype=bool)
+    ok = _edge_table(normals, knn_idx, cos_thr)
     order = np.argsort(curvatures, kind="stable")
+    pos = np.empty(m, dtype=np.intp)
+    pos[order] = np.arange(m)
+    # a seed with no passing edge to a later point in the order grows alone
+    grows = (ok & (pos[knn_idx] > pos[:, None])).any(axis=1).tolist()
+    unvisited = np.ones(m, dtype=bool)
+    keep_lone = cfg.rg_min_cluster <= 1
 
-    clusters: list[Cluster] = []
-    cursor = 0
-    while cursor < m:
-        while cursor < m and not unvisited[order[cursor]]:
-            cursor += 1
-        if cursor >= m:
-            break
-        start = int(order[cursor])
-        members = _wave_bfs(start, knn_idx, normals, cos_thr, expandable,
-                            unvisited)
-        if len(members) >= cfg.rg_min_cluster:
-            orig = subset[members]
-            stats = pca_stats(points, orig)
-            lam = stats.eigenvalues
-            if lam[2] > 0:
-                ratio = float(lam[1] / lam[2])
-                extent = extent_along(points, orig, stats.eigenvectors[:, 2])
-            else:
-                ratio, extent = float("nan"), 0.0
-            clusters.append(Cluster(np.sort(orig), stats, ratio, extent))
+    regions: list[np.ndarray] = []
+    for seed in order.tolist():
+        if not unvisited[seed]:
+            continue
+        unvisited[seed] = False
+        if not grows[seed]:
+            if keep_lone:
+                regions.append(np.array([seed], dtype=np.intp))
+            continue
+        member = [np.array([seed], dtype=np.intp)]
+        size = 1
+        row = knn_idx[seed]
+        # a kd-tree row holds distinct indices: sorting it dedupes nothing
+        nb = row[ok[seed] & unvisited[row]]
+        nb.sort()
+        while len(nb):
+            unvisited[nb] = False
+            member.append(nb)
+            size += len(nb)
+            frontier = nb[expandable[nb]]
+            if not len(frontier):
+                break
+            rows = knn_idx[frontier]
+            nb = rows[ok[frontier] & unvisited[rows]]
+            nb.sort()
+            if len(nb) > 1:   # drop points reached from two frontier points
+                nb = nb[np.concatenate(([True], nb[1:] != nb[:-1]))]
+        if size >= cfg.rg_min_cluster:
+            regions.append(np.concatenate(member))
+    return _clusters_of(points, [subset[r] for r in regions])
+
+
+def _clusters_of(points: np.ndarray, regions: list) -> list[Cluster]:
+    """Clusters of original-index regions, their eigen summaries from one
+    stacked eigen call. Each covariance sums its points in region order."""
+    if not regions:
+        return []
+    centroids = np.empty((len(regions), 3))
+    covs = np.empty((len(regions), 3, 3))
+    for i, orig in enumerate(regions):
+        centroids[i], covs[i] = covariance(points, orig)
+    lams, vecs = eigen_sym3_stack(covs)
+    clusters = []
+    for orig, lam, V, centroid in zip(regions, lams, vecs, centroids):
+        stats = EigenDecomp(lam, V, centroid)
+        lam = stats.eigenvalues
+        if lam[2] > 0:
+            ratio = float(lam[1] / lam[2])
+            extent = extent_along(points, orig, stats.eigenvectors[:, 2])
+        else:
+            ratio, extent = float("nan"), 0.0
+        clusters.append(Cluster(np.sort(orig), stats, ratio, extent))
     return clusters
 
 

@@ -495,3 +495,66 @@ def region_grow_sequential(normals, curvatures, knn_idx, cos_thr,
         if len(region) >= min_size:
             regions.append(sorted(region))
     return regions
+
+
+def region_grow_waves(points, subset, normals, curvatures, cfg, knn_idx):
+    """The wave-per-seed region grower that ``segment.region_grow``
+    replaced, kept as its bit-identity reference.
+
+    Every seed runs a breadth-first wave that gathers its frontier's
+    neighbours, angle-tests each (neighbour, source) pair with ``einsum``
+    and dedupes the level with ``np.unique``; every kept region gets its
+    own ``geom.pca_stats`` call on its points in member order (seed first,
+    then each level sorted). Returns ``segment.Cluster`` objects.
+    """
+    from trusskit import geom, segment
+
+    subset = np.asarray(subset, dtype=np.intp)
+    m = len(subset)
+    if m == 0:
+        return []
+    cos_thr = np.cos(np.deg2rad(cfg.rg_angle_threshold_deg))
+    expandable = np.asarray(curvatures) <= cfg.rg_curvature_threshold
+    unvisited = np.ones(m, dtype=bool)
+    order = np.argsort(curvatures, kind="stable")
+
+    clusters = []
+    cursor = 0
+    while cursor < m:
+        while cursor < m and not unvisited[order[cursor]]:
+            cursor += 1
+        if cursor >= m:
+            break
+        start = int(order[cursor])
+        member = [np.array([start], dtype=np.intp)]
+        unvisited[start] = False
+        frontier = member[0]
+        while len(frontier):
+            nb = knn_idx[frontier].ravel()
+            src = np.repeat(frontier, knn_idx.shape[1])
+            keep = unvisited[nb]
+            nb, src = nb[keep], src[keep]
+            if len(nb) == 0:
+                break
+            dots = np.einsum("ij,ij->i", normals[nb], normals[src])
+            nb = nb[dots >= cos_thr]
+            if len(nb) == 0:
+                break
+            nb = np.unique(nb)
+            unvisited[nb] = False
+            member.append(nb)
+            frontier = nb[expandable[nb]]
+        members = np.concatenate(member)
+        if len(members) >= cfg.rg_min_cluster:
+            orig = subset[members]
+            stats = geom.pca_stats(points, orig)
+            lam = stats.eigenvalues
+            if lam[2] > 0:
+                ratio = float(lam[1] / lam[2])
+                extent = geom.extent_along(points, orig,
+                                           stats.eigenvectors[:, 2])
+            else:
+                ratio, extent = float("nan"), 0.0
+            clusters.append(segment.Cluster(np.sort(orig), stats, ratio,
+                                            extent))
+    return clusters

@@ -184,6 +184,35 @@ class TestEigen:
         with pytest.raises(NotSymmetricError):
             geom.eigen_sym3(M)
 
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(17)
+        stack = np.concatenate(
+            [make(rng) for make, _, _ in self.CASES.values()])
+        # round-off asymmetry below the 1e-9 check, symmetrised the same way
+        stack[::7, 0, 1] += 1e-12
+        lam, V = geom.eigen_sym3_stack(stack)
+        for C, lam_i, V_i in zip(stack, lam, V):
+            dec = geom.eigen_sym3(C)
+            assert np.array_equal(lam_i, dec.eigenvalues)
+            assert np.array_equal(V_i, dec.eigenvectors)
+
+    def test_stack_with_one_asymmetric_matrix_raises(self):
+        stack = np.tile(np.eye(3), (5, 1, 1))
+        stack[3, 2, 0] = 1e-6
+        with pytest.raises(NotSymmetricError):
+            geom.eigen_sym3_stack(stack)
+        assert geom.eigen_sym3_stack(np.zeros((0, 3, 3)))[0].shape == (0, 3)
+
+    def test_stack_clamps_only_round_off_negatives(self):
+        lam_in = [[-5e-10, 1.0, 2.0], [-1e-9, 1.0, 2.0], [-2e-9, 1.0, 2.0],
+                  [0.0, 1.0, 2.0]]
+        stack = np.array([np.diag(d) for d in lam_in])
+        lam, _ = geom.eigen_sym3_stack(stack)
+        assert lam[:, 0].tolist() == [0.0, 0.0, -2e-9, 0.0]
+        assert geom.eigen_sym3(stack[0]).eigenvalues[0] == 0.0
+        with pytest.raises(ValueError):         # below the clamp window
+            geom.eigen_sym3(stack[2])
+
 
 class TestNormals:
     def test_plane_exact(self):

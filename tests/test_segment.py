@@ -2,8 +2,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trusskit import cli, geom, segment, synth
+from trusskit import io as tio
 from trusskit.errors import DegenerateCloudError
 from trusskit.geom import LabeledCloud, Pose
 from trusskit.primitives import HeightFieldGround, Scene
@@ -14,6 +17,7 @@ from helpers import (
     eigvals_via_roots,
     lattice,
     region_grow_sequential,
+    region_grow_waves,
 )
 from test_acceptance import _reduced_scan
 
@@ -213,6 +217,109 @@ class TestRegionGrow:
         assert len(got) >= 3
         assert [c.indices.tolist() for c in got] == \
             [ground[r].tolist() for r in want]
+
+
+    @pytest.mark.parametrize("min_cluster", [1, 10])
+    @pytest.mark.parametrize("seed", [2, 3, 8])
+    def test_whole_cloud_matches_sequential_oracle(self, seed, min_cluster):
+        # the whole-cloud subset of the WC modes: 20-40 % of its points lie
+        # above the curvature threshold and most seeds grow alone
+        cloud = _reduced_scan(seed)
+        cfg = segment.PipelineConfig(rg_min_cluster=min_cluster)
+        whole = np.arange(len(cloud))
+        normals, curv, knn_idx = segment._normals_for(cloud.points, whole,
+                                                      cfg)
+        got = segment.region_grow(cloud.points, whole, normals, curv, cfg,
+                                  knn_idx)
+        want = region_grow_sequential(
+            normals, curv, knn_idx,
+            np.cos(np.deg2rad(cfg.rg_angle_threshold_deg)),
+            cfg.rg_curvature_threshold, min_cluster)
+        assert len(got) >= 10
+        if min_cluster == 1:
+            assert sum(len(r) == 1 for r in want) >= 100
+        assert [c.indices.tolist() for c in got] == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           k=st.integers(1, 10), angle=st.floats(0.5, 89.5),
+           curv_threshold=st.sampled_from([0.0, 0.01, 0.02, 0.03, 0.05]),
+           min_cluster=st.integers(1, 12))
+    def test_random_clouds_match_sequential_oracle(
+            self, seed, n, k, angle, curv_threshold, min_cluster):
+        rng = np.random.default_rng(seed)
+        # the subset sits after some points it does not include
+        offset = int(rng.integers(0, 5))
+        points = rng.uniform(0.0, 2.0, (offset + n, 3))
+        subset = np.arange(offset, offset + n)
+        # normals near three directions, so some edges pass the angle test
+        palette = rng.normal(size=(3, 3))
+        normals = palette[rng.integers(0, 3, n)] + rng.normal(0, 0.05, (n, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        # curvatures on a coarse grid tie often in the stable seed order
+        curv = rng.integers(0, 5, n) * 0.01
+        knn_idx = geom.knn_table(points[subset], k)
+        cfg = segment.PipelineConfig(rg_angle_threshold_deg=angle,
+                                     rg_curvature_threshold=curv_threshold,
+                                     rg_min_cluster=min_cluster)
+        got = segment.region_grow(points, subset, normals, curv, cfg, knn_idx)
+        want = region_grow_sequential(
+            normals, curv, knn_idx, np.cos(np.deg2rad(angle)),
+            curv_threshold, min_cluster)
+        assert [c.indices.tolist() for c in got] == \
+            [subset[r].tolist() for r in want]
+
+    @pytest.mark.parametrize("min_cluster", [1, 10])
+    @pytest.mark.parametrize("subset", ["coarse", "whole"])
+    @pytest.mark.parametrize("scan", ["ortho", "training"])
+    def test_bit_identical_to_wave_grower(self, grow_inputs, scan, subset,
+                                          min_cluster):
+        points, idx, normals, curv, knn_idx = grow_inputs(scan, subset)
+        cfg = replace(CFG, rg_min_cluster=min_cluster)
+        got = segment.region_grow(points, idx, normals, curv, cfg, knn_idx)
+        want = region_grow_waves(points, idx, normals, curv, cfg, knn_idx)
+        assert len(got) == len(want) >= 2
+        for a, b in zip(got, want):
+            assert_same_cluster(a, b)
+
+
+@pytest.fixture(scope="module")
+def grow_inputs(tmp_path_factory):
+    """(scan, subset) -> region_grow inputs of one full-size scan per
+    shipped workload config, the coarse ground or the whole cloud."""
+    clouds, made = {}, {}
+
+    def get(scan, subset):
+        if scan not in clouds:
+            out = tmp_path_factory.mktemp(scan)
+            assert cli.main(["generate", "--config", f"configs/{scan}.cfg",
+                             "--out", str(out), "--n", "1",
+                             "--seed", "1"]) == 0
+            clouds[scan] = tio.read_pcd(out / "clouds" / "scan_00000.pcd")
+        if (scan, subset) not in made:
+            cloud = clouds[scan]
+            idx = (segment.coarse_split(cloud, CFG).ground
+                   if subset == "coarse" else np.arange(len(cloud)))
+            made[scan, subset] = (cloud.points, idx, *segment._normals_for(
+                cloud.points, idx, CFG))
+        return made[scan, subset]
+    return get
+
+
+def assert_same_cluster(a, b):
+    """Every field of two clusters equal bit for bit; NaN ratios equal."""
+    for f in fields(segment.Cluster):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "stats":
+            for g in fields(geom.EigenDecomp):
+                u, v = getattr(x, g.name), getattr(y, g.name)
+                assert u.dtype == v.dtype and np.array_equal(u, v), g.name
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        elif isinstance(x, float) and np.isnan(x):
+            assert np.isnan(y), f.name
+        else:
+            assert x == y, f.name
 
 
 def sampled_rectangle_cluster(width=0.15, length=0.5, n=20000, seed=0):
