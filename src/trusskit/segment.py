@@ -241,24 +241,43 @@ def coarse_split(cloud: LabeledCloud, cfg: PipelineConfig) -> CoarseSplit:
                        structure=np.flatnonzero(~near))
 
 
-def _edge_table(normals: np.ndarray, knn_idx: np.ndarray,
-                cos_thr: float) -> np.ndarray:
-    """(m, k) angle test of every neighbour edge: row i, column j is True
-    when ``normals[i] . normals[knn_idx[i, j]] >= cos_thr``.
+# rows of the neighbour table judged per block in _edge_tables
+_EDGE_BLOCK = 4096
 
-    The dot product is summed x, y, z left to right, in place, so at most
-    two (m, k) float temporaries exist at once.
+
+def _edge_tables(normals: np.ndarray, knn_idx: np.ndarray, cos_thr: float,
+                 pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The angle test of every neighbour edge, and the points that can grow
+    a region.
+
+    ``ok`` is (m, k): row i, column j is True when
+    ``normals[i] . normals[knn_idx[i, j]] >= cos_thr``, the dot product
+    summed x, y, z left to right. ``grows[i]`` is True when point i has a
+    passing edge to a point later in seed order (``pos[i]`` is its place in
+    that order). Rows are judged in blocks of ``_EDGE_BLOCK``, with two
+    float temporaries per block: (m, k)-sized ones kept the heap of a
+    whole-cloud sweep resident long after the call.
     """
+    m = len(knn_idx)
     nx, ny, nz = (np.ascontiguousarray(normals[:, d]) for d in range(3))
-    dot = nx[knn_idx]
-    dot *= nx[:, None]
-    term = ny[knn_idx]
-    term *= ny[:, None]
-    dot += term
-    np.take(nz, knn_idx, out=term)
-    term *= nz[:, None]
-    dot += term
-    return dot >= cos_thr
+    ok = np.empty(knn_idx.shape, dtype=bool)
+    grows = np.empty(m, dtype=bool)
+    for lo in range(0, m, _EDGE_BLOCK):
+        rows = slice(lo, lo + _EDGE_BLOCK)
+        nbr = knn_idx[rows]
+        dot = nx[nbr]
+        dot *= nx[rows, None]
+        term = ny[nbr]
+        term *= ny[rows, None]
+        dot += term
+        np.take(nz, nbr, out=term)
+        term *= nz[rows, None]
+        dot += term
+        np.greater_equal(dot, cos_thr, out=ok[rows])
+        later = pos[nbr] > pos[rows, None]
+        later &= ok[rows]
+        later.any(axis=1, out=grows[rows])
+    return ok, grows
 
 
 def region_grow(points: np.ndarray, subset: np.ndarray, normals: np.ndarray,
@@ -277,7 +296,7 @@ def region_grow(points: np.ndarray, subset: np.ndarray, normals: np.ndarray,
     it).
 
     The angle test runs once, over the whole ``(m, k)`` edge table
-    (``_edge_table``); a region then grows in waves, one breadth-first
+    (``_edge_tables``); a region then grows in waves, one breadth-first
     level per wave, that only gather and mask that table. Membership
     equals sequential seeded growth (Rabbani et al. 2006) because a point
     joins iff some member reaching it while it is unvisited passes the
@@ -292,17 +311,17 @@ def region_grow(points: np.ndarray, subset: np.ndarray, normals: np.ndarray,
         return []
     cos_thr = np.cos(np.deg2rad(cfg.rg_angle_threshold_deg))
     expandable = np.asarray(curvatures) <= cfg.rg_curvature_threshold
-    ok = _edge_table(normals, knn_idx, cos_thr)
     order = np.argsort(curvatures, kind="stable")
     pos = np.empty(m, dtype=np.intp)
     pos[order] = np.arange(m)
-    # a seed with no passing edge to a later point in the order grows alone
-    grows = (ok & (pos[knn_idx] > pos[:, None])).any(axis=1).tolist()
+    ok, grows = _edge_tables(normals, knn_idx, cos_thr, pos)
     unvisited = np.ones(m, dtype=bool)
     keep_lone = cfg.rg_min_cluster <= 1
 
     regions: list[np.ndarray] = []
-    for seed in order.tolist():
+    # numpy scalars, not order.tolist(): a per-point list, like (m, k)
+    # temporaries, left a whole-cloud sweep's heap resident after the call
+    for seed in order:
         if not unvisited[seed]:
             continue
         unvisited[seed] = False
