@@ -21,7 +21,6 @@ from .metrics import (
     evaluate_dataset,
     select_threshold_pr,
     select_threshold_roc,
-    time_pipeline,
 )
 from .primitives import Ellipsoid, HeightFieldGround, OrientedBox, Scene, VerticalCylinder
 from .segment import (

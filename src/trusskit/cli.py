@@ -58,9 +58,21 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _env_int(name: str):
+def _env_int(name: str, minimum=None):
     raw = os.environ.get(name)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        raise TrussKitError(f"{name}={raw!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise TrussKitError(f"{name}={raw!r} must be >= {minimum}")
+    return value
+
+
+def _jobs(args, default: int) -> int:
+    return args.jobs or _env_int("TRUSSKIT_JOBS", minimum=1) or default
 
 
 def _parse_overrides(pairs):
@@ -100,7 +112,7 @@ def cmd_generate(args) -> int:
     env_seed = _env_int("TRUSSKIT_SEED")
     seed = args.seed if args.seed is not None else \
         env_seed if env_seed is not None else cfg.dataset.seed
-    jobs = args.jobs or _env_int("TRUSSKIT_JOBS") or cfg.dataset.jobs
+    jobs = _jobs(args, cfg.dataset.jobs)
     n = args.n or cfg.dataset.n_scans
     out = args.out or cfg.dataset.out_dir
     if not out:
@@ -112,19 +124,21 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _segment_one(task) -> tuple[str, list]:
+def _segment_one(task) -> list:
     """Worker: read one file and run each variant of ``(out_dir, config)``
-    pairs on it through one stage cache; returns (file name, [error or ''
-    per variant])."""
+    pairs on it through one stage cache, writing its prediction and
+    latency; returns one scored ``CloudRecord`` per variant."""
     path, variants = task
     name = Path(path).name
     try:
         cloud = tio.read_pcd(path)
     except Exception as exc:
-        return name, [f"{type(exc).__name__}: {exc}"] * len(variants)
+        error = f"{type(exc).__name__}: {exc}"
+        return [tmetrics.CloudRecord(name, error=error) for _ in variants]
     cache = StageCache()
-    errors = []
+    records = []
     for out_dir, pipeline in variants:
+        rec = tmetrics.CloudRecord(name)
         try:
             result = run_pipeline(cloud, pipeline, cache)
             out_path = Path(out_dir) / name
@@ -134,10 +148,13 @@ def _segment_one(task) -> tuple[str, list]:
                        "warnings": result.warnings}
             out_path.with_suffix(".latency.json").write_text(
                 json.dumps(payload, sort_keys=True) + "\n")
-            errors.append("")
+            rec.cm = tmetrics.confusion(result.prediction, cloud.truss_mask)
+            rec.metrics = tmetrics.metrics(rec.cm)
+            rec.latency_ms = result.total_ms
         except Exception as exc:
-            errors.append(f"{type(exc).__name__}: {exc}")
-    return name, errors
+            rec.error = f"{type(exc).__name__}: {exc}"
+        records.append(rec)
+    return records
 
 
 def _segment_pool(jobs: int) -> ProcessPoolExecutor:
@@ -149,7 +166,7 @@ def _segment_pool(jobs: int) -> ProcessPoolExecutor:
 
 def _segment_dir(files, variants, jobs: int) -> list:
     """Segment every file with every ``(out_dir, config)`` variant; returns
-    the (file name, error) failures of each variant."""
+    each variant's per-file records."""
     for out_dir, _ in variants:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     tasks = [(str(f), [(str(d), cfg) for d, cfg in variants]) for f in files]
@@ -158,18 +175,18 @@ def _segment_dir(files, variants, jobs: int) -> list:
             results = list(pool.map(_segment_one, tasks))
     else:
         results = [_segment_one(t) for t in tasks]
-    return [[(name, errs[i]) for name, errs in results if errs[i]]
-            for i in range(len(variants))]
+    return [list(records) for records in zip(*results)]
 
 
 def cmd_segment(args) -> int:
     cfg = _load_config(args)
-    jobs = args.jobs or _env_int("TRUSSKIT_JOBS") or 1
+    jobs = _jobs(args, 1)
     pipeline = _mode_config(cfg.pipeline, args.mode)
     files = _pcd_files(args.in_dir)
-    [failures] = _segment_dir(files, [(args.out, pipeline)], jobs)
-    for name, err in failures:
-        print(f"error: {name}: {err}", file=sys.stderr)
+    [records] = _segment_dir(files, [(args.out, pipeline)], jobs)
+    failures = [r for r in records if r.error]
+    for r in failures:
+        print(f"error: {r.file}: {r.error}", file=sys.stderr)
     print(f"segmented {len(files) - len(failures)}/{len(files)} clouds "
           f"(mode {args.mode}) into {args.out}")
     return 1 if failures else 0
@@ -199,35 +216,30 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    jobs = args.jobs or _env_int("TRUSSKIT_JOBS") or 1
+    jobs = _jobs(args, 1)
     files = _pcd_files(args.in_dir)
     out = Path(args.out)
     # one pass over the scans: each is read once and its seven variants
     # share the pipeline stages they have in common
     variants = [(out / mode, _mode_config(cfg.pipeline, mode))
                 for mode in MODES]
-    failures = _segment_dir(files, variants, jobs)
+    records = _segment_dir(files, variants, jobs)
     # one line per failed scan, however many of the variants it failed in
-    reported = {}
-    for mode_failures in failures:
-        for name, err in mode_failures:
-            reported.setdefault(name, err)
-    for name in sorted(reported):
-        print(f"error: {name}: {reported[name]}", file=sys.stderr)
+    failed = {}
+    for mode_records in records:
+        for r in mode_records:
+            if r.error:
+                failed.setdefault(r.file, r.error)
+    for name in sorted(failed):
+        print(f"error: {name}: {failed[name]}", file=sys.stderr)
     rows = []
-    for mode in MODES:
-        pred_dir = out / mode
-        report = tmetrics.evaluate_dataset(files, pred_dir=pred_dir)
+    for mode, (pred_dir, pipeline), mode_records in zip(MODES, variants,
+                                                        records):
+        report = tmetrics.evaluate_pairs(mode_records,
+                                         tio.config_fingerprint(pipeline))
         report.write_json(pred_dir / "report.json")
         report.write_csv(pred_dir / "report.csv")
         _print_summary(mode, report)
-        # a scan that failed to segment has no prediction to score
-        unreported = [r for r in report.rows
-                      if r.error and r.file not in reported]
-        if unreported:
-            r = unreported[0]
-            print(f"error: {r.file}: {r.error} (mode {mode})", file=sys.stderr)
-            reported[r.file] = r.error
         rows.append({"mode": mode, "mean_f1": report.mean_f1,
                      "mean_iou": report.mean_iou,
                      "latency_mean_ms": report.latency_mean_ms,
@@ -237,7 +249,7 @@ def cmd_sweep(args) -> int:
         w.writeheader()
         w.writerows(rows)
     (out / "sweep_report.json").write_text(json.dumps(rows, indent=2) + "\n")
-    return 1 if reported else 0
+    return 1 if failed else 0
 
 
 def cmd_threshold(args) -> int:

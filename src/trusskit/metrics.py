@@ -1,5 +1,10 @@
 """Confusion-matrix metrics, dataset aggregation and threshold selection.
 
+A dataset report aggregates one ``CloudRecord`` per scan
+(``evaluate_pairs``). ``trusskit sweep`` scores each variant's prediction
+in memory where it is made; ``evaluate_dataset`` scores prediction PCDs
+read back from disk (``trusskit evaluate``).
+
 The positive class is always "structure". Metrics with a zero denominator
 are flagged undefined (None) and excluded from dataset means; the excluded
 count is reported.
@@ -9,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -257,74 +261,35 @@ def evaluate_pairs(records: list[CloudRecord], fingerprint: str) -> DatasetRepor
     )
 
 
-def evaluate_dataset(truth_files: list, pred_dir=None, pipeline_cfg=None,
-                     pred_field: str = "pred") -> DatasetReport:
-    """Score predictions against labeled truth clouds.
+def evaluate_dataset(truth_files: list, pred_dir) -> DatasetReport:
+    """Score the prediction PCDs in ``pred_dir`` against labeled truth
+    clouds (``trusskit evaluate``).
 
-    Exactly one of ``pred_dir`` (directory of prediction PCDs carrying a
-    ``pred`` field, matched by file name) or ``pipeline_cfg`` (run the
-    segmentation on each truth cloud) must be given. Per-file problems are
-    collected in the report instead of aborting the whole run.
+    Each truth file is matched by name to a prediction PCD carrying a
+    ``pred`` field, and to its ``.latency.json`` when there is one.
+    Per-file problems are collected in the report instead of aborting the
+    whole run.
     """
     from . import io as tio
-    from .segment import run_pipeline
-
-    if (pred_dir is None) == (pipeline_cfg is None):
-        raise ValueError("pass exactly one of pred_dir or pipeline_cfg")
-    fingerprint = "external-predictions" if pred_dir is not None else \
-        tio.config_fingerprint(pipeline_cfg)
 
     records = []
     for path in sorted(Path(p) for p in truth_files):
         rec = CloudRecord(file=path.name)
         try:
-            cloud = tio.read_pcd(path)
-            truth = cloud.truss_mask
-            if pred_dir is not None:
-                ppath = Path(pred_dir) / path.name
-                if not ppath.exists():
-                    raise FileNotFoundError(f"no prediction for {path.name}")
-                _, fields = tio.read_pcd_arrays(ppath)
-                if pred_field not in fields:
-                    raise LengthMismatchError(
-                        f"{ppath.name} lacks field {pred_field!r}")
-                pred = np.asarray(fields[pred_field]).reshape(-1) > 0.5
-                lat_path = ppath.with_suffix(".latency.json")
-                if lat_path.exists():
-                    rec.latency_ms = json.loads(lat_path.read_text()).get("total_ms")
-            else:
-                out = run_pipeline(cloud, pipeline_cfg)
-                pred = out.prediction
-                rec.latency_ms = out.total_ms
+            truth = tio.read_pcd(path).truss_mask
+            ppath = Path(pred_dir) / path.name
+            if not ppath.exists():
+                raise FileNotFoundError(f"no prediction for {path.name}")
+            _, fields = tio.read_pcd_arrays(ppath)
+            if "pred" not in fields:
+                raise LengthMismatchError(f"{ppath.name} lacks field 'pred'")
+            pred = np.asarray(fields["pred"]).reshape(-1) > 0.5
+            lat_path = ppath.with_suffix(".latency.json")
+            if lat_path.exists():
+                rec.latency_ms = json.loads(lat_path.read_text()).get("total_ms")
             rec.cm = confusion(pred, truth)
             rec.metrics = metrics(rec.cm)
         except Exception as exc:           # collected per file, not fatal
             rec.error = f"{type(exc).__name__}: {exc}"
         records.append(rec)
-    return evaluate_pairs(records, fingerprint)
-
-
-def time_pipeline(truth_files: list, cfg, repeats: int = 1) -> dict:
-    """Wall-clock latency of run_pipeline over each cloud, repeated.
-
-    Returns mean/median/p95 in milliseconds plus the raw samples. Runs
-    single threaded in call order.
-    """
-    from . import io as tio
-    from .segment import run_pipeline
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    samples = []
-    for path in sorted(Path(p) for p in truth_files):
-        cloud = tio.read_pcd(path)
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run_pipeline(cloud, cfg)
-            samples.append((time.perf_counter() - t0) * 1e3)
-    return {
-        "samples_ms": samples,
-        "mean_ms": float(np.mean(samples)),
-        "median_ms": float(np.median(samples)),
-        "p95_ms": float(np.percentile(samples, 95)),
-    }
+    return evaluate_pairs(records, "external-predictions")

@@ -69,6 +69,27 @@ class TestGenerate:
         assert rc == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_env_seed_not_an_integer_is_error(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("TRUSSKIT_SEED", "x")
+        rc = cli.main(["generate", "--config", "configs/ortho.cfg", *TINY,
+                       "--out", str(tmp_path / "a"), "--n", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: TRUSSKIT_SEED='x'")
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
+    def test_env_jobs_not_a_positive_integer_is_error(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      value):
+        monkeypatch.setenv("TRUSSKIT_JOBS", value)
+        rc = cli.main(["generate", "--config", "configs/ortho.cfg", *TINY,
+                       "--out", str(tmp_path / "a"), "--n", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: TRUSSKIT_JOBS={value!r}")
+        assert not (tmp_path / "a").exists()
+
 
 class TestModeMap:
     def test_table_mode_names(self):
@@ -183,9 +204,64 @@ class TestSweep:
         # the read failure shows once, not once per mode or per report
         assert err.count("bad.pcd") == 1
         assert err.startswith("error: bad.pcd: ")
-        # the good scan was still segmented in every mode
+        with pytest.raises(Exception) as exc:
+            tio.read_pcd(data / "clouds" / "bad.pcd")
+        read_error = f"{exc.type.__name__}: {exc.value}"
+        assert err.splitlines()[0] == f"error: bad.pcd: {read_error}"
+        # the good scan was still segmented in every mode, and each report
+        # row of the bad scan carries its read error
         for mode in cli.MODES:
             assert (out / mode / "scan_00000.pcd").exists()
+            report = json.loads((out / mode / "report.json").read_text())
+            rows = {r["file"]: r for r in report["clouds"]}
+            assert rows["bad.pcd"]["error"] == read_error
+            assert rows["bad.pcd"]["tp"] is None
+            assert rows["scan_00000.pcd"]["error"] is None
+
+    def test_report_equals_evaluate_of_written_predictions(self, tmp_path):
+        data = make_tiny_dataset(tmp_path, n=2)
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", "configs/ortho.cfg",
+                       "--in", str(data), "--out", str(out)])
+        assert rc == 0
+        cfg = tio.load_config("configs/ortho.cfg")
+        for mode in cli.MODES:
+            swept = json.loads((out / mode / "report.json").read_text())
+            assert swept["config_fingerprint"] == tio.config_fingerprint(
+                cli._mode_config(cfg.pipeline, mode))
+            rep = tmp_path / "eval" / mode
+            rc = cli.main(["evaluate", "--truth", str(data),
+                           "--pred", str(out / mode), "--report", str(rep)])
+            assert rc == 0
+            evaluated = json.loads(rep.with_suffix(".json").read_text())
+            assert evaluated.pop("config_fingerprint") == \
+                "external-predictions"
+            del swept["config_fingerprint"]
+            # total_ms round-trips through latency.json, so latency is equal
+            assert evaluated == swept
+            assert (out / mode / "report.csv").read_text() == \
+                rep.with_suffix(".csv").read_text()
+
+    def test_noise_blob_rows_scored_and_undefined_excluded(self, tmp_path):
+        # an unlabeled noise blob: empty truth and, in every mode, an empty
+        # prediction, so each row is scored but its IoU is undefined
+        rng = np.random.default_rng(11)
+        cloud = LabeledCloud(rng.uniform(-4, 4, size=(600, 3)))
+        (tmp_path / "in").mkdir()
+        tio.write_pcd(cloud, tmp_path / "in" / "blob.pcd")
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--set", "pipeline.ransac_iterations=100",
+                       "--in", str(tmp_path / "in"), "--out", str(out)])
+        assert rc == 0
+        for mode in cli.MODES:
+            report = json.loads((out / mode / "report.json").read_text())
+            [row] = report["clouds"]
+            assert row["error"] is None
+            assert row["tp"] + row["fp"] + row["tn"] + row["fn"] == 600
+            assert row["latency_ms"] > 0
+            assert row["iou"] is None
+            assert report["undefined_excluded"] == 1
+            assert report["mean_iou"] is None
 
 
 class TestThreshold:

@@ -3,7 +3,6 @@ import pytest
 
 from trusskit import io as tio
 from trusskit import metrics as tm
-from trusskit import segment
 from trusskit.errors import EmptyInputError, LengthMismatchError, SingleClassError
 from trusskit.geom import LabeledCloud
 
@@ -229,36 +228,3 @@ class TestEvaluateDataset:
         assert len(report.errors) == 1
         assert "orphan.pcd" in report.errors[0]
         assert report.mean_f1 == pytest.approx(1.0)
-
-    def test_pipeline_mode_and_undefined_exclusion(self, tmp_path):
-        rng = np.random.default_rng(11)
-        # pure noise blob: pipeline output vs empty truth -> iou undefined
-        cloud = LabeledCloud(rng.uniform(-4, 4, size=(600, 3)))
-        (tmp_path / "truth").mkdir()
-        tio.write_pcd(cloud, tmp_path / "truth" / "blob.pcd")
-        files = [tmp_path / "truth" / "blob.pcd"]
-        cfg = segment.PipelineConfig(ransac_iterations=100)
-        report = tm.evaluate_dataset(files, pipeline_cfg=cfg)
-        row = report.rows[0]
-        assert row.cm is not None
-        assert row.latency_ms is not None and row.latency_ms > 0
-
-    def test_requires_exactly_one_source(self, tmp_path):
-        with pytest.raises(ValueError):
-            tm.evaluate_dataset([], pred_dir=None, pipeline_cfg=None)
-
-
-class TestTimePipeline:
-    def test_sample_count(self, tmp_path):
-        rng = np.random.default_rng(12)
-        (tmp_path / "t").mkdir()
-        for i in range(2):
-            pts = np.column_stack([rng.uniform(-3, 3, (300, 2)),
-                                   rng.normal(0, 0.01, 300)])
-            tio.write_pcd(LabeledCloud(pts), tmp_path / "t" / f"s{i}.pcd")
-        files = sorted((tmp_path / "t").glob("*.pcd"))
-        cfg = segment.PipelineConfig(ransac_iterations=50)
-        stats = tm.time_pipeline(files, cfg, repeats=3)
-        assert len(stats["samples_ms"]) == 6
-        assert stats["mean_ms"] > 0
-        assert stats["p95_ms"] >= stats["median_ms"] >= 0
