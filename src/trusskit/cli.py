@@ -48,14 +48,17 @@ MODES = {
 }
 
 
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{value!r} must be >= 1")
-    return n
+def _int_at_least(minimum: int):
+    """argparse type: an integer of at least ``minimum``."""
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"{value!r} must be >= {minimum}")
+        return n
+    return parse
 
 
 def _env_int(name: str, minimum=None):
@@ -109,7 +112,7 @@ def _mode_config(pipeline, mode: str):
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    env_seed = _env_int("TRUSSKIT_SEED")
+    env_seed = _env_int("TRUSSKIT_SEED", minimum=0)
     seed = args.seed if args.seed is not None else \
         env_seed if env_seed is not None else cfg.dataset.seed
     jobs = _jobs(args, cfg.dataset.jobs)
@@ -317,14 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="run configuration file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a configuration value")
-        p.add_argument("--jobs", type=_positive_int, default=None,
+        p.add_argument("--jobs", type=_int_at_least(1), default=None,
                        help="parallel workers (default 1)")
 
     p = sub.add_parser("generate", help="synthesise a labeled scan dataset")
     common(p)
     p.add_argument("--out", help="output dataset directory")
-    p.add_argument("--n", type=_positive_int, default=None, help="scan count")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(1), default=None, help="scan count")
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("segment", help="run one pipeline variant over a dataset")

@@ -2,8 +2,9 @@
 
 Points are plain ``(n, 3)`` float64 numpy arrays throughout the package.
 This module provides the labeled-cloud container, an exact k-nearest-neighbour
-table, PCA-based normal/curvature estimation, voxel-grid downsampling and
-small projection helpers used by the segmentation stages.
+table, PCA-based normal/curvature estimation, the cubic grid cells behind
+voxel-grid downsampling and the density filter's dense-cell test, and small
+projection helpers used by the segmentation stages.
 
 Per-point normals take the batched neighbourhood covariances through a
 closed-form symmetric 3x3 eigensolver: Smith's trigonometric eigenvalues
@@ -403,27 +404,47 @@ def estimate_normals(cloud: LabeledCloud, k: int = 30,
                                   viewpoint)
 
 
+def grid_cells(points: np.ndarray, edge: float) -> tuple[np.ndarray, int]:
+    """The occupied cell of each point in a grid of cubes of edge ``edge``.
+
+    Point p lies in cell floor(p / edge) per axis. Returns each point's
+    index among the occupied cells, numbered in lexicographic (x, y, z)
+    order of their keys, and the number of occupied cells. The three keys
+    are packed into one int64 when the grid's extent allows it; otherwise
+    the key rows are compared whole, so a fine grid never merges cells.
+    """
+    # coordinate-major (3, n): reductions over n then run on contiguous rows
+    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    keys = np.floor(pts / edge)
+    lo, hi = keys.min(axis=1), keys.max(axis=1)
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    # below 2**52 the keys and their offsets from lo are exact integers
+    if (max(np.abs(lo).max(), np.abs(hi).max()) < 2.0**52
+            and spans[0] * spans[1] * spans[2] <= np.iinfo(np.int64).max):
+        keys -= lo[:, None]
+        k = keys.astype(np.int64)
+        flat = (k[0] * spans[1] + k[1]) * spans[2] + k[2]
+        uniq, inv = np.unique(flat, return_inverse=True)
+    else:
+        uniq, inv = np.unique(keys.T, axis=0, return_inverse=True)
+    return inv.reshape(-1), len(uniq)
+
+
 def voxel_downsample(cloud: LabeledCloud, leaf: float) -> LabeledCloud:
     """Grid filter: one centroid point per occupied voxel of edge ``leaf``.
 
-    The voxel of a point is floor(coord / leaf) per axis. The output label is
-    the majority face label of the voxel, ties resolved toward the lowest
-    label. Output points are ordered by voxel key; normals/curvature are
-    dropped (they no longer describe the averaged points).
+    The voxel of a point is floor(coord / leaf) per axis (``grid_cells``).
+    The output label is the majority face label of the voxel, ties resolved
+    toward the lowest label. Output points are ordered by voxel key;
+    normals/curvature are dropped (they no longer describe the averaged
+    points).
     """
     if not leaf > 0.0:
         raise NonPositiveLeafError(f"leaf={leaf} must be > 0")
     n = len(cloud)
     if n == 0:
         return LabeledCloud(np.zeros((0, 3)), sensor_pose=cloud.sensor_pose)
-    keys = np.floor(cloud.points / leaf).astype(np.int64)
-    # pack the three axis indices into one sortable integer key
-    mins = keys.min(axis=0)
-    keys -= mins
-    spans = keys.max(axis=0).astype(np.int64) + 1
-    flat = (keys[:, 0] * spans[1] + keys[:, 1]) * spans[2] + keys[:, 2]
-    uniq, inv = np.unique(flat, return_inverse=True)
-    m = len(uniq)
+    inv, m = grid_cells(cloud.points, leaf)
     counts = np.bincount(inv, minlength=m).astype(np.float64)
     centroids = np.empty((m, 3))
     for d in range(3):

@@ -378,6 +378,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.n_scans < 1:
             raise InvalidSpecError("n_scans must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpecError("seed must be >= 0")
         if self.jobs < 1:
             raise InvalidSpecError("jobs must be >= 1")
 

@@ -5,6 +5,11 @@ of the scan and splits the original points by plane distance. Stage two
 (fine) region-grows planar clusters inside the coarse ground and promotes
 the slender/short ones back to structure using eigenvalue tests. A radius
 density filter finally demotes sparse structure points.
+
+RANSAC scores its hypotheses in cache-sized blocks of voxels and
+hypotheses. The density filter marks every point of a grid cell that holds
+more than density_min_points points as dense and queries the kd-tree only
+for the rest. Neither shortcut changes a prediction.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .geom import (
     covariance,
     eigen_sym3_stack,
     extent_along,
+    grid_cells,
     knn_table,
     normals_from_neighbors,
     query_workers,
@@ -66,6 +72,8 @@ class PipelineConfig:
                 raise InvalidSpecError(f"{name} must be > 0")
         if self.ransac_iterations < 1:
             raise InvalidSpecError("ransac_iterations must be >= 1")
+        if self.ransac_seed < 0:
+            raise InvalidSpecError("ransac_seed must be >= 0")
         if self.normal_k < 3:
             raise InvalidSpecError("normal_k must be >= 3")
         if not 0 < self.rg_angle_threshold_deg < 90:
@@ -163,12 +171,43 @@ class SegmentationOutput:
         return float(sum(self.latency_ms.values()))
 
 
+# RANSAC scoring block, voxels by hypotheses: the (1024, 256) float32
+# distances (1 MiB) are written and re-read while still in cache, which an
+# (n_voxels, 256) block of a whole scan is not.
+_SCORE_HYPOTHESES = 256
+_SCORE_POINTS = 1024
+
+
+def _inlier_counts(pts32: np.ndarray, n32: np.ndarray, d32: np.ndarray,
+                   thr32: np.float32) -> np.ndarray:
+    """Per hypothesis j, the count of points with |pts32 . n32[j] + d32[j]|
+    <= thr32, all in float32.
+
+    Scored in blocks of ``_SCORE_POINTS`` points by ``_SCORE_HYPOTHESES``
+    hypotheses. Each distance is the K=3 sgemm dot product plus d that one
+    product over every point gives, so blocking changes no count.
+    """
+    counts = np.zeros(len(n32), dtype=np.intp)
+    for start in range(0, len(n32), _SCORE_HYPOTHESES):
+        stop = start + _SCORE_HYPOTHESES
+        nT = np.ascontiguousarray(n32[start:stop].T)
+        d = d32[start:stop]
+        total = counts[start:stop]
+        for lo in range(0, len(pts32), _SCORE_POINTS):
+            dist = pts32[lo:lo + _SCORE_POINTS] @ nT
+            dist += d
+            np.abs(dist, out=dist)
+            total += np.count_nonzero(dist <= thr32, axis=0)
+    return counts
+
+
 def ransac_plane(points: np.ndarray, threshold: float, iterations: int,
                  seed: int):
     """Best plane through seeded 3-point hypotheses, scored by inlier count.
 
     Ties keep the first hypothesis found. Returns (Plane, inlier indices)
-    where every inlier satisfies |n . p + d| <= threshold.
+    where every inlier satisfies |n . p + d| <= threshold. Hypotheses are
+    scored in float32, in cache-sized blocks (``_inlier_counts``).
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
@@ -187,24 +226,12 @@ def ransac_plane(points: np.ndarray, threshold: float, iterations: int,
     normals[valid] /= norms[valid, None]
     ds = -np.einsum("ij,ij->i", normals, p0)
 
-    # hypothesis scoring runs in float32 (memory-bandwidth bound); the final
-    # inlier set is recomputed in float64 against the winning plane
-    pts32 = pts.astype(np.float32)
-    n32 = normals.astype(np.float32)
-    d32 = ds.astype(np.float32)
-    thr32 = np.float32(threshold)
-    best_count = -1
-    best_idx = -1
-    chunk = 256
-    for start in range(0, iterations, chunk):
-        stop = min(start + chunk, iterations)
-        dist = np.abs(pts32 @ n32[start:stop].T + d32[start:stop])
-        counts = (dist <= thr32).sum(axis=0)
-        counts[~valid[start:stop]] = -1
-        local = int(np.argmax(counts))
-        if counts[local] > best_count:
-            best_count = int(counts[local])
-            best_idx = start + local
+    # hypothesis scoring runs in float32; the final inlier set is
+    # recomputed in float64 against the winning plane
+    counts = _inlier_counts(pts.astype(np.float32), normals.astype(np.float32),
+                            ds.astype(np.float32), np.float32(threshold))
+    counts[~valid] = -1
+    best_idx = int(np.argmax(counts))    # the first of equal counts wins
     normal, d = normals[best_idx], float(ds[best_idx])
     if normal[2] < 0 or (normal[2] == 0 and (normal[1] < 0 or
                                              (normal[1] == 0 and normal[0] < 0))):
@@ -395,6 +422,31 @@ def classify_cluster(cluster: Cluster, cfg: PipelineConfig) -> str:
     return STRUCTURE if ok else GROUND
 
 
+# the dense-cell test holds while every cell index stays below this: the
+# rounding of floor(p / edge) then widens a cell by under 3e-7 of its
+# edge, well inside the 1e-6 margin of _dense_cells
+_DENSE_CELL_MAX_INDEX = 2.0**30
+
+
+def _dense_cells(points: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """Per point, 1 (dense) where its grid cell alone proves that it has
+    density_min_points neighbours within density_radius, else 0 (unknown).
+
+    The cells are cubes of edge ``density_radius / sqrt(3) * (1 - 1e-6)``,
+    so any two points of one cube lie strictly closer than the radius. A
+    cube holding density_min_points + 1 points of the whole cloud thus
+    makes each of them dense (the grid DBSCAN dense-cell rule; Gunawan
+    2013).
+    """
+    verdict = np.zeros(len(points), dtype=np.int8)
+    edge = cfg.density_radius / np.sqrt(3.0) * (1.0 - 1e-6)
+    if np.abs(points).max() < _DENSE_CELL_MAX_INDEX * edge:
+        cell, n_cells = grid_cells(points, edge)
+        full = np.bincount(cell, minlength=n_cells) > cfg.density_min_points
+        verdict[full[cell]] = 1
+    return verdict
+
+
 def density_filter(points: np.ndarray, structure_mask: np.ndarray,
                    cfg: PipelineConfig,
                    cache: Optional[StageCache] = None) -> np.ndarray:
@@ -404,9 +456,11 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     whole cloud (structure and ground, the point itself excluded) lie
     within density_radius, boundary inclusive. Never promotes ground.
 
-    With a ``cache`` of ``points``, the kd-tree and each point's verdict
-    per (density_radius, density_min_points) are kept, so a later call
-    queries only the structure points no earlier call has judged.
+    A point whose cubic grid cell already holds enough points is dense
+    without a query (``_dense_cells``); the others query the kd-tree. With
+    a ``cache`` of ``points``, the kd-tree and each point's verdict per
+    (density_radius, density_min_points) are kept, so a later call queries
+    only the structure points no earlier call or dense cell has judged.
     """
     mask = np.asarray(structure_mask, dtype=bool).copy()
     idx = np.flatnonzero(mask)
@@ -419,17 +473,16 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     if len(points) < k:
         mask[idx] = False
         return mask
-    from scipy.spatial import cKDTree     # deferred, as in geom.knn_table
-
     cache = StageCache() if cache is None else cache
-    tree = cache.get(points, ("kdtree",), lambda: cKDTree(points))
-    # per point: 0 not yet queried, 1 dense, 2 sparse. A point's verdict
+    # per point: 0 not yet judged, 1 dense, 2 sparse. A point's verdict
     # does not depend on which other points are queried with it.
     verdict = cache.get(points, ("density", cfg.density_radius,
                                  cfg.density_min_points),
-                        lambda: np.zeros(len(points), dtype=np.int8))
+                        lambda: _dense_cells(points, cfg))
     todo = idx[verdict[idx] == 0]
     if len(todo):
+        from scipy.spatial import cKDTree   # deferred, as in geom.knn_table
+        tree = cache.get(points, ("kdtree",), lambda: cKDTree(points))
         bound = np.nextafter(cfg.density_radius, np.inf)
         dist, _ = tree.query(points[todo], k=k, distance_upper_bound=bound,
                              workers=query_workers())

@@ -130,6 +130,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.tree_count < 0:
             raise InvalidSpecError("tree count must be >= 0")
+        if self.seed < 0:
+            raise InvalidSpecError("seed must be >= 0")
         lo, hi = self.tree_scale_bounds
         if not 0 < lo <= hi:
             raise InvalidSpecError("tree scale bounds must satisfy 0 < lo <= hi")

@@ -558,3 +558,58 @@ def region_grow_waves(points, subset, normals, curvatures, cfg, knn_idx):
             clusters.append(segment.Cluster(np.sort(orig), stats, ratio,
                                             extent))
     return clusters
+
+
+def ransac_plane_reference(points, threshold, iterations, seed):
+    """The hypothesis scoring ``segment.ransac_plane`` had before it scored
+    in cache-sized blocks: one (n, 256) distance chunk per 256 hypotheses
+    over every point, the best count carried across chunks with ``>``.
+
+    Returns (plane, inliers, counts, best_idx): ``counts`` holds every
+    hypothesis's inlier count, -1 for a collinear sample.
+    """
+    from trusskit.errors import DegenerateCloudError
+    from trusskit.segment import Plane
+
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    if n < 3:
+        raise DegenerateCloudError("plane fit needs at least 3 points")
+    rng = np.random.default_rng(seed)
+    samples = np.empty((iterations, 3), dtype=np.intp)
+    for it in range(iterations):
+        samples[it] = rng.choice(n, size=3, replace=False)
+    p0, p1, p2 = pts[samples[:, 0]], pts[samples[:, 1]], pts[samples[:, 2]]
+    normals = np.cross(p1 - p0, p2 - p0)
+    norms = np.linalg.norm(normals, axis=1)
+    valid = norms > 1e-12
+    if not valid.any():
+        raise DegenerateCloudError("all sampled triples were collinear")
+    normals[valid] /= norms[valid, None]
+    ds = -np.einsum("ij,ij->i", normals, p0)
+
+    pts32 = pts.astype(np.float32)
+    n32 = normals.astype(np.float32)
+    d32 = ds.astype(np.float32)
+    thr32 = np.float32(threshold)
+    all_counts = np.empty(iterations, dtype=np.intp)
+    best_count = -1
+    best_idx = -1
+    chunk = 256
+    for start in range(0, iterations, chunk):
+        stop = min(start + chunk, iterations)
+        dist = np.abs(pts32 @ n32[start:stop].T + d32[start:stop])
+        counts = (dist <= thr32).sum(axis=0)
+        counts[~valid[start:stop]] = -1
+        all_counts[start:stop] = counts
+        local = int(np.argmax(counts))
+        if counts[local] > best_count:
+            best_count = int(counts[local])
+            best_idx = start + local
+    normal, d = normals[best_idx], float(ds[best_idx])
+    if normal[2] < 0 or (normal[2] == 0 and (normal[1] < 0 or
+                                             (normal[1] == 0 and normal[0] < 0))):
+        normal, d = -normal, -d
+    plane = Plane(normal, d)
+    inliers = np.flatnonzero(plane.distance(pts) <= threshold)
+    return plane, inliers, all_counts, best_idx

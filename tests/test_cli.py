@@ -90,6 +90,34 @@ class TestGenerate:
             f"error: TRUSSKIT_JOBS={value!r}")
         assert not (tmp_path / "a").exists()
 
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--config", "configs/ortho.cfg", *TINY,
+                      "--out", str(tmp_path / "a"), "--n", "1",
+                      "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: '-1' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_negative_env_seed_is_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TRUSSKIT_SEED", "-1")
+        rc = cli.main(["generate", "--config", "configs/ortho.cfg", *TINY,
+                       "--out", str(tmp_path / "a"), "--n", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: TRUSSKIT_SEED='-1' must be >= 0\n"
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("section", ["dataset", "scene"])
+    def test_negative_config_seed_is_error(self, tmp_path, capsys, section):
+        rc = cli.main(["generate", "--config", "configs/ortho.cfg", *TINY,
+                       "--set", f"{section}.seed=-1",
+                       "--out", str(tmp_path / "a"), "--n", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: [{section}] seed must be >= 0\n"
+        assert not (tmp_path / "a").exists()
+
 
 class TestModeMap:
     def test_table_mode_names(self):
@@ -121,6 +149,17 @@ class TestSegmentEvaluate:
         assert "pred" in arrays and "label" in arrays
         payload = json.loads(preds[0].with_suffix(".latency.json").read_text())
         assert payload["total_ms"] > 0
+
+    def test_negative_ransac_seed_is_error(self, tmp_path, capsys):
+        data = make_tiny_dataset(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["segment", "--config", "configs/ortho.cfg",
+                       "--set", "pipeline.ransac_seed=-1", "--in", str(data),
+                       "--out", str(tmp_path / "pred"), "--mode", "H"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: [pipeline] ransac_seed must be >= 0\n"
+        assert not (tmp_path / "pred").exists()
 
     def test_evaluate_perfect_predictions(self, tmp_path, capsys):
         truth_dir = tmp_path / "truth"

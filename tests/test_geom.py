@@ -370,6 +370,41 @@ class TestVoxel:
         with pytest.raises(NonPositiveLeafError):
             geom.voxel_downsample(geom.LabeledCloud(np.zeros((1, 3))), 0.0)
 
+    def test_fine_leaf_keeps_far_voxels_apart(self):
+        # packed as (k0 * span1 + k1) * span2 + k2, these keys pass 2**64;
+        # the wrapped key merged the first two points, 4.3 m apart
+        leaf = 1e-9
+        pts = np.array([[0.0, 0.0, 0.0], [(2**32 + 0.5) * leaf, 0.0, 0.0],
+                        [0.5 * leaf, 65535.5 * leaf, 65535.5 * leaf]])
+        out = geom.voxel_downsample(geom.LabeledCloud(pts, [1, 2, 3]), leaf)
+        assert len(out) == 3
+        # in key order: (0, 0, 0), (0, 65535, 65535), (2**32, 0, 0)
+        assert np.array_equal(out.points, pts[[0, 2, 1]])
+        assert out.face_label.tolist() == [1, 3, 2]
+
+
+class TestGridCells:
+    @pytest.mark.parametrize("edge, offset", [
+        (0.1, 0.0),          # packed int64 keys
+        (1e-9, 0.0),         # spans past int64: whole-row keys
+        (0.5, 1e17),         # keys past 2**52: whole-row keys
+    ])
+    def test_lexicographic_numbering(self, edge, offset):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-3, 3, (400, 3)) + offset
+        pts = np.vstack([pts, pts[:50]])          # shared cells
+        keys = [tuple(k) for k in np.floor(pts / edge)]
+        number = {k: i for i, k in enumerate(sorted(set(keys)))}
+        cell, n_cells = geom.grid_cells(pts, edge)
+        assert n_cells == len(number)
+        assert cell.tolist() == [number[k] for k in keys]
+
+    def test_negative_zero_is_cell_zero(self):
+        pts = np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [1.5, 0.5, 0.5]])
+        for edge in (1.0, 1e-300):
+            cell, n_cells = geom.grid_cells(pts, edge)
+            assert cell[0] == cell[1] != cell[2]
+
 
 class TestExtent:
     def test_single_point(self):

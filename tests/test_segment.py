@@ -16,6 +16,7 @@ from helpers import (
     covariance_loop,
     eigvals_via_roots,
     lattice,
+    ransac_plane_reference,
     region_grow_sequential,
     region_grow_waves,
 )
@@ -81,6 +82,96 @@ class TestRansac:
         assert (plane.distance(pts[inliers]) <= 0.3).all()
         outside = np.setdiff1d(np.arange(300), inliers)
         assert (plane.distance(pts[outside]) > 0.3).all()
+
+
+def ransac_with_counts(monkeypatch, points, threshold, iterations, seed):
+    """``segment.ransac_plane`` plus the per-hypothesis counts it scored
+    (-1 for a collinear sample)."""
+    seen = []
+    score = segment._inlier_counts
+
+    def recording(*args):
+        seen.append(score(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(segment, "_inlier_counts", recording)
+    plane, inliers = segment.ransac_plane(points, threshold, iterations, seed)
+    [counts] = seen
+    return plane, inliers, counts
+
+
+def assert_same_ransac(monkeypatch, points, threshold, iterations, seed):
+    """Block scoring against ``helpers.ransac_plane_reference``: equal
+    counts, winner, plane and inliers. Returns the reference counts."""
+    want_plane, want_inliers, want_counts, want_best = ransac_plane_reference(
+        points, threshold, iterations, seed)
+    plane, inliers, counts = ransac_with_counts(monkeypatch, points,
+                                                threshold, iterations, seed)
+    assert np.array_equal(counts, want_counts)
+    assert int(np.argmax(counts)) == want_best
+    assert plane.normal.tobytes() == want_plane.normal.tobytes()
+    assert plane.d == want_plane.d
+    assert np.array_equal(inliers, want_inliers)
+    return want_counts
+
+
+class TestRansacBlockScoring:
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_voxelized_shipped_scans(self, monkeypatch, shipped_cloud, scan):
+        voxel = geom.voxel_downsample(shipped_cloud(scan), CFG.voxel_leaf)
+        assert len(voxel) > 4 * segment._SCORE_POINTS
+        assert_same_ransac(monkeypatch, voxel.points, CFG.ransac_threshold,
+                           CFG.ransac_iterations, CFG.ransac_seed)
+
+    @pytest.mark.parametrize("iterations", [1, 256, 257, 600])
+    @pytest.mark.parametrize("n", [3, 1023, 1024, 1025, 5000])
+    def test_random_clouds(self, monkeypatch, n, iterations):
+        rng = np.random.default_rng(n + iterations)
+        pts = rng.normal(0, 2, (n, 3)) * [4, 4, 1]
+        counts = assert_same_ransac(monkeypatch, pts, 0.5, iterations,
+                                    seed=n)
+        assert (counts >= 3).all()      # each sample's own three points
+
+    def test_distances_on_the_threshold_count(self, monkeypatch):
+        # z = 0 and z = 0.5 rows: a plane through three z = 0 points has
+        # normal (0, 0, 1) and d = 0 exactly, so the z = 0.5 rows lie at
+        # exactly the threshold, inliers by the <= test
+        grid = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)),
+                        axis=-1).reshape(-1, 2)
+        pts = np.vstack([np.column_stack([grid[:64], np.zeros(64)]),
+                         np.column_stack([grid[:40], np.full(40, 0.5)]),
+                         np.column_stack([grid[:10], np.full(10, 5.0)])])
+        counts = assert_same_ransac(monkeypatch, pts, 0.5, 200, seed=1)
+        assert counts.max() == 104
+
+    def test_one_point(self):
+        pts = np.zeros((1, 3))
+        for fit in (segment.ransac_plane, ransac_plane_reference):
+            with pytest.raises(DegenerateCloudError):
+                fit(pts, 0.5, 10, 0)
+
+    @pytest.mark.parametrize("n", [1, 3, 1023, 1024, 1025, 5000])
+    def test_block_counts_equal_one_product(self, n):
+        # blocks of points and hypotheses against one float32 product over
+        # every point, with ragged last blocks on both axes
+        rng = np.random.default_rng(n)
+        pts32 = rng.normal(0, 3, (n, 3)).astype(np.float32)
+        nrm = rng.normal(size=(300, 3))
+        n32 = (nrm / np.linalg.norm(nrm, axis=1, keepdims=True)).astype(
+            np.float32)
+        d32 = rng.normal(0, 1, 300).astype(np.float32)
+        thr32 = np.float32(0.7)
+        want = (np.abs(pts32 @ n32.T + d32) <= thr32).sum(axis=0)
+        assert np.array_equal(
+            segment._inlier_counts(pts32, n32, d32, thr32), want)
+
+    def test_collinear_samples(self, monkeypatch):
+        # most points lie on one line: many sampled triples are collinear
+        rng = np.random.default_rng(12)
+        line = np.outer(rng.uniform(-5, 5, 40), [1.0, 2.0, 0.5])
+        pts = np.vstack([line, rng.uniform(-5, 5, (4, 3))])
+        counts = assert_same_ransac(monkeypatch, pts, 0.2, 300, seed=3)
+        assert (counts == -1).any() and (counts >= 0).any()
 
 
 class TestCoarseSplit:
@@ -284,20 +375,30 @@ class TestRegionGrow:
 
 
 @pytest.fixture(scope="module")
-def grow_inputs(tmp_path_factory):
-    """(scan, subset) -> region_grow inputs of one full-size scan per
-    shipped workload config, the coarse ground or the whole cloud."""
-    clouds, made = {}, {}
+def shipped_cloud(tmp_path_factory):
+    """config name -> one full-size scan (seed 1) of that shipped config."""
+    clouds = {}
 
-    def get(scan, subset):
+    def get(scan):
         if scan not in clouds:
             out = tmp_path_factory.mktemp(scan)
             assert cli.main(["generate", "--config", f"configs/{scan}.cfg",
                              "--out", str(out), "--n", "1",
                              "--seed", "1"]) == 0
             clouds[scan] = tio.read_pcd(out / "clouds" / "scan_00000.pcd")
+        return clouds[scan]
+    return get
+
+
+@pytest.fixture(scope="module")
+def grow_inputs(shipped_cloud):
+    """(scan, subset) -> region_grow inputs of one full-size scan per
+    shipped workload config, the coarse ground or the whole cloud."""
+    made = {}
+
+    def get(scan, subset):
         if (scan, subset) not in made:
-            cloud = clouds[scan]
+            cloud = shipped_cloud(scan)
             idx = (segment.coarse_split(cloud, CFG).ground
                    if subset == "coarse" else np.arange(len(cloud)))
             made[scan, subset] = (cloud.points, idx, *segment._normals_for(
@@ -475,6 +576,111 @@ class TestDensityFilter:
         mask = rng.random(400) < 0.6
         out = segment.density_filter(pts, mask, CFG)
         assert not (out & ~mask).any()
+
+    @staticmethod
+    def assert_brute(pts, mask, cfg):
+        count = np.array([len(brute_radius(pts, p, cfg.density_radius)) - 1
+                          for p in pts])
+        got = segment.density_filter(pts, mask, cfg)
+        assert np.array_equal(got, mask & (count >= cfg.density_min_points))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_cube_of_m_plus_one_points_decided_by_grid(self, extra):
+        # m + 1 + extra points inside the cell at the origin, m at another
+        # cell with one neighbour just across its face: the first group is
+        # dense by its cell alone; the second falls to the query, dense
+        # with the neighbour (within r) and sparse without it
+        r, m = CFG.density_radius, CFG.density_min_points
+        edge = r / np.sqrt(3.0) * (1 - 1e-6)
+        rng = np.random.default_rng(extra)
+        full = rng.uniform(0.01, 0.99, (m + 1 + extra, 3)) * edge
+        short = (rng.uniform(0.01, 0.99, (m, 3)) + [14, 0, 0]) * edge
+        for neighbour in ([[13.99 * edge, 0.5 * edge, 0.5 * edge]],
+                          np.zeros((0, 3))):
+            pts = np.vstack([full, short, neighbour])
+            cell, _ = geom.grid_cells(pts, edge)
+            assert len(set(cell[len(full):len(full) + m])) == 1
+            dense = segment._dense_cells(pts, CFG)
+            assert dense[:len(full)].all() and not dense[len(full):].any()
+            self.assert_brute(pts, np.ones(len(pts), bool), CFG)
+        assert not segment.density_filter(
+            pts, np.ones(len(pts), bool), CFG)[len(full):].any()
+
+    def test_pairs_just_beyond_radius_stay_sparse(self):
+        # pairs of points a cube diagonal just over r apart, the pairs 10 m
+        # apart: a cell wider than r / sqrt(3) would hold some pair whole
+        # and call both points dense
+        r = CFG.density_radius
+        cfg = replace(CFG, density_min_points=1)
+        base = lattice(12, 10.0)
+        base += np.random.default_rng(11).uniform(0, 1, base.shape)
+        pts = np.vstack([base, base + r / np.sqrt(3.0) * (1 + 1e-6)])
+        assert (np.linalg.norm(pts[:len(base)] - pts[len(base):],
+                               axis=1) > r).all()
+        assert not segment.density_filter(pts, np.ones(len(pts), bool),
+                                          cfg).any()
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 6, 7, 18])
+    @pytest.mark.parametrize("factor", [1.0, 1 - 1e-6])
+    def test_points_on_cell_faces(self, m, factor):
+        # lattice points at spacing r / sqrt(3): the cube diagonal lies on
+        # the radius and, at factor 1 - 1e-6, every point on a cell corner;
+        # a second lattice offset by half a step puts two points per cell
+        r = CFG.density_radius
+        step = r / np.sqrt(3.0) * factor
+        base = lattice(6, step)
+        pts = np.vstack([base, base + 0.5 * step])
+        mask = np.random.default_rng(m).random(len(pts)) < 0.7
+        cfg = replace(CFG, density_min_points=m)
+        if m == 1:
+            assert segment._dense_cells(pts, cfg).any()
+        self.assert_brute(pts, mask, cfg)
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-12])
+    def test_tiny_radius(self, r):
+        # at 1e-8 the cell keys span more than int64 holds; at 1e-12 they
+        # pass 2**30, where the grid is not used. Duplicates: m + 1 copies
+        # are dense, m copies sparse, whatever the grid does
+        m = 4
+        cfg = replace(CFG, density_radius=r, density_min_points=m)
+        rng = np.random.default_rng(7)
+        spread = rng.uniform(0, 1, (200, 3))
+        pts = np.vstack([spread, np.repeat(spread[:2], [m, m - 1], axis=0)])
+        edge = r / np.sqrt(3.0) * (1 - 1e-6)
+        keys = np.floor(pts / edge)
+        spans = [int(s) + 1 for s in keys.max(axis=0) - keys.min(axis=0)]
+        assert spans[0] * spans[1] * spans[2] > np.iinfo(np.int64).max
+        dense = segment._dense_cells(pts, cfg)
+        grid_used = np.abs(pts).max() < segment._DENSE_CELL_MAX_INDEX * edge
+        assert grid_used == (r == 1e-8)
+        assert dense.sum() == (m + 1 if grid_used else 0)
+        self.assert_brute(pts, np.ones(len(pts), bool), cfg)
+
+    @pytest.mark.parametrize("scan", ["ortho", "training"])
+    def test_shipped_scan_equals_query_of_every_point(self, shipped_cloud,
+                                                      scan):
+        from scipy.spatial import cKDTree
+        pts = shipped_cloud(scan).points
+        mask = np.random.default_rng(3).random(len(pts)) < 0.5
+        dense = segment._dense_cells(pts, CFG)
+        assert 0.2 < dense.mean() < 1.0
+        count = cKDTree(pts).query_ball_point(
+            pts, CFG.density_radius, return_length=True) - 1
+        assert np.array_equal(segment.density_filter(pts, mask, CFG),
+                              mask & (count >= CFG.density_min_points))
+
+    def test_shared_cache_across_modes_equals_fresh_calls(self):
+        cloud = _reduced_scan(2)
+        cache = segment.StageCache()
+        for mode, (stage, eigen) in cli.MODES.items():
+            cfg = replace(CFG, stage_mode=stage, eigen_mode=eigen)
+            out = segment.run_pipeline(cloud, cfg)
+            before = out.prediction.copy()
+            before[out.density_removed] = True
+            shared = segment.density_filter(cloud.points, before, cfg, cache)
+            fresh = segment.density_filter(cloud.points, before, cfg)
+            assert np.array_equal(shared, out.prediction), mode
+            assert np.array_equal(fresh, out.prediction), mode
 
 
 class TestRunPipeline:
