@@ -79,10 +79,6 @@ class MissingXyzError(TrussKitError, ValueError):
     """PCD file lacks x, y or z fields."""
 
 
-class MissingAttributesError(TrussKitError, ValueError):
-    """Feature export requires normals and curvature."""
-
-
 # configuration
 
 class ConfigError(TrussKitError, ValueError):

@@ -114,15 +114,12 @@ class LabeledCloud:
     """Points in the sensor frame with per-point ground-truth face labels.
 
     Label 0 marks background (ground, distractors); labels >= 1 identify
-    structure faces or bars. Optional per-point normals and curvature are
-    carried when they have been estimated.
+    structure faces or bars.
     """
 
     points: np.ndarray
     face_label: Optional[np.ndarray] = None
     sensor_pose: Pose = field(default_factory=Pose)
-    normals: Optional[np.ndarray] = None
-    curvature: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.points = _as_points(self.points) if np.size(self.points) else np.zeros((0, 3))
@@ -137,20 +134,6 @@ class LabeledCloud:
                 raise ValueError("face_label length differs from point count")
             if n and self.face_label.min() < 0:
                 raise ValueError("face labels must be non-negative")
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=np.float64)
-            if self.normals.shape != (n, 3):
-                raise ValueError("normals shape differs from point count")
-            norms = np.linalg.norm(self.normals, axis=1)
-            if n and np.abs(norms - 1.0).max() > 1e-6:
-                raise ValueError("normals must be unit length within 1e-6")
-        if self.curvature is not None:
-            self.curvature = np.asarray(self.curvature, dtype=np.float64).reshape(-1)
-            if len(self.curvature) != n:
-                raise ValueError("curvature length differs from point count")
-            if n and (self.curvature.min() < -1e-12 or
-                      self.curvature.max() > MAX_CURVATURE + 1e-12):
-                raise ValueError("curvature must lie in [0, 1/3]")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -435,9 +418,7 @@ def voxel_downsample(cloud: LabeledCloud, leaf: float) -> LabeledCloud:
 
     The voxel of a point is floor(coord / leaf) per axis (``grid_cells``).
     The output label is the majority face label of the voxel, ties resolved
-    toward the lowest label. Output points are ordered by voxel key;
-    normals/curvature are dropped (they no longer describe the averaged
-    points).
+    toward the lowest label. Output points are ordered by voxel key.
     """
     if not leaf > 0.0:
         raise NonPositiveLeafError(f"leaf={leaf} must be > 0")

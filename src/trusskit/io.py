@@ -24,7 +24,6 @@ from .errors import (
     InvalidSpecError,
     LengthMismatchError,
     MalformedHeaderError,
-    MissingAttributesError,
     MissingXyzError,
     TruncatedBodyError,
     UnknownKeyError,
@@ -138,15 +137,12 @@ def write_prediction_pcd(cloud: LabeledCloud, pred, path=None,
         cloud.sensor_pose.viewpoint_tuple(), mode, path)
 
 
-def export_features(cloud: LabeledCloud, normals=None, curvature=None,
-                    path=None, mode: str = "binary"):
+def export_features(cloud: LabeledCloud, normals, curvature, path=None,
+                    mode: str = "binary"):
     """Write per-point features ``x y z nx ny nz curvature label`` so an
     external model can consume coordinate/normal/curvature inputs."""
-    normals = cloud.normals if normals is None else np.asarray(normals, float)
-    curvature = cloud.curvature if curvature is None else \
-        np.asarray(curvature, float)
-    if normals is None or curvature is None:
-        raise MissingAttributesError("feature export needs normals and curvature")
+    normals = np.asarray(normals, float)
+    curvature = np.asarray(curvature, float)
     if len(normals) != len(cloud) or len(curvature) != len(cloud):
         raise LengthMismatchError("attribute lengths differ from cloud")
     pts = cloud.points
@@ -396,12 +392,19 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_value(section, key, raw, kind):
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "bool":
             word = raw.strip().lower()
             if word not in _BOOL_WORDS:
@@ -412,7 +415,7 @@ def _parse_value(section, key, raw, kind):
         if kind.startswith("ivec"):
             vals = tuple(int(v) for v in raw.split())
         else:                                  # vecN
-            vals = tuple(float(v) for v in raw.split())
+            vals = tuple(_finite(v) for v in raw.split())
         want = int(kind[-1])
         if len(vals) != want:
             raise ValueError(f"expected {want} values, got {len(vals)}")

@@ -119,9 +119,6 @@ class HeightFieldGround:
         return np.array([0], dtype=np.int64)
 
 
-Solid = Union[OrientedBox, VerticalCylinder, Ellipsoid]
-
-
 @dataclass
 class Scene:
     """Immutable world description: labeled solids over an optional ground."""
@@ -143,15 +140,56 @@ class Scene:
         """The OrientedBox solids, packed once per scene."""
         return pack_boxes(self.solids)
 
+    @cached_property
+    def cover(self) -> "SphereCover":
+        """Spheres covering every solid, grouped by scene index.
+
+        A box is cut across its longest axis into n equal slices, each about
+        as long as the box's cross-section is wide: n = ceil(long half
+        extent / cross-section half diagonal). Each slice's circumscribed
+        sphere, grown by a relative 1e-9 against rounding, is one cover
+        sphere. A 2 m x 0.15 m bar gets 10 spheres of radius 0.15 m instead
+        of one of 1.0 m. A trunk or canopy is covered by its bounding
+        sphere alone, ungrown.
+        """
+        boxes = self.boxes
+        half = boxes.half_extents
+        axis = np.argmax(half, axis=1)
+        by_size = np.sort(half, axis=1)
+        long, cross = by_size[:, 2], np.hypot(by_size[:, 0], by_size[:, 1])
+        n = np.ceil(long / cross).astype(np.intp)
+        step = long / n
+        radius = np.hypot(step, cross) * (1.0 + 1e-9)
+        box = np.repeat(np.arange(len(half)), n)
+        slot = np.arange(len(box)) - np.repeat(np.cumsum(n) - n, n)
+        offset = (2 * slot + 1) * step[box] - long[box]
+        along = boxes.rotation[box, :, axis[box]]
+
+        bound_center = np.array([s.center for s in self.solids]).reshape(-1, 3)
+        bound_radius = np.array([s.bounding_radius for s in self.solids],
+                                dtype=np.float64)
+        rest = np.setdiff1d(np.arange(len(self.solids)), boxes.solid_index)
+        solid = np.concatenate([boxes.solid_index[box], rest])
+        center = np.concatenate([boxes.center[box] + along * offset[:, None],
+                                 bound_center[rest]])
+        radius = np.concatenate([radius[box], bound_radius[rest]])
+        order = np.argsort(solid, kind="stable")     # a box keeps its row
+        return SphereCover(center[order], radius[order], solid[order],
+                           bound_center, bound_radius)
+
 
 class SphereCover(NamedTuple):
-    """Spheres covering boxes: sphere j (``center[j]``, ``radius[j]``)
-    belongs to box ``box[j]``; the spheres of one box are consecutive and
-    together contain it."""
+    """Spheres covering a scene's solids: sphere j (``center[j]``,
+    ``radius[j]``) belongs to the solid of scene index ``solid[j]``; the
+    spheres of one solid are consecutive and together contain it. Solid i
+    also has one bounding sphere, ``bound_center[i]`` and ``bound_radius[i]``.
+    """
 
     center: np.ndarray          # (S, 3) world frame
     radius: np.ndarray          # (S,)
-    box: np.ndarray             # (S,) ascending
+    solid: np.ndarray           # (S,) ascending
+    bound_center: np.ndarray    # (N, 3) one per solid
+    bound_radius: np.ndarray    # (N,)
 
 
 @dataclass(frozen=True)
@@ -169,35 +207,6 @@ class PackedBoxes:
 
     def __len__(self) -> int:
         return len(self.solid_index)
-
-    @property
-    def bounding_radius(self) -> np.ndarray:
-        return np.linalg.norm(self.half_extents, axis=1)
-
-    @cached_property
-    def cover(self) -> SphereCover:
-        """A row of small spheres along each box's longest axis.
-
-        A box is cut across its longest axis into n equal slices, each about
-        as long as the box's cross-section is wide: n = ceil(long half
-        extent / cross-section half diagonal). Each slice's circumscribed
-        sphere, grown by a relative 1e-9 against rounding, is one cover
-        sphere. A 2 m x 0.15 m bar gets 10 spheres of radius 0.15 m instead
-        of one of 1.0 m.
-        """
-        half = self.half_extents
-        axis = np.argmax(half, axis=1)
-        by_size = np.sort(half, axis=1)
-        long, cross = by_size[:, 2], np.hypot(by_size[:, 0], by_size[:, 1])
-        n = np.ceil(long / cross).astype(np.intp)
-        step = long / n
-        radius = np.hypot(step, cross) * (1.0 + 1e-9)
-        box = np.repeat(np.arange(len(half)), n)
-        slot = np.arange(len(box)) - np.repeat(np.cumsum(n) - n, n)
-        offset = (2 * slot + 1) * step[box] - long[box]
-        along = self.rotation[box, :, axis[box]]
-        return SphereCover(self.center[box] + along * offset[:, None],
-                           radius[box], box)
 
 
 def pack_boxes(solids) -> PackedBoxes:
@@ -275,22 +284,6 @@ def ray_boxes(origin: np.ndarray, dirs: np.ndarray, boxes: PackedBoxes,
     if not hits:
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64)
     return np.concatenate(hits), np.concatenate(ts), np.concatenate(faces)
-
-
-def ray_box(origin: np.ndarray, dirs: np.ndarray, box: OrientedBox):
-    """Hit parameters and face indices for a batch of rays against one box.
-
-    Returns (t, face) with t = inf and face 0 on miss. Rays starting inside
-    the box hit the exit face.
-    """
-    n = len(dirs)
-    hit, t_hit, face_hit = ray_boxes(origin, dirs, pack_boxes([box]),
-                                     np.arange(n), np.zeros(n, dtype=np.intp))
-    t = np.full(n, np.inf)
-    face = np.zeros(n, dtype=np.int64)
-    t[hit] = t_hit
-    face[hit] = face_hit
-    return t, face
 
 
 def ray_cylinder(origin: np.ndarray, dirs: np.ndarray, cyl: VerticalCylinder):
@@ -425,12 +418,10 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     return t
 
 
-def intersect_solid(origin: np.ndarray, dirs: np.ndarray, solid: Solid):
-    """Dispatch to the per-type intersection; (t, per-ray face label)."""
-    if isinstance(solid, OrientedBox):
-        t, face = ray_box(origin, dirs, solid)
-        labels = solid.face_labels[face]
-        return t, labels
+def intersect_solid(origin: np.ndarray, dirs: np.ndarray,
+                    solid: Union[VerticalCylinder, Ellipsoid]):
+    """Dispatch to the per-type intersection of a trunk or canopy; (t,
+    per-ray label). Boxes go through ``ray_boxes``."""
     if isinstance(solid, VerticalCylinder):
         t = ray_cylinder(origin, dirs, solid)
     elif isinstance(solid, Ellipsoid):

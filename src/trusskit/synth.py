@@ -2,12 +2,13 @@
 
 Scans are produced by an analytic raycaster: rays are laid out on the
 sensor's elevation/azimuth grid and the nearest surface along each wins.
-A conservative angular broad phase picks the rays each solid can meet: for
-boxes, the caps of a row of small spheres covering each box, culled for all
-boxes at once, then one batched slab test of the surviving (ray, box)
-pairs; for trunks and canopies, the cap of one bounding sphere per solid.
-Points are stored in the sensor frame; the ground-truth label of each point
-is the label of the face its noiseless ray hit.
+A conservative angular broad phase picks the rays each solid can meet: the
+caps of the scene's cover spheres (a row of small spheres per box, the
+bounding sphere of each trunk and canopy), culled for all solids at once.
+The surviving (ray, solid) pairs go to one batched slab test for the boxes
+and one intersection call per trunk or canopy, and one merge keeps each
+ray's nearest hit. Points are stored in the sensor frame; the ground-truth
+label of each point is the label of the face its noiseless ray hit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .primitives import (
     Ellipsoid,
     HeightFieldGround,
     OrientedBox,
-    PackedBoxes,
     Scene,
     VerticalCylinder,
     intersect_solid,
@@ -350,64 +350,37 @@ def ray_grid(cfg: SensorConfig):
     return dirs.reshape(-1, 3), els, azs
 
 
-def _candidate_rays(center_s, radius, els, azs):
-    """Indices of grid rays whose direction can intersect the bounding
-    sphere (conservative spherical-cap bound); None means all rays."""
-    dist = float(np.linalg.norm(center_s))
-    if dist <= radius:
-        return None
-    half = np.arcsin(min(1.0, radius / dist)) + 1e-9
-    el_c = np.arcsin(np.clip(center_s[2] / dist, -1.0, 1.0))
-    lo, hi = el_c - half, el_c + half
-    i0 = int(np.searchsorted(els, lo - 1e-12, side="left"))
-    i1 = int(np.searchsorted(els, hi + 1e-12, side="right")) - 1
-    if i1 < i0:
-        return np.empty(0, dtype=np.intp)
-    rows = np.arange(i0, i1 + 1)
+def _solid_pairs(scene: Scene, R, origin, els, azs, max_range):
+    """(ray, solid) candidate pairs, grouped by ascending scene index, for
+    every ray whose direction can meet a cover sphere of a solid in range.
 
-    h = len(azs)
-    if abs(el_c) + half >= np.pi / 2 - 1e-9:
-        cols = np.arange(h)
-    else:
-        az_c = np.arctan2(center_s[1], center_s[0])
-        d_az = np.arcsin(min(1.0, np.sin(half) / np.cos(el_c))) + 1e-9
-        diff = (azs - az_c + np.pi) % (2 * np.pi) - np.pi
-        cols = np.flatnonzero(np.abs(diff) <= d_az)
-        if len(cols) == 0:
-            return np.empty(0, dtype=np.intp)
-    return (rows[:, None] * h + cols[None, :]).ravel()
-
-
-def _box_pairs(boxes: PackedBoxes, R, origin, els, azs, max_range):
-    """(ray, box) candidate pairs, grouped by box in scene order, for every
-    ray whose direction can meet a cover sphere of a box in range.
-
-    All cover spheres are culled in one pass with the spherical-cap bound
-    of ``_candidate_rays``, widened to the row band and the azimuth column
-    span of each cap; a sphere containing the sensor takes every ray. Per
-    box and row, the column spans of its spheres merge into their hull, so
-    a pair repeats only where a box's spans on both sides of azimuth 0
-    overlap. A box is dropped by the same test on its bounding sphere as a
-    trunk or canopy; a cover sphere only when it lies wholly beyond
-    max_range + 1, so every box hit that can decide a point or the
-    ground's march limit is kept.
+    All cover spheres (``Scene.cover``) are culled in one pass with a
+    conservative spherical-cap bound, widened to the row band and the
+    azimuth column span of each cap; a sphere containing the sensor takes
+    every ray. Per solid and row, the column spans of its spheres merge into
+    their hull, so a pair repeats only where a solid's spans on both sides
+    of azimuth 0 overlap. A solid is dropped when its bounding sphere lies
+    wholly beyond max_range; a cover sphere only when it lies wholly beyond
+    max_range + 1, so every hit that can decide a point or the ground's
+    march limit is kept.
     """
     h_res = len(azs)
-    center_s = (boxes.center - origin) @ R
-    reach = np.linalg.norm(center_s, axis=1) - boxes.bounding_radius
+    cover = scene.cover
+    center_s = (cover.bound_center - origin) @ R
+    reach = np.linalg.norm(center_s, axis=1) - cover.bound_radius
     borderline = np.flatnonzero(np.abs(reach - max_range) < 1e-9)
-    for b in borderline:          # decided by the per-solid expression
-        reach[b] = np.linalg.norm(R.T @ (boxes.center[b] - origin)) \
-            - float(np.linalg.norm(boxes.half_extents[b]))
+    for j in borderline:          # decided by the per-solid expression
+        solid = scene.solids[j]
+        reach[j] = np.linalg.norm(R.T @ (solid.center - origin)) \
+            - solid.bounding_radius
 
-    cover = boxes.cover
     c = (cover.center - origin) @ R
     r = cover.radius
     dist = np.linalg.norm(c, axis=1)
-    keep = (reach[cover.box] <= max_range) & (dist - r <= max_range + 1.0)
+    keep = (reach[cover.solid] <= max_range) & (dist - r <= max_range + 1.0)
     if not keep.any():
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    c, r, dist, owner = c[keep], r[keep], dist[keep], cover.box[keep]
+    c, r, dist, owner = c[keep], r[keep], dist[keep], cover.solid[keep]
 
     inside = dist <= r
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -422,16 +395,16 @@ def _box_pairs(boxes: PackedBoxes, R, origin, els, azs, max_range):
     az_c = np.arctan2(c[:, 1], c[:, 0])
     lo, hi = az_c - d_az, az_c + d_az
 
-    # per box, row and column span, the hull of its spheres' column ranges:
-    # each (box, ray) pair comes once, grouped by box in scene order
+    # per solid, row and column span, the hull of its spheres' column
+    # ranges: each (solid, ray) pair comes once, grouped by solid
     n_rows = np.maximum(row1 - row0, 0)
     ent = np.repeat(np.arange(len(n_rows)), n_rows)
     row = row0[ent] + np.arange(len(ent)) \
         - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
-    new_box = np.r_[True, owner[1:] != owner[:-1]]
+    new_solid = np.r_[True, owner[1:] != owner[:-1]]
     v_res = len(els)
-    cell = 2 * ((np.cumsum(new_box) - 1)[ent] * v_res + row)
-    first = np.full(2 * v_res * int(new_box.sum()), h_res)
+    cell = 2 * ((np.cumsum(new_solid) - 1)[ent] * v_res + row)
+    first = np.full(2 * v_res * int(new_solid.sum()), h_res)
     last = np.zeros_like(first)
     # azimuths lie in [0, 2 pi) and [lo, hi] in [-2 pi, 2 pi] (to 1e-9): a
     # column is in the span when its azimuth, or that minus 2 pi, is
@@ -446,17 +419,19 @@ def _box_pairs(boxes: PackedBoxes, R, origin, els, azs, max_range):
     rect = np.repeat(np.arange(len(cells)), width)
     local = np.arange(len(rect)) - np.repeat(np.cumsum(width) - width, width)
     ray = (cells // 2 % v_res)[rect] * h_res + first[cells][rect] + local
-    return ray, owner[new_box][cells // (2 * v_res)][rect]
+    return ray, owner[new_solid][cells // (2 * v_res)][rect]
 
 
 def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig) -> LabeledCloud:
     """Simulate one scan: nearest-hit labels, range gating, along-ray noise.
 
     Rays outside [min_range, max_range] of their nearest hit yield no point.
-    Each ray takes the smallest hit parameter over all solids, ties going to
-    the solid listed first. Noise draws come from one per-ray slot of a
-    counter-based stream keyed by cfg.seed, so output does not depend on
-    evaluation order.
+    The broad phase (``_solid_pairs``) gives the candidate (ray, solid)
+    pairs; boxes are slab-tested in one batch and each trunk or canopy is
+    intersected with its own rays. Each ray takes the smallest hit parameter
+    over all solids, ties going to the solid listed first. Noise draws come
+    from one per-ray slot of a counter-based stream keyed by cfg.seed, so
+    output does not depend on evaluation order.
     """
     dirs_s, els, azs = ray_grid(cfg)
     R = pose.rotation_matrix()
@@ -464,46 +439,34 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig) -> LabeledCloud:
     dirs_w = dirs_s @ R.T
     n = len(dirs_s)
 
-    t_best = np.full(n, np.inf)
-    label_best = np.zeros(n, dtype=np.int64)
-    solid_best = np.full(n, -1)       # scene index of the winning solid
+    ray, solid = _solid_pairs(scene, R, origin, els, azs, cfg.max_range)
     boxes = scene.boxes
-    if len(boxes):
-        ray, box = _box_pairs(boxes, R, origin, els, azs, cfg.max_range)
-        hit, t, face = ray_boxes(origin, dirs_w, boxes, ray, box)
-        ray, box = ray[hit], box[hit]
-        np.minimum.at(t_best, ray, t)
-        # of the boxes reaching a ray's minimum, the first in scene order
-        # (lowest packed index) wins; a repeated pair has one face
-        win = t == t_best[ray]
-        ray, box, face = ray[win], box[win], face[win]
-        first = np.full(n, len(boxes))
-        np.minimum.at(first, ray, box)
-        win = box == first[ray]
-        ray, box = ray[win], box[win]
-        label_best[ray] = boxes.face_labels[box, face[win]]
-        solid_best[ray] = boxes.solid_index[box]
+    packed = np.full(len(scene.solids), -1)
+    packed[boxes.solid_index] = np.arange(len(boxes))
+    on_box = packed[solid] >= 0
+    b_ray, box = ray[on_box], packed[solid[on_box]]
+    hit, t, face = ray_boxes(origin, dirs_w, boxes, b_ray, box)
+    box = box[hit]
+    found = [(b_ray[hit], t, boxes.face_labels[box, face],
+              boxes.solid_index[box])]
+    for j in np.unique(solid[~on_box]):       # pairs are grouped by solid
+        s, e = np.searchsorted(solid, [j, j + 1])
+        t, labels = intersect_solid(origin, dirs_w[ray[s:e]], scene.solids[j])
+        ok = np.isfinite(t)
+        found.append((ray[s:e][ok], t[ok], labels[ok], solid[s:e][ok]))
+    ray, t, label, solid = (np.concatenate(part) for part in zip(*found))
 
-    for j, solid in enumerate(scene.solids):
-        if isinstance(solid, OrientedBox):
-            continue
-        center_s = R.T @ (solid.center - origin)
-        r = solid.bounding_radius
-        if np.linalg.norm(center_s) - r > cfg.max_range:
-            continue
-        idx = _candidate_rays(center_s, r, els, azs)
-        if idx is None:
-            idx = np.arange(n)
-            t, labels = intersect_solid(origin, dirs_w, solid)
-        elif len(idx):
-            t, labels = intersect_solid(origin, dirs_w[idx], solid)
-        else:
-            continue
-        better = (t < t_best[idx]) | ((t == t_best[idx]) & (j < solid_best[idx]))
-        upd = idx[better]
-        t_best[upd] = t[better]
-        label_best[upd] = labels[better]
-        solid_best[upd] = j
+    t_best = np.full(n, np.inf)
+    np.minimum.at(t_best, ray, t)
+    # of the solids reaching a ray's minimum, the first in scene order wins;
+    # a repeated pair has one label
+    win = t == t_best[ray]
+    ray, label, solid = ray[win], label[win], solid[win]
+    first = np.full(n, len(scene.solids))
+    np.minimum.at(first, ray, solid)
+    win = solid == first[ray]
+    label_best = np.zeros(n, dtype=np.int64)
+    label_best[ray[win]] = label[win]
 
     if scene.ground is not None:
         t_upper = np.minimum(t_best, cfg.max_range + 1.0)

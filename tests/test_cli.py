@@ -161,6 +161,19 @@ class TestSegmentEvaluate:
             "error: [pipeline] ransac_seed must be >= 0\n"
         assert not (tmp_path / "pred").exists()
 
+    def test_non_finite_config_value_is_error(self, tmp_path, capsys):
+        # a NaN density radius passed the `<= 0` check and kept no
+        # structure point
+        data = make_tiny_dataset(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["segment", "--config", "configs/ortho.cfg",
+                       "--set", "pipeline.density_radius=nan", "--in", str(data),
+                       "--out", str(tmp_path / "pred"), "--mode", "H"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: [pipeline] density_radius: 'nan' is not a finite number\n"
+        assert not (tmp_path / "pred").exists()
+
     def test_evaluate_perfect_predictions(self, tmp_path, capsys):
         truth_dir = tmp_path / "truth"
         pred_dir = tmp_path / "pred"

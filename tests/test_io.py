@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trusskit import io as tio
 from trusskit.errors import (
@@ -7,13 +9,14 @@ from trusskit.errors import (
     ConfigTypeError,
     LengthMismatchError,
     MalformedHeaderError,
-    MissingAttributesError,
     MissingXyzError,
     TrussKitError,
     TruncatedBodyError,
     UnknownKeyError,
 )
 from trusskit.geom import LabeledCloud, Pose, estimate_normals
+from trusskit.segment import PipelineConfig
+from trusskit.synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
 
 def random_cloud(rng, n, with_pose=True):
@@ -42,6 +45,20 @@ class TestPcdRoundTrip:
             assert back.sensor_pose == cloud.sensor_pose
             # byte determinism
             assert blob == tio.write_pcd(cloud, mode="binary")
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 3),
+                           max_size=40),
+           labels=st.data(), mode=st.sampled_from(["binary", "ascii"]))
+    def test_read_inverts_write(self, points, labels, mode):
+        pts = np.array(points, dtype=np.float64).reshape(-1, 3)
+        lab = labels.draw(st.lists(st.integers(0, 2**32 - 1),
+                                   min_size=len(pts), max_size=len(pts)))
+        cloud = LabeledCloud(pts, np.array(lab, dtype=np.int64))
+        back = tio.read_pcd(tio.write_pcd(cloud, mode=mode))
+        assert np.array_equal(back.points.astype(np.float32),
+                              pts.astype(np.float32))
+        assert np.array_equal(back.face_label, cloud.face_label)
 
     def test_ascii_binary_agree(self):
         rng = np.random.default_rng(1)
@@ -147,11 +164,6 @@ class TestFeatureExport:
             np.column_stack([arrays["x"], arrays["y"], arrays["z"]]),
             cloud.points.astype(np.float32))
 
-    def test_missing_attributes(self):
-        cloud = LabeledCloud(np.zeros((4, 3)))
-        with pytest.raises(MissingAttributesError):
-            tio.export_features(cloud)
-
 
 class TestPlyExport:
     def test_perfect_prediction_colors(self):
@@ -219,6 +231,31 @@ class TestConfig:
         with pytest.raises(ConfigTypeError):
             tio.loads_config("[truss]\nnode_counts = 2 2\n")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, text):
+        # a NaN slips through every `x <= 0` range check, so the parser
+        # refuses non-finite numbers for every float and vector key
+        checked = 0
+        for section, keys in tio._SCHEMA.items():
+            for key, kind in keys.items():
+                if kind == "float":
+                    value = text
+                elif kind.startswith("vec"):
+                    value = " ".join(["1.0"] * (int(kind[-1]) - 1) + [text])
+                else:
+                    continue
+                with pytest.raises(ConfigTypeError,
+                                   match=rf"^\[{section}\] {key}: "):
+                    tio.loads_config("", overrides={f"{section}.{key}": value})
+                checked += 1
+        assert checked == 24
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=st.data())
+    def test_load_inverts_dump(self, cfg):
+        cfg = cfg.draw(_run_configs())
+        assert tio.loads_config(tio.dump_config(cfg)) == cfg
+
     def test_full_round_trip_idempotent(self, tmp_path):
         text = """
 [sensor]
@@ -265,3 +302,64 @@ seed = 11
             tio.loads_config("", overrides={"pipeline.nope": "1"})
         with pytest.raises(ConfigRangeError):
             tio.loads_config("", overrides={"sensor.v_resolution": "0"})
+
+
+def _ordered(strategy, n=2):
+    """n draws of ``strategy`` as an ascending tuple."""
+    return st.lists(strategy, min_size=n, max_size=n).map(
+        lambda v: tuple(sorted(v)))
+
+
+def _bounds_pair(lo_strategy, hi_strategy):
+    """(min corner, max corner) tuples with min <= max per axis."""
+    return st.tuples(lo_strategy, hi_strategy).map(
+        lambda ab: (tuple(map(min, *ab)), tuple(map(max, *ab))))
+
+
+@st.composite
+def _run_configs(draw):
+    """Valid RunConfigs with finite values; ``out_dir`` has no line breaks
+    and no surrounding whitespace (the parser strips values)."""
+    pos = st.floats(1e-6, 1e6)
+    real = st.floats(-1e6, 1e6)
+    seed = st.integers(0, 2**63 - 1)
+    vec = lambda n: st.tuples(*[real] * n)
+    min_range, max_range = draw(st.lists(pos, min_size=2, max_size=2,
+                                         unique=True).map(sorted))
+    sensor = SensorConfig(
+        draw(st.integers(1, 4096)), draw(st.integers(1, 4096)), min_range,
+        max_range, draw(st.floats(0.0, 180.0, exclude_min=True)),
+        draw(st.floats(0.0, 360.0, exclude_min=True)),
+        draw(st.floats(0.0, 1e3)), draw(seed))
+    truss = None
+    if draw(st.booleans()):
+        length = draw(pos)
+        truss = TrussSpec(draw(st.tuples(*[st.integers(2, 50)] * 3)), length,
+                          draw(st.floats(0.0, length, exclude_min=True,
+                                         exclude_max=True)),
+                          draw(st.booleans()),
+                          draw(st.sampled_from(["per_bar", "per_face"])))
+    boxes = None
+    if draw(st.booleans()):
+        box_lo, box_hi = draw(_bounds_pair(vec(3), vec(3)))
+        boxes = BoxFieldSpec(draw(st.integers(0, 500)), draw(_ordered(pos)),
+                             draw(_ordered(pos)), box_lo, box_hi)
+    tree_lo, tree_hi = draw(_bounds_pair(vec(2), vec(2)))
+    scene = SceneSpec(truss, draw(st.floats(0.0, 1e3)), draw(pos),
+                      draw(st.integers(0, 500)), draw(_ordered(pos)),
+                      tree_lo, tree_hi, boxes, draw(seed))
+    pipeline = PipelineConfig(
+        draw(pos), draw(pos), draw(st.integers(1, 10**6)), draw(seed),
+        draw(st.integers(3, 200)),
+        draw(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True)),
+        draw(st.floats(0.0, 1e3)), draw(st.integers(1, 10**6)),
+        draw(st.sampled_from(["ratio", "magnitude", "hybrid"])),
+        draw(st.floats(0.0, 1.0, exclude_min=True)), draw(pos), draw(pos),
+        draw(st.integers(0, 10**6)),
+        draw(st.sampled_from(["full", "without_fine", "without_coarse"])))
+    out_dir = draw(st.text(st.characters(blacklist_categories=("Cs",),
+                                         blacklist_characters="\r\n")))
+    dataset = tio.DatasetConfig(out_dir.strip(), draw(st.integers(1, 10**6)),
+                                draw(seed), draw(st.integers(1, 64)),
+                                draw(vec(3)))
+    return tio.RunConfig(sensor, scene, pipeline, dataset)

@@ -15,8 +15,9 @@ from trusskit.primitives import (
     OrientedBox,
     Scene,
     VerticalCylinder,
+    intersect_solid,
     pack_boxes,
-    ray_box,
+    ray_boxes,
     ray_ground,
 )
 from helpers import (
@@ -296,7 +297,7 @@ class TestBatchedBoxes:
         # takes every ray
         bar = OrientedBox([0.0, 0.0, 2.0], [1.0, 0.075, 0.075], np.eye(3),
                           np.arange(1, 7))
-        cover = pack_boxes([bar]).cover
+        cover = Scene([bar]).cover
         p = np.array([0.1, 0.12, 2.0])
         assert (np.linalg.norm(cover.center - p, axis=1)
                 <= cover.radius).any()
@@ -382,10 +383,9 @@ class TestBatchedBoxes:
         dirs, _, _ = synth.ray_grid(cfg)
         origin = np.array([0.0, 0.0, 2.0])
         assert np.array_equal(dirs[8], [1.0, 0.0, 0.0])
-        t, face = ray_box(origin, dirs[8:9], grazed)
-        assert t[0] == 4.5 and face[0] == 0
-        t, _ = ray_box(origin, dirs[8:9], beside)
-        assert t[0] == np.inf
+        hit, t, face = ray_boxes(origin, dirs, pack_boxes([grazed, beside]),
+                                 np.array([8, 8]), np.array([0, 1]))
+        assert hit.tolist() == [0] and t[0] == 4.5 and face[0] == 0
         for scene in (Scene([grazed, beside]), Scene([beside, grazed])):
             cloud = _assert_same_scan(scene, Pose(tuple(origin)), cfg)
             along_x = np.flatnonzero((cloud.points[:, 1] == 0.0)
@@ -401,45 +401,68 @@ class TestBatchedBoxes:
             box = OrientedBox(rng.uniform(-2, 2, 3), rng.uniform(0.05, 1.5, 3),
                               quat_to_matrix(synth.random_unit_quaternion(rng)))
             origin = rng.uniform(-3, 3, 3)
-            t, face = ray_box(origin, dirs, box)
+            hit, t, face = ray_boxes(origin, dirs, pack_boxes([box]),
+                                     np.arange(len(dirs)),
+                                     np.zeros(len(dirs), dtype=np.intp))
             want_t, want_face = ray_box_slab(origin, dirs, box)
-            assert np.array_equal(t.view(np.int64), want_t.view(np.int64))
-            hit = np.isfinite(want_t)
-            assert hit.any()
-            assert np.array_equal(face[hit], want_face[hit])
+            assert np.array_equal(hit, np.flatnonzero(np.isfinite(want_t)))
+            assert len(hit)
+            assert np.array_equal(t.view(np.int64), want_t[hit].view(np.int64))
+            assert np.array_equal(face, want_face[hit])
 
     @pytest.mark.parametrize("h_fov", [360.0, 200.0])
     def test_box_pairs_hold_every_hit(self, h_fov):
-        # the broad phase may keep rays that miss, never a (ray, box) pair
-        # that hits: checked against every ray of every box, with boxes
-        # all around the sensor and one bar next to it
+        # the broad phase may keep rays that miss, never a (ray, solid) pair
+        # that hits: checked against every ray of every solid, with boxes,
+        # trunks and canopies all around the sensor, one bar next to it and
+        # one canopy whose bounding sphere holds it
         rng = np.random.default_rng(int(h_fov))
         cfg = synth.SensorConfig(v_resolution=24, h_resolution=90,
                                  h_fov_deg=h_fov, max_range=12.0)
         dirs_s, els, azs = synth.ray_grid(cfg)
+        hits = {OrientedBox: 0, VerticalCylinder: 0, Ellipsoid: 0}
         for trial in range(6):
-            boxes = [OrientedBox(rng.uniform(-6, 6, 3),
-                                 rng.uniform(0.03, 2.0, 3),
-                                 quat_to_matrix(synth.random_unit_quaternion(rng)))
-                     for _ in range(30)]
-            boxes.append(OrientedBox([0.0, 0.0, 0.0], [2.0, 0.1, 0.1],
-                                     quat_to_matrix(synth.random_unit_quaternion(rng))))
-            packed = pack_boxes(boxes)
             pose = Pose(tuple(rng.uniform(-0.3, 0.3, 3)),
                         tuple(synth.random_unit_quaternion(rng)))
-            R = pose.rotation_matrix()
             origin = np.asarray(pose.translation)
-            ray, box = synth._box_pairs(packed, R, origin, els, azs,
-                                        cfg.max_range)
-            assert (np.diff(box) >= 0).all()
-            kept = set(zip(box.tolist(), ray.tolist()))
-            hits = 0
-            for b, solid in enumerate(boxes):
-                t, _ = ray_box(origin, dirs_s @ R.T, solid)
+            solids = []
+            for _ in range(30):
+                kind = rng.integers(3)
+                c = rng.uniform(-6, 6, 3)
+                if kind == 0:
+                    solids.append(OrientedBox(
+                        c, rng.uniform(0.03, 2.0, 3),
+                        quat_to_matrix(synth.random_unit_quaternion(rng))))
+                elif kind == 1:
+                    solids.append(VerticalCylinder(c, rng.uniform(0.5, 4.0),
+                                                   rng.uniform(0.05, 0.5)))
+                else:
+                    solids.append(Ellipsoid(c, rng.uniform(0.2, 2.0, 3)))
+            solids.insert(trial, OrientedBox(
+                [0.0, 0.0, 0.0], [2.0, 0.1, 0.1],
+                quat_to_matrix(synth.random_unit_quaternion(rng))))
+            # the sensor lies inside this canopy's bounding sphere, outside
+            # the canopy itself
+            canopy = Ellipsoid(origin + [0.6, 0.0, 0.0], [0.4, 0.4, 1.0])
+            assert np.linalg.norm(origin - canopy.center) <= \
+                canopy.bounding_radius
+            solids.insert(2 * trial, canopy)
+            scene = Scene(solids)
+            R = pose.rotation_matrix()
+            dirs_w = dirs_s @ R.T
+            ray, solid = synth._solid_pairs(scene, R, origin, els, azs,
+                                            cfg.max_range)
+            assert (np.diff(solid) >= 0).all()
+            kept = set(zip(solid.tolist(), ray.tolist()))
+            for j, s in enumerate(solids):
+                if isinstance(s, OrientedBox):
+                    t, _ = ray_box_slab(origin, dirs_w, s)
+                else:
+                    t, _ = intersect_solid(origin, dirs_w, s)
                 for r in np.flatnonzero(t <= cfg.max_range + 1.0):
-                    assert (b, r) in kept, (trial, b, r)
-                    hits += 1
-            assert hits > 100
+                    assert (j, r) in kept, (trial, j, r)
+                    hits[type(s)] += 1
+        assert min(hits.values()) > 100, hits
 
     def test_cover_contains_its_box(self):
         # every surface sample of a random box, corners included, lies in
@@ -449,7 +472,7 @@ class TestBatchedBoxes:
                              np.exp(rng.uniform(np.log(0.025), np.log(2.0), 3)),
                              quat_to_matrix(synth.random_unit_quaternion(rng)))
                  for _ in range(200)]
-        cover = pack_boxes(boxes).cover
+        cover = Scene(boxes).cover
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
                           for sz in (-1, 1)], dtype=float)
         for b, box in enumerate(boxes):
@@ -459,7 +482,7 @@ class TestBatchedBoxes:
                 rng.choice([-1.0, 1.0], len(local))
             local = np.vstack([local, signs]) * box.half_extents
             world = local @ box.rotation.T + box.center
-            own = cover.box == b
+            own = cover.solid == b
             dist = np.linalg.norm(world[:, None, :]
                                   - cover.center[own][None], axis=2)
             assert (dist <= cover.radius[own][None]).any(axis=1).all()
