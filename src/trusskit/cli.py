@@ -255,24 +255,34 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
+def _score_rows(path):
+    """(line number, row) of each CSV row of a scores file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise TrussKitError(f"{path}: not a CSV text file ({exc})") \
+                from None
+
+
 def cmd_threshold(args) -> int:
     scores, truth = [], []
-    with open(args.scores, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().lower() == "score":
-                continue
-            try:
-                score, label = float(row[0]), float(row[1])
-                if label not in (0.0, 1.0):
-                    raise ValueError("truth is not 0 or 1")
-            except (ValueError, IndexError):
-                raise TrussKitError(
-                    f"{args.scores}:{reader.line_num}: expected a score,truth "
-                    f"row of a number and 0 or 1, got {','.join(row)!r}"
-                ) from None
-            scores.append(score)
-            truth.append(label == 1.0)
+    for line_num, row in _score_rows(args.scores):
+        if not row or row[0].strip().lower() == "score":
+            continue
+        try:
+            score, label = float(row[0]), float(row[1])
+            if label not in (0.0, 1.0):
+                raise ValueError("truth is not 0 or 1")
+        except (ValueError, IndexError):
+            raise TrussKitError(
+                f"{args.scores}:{line_num}: expected a score,truth "
+                f"row of a number and 0 or 1, got {','.join(row)!r}"
+            ) from None
+        scores.append(score)
+        truth.append(label == 1.0)
     select = tmetrics.select_threshold_roc if args.method == "roc" else \
         tmetrics.select_threshold_pr
     threshold, curve = select(np.asarray(scores), np.asarray(truth))

@@ -18,14 +18,19 @@ Full eigen-decompositions (cluster statistics) go through one stacked path,
 ``eigen_sym3_stack``: one ``np.linalg.eigh`` call over an ``(n, 3, 3)``
 stack. ``eigen_sym3`` and ``pca_stats`` are that path on a stack of one.
 
-kd-tree queries run on every CPU this process may run on; a worker process
-of a ``--jobs`` pool calls ``single_threaded_queries`` so the workers do not
-oversubscribe the cores.
+kd-tree queries, and the row-block kernels of ``run_row_blocks`` (the
+normals here, the edge table and RANSAC scoring in ``segment``), run on
+every CPU this process may run on (``query_workers``). Each row's
+arithmetic is the same on any number of threads, so results are bit
+identical. A worker process of a ``--jobs`` pool calls
+``single_threaded_queries``, so it runs every block inline and the workers
+do not oversubscribe the cores.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,8 +51,15 @@ MAX_CURVATURE = 1.0 / 3.0
 # goes to np.linalg.eigh: there the closed-form normal is ill-conditioned
 _EIGEN_GAP_TOL = 1e-4
 
-# threads of one kd-tree query; None means every CPU this process may run on
+# threads of one kd-tree query or run_row_blocks call; None means every CPU
+# this process may run on
 _query_workers: Optional[int] = None
+
+# neighbourhoods per normals block: keeps the (b, k, 3) gather and centred
+# copy at ~3 MB each for k = 30. Freeing whole-cloud ones (~30 MB) raises
+# glibc's mmap and trim thresholds, which leaves the heap resident after
+# the call.
+_NORMALS_BLOCK = 4096
 
 
 def _as_points(points) -> np.ndarray:
@@ -238,8 +250,8 @@ def pca_stats(points, subset=None) -> EigenDecomp:
 
 
 def query_workers() -> int:
-    """Threads of one kd-tree query: the CPUs this process may run on, or 1
-    after ``single_threaded_queries``."""
+    """Threads of one kd-tree query and of one ``run_row_blocks`` call: the
+    CPUs this process may run on, or 1 after ``single_threaded_queries``."""
     if _query_workers is not None:
         return _query_workers
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -247,10 +259,33 @@ def query_workers() -> int:
 
 
 def single_threaded_queries() -> None:
-    """Make this process's kd-tree queries single-threaded (an initializer
-    for worker processes that share the cores with each other)."""
+    """Make this process's kd-tree queries single-threaded and run every
+    ``run_row_blocks`` block inline (an initializer for worker processes
+    that share the cores with each other)."""
     global _query_workers
     _query_workers = 1
+
+
+def run_row_blocks(n: int, block: int, job) -> None:
+    """Call ``job(rows)`` once per slice ``rows`` of the disjoint blocks
+    ``[lo, lo + block)`` that cover ``range(n)``, on ``query_workers()``
+    threads.
+
+    Each job writes only its own rows of outputs the caller preallocated,
+    so no lock is needed and no row depends on the blocking or on the
+    thread count. With one worker or one block the jobs run inline, in
+    order. The threads end with the call, so a process forked after it
+    inherits none. A job's exception is raised here.
+    """
+    blocks = [slice(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    workers = min(query_workers(), len(blocks))
+    if workers <= 1:
+        for rows in blocks:
+            job(rows)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        # list() reads every result: a failed job raises in this thread
+        list(pool.map(job, blocks))
 
 
 def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,18 +346,25 @@ def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, v0
 
 
-def _batched_pca(points: np.ndarray, neighbor_idx: np.ndarray):
-    """Eigenvalues and normal direction of per-row neighbourhood
-    covariances.
-
-    neighbor_idx is (n, k); returns (lam (n, 3) ascending, v0 (n, 3) the
-    unit smallest-eigenvalue eigenvector).
-    """
-    neigh = points[neighbor_idx]                      # (n, k, 3)
+def _block_normals(points: np.ndarray, neighbor_idx: np.ndarray,
+                   rows: slice, viewpoint: np.ndarray):
+    """Normals and curvature of the neighbourhoods ``neighbor_idx[rows]``
+    of ``points[rows]`` (see ``normals_from_neighbors``)."""
+    nbr = neighbor_idx[rows]
+    neigh = points[nbr]                               # (b, k, 3)
     mu = neigh.mean(axis=1, keepdims=True)
     X = neigh - mu
-    cov = np.matmul(X.transpose(0, 2, 1), X) / neighbor_idx.shape[1]
-    return eigh3_smallest(cov)
+    cov = np.matmul(X.transpose(0, 2, 1), X) / nbr.shape[1]
+    lam, normals = eigh3_smallest(cov)
+    nrm = np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = normals / np.maximum(nrm, 1e-300)
+    to_view = viewpoint - points[rows]
+    flip = np.einsum("ij,ij->i", normals, to_view) < 0.0
+    normals[flip] *= -1.0
+    lam0 = np.maximum(lam[:, 0], 0.0)
+    total = lam.sum(axis=1)
+    curvature = np.where(total > 0.0, lam0 / np.maximum(total, 1e-300), 0.0)
+    return normals, np.clip(curvature, 0.0, MAX_CURVATURE)
 
 
 def knn_table(points: np.ndarray, k: int) -> np.ndarray:
@@ -351,17 +393,21 @@ def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
     relative. A neighbourhood whose lambda1 - lambda0 is at most 1e-4 of
     its trace (all duplicates, collinear points) gets ``np.linalg.eigh``'s
     normal and eigenvalues exactly.
+
+    Neighbourhoods are handled in blocks of ``_NORMALS_BLOCK`` rows on
+    ``query_workers()`` threads (``run_row_blocks``); every row's
+    arithmetic is that of a single whole-cloud pass, bit for bit.
     """
-    lam, normals = _batched_pca(points, neighbor_idx)
-    nrm = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.maximum(nrm, 1e-300)
-    to_view = np.asarray(viewpoint, dtype=np.float64) - points
-    flip = np.einsum("ij,ij->i", normals, to_view) < 0.0
-    normals[flip] *= -1.0
-    lam0 = np.maximum(lam[:, 0], 0.0)
-    total = lam.sum(axis=1)
-    curvature = np.where(total > 0.0, lam0 / np.maximum(total, 1e-300), 0.0)
-    curvature = np.clip(curvature, 0.0, MAX_CURVATURE)
+    n = len(points)
+    view = np.asarray(viewpoint, dtype=np.float64)
+    normals = np.empty((n, 3))
+    curvature = np.empty(n)
+
+    def job(rows):
+        normals[rows], curvature[rows] = _block_normals(points, neighbor_idx,
+                                                        rows, view)
+
+    run_row_blocks(n, _NORMALS_BLOCK, job)
     return normals, curvature
 
 

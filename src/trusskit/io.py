@@ -372,6 +372,13 @@ class DatasetConfig:
     sensor_position: tuple[float, float, float] = (0.0, 0.0, 2.0)
 
     def __post_init__(self):
+        # a config file holds one line per key and strips its values, so
+        # no other out_dir survives dump_config and loads_config
+        out_dir = self.out_dir
+        if not out_dir.isprintable() or out_dir != out_dir.strip():
+            raise InvalidSpecError(
+                f"out_dir {self.out_dir!r} must be printable, without "
+                f"surrounding whitespace")
         if self.n_scans < 1:
             raise InvalidSpecError("n_scans must be >= 1")
         if self.seed < 0:
@@ -515,7 +522,11 @@ def loads_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
 
 def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
     """Load and validate a run configuration file (see loads_config)."""
-    return loads_config(Path(path).read_text(), overrides)
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigTypeError(f"cannot parse config {path}: {exc}") from None
+    return loads_config(text, overrides)
 
 
 def _value_text(value) -> str:

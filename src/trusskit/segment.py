@@ -10,6 +10,14 @@ RANSAC scores its hypotheses in cache-sized blocks of voxels and
 hypotheses. The density filter marks every point of a grid cell that holds
 more than density_min_points points as dense and queries the kd-tree only
 for the rest. Neither shortcut changes a prediction.
+
+The RANSAC hypothesis blocks, the normals and region growing's edge table
+run their row blocks on ``geom.query_workers()`` threads
+(``geom.run_row_blocks``); no row's arithmetic depends on the thread count,
+so predictions are bit identical on any number of cores. Every function the
+benchmark tracer wraps by name (``ransac_plane``, ``_normals_for``,
+``normals_from_neighbors``, ``region_grow``, ...) is called from the
+calling thread only.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .geom import (
     knn_table,
     normals_from_neighbors,
     query_workers,
+    run_row_blocks,
     voxel_downsample,
 )
 
@@ -184,20 +193,24 @@ def _inlier_counts(pts32: np.ndarray, n32: np.ndarray, d32: np.ndarray,
     <= thr32, all in float32.
 
     Scored in blocks of ``_SCORE_POINTS`` points by ``_SCORE_HYPOTHESES``
-    hypotheses. Each distance is the K=3 sgemm dot product plus d that one
-    product over every point gives, so blocking changes no count.
+    hypotheses, the hypothesis blocks on ``query_workers()`` threads
+    (``geom.run_row_blocks``). Each distance is the K=3 sgemm dot product
+    plus d that one product over every point gives, so blocking changes no
+    count.
     """
     counts = np.zeros(len(n32), dtype=np.intp)
-    for start in range(0, len(n32), _SCORE_HYPOTHESES):
-        stop = start + _SCORE_HYPOTHESES
-        nT = np.ascontiguousarray(n32[start:stop].T)
-        d = d32[start:stop]
-        total = counts[start:stop]
+
+    def score(hyps):
+        nT = np.ascontiguousarray(n32[hyps].T)
+        d = d32[hyps]
+        total = counts[hyps]
         for lo in range(0, len(pts32), _SCORE_POINTS):
             dist = pts32[lo:lo + _SCORE_POINTS] @ nT
             dist += d
             np.abs(dist, out=dist)
             total += np.count_nonzero(dist <= thr32, axis=0)
+
+    run_row_blocks(len(n32), _SCORE_HYPOTHESES, score)
     return counts
 
 
@@ -281,16 +294,17 @@ def _edge_tables(normals: np.ndarray, knn_idx: np.ndarray, cos_thr: float,
     ``normals[i] . normals[knn_idx[i, j]] >= cos_thr``, the dot product
     summed x, y, z left to right. ``grows[i]`` is True when point i has a
     passing edge to a point later in seed order (``pos[i]`` is its place in
-    that order). Rows are judged in blocks of ``_EDGE_BLOCK``, with two
-    float temporaries per block: (m, k)-sized ones kept the heap of a
-    whole-cloud sweep resident long after the call.
+    that order). Rows are judged in blocks of ``_EDGE_BLOCK`` on
+    ``query_workers()`` threads (``geom.run_row_blocks``), with two float
+    temporaries per block: (m, k)-sized ones kept the heap of a whole-cloud
+    sweep resident long after the call.
     """
     m = len(knn_idx)
     nx, ny, nz = (np.ascontiguousarray(normals[:, d]) for d in range(3))
     ok = np.empty(knn_idx.shape, dtype=bool)
     grows = np.empty(m, dtype=bool)
-    for lo in range(0, m, _EDGE_BLOCK):
-        rows = slice(lo, lo + _EDGE_BLOCK)
+
+    def judge(rows):
         nbr = knn_idx[rows]
         dot = nx[nbr]
         dot *= nx[rows, None]
@@ -304,6 +318,8 @@ def _edge_tables(normals: np.ndarray, knn_idx: np.ndarray, cos_thr: float,
         later = pos[nbr] > pos[rows, None]
         later &= ok[rows]
         later.any(axis=1, out=grows[rows])
+
+    run_row_blocks(m, _EDGE_BLOCK, judge)
     return ok, grows
 
 

@@ -55,17 +55,16 @@ def lattice(n_side, spacing):
     return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def normals_eigh(points, neighbor_idx, viewpoint):
-    """Normals and curvature with ``np.linalg.eigh`` as the eigensolver, the
-    form ``geom.normals_from_neighbors`` had before its closed form. The
-    covariance is built by the same expression as in ``geom``, so that on
-    degenerate neighbourhoods, where eigh's smallest eigenvector is an
-    arbitrary member of a plane, both see bit-equal matrices."""
+def _neighbourhood_covariances(points, neighbor_idx):
+    """Covariance stack of every (n, k) neighbourhood in one pass over the
+    whole (n, k, 3) gather, by the expression ``geom`` uses per block."""
     neigh = points[neighbor_idx]
     X = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.matmul(X.transpose(0, 2, 1), X) / neighbor_idx.shape[1]
-    lam, V = np.linalg.eigh(cov)
-    normals = V[:, :, 0]
+    return np.matmul(X.transpose(0, 2, 1), X) / neighbor_idx.shape[1]
+
+
+def _oriented(points, lam, normals, viewpoint):
+    """Unit normals flipped toward ``viewpoint``, and curvature."""
     normals = normals / np.maximum(
         np.linalg.norm(normals, axis=1, keepdims=True), 1e-300)
     flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - points) < 0
@@ -74,6 +73,28 @@ def normals_eigh(points, neighbor_idx, viewpoint):
     curvature = np.where(total > 0.0, np.maximum(lam[:, 0], 0.0)
                          / np.maximum(total, 1e-300), 0.0)
     return normals, np.clip(curvature, 0.0, 1.0 / 3.0)
+
+
+def normals_eigh(points, neighbor_idx, viewpoint):
+    """Normals and curvature with ``np.linalg.eigh`` as the eigensolver, the
+    form ``geom.normals_from_neighbors`` had before its closed form. The
+    covariance is built by the same expression as in ``geom``, so that on
+    degenerate neighbourhoods, where eigh's smallest eigenvector is an
+    arbitrary member of a plane, both see bit-equal matrices."""
+    lam, V = np.linalg.eigh(_neighbourhood_covariances(points, neighbor_idx))
+    return _oriented(points, lam, V[:, :, 0], viewpoint)
+
+
+def normals_one_pass(points, neighbor_idx, viewpoint):
+    """``geom.normals_from_neighbors`` as it was before it worked in row
+    blocks on threads: one pass over the whole cloud through
+    ``geom.eigh3_smallest``. The bit-identity reference of the blocked
+    form."""
+    from trusskit import geom
+
+    lam, v0 = geom.eigh3_smallest(
+        _neighbourhood_covariances(points, neighbor_idx))
+    return _oriented(points, lam, v0, viewpoint)
 
 
 def ray_triangle(origin, direction, v0, v1, v2):

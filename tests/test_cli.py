@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import multiprocessing
 import os
+import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from trusskit import cli, geom
+from trusskit import cli, geom, segment
 from trusskit import io as tio
 from trusskit.geom import LabeledCloud
+from test_segment import thread_settings
 
 TINY = ["--set", "sensor.v_resolution=8", "--set", "sensor.h_resolution=32"]
 
@@ -24,6 +32,23 @@ def make_tiny_dataset(tmp_path, n=2, seed=5) -> Path:
                    "--out", str(out), "--n", str(n), "--seed", str(seed)])
     assert rc == 0
     return out
+
+
+def segment_one_counting_threads(task):
+    """``cli._segment_one`` in a pool worker, and the names of the threads
+    the worker started meanwhile."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread.name)
+        start(thread)
+
+    threading.Thread.start = counting
+    try:
+        return cli._segment_one(task), started
+    finally:
+        threading.Thread.start = start
 
 
 class TestGenerate:
@@ -245,6 +270,37 @@ class TestSweep:
                     for _ in range(2)] == [1, 1]
         assert geom.query_workers() == len(os.sched_getaffinity(0))
 
+    def test_pool_forked_after_threaded_pipeline(self, tmp_path, monkeypatch):
+        # the parent first runs the row-block kernels on two threads, in
+        # small blocks so a tiny scan has many; its thread pools end with
+        # each call, so the forked workers finish, and they run every block
+        # inline
+        data = make_tiny_dataset(tmp_path, n=2)
+        files = cli._pcd_files(data)
+        cfg = cli._mode_config(segment.PipelineConfig(), "H")
+        # the settings stay patched after the loop, in the forked workers too
+        for _ in thread_settings(monkeypatch, ((2, True),)):
+            want = [segment.run_pipeline(tio.read_pcd(f), cfg).prediction
+                    for f in files]
+        out = tmp_path / "pred"
+        out.mkdir()
+        pool = cli._segment_pool(2)
+        try:
+            results = list(pool.map(segment_one_counting_threads,
+                                    [(str(f), [(str(out), cfg)])
+                                     for f in files], timeout=120))
+        except TimeoutError:
+            for child in multiprocessing.active_children():
+                child.kill()
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
+        for f, expect, (records, started) in zip(files, want, results):
+            assert [r.error for r in records] == [None]
+            assert started == []
+            _, arrays = tio.read_pcd_arrays(out / f.name)
+            assert np.array_equal(arrays["pred"] > 0.5, expect)
+
     def test_failed_scan_named_once_on_stderr(self, tmp_path, capsys):
         data = make_tiny_dataset(tmp_path, n=1)
         (data / "clouds" / "bad.pcd").write_text("not a point cloud\n")
@@ -405,3 +461,146 @@ def test_import_does_not_load_scipy_spatial():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Paths a CLI argument can name: a tiny dataset with its mode-H
+    predictions, an empty directory, a garbage text file, a non-UTF-8 file,
+    score files, a regular file that outputs may overwrite and a missing
+    path."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    data = make_tiny_dataset(root, n=1)
+    assert cli.main(["segment", "--in", str(data), "--out",
+                     str(root / "pred"), "--mode", "H"]) == 0
+    (root / "empty").mkdir()
+    (root / "garbage.txt").write_text("not a point cloud\n[x\n")
+    (root / "existing.txt").write_text("")
+    (root / "binary.bin").write_bytes(bytes(range(128, 256)) * 4)
+    (root / "scores.csv").write_text("score,truth\n0.1,0\n0.9,1\n0.4,1\n")
+    (root / "odd_scores.csv").write_text("nan,1\ninf,0\n-inf,1\n1e308,0\n")
+    return {"data": data, "clouds": data / "clouds",
+            "cloud": data / "clouds" / "scan_00000.pcd",
+            "pred": root / "pred",
+            "pred_cloud": root / "pred" / "scan_00000.pcd",
+            "empty": root / "empty", "garbage": root / "garbage.txt",
+            "existing": root / "existing.txt",
+            "binary": root / "binary.bin", "scores": root / "scores.csv",
+            "odd_scores": root / "odd_scores.csv",
+            "config": Path("configs/ortho.cfg"), "missing": root / "missing",
+            "root": root}
+
+
+# argument values; every integer is small, so no input starts many workers
+# or a large scan
+_INTS = ["1", "2", "1", "2", "-1", "0", "x", "", "1.5", " 2"]
+_SETS = ["nokey", "=", "x=1", "pipeline=3", "pipeline.nope=1",
+         "nosection.key=1", "pipeline.normal_k=abc", "pipeline.normal_k=2",
+         "pipeline.normal_k=200", "pipeline.voxel_leaf=nan",
+         "pipeline.voxel_leaf=-1", "pipeline.eigen_mode=bogus",
+         "pipeline.ransac_iterations=0", "pipeline.density_min_points=0",
+         "pipeline.rg_min_cluster=1", "dataset.seed=-1", "scene.seed=-1",
+         "sensor.seed=-1", "sensor.max_range=0", "sensor.v_fov_deg=inf",
+         "sensor.noise_sigma=-1", "truss.node_counts=1 2",
+         "truss.node_counts=1 1 1", "truss.crossed=maybe",
+         "scene.tree_count=-1", "scene.tree_scale_bounds=2 1",
+         "boxes.count=-1", "boxes.length_bounds=0 0",
+         "dataset.out_dir=a\tb", "dataset.n_scans=0", "dataset.jobs=0",
+         "pipeline.normal_k=12", "sensor.seed=3", "pipeline.eigen_mode=ratio"]
+_ENV = ["", "x", "-1", "0", "1", "2", "1.5"]
+
+
+@st.composite
+def _cli_argv(draw, paths):
+    """(argv, env) of one command line: a subcommand, flags each present
+    or not, with good, bad or missing values."""
+    def path(*names):
+        return str(paths[draw(st.sampled_from(names))])
+
+    def out():
+        kind = draw(st.sampled_from(["new", "file", "under_file"]))
+        if kind == "file":
+            return str(paths["existing"])
+        if kind == "under_file":
+            return str(paths["existing"] / "out")
+        return tempfile.mkdtemp(dir=paths["root"]) + "/out"
+
+    def flag(name, value, required=False):
+        # a required flag is left out one time in ten, an optional one in two
+        present = draw(st.sampled_from([True] * 9 + [False])) if required \
+            else draw(st.booleans())
+        return [name, value()] if present else []
+
+    def common():
+        # a tiny sensor and one scan first: a drawn --set comes later and
+        # wins
+        argv = flag("--config", lambda: path(
+            "config", "config", "config", "missing", "garbage", "binary",
+            "empty"))
+        argv += TINY + ["--set", "scene.tree_count=1",
+                        "--set", "dataset.n_scans=1"]
+        for item in draw(st.lists(st.sampled_from(_SETS), max_size=2)):
+            argv += ["--set", item]
+        return argv + flag("--jobs", lambda: draw(st.sampled_from(_INTS)))
+
+    dirs = ("data", "clouds", "pred", "empty", "missing", "garbage")
+    command = draw(st.sampled_from(["generate", "segment", "evaluate",
+                                    "sweep", "threshold", "export"]))
+    if command == "generate":
+        argv = common() + flag("--out", out, True) + flag(
+            "--n", lambda: draw(st.sampled_from(_INTS))) + flag(
+            "--seed", lambda: draw(st.sampled_from(_INTS + ["2" * 30])))
+    elif command in ("segment", "sweep"):
+        argv = common() + flag("--in", lambda: path(*dirs), True) + flag(
+            "--out", out, True)
+        if command == "segment":
+            argv += flag("--mode", lambda: draw(st.sampled_from(
+                [*cli.MODES, "h", "X", ""])), True)
+    elif command == "evaluate":
+        argv = flag("--truth", lambda: path(*dirs), True) + flag(
+            "--pred", lambda: path(*dirs), True) + flag("--report", out, True)
+    elif command == "threshold":
+        argv = flag("--scores", lambda: path(
+            "scores", "odd_scores", "garbage", "binary", "empty",
+            "missing"), True) + flag("--method", lambda: draw(st.sampled_from(
+                ["roc", "pr", "auc"]))) + flag("--out", out)
+    else:
+        files = ("pred_cloud", "cloud", "garbage", "binary", "missing",
+                 "empty")
+        argv = flag("--cloud", lambda: path(*files), True) + flag(
+            "--pred-field", lambda: draw(st.sampled_from(
+                ["pred", "label", "x", "nope"]))) + flag(
+            "--truth", lambda: path(*files)) + flag("--out", out, True)
+        if draw(st.booleans()):
+            argv.append("--no-truth")
+    env = {name: draw(st.sampled_from([None, *_ENV]))
+           for name in ("TRUSSKIT_SEED", "TRUSSKIT_JOBS")}
+    return [command, *argv], env
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_no_input_ends_in_a_traceback(cli_inputs, data):
+    # exit 0 on success, 1 on a runtime failure, 2 on a usage error
+    argv, env = data.draw(_cli_argv(cli_inputs), label="argv, env")
+    saved = {name: os.environ.get(name) for name in env}
+    try:
+        for name, value in env.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)

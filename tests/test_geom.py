@@ -1,4 +1,6 @@
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +63,53 @@ class TestQueryWorkers:
         monkeypatch.setattr(geom, "_query_workers", None)
         geom.single_threaded_queries()
         assert geom.query_workers() == 1
+
+
+class TestRunRowBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n,block", [(0, 4), (1, 4), (4, 4), (10, 3),
+                                         (100, 7)])
+    def test_each_row_once_in_disjoint_blocks(self, monkeypatch, workers, n,
+                                              block):
+        monkeypatch.setattr(geom, "_query_workers", workers)
+        seen = np.zeros(n, dtype=np.intp)
+        sizes = []
+
+        def job(rows):
+            seen[rows] += 1
+            sizes.append(rows.stop - rows.start)
+
+        geom.run_row_blocks(n, block, job)
+        assert (seen == 1).all()
+        assert sorted(sizes, reverse=True) == \
+            [block] * (n // block) + ([n % block] if n % block else [])
+
+    def test_one_worker_runs_inline_in_order(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 1)
+        calls = []
+        geom.run_row_blocks(10, 4, lambda rows: calls.append(
+            (rows.start, rows.stop, threading.current_thread())))
+        main = threading.current_thread()
+        assert calls == [(0, 4, main), (4, 8, main), (8, 10, main)]
+
+    def test_threads_end_with_the_call(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 2)
+        before = set(threading.enumerate())
+        threads = set()
+        geom.run_row_blocks(64, 8, lambda rows: threads.add(
+            threading.current_thread()))
+        assert threading.current_thread() not in threads
+        assert set(threading.enumerate()) == before
+
+    def test_job_error_is_raised(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 2)
+
+        def job(rows):
+            if rows.start == 8:
+                raise NonFiniteError("block 8")
+
+        with pytest.raises(NonFiniteError, match="block 8"):
+            geom.run_row_blocks(32, 4, job)
 
 
 class TestCovariance:
@@ -330,6 +379,29 @@ class TestNormals:
             _, curv = geom.estimate_normals(cloud, k=15)
             assert curv.min() >= 0.0
             assert curv.max() <= 1 / 3 + 1e-12
+
+
+class TestNormalsMemory:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_bounded_by_the_block(self, monkeypatch, workers):
+        # the (b, k, 3) gather, its centred copy and the eigensolver's
+        # temporaries of one block per thread, plus the outputs; a whole-
+        # cloud (n, k, 3) temporary alone would exceed the bound
+        monkeypatch.setattr(geom, "_query_workers", workers)
+        rng = np.random.default_rng(0)
+        n, k = 40_000, 30
+        pts = np.column_stack([rng.uniform(-20, 20, (n, 2)),
+                               rng.normal(0, 0.01, n)])
+        idx = geom.knn_table(pts, k)
+        bound = n * 4 * 8 + workers * 3 * geom._NORMALS_BLOCK * k * 3 * 8
+        assert bound < n * k * 3 * 8
+        tracemalloc.start()
+        try:
+            geom.normals_from_neighbors(pts, idx, (0.0, 0.0, 10.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestVoxel:

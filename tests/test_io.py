@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trusskit import io as tio
 from trusskit.errors import (
     ConfigRangeError,
     ConfigTypeError,
+    InvalidSpecError,
     LengthMismatchError,
     MalformedHeaderError,
     MissingXyzError,
@@ -251,10 +254,29 @@ class TestConfig:
         assert checked == 24
 
     @settings(max_examples=60, deadline=None)
-    @given(cfg=st.data())
-    def test_load_inverts_dump(self, cfg):
-        cfg = cfg.draw(_run_configs())
+    @given(cfg=st.deferred(lambda: _run_configs()), out_dir=st.text())
+    @example(cfg=tio.RunConfig(), out_dir=" runs ")
+    @example(cfg=tio.RunConfig(), out_dir="a\nb")
+    @example(cfg=tio.RunConfig(), out_dir="runs/scan set #1; 100%")
+    def test_load_inverts_dump(self, cfg, out_dir):
+        # out_dir round-trips exactly, or DatasetConfig refuses it
+        try:
+            dataset = replace(cfg.dataset, out_dir=out_dir)
+        except InvalidSpecError:
+            assert not out_dir.isprintable() or out_dir != out_dir.strip()
+            return
+        cfg = replace(cfg, dataset=dataset)
         assert tio.loads_config(tio.dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("out_dir", [" runs ", "runs\n", "a\nb", "a\tb"])
+    def test_out_dir_that_cannot_round_trip_is_refused(self, out_dir):
+        with pytest.raises(InvalidSpecError, match="out_dir"):
+            tio.DatasetConfig(out_dir=out_dir)
+        # loading strips the value; what is left inside is still checked
+        if not out_dir.strip().isprintable():
+            with pytest.raises(ConfigRangeError,
+                               match=r"^\[dataset\] out_dir"):
+                tio.loads_config("", overrides={"dataset.out_dir": out_dir})
 
     def test_full_round_trip_idempotent(self, tmp_path):
         text = """
@@ -318,8 +340,7 @@ def _bounds_pair(lo_strategy, hi_strategy):
 
 @st.composite
 def _run_configs(draw):
-    """Valid RunConfigs with finite values; ``out_dir`` has no line breaks
-    and no surrounding whitespace (the parser strips values)."""
+    """Valid RunConfigs with finite values and an empty ``out_dir``."""
     pos = st.floats(1e-6, 1e6)
     real = st.floats(-1e6, 1e6)
     seed = st.integers(0, 2**63 - 1)
@@ -357,9 +378,7 @@ def _run_configs(draw):
         draw(st.floats(0.0, 1.0, exclude_min=True)), draw(pos), draw(pos),
         draw(st.integers(0, 10**6)),
         draw(st.sampled_from(["full", "without_fine", "without_coarse"])))
-    out_dir = draw(st.text(st.characters(blacklist_categories=("Cs",),
-                                         blacklist_characters="\r\n")))
-    dataset = tio.DatasetConfig(out_dir.strip(), draw(st.integers(1, 10**6)),
+    dataset = tio.DatasetConfig("", draw(st.integers(1, 10**6)),
                                 draw(seed), draw(st.integers(1, 64)),
                                 draw(vec(3)))
     return tio.RunConfig(sensor, scene, pipeline, dataset)

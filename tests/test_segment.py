@@ -16,6 +16,7 @@ from helpers import (
     covariance_loop,
     eigvals_via_roots,
     lattice,
+    normals_one_pass,
     ransac_plane_reference,
     region_grow_sequential,
     region_grow_waves,
@@ -830,3 +831,115 @@ class TestStageCache:
         segment.run_pipeline(_reduced_scan(1), CFG, cache)
         with pytest.raises(ValueError):
             segment.run_pipeline(_reduced_scan(1), CFG, cache)
+
+
+# block sizes of the row-block kernels: odd and small, so that every kernel
+# runs many blocks and a short tail block
+_SMALL_BLOCKS = {(geom, "_NORMALS_BLOCK"): 7, (segment, "_EDGE_BLOCK"): 13,
+                 (segment, "_SCORE_HYPOTHESES"): 7,
+                 (segment, "_SCORE_POINTS"): 13}
+_SHIPPED_BLOCKS = {site: getattr(*site) for site in _SMALL_BLOCKS}
+
+
+_ALL_SETTINGS = ((1, False), (2, False), (1, True), (2, True))
+
+
+def thread_settings(monkeypatch, settings=_ALL_SETTINGS):
+    """Yield each (workers, small) of ``settings`` after forcing
+    ``geom.query_workers()`` to ``workers`` and the kernels' block sizes to
+    ``_SMALL_BLOCKS`` (small) or the shipped ones. Checks that one worker
+    starts no thread pool and that two workers in small blocks do, so the
+    threaded path runs on a one-CPU machine too."""
+    pools = []
+
+    class CountingPool(geom.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "ThreadPoolExecutor", CountingPool)
+    for workers, small in settings:
+        monkeypatch.setattr(geom, "_query_workers", workers)
+        for site, size in _SMALL_BLOCKS.items():
+            monkeypatch.setattr(*site,
+                                size if small else _SHIPPED_BLOCKS[site])
+        pools.clear()
+        yield workers, small
+        if workers == 1:
+            assert not pools
+        elif small:
+            assert pools and all(args == (2,) for args in pools)
+
+
+def edge_tables_one_pass(normals, knn_idx, cos_thr, pos):
+    """``segment._edge_tables`` over the whole table at once."""
+    nx, ny, nz = normals[:, 0], normals[:, 1], normals[:, 2]
+    dot = nx[knn_idx] * nx[:, None] + ny[knn_idx] * ny[:, None] \
+        + nz[knn_idx] * nz[:, None]
+    ok = dot >= cos_thr
+    return ok, (ok & (pos[knn_idx] > pos[:, None])).any(axis=1)
+
+
+class TestThreadedBlocks:
+    """The row-block kernels give the same bits on one thread and on two,
+    in shipped and in small blocks, as the one-pass references."""
+
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_normals(self, monkeypatch, grow_inputs, scan):
+        pts, _, _, _, knn_idx = grow_inputs(scan, "whole")
+        want = normals_one_pass(pts, knn_idx, (0.0, 0.0, 0.0))
+        for setting in thread_settings(monkeypatch):
+            got = geom.normals_from_neighbors(pts, knn_idx, (0.0, 0.0, 0.0))
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), setting
+
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_edge_tables_and_region_grow(self, monkeypatch, grow_inputs,
+                                         scan):
+        points, idx, normals, curv, knn_idx = grow_inputs(scan, "coarse")
+        cos_thr = np.cos(np.deg2rad(CFG.rg_angle_threshold_deg))
+        pos = np.empty(len(idx), dtype=np.intp)
+        pos[np.argsort(curv, kind="stable")] = np.arange(len(idx))
+        want_tables = edge_tables_one_pass(normals, knn_idx, cos_thr, pos)
+        want = region_grow_waves(points, idx, normals, curv, CFG, knn_idx)
+        for setting in thread_settings(monkeypatch):
+            got = segment._edge_tables(normals, knn_idx, cos_thr, pos)
+            for a, b in zip(got, want_tables):
+                assert np.array_equal(a, b), setting
+            got = segment.region_grow(points, idx, normals, curv, CFG,
+                                      knn_idx)
+            assert len(got) == len(want) >= 2
+            for a, b in zip(got, want):
+                assert_same_cluster(a, b)
+
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_ransac(self, monkeypatch, shipped_cloud, scan):
+        voxel = geom.voxel_downsample(shipped_cloud(scan), CFG.voxel_leaf)
+        want = ransac_plane_reference(voxel.points, CFG.ransac_threshold,
+                                      CFG.ransac_iterations, CFG.ransac_seed)
+        for setting in thread_settings(monkeypatch):
+            plane, inliers, counts = ransac_with_counts(
+                monkeypatch, voxel.points, CFG.ransac_threshold,
+                CFG.ransac_iterations, CFG.ransac_seed)
+            assert np.array_equal(counts, want[2]), setting
+            assert plane.normal.tobytes() == want[0].normal.tobytes()
+            assert plane.d == want[0].d
+            assert np.array_equal(inliers, want[1])
+
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_seven_modes_through_one_cache(self, monkeypatch, shipped_cloud,
+                                           scan):
+        # serial small blocks are left to the kernel tests above
+        cloud = shipped_cloud(scan)
+        digests = {}
+        for setting in thread_settings(monkeypatch,
+                                       ((1, False), (2, False), (2, True))):
+            cache = segment.StageCache()
+            digests[setting] = {
+                mode: output_digest(segment.run_pipeline(
+                    cloud, replace(CFG, stage_mode=stage, eigen_mode=eigen),
+                    cache))
+                for mode, (stage, eigen) in cli.MODES.items()}
+        want = digests.pop((1, False))
+        for setting, got in digests.items():
+            assert got == want, setting
