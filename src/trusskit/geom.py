@@ -19,8 +19,9 @@ Full eigen-decompositions (cluster statistics) go through one stacked path,
 stack. ``eigen_sym3`` and ``pca_stats`` are that path on a stack of one.
 
 kd-tree queries, and the row-block kernels of ``run_row_blocks`` (the
-normals here, the edge table and RANSAC scoring in ``segment``), run on
-every CPU this process may run on (``query_workers``). Each row's
+normals' covariances here, the edge table and RANSAC scoring in
+``segment``), run on every CPU this process may run on
+(``query_workers``); the calling thread takes blocks too. Each row's
 arithmetic is the same on any number of threads, so results are bit
 identical. A worker process of a ``--jobs`` pool calls
 ``single_threaded_queries``, so it runs every block inline and the workers
@@ -269,23 +270,34 @@ def single_threaded_queries() -> None:
 def run_row_blocks(n: int, block: int, job) -> None:
     """Call ``job(rows)`` once per slice ``rows`` of the disjoint blocks
     ``[lo, lo + block)`` that cover ``range(n)``, on ``query_workers()``
-    threads.
+    threads: the calling thread and ``query_workers() - 1`` helpers take
+    the blocks in order from one shared list.
 
     Each job writes only its own rows of outputs the caller preallocated,
     so no lock is needed and no row depends on the blocking or on the
     thread count. With one worker or one block the jobs run inline, in
-    order. The threads end with the call, so a process forked after it
-    inherits none. A job's exception is raised here.
+    order. The calling thread works until no block is left, so it waits
+    only for the blocks the helpers still hold. The helpers end with the
+    call, so a process forked after it inherits none. A job's exception is
+    raised here.
     """
-    blocks = [slice(lo, min(lo + block, n)) for lo in range(0, n, block)]
-    workers = min(query_workers(), len(blocks))
-    if workers <= 1:
+    # a list iterator hands each block out once: next() holds the GIL
+    blocks = iter([slice(lo, min(lo + block, n))
+                   for lo in range(0, n, block)])
+
+    def drain():
         for rows in blocks:
             job(rows)
+
+    helpers = min(query_workers(), -(-n // block)) - 1
+    if helpers <= 0:
+        drain()
         return
-    with ThreadPoolExecutor(workers) as pool:
-        # list() reads every result: a failed job raises in this thread
-        list(pool.map(job, blocks))
+    with ThreadPoolExecutor(helpers) as pool:
+        running = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for f in running:
+            f.result()
 
 
 def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,19 +358,15 @@ def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, v0
 
 
-def _block_normals(points: np.ndarray, neighbor_idx: np.ndarray,
-                   rows: slice, viewpoint: np.ndarray):
-    """Normals and curvature of the neighbourhoods ``neighbor_idx[rows]``
-    of ``points[rows]`` (see ``normals_from_neighbors``)."""
-    nbr = neighbor_idx[rows]
-    neigh = points[nbr]                               # (b, k, 3)
-    mu = neigh.mean(axis=1, keepdims=True)
-    X = neigh - mu
-    cov = np.matmul(X.transpose(0, 2, 1), X) / nbr.shape[1]
+def _oriented_normals(cov: np.ndarray, points: np.ndarray,
+                      viewpoint: np.ndarray):
+    """Normals, flipped toward ``viewpoint``, and curvature of the
+    neighbourhood covariances ``cov`` of ``points`` (see
+    ``normals_from_neighbors``)."""
     lam, normals = eigh3_smallest(cov)
     nrm = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = normals / np.maximum(nrm, 1e-300)
-    to_view = viewpoint - points[rows]
+    to_view = viewpoint - points
     flip = np.einsum("ij,ij->i", normals, to_view) < 0.0
     normals[flip] *= -1.0
     lam0 = np.maximum(lam[:, 0], 0.0)
@@ -394,20 +402,30 @@ def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
     its trace (all duplicates, collinear points) gets ``np.linalg.eigh``'s
     normal and eigenvalues exactly.
 
-    Neighbourhoods are handled in blocks of ``_NORMALS_BLOCK`` rows on
-    ``query_workers()`` threads (``run_row_blocks``); every row's
-    arithmetic is that of a single whole-cloud pass, bit for bit.
+    The covariances are made in blocks of ``_NORMALS_BLOCK`` rows on
+    ``query_workers()`` threads (``run_row_blocks``): a few large array
+    operations per block, which run without the GIL. The eigen-analysis,
+    dozens of small operations per block, then runs block by block on the
+    calling thread, so the threads do not pass the GIL back and forth.
+    Every row's arithmetic is that of a single whole-cloud pass, bit for
+    bit.
     """
-    n = len(points)
+    n, k = len(points), neighbor_idx.shape[1]
     view = np.asarray(viewpoint, dtype=np.float64)
+    cov = np.empty((n, 3, 3))
+
+    def covariances(rows):
+        neigh = points[neighbor_idx[rows]]            # (b, k, 3)
+        X = neigh - neigh.mean(axis=1, keepdims=True)
+        cov[rows] = np.matmul(X.transpose(0, 2, 1), X) / k
+
+    run_row_blocks(n, _NORMALS_BLOCK, covariances)
     normals = np.empty((n, 3))
     curvature = np.empty(n)
-
-    def job(rows):
-        normals[rows], curvature[rows] = _block_normals(points, neighbor_idx,
-                                                        rows, view)
-
-    run_row_blocks(n, _NORMALS_BLOCK, job)
+    for lo in range(0, n, _NORMALS_BLOCK):
+        rows = slice(lo, lo + _NORMALS_BLOCK)
+        normals[rows], curvature[rows] = _oriented_normals(cov[rows],
+                                                           points[rows], view)
     return normals, curvature
 
 

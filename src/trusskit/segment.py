@@ -11,8 +11,8 @@ hypotheses. The density filter marks every point of a grid cell that holds
 more than density_min_points points as dense and queries the kd-tree only
 for the rest. Neither shortcut changes a prediction.
 
-The RANSAC hypothesis blocks, the normals and region growing's edge table
-run their row blocks on ``geom.query_workers()`` threads
+The RANSAC hypothesis blocks, the normals' covariances and region
+growing's edge table run their row blocks on ``geom.query_workers()`` threads
 (``geom.run_row_blocks``); no row's arithmetic depends on the thread count,
 so predictions are bit identical on any number of cores. Every function the
 benchmark tracer wraps by name (``ransac_plane``, ``_normals_for``,

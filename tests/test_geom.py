@@ -98,7 +98,8 @@ class TestRunRowBlocks:
         threads = set()
         geom.run_row_blocks(64, 8, lambda rows: threads.add(
             threading.current_thread()))
-        assert threading.current_thread() not in threads
+        # the calling thread and at most one helper ran blocks
+        assert len(threads - {threading.current_thread()}) <= 1
         assert set(threading.enumerate()) == before
 
     def test_job_error_is_raised(self, monkeypatch):
@@ -385,15 +386,17 @@ class TestNormalsMemory:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_bounded_by_the_block(self, monkeypatch, workers):
         # the (b, k, 3) gather, its centred copy and the eigensolver's
-        # temporaries of one block per thread, plus the outputs; a whole-
-        # cloud (n, k, 3) temporary alone would exceed the bound
+        # temporaries of one block per thread, plus the outputs and the
+        # (n, 3, 3) covariances; a whole-cloud (n, k, 3) temporary alone
+        # would exceed the bound
         monkeypatch.setattr(geom, "_query_workers", workers)
         rng = np.random.default_rng(0)
         n, k = 40_000, 30
         pts = np.column_stack([rng.uniform(-20, 20, (n, 2)),
                                rng.normal(0, 0.01, n)])
         idx = geom.knn_table(pts, k)
-        bound = n * 4 * 8 + workers * 3 * geom._NORMALS_BLOCK * k * 3 * 8
+        bound = n * (4 + 9) * 8 \
+            + workers * 3 * geom._NORMALS_BLOCK * k * 3 * 8
         assert bound < n * k * 3 * 8
         tracemalloc.start()
         try:
