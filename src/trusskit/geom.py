@@ -388,8 +388,14 @@ def knn_table(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
-                           viewpoint) -> tuple[np.ndarray, np.ndarray]:
+                           viewpoint, rows: Optional[np.ndarray] = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Normals and curvature given precomputed neighbour indices.
+
+    Row i of ``neighbor_idx`` holds the neighbours of ``points[i]``, or of
+    ``points[rows[i]]`` when ``rows`` is given: then only those points'
+    normals and curvature are made, each equal to its row of the call over
+    every point.
 
     The smallest-eigenvalue eigenvector of each neighbourhood covariance is
     the normal, flipped to point toward ``viewpoint``. Curvature is
@@ -410,22 +416,23 @@ def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
     Every row's arithmetic is that of a single whole-cloud pass, bit for
     bit.
     """
-    n, k = len(points), neighbor_idx.shape[1]
+    n, k = neighbor_idx.shape
+    centres = points if rows is None else points[rows]
     view = np.asarray(viewpoint, dtype=np.float64)
     cov = np.empty((n, 3, 3))
 
-    def covariances(rows):
-        neigh = points[neighbor_idx[rows]]            # (b, k, 3)
+    def covariances(block):
+        neigh = points[neighbor_idx[block]]           # (b, k, 3)
         X = neigh - neigh.mean(axis=1, keepdims=True)
-        cov[rows] = np.matmul(X.transpose(0, 2, 1), X) / k
+        cov[block] = np.matmul(X.transpose(0, 2, 1), X) / k
 
     run_row_blocks(n, _NORMALS_BLOCK, covariances)
     normals = np.empty((n, 3))
     curvature = np.empty(n)
     for lo in range(0, n, _NORMALS_BLOCK):
-        rows = slice(lo, lo + _NORMALS_BLOCK)
-        normals[rows], curvature[rows] = _oriented_normals(cov[rows],
-                                                           points[rows], view)
+        block = slice(lo, lo + _NORMALS_BLOCK)
+        normals[block], curvature[block] = _oriented_normals(
+            cov[block], centres[block], view)
     return normals, curvature
 
 

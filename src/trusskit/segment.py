@@ -9,7 +9,11 @@ density filter finally demotes sparse structure points.
 RANSAC scores its hypotheses in cache-sized blocks of voxels and
 hypotheses. The density filter marks every point of a grid cell that holds
 more than density_min_points points as dense and queries the kd-tree only
-for the rest. Neither shortcut changes a prediction.
+for the rest. Calls that share a ``StageCache`` (the seven variants of a
+sweep) make one whole-cloud (k+1)-nearest query: it gives the whole-cloud
+neighbour table, most coarse-ground rows and their normals, and every
+point's density verdict (``_normals_for``). None of these shortcuts
+changes a prediction.
 
 The RANSAC hypothesis blocks, the normals' covariances and region
 growing's edge table run their row blocks on ``geom.query_workers()`` threads
@@ -53,6 +57,12 @@ _MIN_GROUND_INLIER_FRACTION = 0.05
 
 # latency_ms keys of run_pipeline, in stage order; skipped stages report 0.0
 _STAGES = ("coarse", "normals", "region_growing", "density")
+
+# run_pipeline's subset key of the whole cloud (the without_coarse variants)
+_WHOLE_CLOUD = ("cloud",)
+
+# scans are stored in the sensor frame: normals are flipped toward the origin
+_VIEWPOINT = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -143,24 +153,35 @@ class StageCache:
 
     Each result is stored under a key naming the stage and every config
     field the stage reads, so calls whose configs agree on those fields
-    (the seven sweep variants, say) compute it once. The cache belongs to
-    the points of its first lookup; the cloud must not change while the
-    cache is in use.
+    (the seven sweep variants, say) compute it once. A stage may also read
+    another's result without computing it (``lookup``): the coarse-ground
+    normals reuse the whole cloud's when a without_coarse call came first,
+    and the whole-cloud query fills in the density verdicts. The cache
+    belongs to the points of its first use; the cloud must not change
+    while the cache is in use.
     """
 
     def __init__(self):
         self._points = None
         self._results: dict = {}
 
-    def get(self, points: np.ndarray, key: tuple, compute):
-        """The result stored under ``key``, from ``compute()`` on a miss."""
+    def _check(self, points: np.ndarray) -> None:
         if self._points is None:
             self._points = points
         elif points is not self._points:
             raise ValueError("this stage cache holds another cloud's stages")
+
+    def get(self, points: np.ndarray, key: tuple, compute):
+        """The result stored under ``key``, from ``compute()`` on a miss."""
+        self._check(points)
         if key not in self._results:
             self._results[key] = compute()
         return self._results[key]
+
+    def lookup(self, points: np.ndarray, key: tuple):
+        """The result stored under ``key``, or None when there is none."""
+        self._check(points)
+        return self._results.get(key)
 
 
 @dataclass
@@ -463,6 +484,20 @@ def _dense_cells(points: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     return verdict
 
 
+def _kdtree(points: np.ndarray, cache: StageCache):
+    """The cache's kd-tree of the whole cloud, shared by its queries."""
+    # scipy.spatial takes ~0.35 s to import; only kd-tree users pay for it
+    from scipy.spatial import cKDTree
+    return cache.get(points, ("kdtree",), lambda: cKDTree(points))
+
+
+def _density_key(cfg: PipelineConfig) -> tuple:
+    """Cache key of the density verdicts, per point of the cloud: 0 not yet
+    judged, 1 dense, 2 sparse. A point's verdict does not depend on which
+    other points are queried with it."""
+    return ("density", cfg.density_radius, cfg.density_min_points)
+
+
 def density_filter(points: np.ndarray, structure_mask: np.ndarray,
                    cfg: PipelineConfig,
                    cache: Optional[StageCache] = None) -> np.ndarray:
@@ -477,6 +512,9 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     a ``cache`` of ``points``, the kd-tree and each point's verdict per
     (density_radius, density_min_points) are kept, so a later call queries
     only the structure points no earlier call or dense cell has judged.
+    Once the whole-cloud normals of a cache are made, every point is
+    judged (``_whole_cloud_neighbours``): a sweep then makes no query and
+    no grid here.
     """
     mask = np.asarray(structure_mask, dtype=bool).copy()
     idx = np.flatnonzero(mask)
@@ -490,29 +528,132 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
         mask[idx] = False
         return mask
     cache = StageCache() if cache is None else cache
-    # per point: 0 not yet judged, 1 dense, 2 sparse. A point's verdict
-    # does not depend on which other points are queried with it.
-    verdict = cache.get(points, ("density", cfg.density_radius,
-                                 cfg.density_min_points),
+    verdict = cache.get(points, _density_key(cfg),
                         lambda: _dense_cells(points, cfg))
     todo = idx[verdict[idx] == 0]
     if len(todo):
-        from scipy.spatial import cKDTree   # deferred, as in geom.knn_table
-        tree = cache.get(points, ("kdtree",), lambda: cKDTree(points))
         bound = np.nextafter(cfg.density_radius, np.inf)
-        dist, _ = tree.query(points[todo], k=k, distance_upper_bound=bound,
-                             workers=query_workers())
+        dist, _ = _kdtree(points, cache).query(
+            points[todo], k=k, distance_upper_bound=bound,
+            workers=query_workers())
         verdict[todo] = np.where(dist[:, -1] <= cfg.density_radius, 1, 2)
     mask[idx[verdict[idx] == 2]] = False
     return mask
 
 
-def _normals_for(points, subset, cfg, viewpoint=(0.0, 0.0, 0.0)):
-    """Subset normals/curvature plus the subset-local knn table (reused by
-    region growing)."""
+# rows per block of the whole-cloud (k+1)-nearest query: each block's
+# (b, k + 1) distances are judged and dropped, so no (n, k + 1) float
+# table is ever held
+_QUERY_BLOCK = 4096
+
+
+def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig,
+                            cache: StageCache):
+    """The whole cloud's (n, k) neighbour table and per row whether it is
+    tie-free, from one (k+1)-nearest query per point on the cache's
+    kd-tree; k is normal_k and the cloud has more than k points.
+
+    A row is tie-free when its k + 1 distances strictly increase. Then its
+    first k columns are the k-nearest query's row, in the same order. A
+    row with a tie (duplicate points, a lattice) is queried again for k
+    neighbours on the same tree, so the table equals ``geom.knn_table``
+    row for row. When density_min_points is at most k, column
+    density_min_points of the distances is each point's (m+1)-th nearest
+    distance, the density filter's own test: every point's verdict is
+    stored for ``density_filter``.
+
+    The query runs in blocks of ``_QUERY_BLOCK`` rows on
+    ``query_workers()`` threads (``geom.run_row_blocks``).
+    """
+    n, k, m = len(points), cfg.normal_k, cfg.density_min_points
+    tree = _kdtree(points, cache)
+    table = np.empty((n, k), dtype=np.intp)
+    tie_free = np.empty(n, dtype=bool)
+    verdict = None
+    if 0 < m <= k:
+        verdict = cache.get(points, _density_key(cfg),
+                            lambda: np.zeros(n, dtype=np.int8))
+
+    def query(rows):
+        dist, idx = tree.query(points[rows], k=k + 1, workers=1)
+        table[rows] = idx[:, :k]
+        (dist[:, 1:] > dist[:, :-1]).all(axis=1, out=tie_free[rows])
+        if verdict is not None:
+            verdict[rows] = np.where(dist[:, m] <= cfg.density_radius, 1, 2)
+
+    run_row_blocks(n, _QUERY_BLOCK, query)
+    ties = np.flatnonzero(~tie_free)
+    if len(ties):
+        table[ties] = tree.query(points[ties], k=k,
+                                 workers=query_workers())[1]
+    return table, tie_free
+
+
+def _subset_from_whole(points: np.ndarray, subset: np.ndarray, k: int,
+                       whole_idx: np.ndarray, tie_free: np.ndarray,
+                       whole_normals: np.ndarray, whole_curv: np.ndarray):
+    """The subset's normals, curvature and subset-local k-nearest table,
+    equal to the direct subset query's (``geom.knn_table``), from the
+    whole cloud's; the subset has at least k points.
+
+    A point whose whole-cloud row is tie-free and holds only subset points
+    has those points as its k nearest in the subset too, in the same
+    order: every other subset point lies at least as far as its (k+1)-th
+    whole-cloud neighbour, strictly beyond the k-th. Its row is the mapped
+    whole-cloud row, and its normal and curvature, made from the same
+    coordinates in the same order, are copied. The other rows are queried
+    on a kd-tree of the subset and get their normals made alone.
+    """
+    local = np.full(len(points), -1, dtype=np.intp)
+    local[subset] = np.arange(len(subset))
+    knn_idx = local[whole_idx[subset]]
+    redo = np.flatnonzero(~(tie_free[subset] & (knn_idx >= 0).all(axis=1)))
+    normals, curv = whole_normals[subset], whole_curv[subset]
+    if len(redo):
+        from scipy.spatial import cKDTree   # deferred, as in _kdtree
+        sub_pts = points[subset]
+        knn_idx[redo] = cKDTree(sub_pts).query(
+            sub_pts[redo], k=k, workers=query_workers())[1]
+        normals[redo], curv[redo] = normals_from_neighbors(
+            sub_pts, knn_idx[redo], _VIEWPOINT, rows=redo)
+    return normals, curv, knn_idx
+
+
+def _normals_for(points, subset, cfg, cache=None):
+    """Normals and curvature of the points ``subset`` (sorted distinct
+    indices) plus their subset-local k-nearest table (reused by region
+    growing), k = normal_k; the normals face the sensor at the origin.
+
+    Every path gives the direct query's result (``geom.knn_table`` on the
+    subset's points) bit for bit. With a ``cache``:
+
+    - the whole cloud takes its table from one (k+1)-nearest query on the
+      cache's kd-tree, which also judges every point's density
+      (``_whole_cloud_neighbours``);
+    - a smaller subset, once the whole cloud's normals of the same k are
+      cached, reuses each whole-cloud row that lies inside it
+      (``_subset_from_whole``).
+
+    Any other call queries a kd-tree of the subset, so a lone mode-H run
+    makes no whole-cloud query.
+    """
+    k = cfg.normal_k
+    if cache is not None and len(subset) == len(points) > k:
+        knn_idx, _ = cache.get(
+            points, ("neighbours", k),
+            lambda: _whole_cloud_neighbours(points, cfg, cache))
+        normals, curv = normals_from_neighbors(points, knn_idx, _VIEWPOINT)
+        return normals, curv, knn_idx
+    if cache is not None and len(subset) >= k:
+        shared = cache.lookup(points, ("neighbours", k))
+        whole = cache.lookup(points, ("normals", _WHOLE_CLOUD, k))
+        if shared is not None and whole is not None:
+            whole_normals, whole_curv, whole_idx = whole
+            return _subset_from_whole(points, subset, k, whole_idx, shared[1],
+                                      whole_normals, whole_curv)
     sub_pts = points[subset]
-    knn_idx = knn_table(sub_pts, cfg.normal_k)
-    normals, curv = normals_from_neighbors(sub_pts, knn_idx, viewpoint)
+    knn_idx = knn_table(sub_pts, k)
+    normals, curv = normals_from_neighbors(sub_pts, knn_idx, _VIEWPOINT)
     return normals, curv, knn_idx
 
 
@@ -562,14 +703,15 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig,
                 warnings.append(cs.warning)
             mask[cs.structure] = True
     else:
-        subset_key = ("cloud",)
+        subset_key = _WHOLE_CLOUD
         coarse_ground = np.arange(n, dtype=np.intp)
 
     if cfg.stage_mode in (FULL, WITHOUT_COARSE) and len(coarse_ground) >= 3:
         normals_key = ("normals", subset_key, cfg.normal_k)
         with _timed(latency, "normals"):
             normals, curv, knn_idx = cache.get(
-                pts, normals_key, lambda: _normals_for(pts, coarse_ground, cfg))
+                pts, normals_key,
+                lambda: _normals_for(pts, coarse_ground, cfg, cache))
         with _timed(latency, "region_growing"):
             grown = cache.get(
                 pts, ("region_grow", normals_key, cfg.rg_angle_threshold_deg,

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from trusskit import cli, geom, segment
 from trusskit import io as tio
+from trusskit import metrics as tmetrics
 from trusskit.geom import LabeledCloud
+from test_acceptance import _reduced_scan
 from test_segment import thread_settings
 
 TINY = ["--set", "sensor.v_resolution=8", "--set", "sensor.h_resolution=32"]
@@ -263,6 +265,33 @@ class TestSweep:
         assert preds["1"] == preds["2"]
         assert miou["1"] == miou["2"]
 
+    def test_segment_one_keeps_variant_order(self, tmp_path):
+        # the without_coarse variants run first inside, but each record,
+        # prediction and latency file is that of its own variant
+        cloud = _reduced_scan(2)
+        path = tmp_path / "scan.pcd"
+        tio.write_pcd(cloud, path)
+        cloud = tio.read_pcd(path)
+        variants = [(tmp_path / mode, cli._mode_config(
+            segment.PipelineConfig(), mode)) for mode in cli.MODES]
+        for out_dir, _ in variants:
+            out_dir.mkdir()
+        records = cli._segment_one(
+            (str(path), [(str(d), cfg) for d, cfg in variants]))
+        assert len(records) == len(variants)
+        for (out_dir, cfg), rec in zip(variants, records):
+            alone = segment.run_pipeline(cloud, cfg)
+            assert rec.error is None and rec.file == path.name
+            assert rec.cm == tmetrics.confusion(alone.prediction,
+                                                cloud.truss_mask)
+            _, arrays = tio.read_pcd_arrays(out_dir / path.name)
+            assert np.array_equal(arrays["pred"] > 0.5, alone.prediction)
+            latency = json.loads(
+                (out_dir / "scan.latency.json").read_text())
+            assert sorted(latency) == ["stages_ms", "total_ms", "warnings"]
+            assert sorted(latency["stages_ms"]) == sorted(alone.latency_ms)
+            assert latency["warnings"] == alone.warnings
+
     def test_pool_workers_query_on_one_thread(self):
         # --jobs N workers share the cores: one kd-tree thread each
         with cli._segment_pool(2) as pool:
@@ -399,7 +428,8 @@ class TestThreshold:
         rc = cli.main(["threshold", "--scores", str(path)])
         assert rc == 1
 
-    @pytest.mark.parametrize("bad_row", ["abc,0", "0.5", "0.1,0.7", "0.2,2"])
+    @pytest.mark.parametrize("bad_row", ["abc,0", "0.5", "0.1,0.7", "0.2,2",
+                                         "nan,1", "inf,0", "-inf,1"])
     def test_malformed_row_names_file_and_line(self, tmp_path, capsys,
                                                bad_row):
         path = tmp_path / "scores.csv"

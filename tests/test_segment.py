@@ -780,10 +780,31 @@ def output_digest(out):
                          for c in out.clusters]}
 
 
+def sweep_order(order):
+    """The seven variants of ``cli.MODES`` in their own order ("modes") or
+    as a sweep runs them, the without_coarse ones first ("wc_first")."""
+    modes = list(cli.MODES)
+    if order == "wc_first":
+        modes.sort(key=lambda m: cli.MODES[m][0] != segment.WITHOUT_COARSE)
+    return modes
+
+
+SWEEP_SCANS = ["seed1", "seed2", "seed3", "ground_not_found", "tiny_ground"]
+
+
 class TestStageCache:
-    @pytest.mark.parametrize("scan", ["seed1", "seed2", "seed3",
-                                      "ground_not_found", "tiny_ground"])
+    @pytest.mark.parametrize("scan", SWEEP_SCANS)
     def test_shared_sweep_equals_independent_runs(self, scan):
+        self.check_shared_sweep(scan, "modes")
+
+    @pytest.mark.parametrize("scan", SWEEP_SCANS)
+    def test_sweep_order_equals_independent_runs(self, scan):
+        self.check_shared_sweep(scan, "wc_first")
+
+    @staticmethod
+    def check_shared_sweep(scan, order):
+        """The seven variants of ``scan`` through one cache, in ``order``
+        (``sweep_order``), each equal to an independent run."""
         if scan == "ground_not_found":
             rng = np.random.default_rng(13)
             cloud, base = LabeledCloud(rng.uniform(-50, 50, (2000, 3))), CFG
@@ -793,7 +814,8 @@ class TestStageCache:
             cloud, base = _reduced_scan(int(scan[-1])), CFG
         cache = segment.StageCache()
         shared = {}
-        for mode, (stage, eigen) in cli.MODES.items():
+        for mode in sweep_order(order):
+            stage, eigen = cli.MODES[mode]
             cfg = replace(base, stage_mode=stage, eigen_mode=eigen)
             shared[mode] = segment.run_pipeline(cloud, cfg, cache)
             fresh = segment.run_pipeline(cloud, cfg)
@@ -831,13 +853,210 @@ class TestStageCache:
         segment.run_pipeline(_reduced_scan(1), CFG, cache)
         with pytest.raises(ValueError):
             segment.run_pipeline(_reduced_scan(1), CFG, cache)
+        with pytest.raises(ValueError):
+            cache.lookup(_reduced_scan(1).points, ("kdtree",))
+
+    def test_lookup_computes_nothing(self):
+        cloud = _reduced_scan(1)
+        cache = segment.StageCache()
+        assert cache.lookup(cloud.points, ("kdtree",)) is None
+        segment.run_pipeline(cloud, CFG, cache)
+        # mode H alone makes no whole-cloud query
+        assert cache.lookup(cloud.points, ("neighbours", CFG.normal_k)) \
+            is None
+        assert cache.lookup(cloud.points, ("kdtree",)) is not None
+
+
+WC = replace(CFG, stage_mode=segment.WITHOUT_COARSE)
+
+
+def whole_cloud_cache(cloud, cfg=WC):
+    """A stage cache of ``cloud`` after one run of the without_coarse
+    ``cfg``, as a sweep's first variant leaves it."""
+    cache = segment.StageCache()
+    segment.run_pipeline(cloud, cfg, cache)
+    return cache
+
+
+def assert_same_normals(got, want):
+    """Two ``_normals_for`` results equal element for element, dtypes too."""
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def normals_rows(monkeypatch):
+    """Patch ``segment.normals_from_neighbors`` to record the rows of each
+    call; returns the list of counts."""
+    counts = []
+    inner = segment.normals_from_neighbors
+
+    def counting(points, neighbor_idx, viewpoint, rows=None):
+        counts.append(len(neighbor_idx))
+        return inner(points, neighbor_idx, viewpoint, rows=rows)
+
+    monkeypatch.setattr(segment, "normals_from_neighbors", counting)
+    return counts
+
+
+def strictly_increasing_rows(points, k):
+    """Per point, whether its k + 1 nearest distances strictly increase."""
+    from scipy.spatial import cKDTree
+    dist, _ = cKDTree(points).query(points, k=k + 1)
+    return (np.diff(dist, axis=1) > 0).all(axis=1)
+
+
+class TestSharedNeighbourhoods:
+    """The whole-cloud (k+1)-nearest query of a sweep gives the neighbour
+    tables, normals and density verdicts of the direct queries, bit for
+    bit."""
+
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_subsets_equal_direct_query(self, shipped_cloud, scan):
+        cloud = shipped_cloud(scan)
+        pts = cloud.points
+        cache = whole_cloud_cache(cloud)
+        rng = np.random.default_rng(7)
+        subsets = {
+            "coarse": segment.coarse_split(cloud, CFG).ground,
+            "random": np.flatnonzero(rng.random(len(pts)) < 0.5),
+            "half_space": np.flatnonzero(pts[:, 0] < np.median(pts[:, 0])),
+            "normal_k": np.sort(rng.choice(len(pts), CFG.normal_k,
+                                           replace=False)),
+        }
+        for name, subset in subsets.items():
+            assert len(subset) >= CFG.normal_k, name
+            assert_same_normals(
+                segment._normals_for(pts, subset, CFG, cache),
+                segment._normals_for(pts, subset, CFG))
+
+    def test_whole_cloud_equals_direct_query(self, shipped_cloud):
+        cloud = shipped_cloud("ortho")
+        whole = np.arange(len(cloud))
+        cache = segment.StageCache()
+        assert_same_normals(
+            segment._normals_for(cloud.points, whole, CFG, cache),
+            segment._normals_for(cloud.points, whole, CFG))
+        assert cache.lookup(cloud.points, ("neighbours", CFG.normal_k)) \
+            is not None
+
+    def test_shipped_ortho_reuses_most_ground_rows(self, monkeypatch,
+                                                   shipped_cloud):
+        # guards the fast path: the coarse ground's rows come from the
+        # whole-cloud table, only the boundary is queried and made again
+        cloud = shipped_cloud("ortho")
+        cache = whole_cloud_cache(cloud)
+        ground = segment.coarse_split(cloud, CFG).ground
+        counts = normals_rows(monkeypatch)
+        segment._normals_for(cloud.points, ground, CFG, cache)
+        assert len(counts) <= 1
+        assert 1 - sum(counts) / len(ground) >= 0.85
+
+    @pytest.mark.parametrize("cloud_kind", ["lattice", "duplicates"])
+    def test_tied_rows_take_the_fallback(self, monkeypatch, cloud_kind):
+        rng = np.random.default_rng(11)
+        if cloud_kind == "lattice":
+            pts = lattice(9, 0.25)
+        else:
+            pts = rng.uniform(0.0, 3.0, (1500, 3))
+            pts = np.vstack([pts, pts[rng.choice(1500, 300, replace=False)]])
+        k = CFG.normal_k
+        tie_free_want = strictly_increasing_rows(pts, k)
+        assert (~tie_free_want).mean() > 0.2
+        table, tie_free = segment._whole_cloud_neighbours(
+            pts, CFG, segment.StageCache())
+        assert np.array_equal(tie_free, tie_free_want)
+        assert np.array_equal(table, geom.knn_table(pts, k))
+
+        cloud = LabeledCloud(pts)
+        cache = whole_cloud_cache(cloud)
+        subset = np.flatnonzero(pts[:, 2] <= np.median(pts[:, 2]))
+        counts = normals_rows(monkeypatch)
+        got = segment._normals_for(cloud.points, subset, CFG, cache)
+        # every tied row of the subset is queried and made again
+        assert sum(counts) >= (~tie_free_want[subset]).sum()
+        assert_same_normals(got, segment._normals_for(cloud.points, subset,
+                                                      CFG))
+
+    def test_subset_smaller_than_normal_k(self):
+        cloud = _reduced_scan(2)
+        cache = whole_cloud_cache(cloud)
+        subset = np.arange(0, 10 * (CFG.normal_k - 5), 10)
+        got = segment._normals_for(cloud.points, subset, CFG, cache)
+        assert got[2].shape == (len(subset), len(subset))
+        assert_same_normals(got, segment._normals_for(cloud.points, subset,
+                                                      CFG))
+
+    @pytest.mark.parametrize("ks", [(30, 12), (12, 30), (8, 8)])
+    def test_normal_k_differs_between_variants(self, ks):
+        cloud = _reduced_scan(3)
+        wc_k, full_k = ks
+        cache = whole_cloud_cache(cloud, replace(WC, normal_k=wc_k))
+        cfg = replace(CFG, normal_k=full_k)
+        assert output_digest(segment.run_pipeline(cloud, cfg, cache)) == \
+            output_digest(segment.run_pipeline(cloud, cfg))
+
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_density_verdicts_equal_the_query(self, monkeypatch,
+                                              shipped_cloud, scan):
+        from scipy.spatial import cKDTree
+        cloud = shipped_cloud(scan)
+        pts = cloud.points
+        cache = whole_cloud_cache(cloud)
+        m, r = CFG.density_min_points, CFG.density_radius
+        dist, _ = cKDTree(pts).query(
+            pts, k=m + 1, distance_upper_bound=np.nextafter(r, np.inf))
+        want = np.where(dist[:, -1] <= r, 1, 2)
+        verdict = cache.lookup(pts, ("density", r, m))
+        assert np.array_equal(verdict, want)
+        # every point is judged: the filter makes no grid and no query
+        monkeypatch.setattr(segment, "_dense_cells", None)
+        mask = np.random.default_rng(5).random(len(pts)) < 0.5
+        got = segment.density_filter(pts, mask, CFG, cache)
+        assert np.array_equal(got, mask & (want == 1))
+
+    def test_density_settings_past_the_table_query_as_before(self):
+        cloud = _reduced_scan(2)
+        for m in (0, CFG.normal_k, CFG.normal_k + 1):
+            cfg = replace(WC, density_min_points=m)
+            cache = segment.StageCache()
+            segment._whole_cloud_neighbours(cloud.points, cfg, cache)
+            verdict = cache.lookup(cloud.points,
+                                   ("density", cfg.density_radius, m))
+            assert (verdict is None) == (m == 0 or m > CFG.normal_k), m
+            mask = np.ones(len(cloud), dtype=bool)
+            assert np.array_equal(
+                segment.density_filter(cloud.points, mask, cfg, cache),
+                segment.density_filter(cloud.points, mask, cfg))
+
+    def test_query_peak_is_the_table_plus_blocks(self):
+        # the whole-cloud stage holds the (n, k) index table and small
+        # per-point flags; the (k+1)-nearest distances live one block at a
+        # time, never as an (n, k + 1) float table
+        import tracemalloc
+        pts = np.random.default_rng(3).uniform(0.0, 40.0, (60000, 3))
+        cache = segment.StageCache()
+        segment._kdtree(pts, cache)
+        k = CFG.normal_k
+        tracemalloc.start()
+        try:
+            table, _ = segment._whole_cloud_neighbours(pts, CFG, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        blocks = geom.query_workers() * segment._QUERY_BLOCK * (k + 1) * 16
+        flags = 2 * len(pts)
+        assert peak <= table.nbytes + flags + 2 * blocks
+        assert table.nbytes + flags + 2 * blocks \
+            < table.nbytes + len(pts) * (k + 1) * 8
 
 
 # block sizes of the row-block kernels: odd and small, so that every kernel
 # runs many blocks and a short tail block
 _SMALL_BLOCKS = {(geom, "_NORMALS_BLOCK"): 7, (segment, "_EDGE_BLOCK"): 13,
                  (segment, "_SCORE_HYPOTHESES"): 7,
-                 (segment, "_SCORE_POINTS"): 13}
+                 (segment, "_SCORE_POINTS"): 13,
+                 (segment, "_QUERY_BLOCK"): 11}
 _SHIPPED_BLOCKS = {site: getattr(*site) for site in _SMALL_BLOCKS}
 
 
@@ -936,11 +1155,12 @@ class TestThreadedBlocks:
         for setting in thread_settings(monkeypatch,
                                        ((1, False), (2, False), (2, True))):
             cache = segment.StageCache()
+            # in sweep order, so the whole-cloud query serves the others
             digests[setting] = {
                 mode: output_digest(segment.run_pipeline(
-                    cloud, replace(CFG, stage_mode=stage, eigen_mode=eigen),
-                    cache))
-                for mode, (stage, eigen) in cli.MODES.items()}
+                    cloud, replace(CFG, stage_mode=cli.MODES[mode][0],
+                                   eigen_mode=cli.MODES[mode][1]), cache))
+                for mode in sweep_order("wc_first")}
         want = digests.pop((1, False))
         for setting, got in digests.items():
             assert got == want, setting
