@@ -79,6 +79,10 @@ class MissingXyzError(TrussKitError, ValueError):
     """PCD file lacks x, y or z fields."""
 
 
+class FieldRangeError(TrussKitError, ValueError):
+    """A PCD value does not fit the type of its field."""
+
+
 # configuration
 
 class ConfigError(TrussKitError, ValueError):

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     ConfigRangeError,
     ConfigTypeError,
+    FieldRangeError,
     InvalidSpecError,
     LengthMismatchError,
     MalformedHeaderError,
@@ -281,10 +282,19 @@ def read_pcd_arrays(src: Union[str, Path, bytes]):
         flat = flat.reshape(header.points, per_point) if header.points else \
             flat.reshape(0, per_point)
         col = 0
-        for (f, d, sh), c in zip(specs, header.counts):
+        for (f, d, sh), c, t, s in zip(specs, header.counts, header.types,
+                                       header.sizes):
             chunk = flat[:, col:col + c]
             col += c
             arr = chunk[:, 0] if not sh else chunk
+            if t != "F":
+                # 0 and powers of two are exact in float64; NaN fails too
+                info = np.iinfo(d)
+                top = 2.0 ** (info.bits - (info.min < 0))
+                if not ((arr >= float(info.min)) & (arr < top)
+                        & (arr == np.trunc(arr))).all():
+                    raise FieldRangeError(
+                        f"field {f!r} holds a value that does not fit {t}{s}")
             out[f] = arr.astype(d)
     return header, out
 
@@ -294,21 +304,21 @@ def read_pcd(src: Union[str, Path, bytes]) -> LabeledCloud:
 
     Needs x, y, z fields in any order; a ``label`` field (or, failing that,
     ``intensity``) provides face labels, rounded to the nearest non-negative
-    integer. Other fields are ignored.
+    integer. Other fields are ignored. A label >= 2**63, or an ascii value
+    that does not fit its integer field's type, raises ``FieldRangeError``.
     """
     header, arrays = read_pcd_arrays(src)
     for axis in ("x", "y", "z"):
         if axis not in arrays or arrays[axis].ndim != 1:
             raise MissingXyzError(f"missing scalar field {axis!r}")
     pts = np.column_stack([arrays["x"], arrays["y"], arrays["z"]]).astype(np.float64)
-    if "label" in arrays and arrays["label"].ndim == 1:
-        raw = arrays["label"].astype(np.float64)
-    elif "intensity" in arrays and arrays["intensity"].ndim == 1:
-        raw = arrays["intensity"].astype(np.float64)
-    else:
-        raw = np.zeros(len(pts))
-    raw = np.where(np.isfinite(raw), raw, 0.0)
-    labels = np.maximum(np.rint(raw), 0.0).astype(np.int64)
+    source = next((f for f in ("label", "intensity")
+                   if f in arrays and arrays[f].ndim == 1), None)
+    raw = arrays[source].astype(np.float64) if source else np.zeros(len(pts))
+    raw = np.maximum(np.rint(np.where(np.isfinite(raw), raw, 0.0)), 0.0)
+    if raw.max(initial=0.0) >= 2.0**63:
+        raise FieldRangeError(f"field {source!r} holds a label >= 2**63")
+    labels = raw.astype(np.int64)
     vp = header.viewpoint
     pose = Pose(tuple(vp[:3]), tuple(np.asarray(vp[3:]) / np.linalg.norm(vp[3:])))
     return LabeledCloud(pts, labels, sensor_pose=pose)

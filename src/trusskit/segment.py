@@ -9,8 +9,8 @@ density filter finally demotes sparse structure points.
 RANSAC scores its hypotheses in cache-sized blocks of voxels and
 hypotheses. The density filter marks every point of a grid cell that holds
 more than density_min_points points as dense and queries the kd-tree only
-for the rest. Calls that share a ``StageCache`` (the seven variants of a
-sweep) make one whole-cloud (k+1)-nearest query: it gives the whole-cloud
+for the rest. The seven variants of a sweep share a ``StageCache`` and
+make one whole-cloud (k+1)-nearest query: it gives the whole-cloud
 neighbour table, most coarse-ground rows and their normals, and every
 point's density verdict (``_normals_for``). None of these shortcuts
 changes a prediction.
@@ -57,9 +57,6 @@ _MIN_GROUND_INLIER_FRACTION = 0.05
 
 # latency_ms keys of run_pipeline, in stage order; skipped stages report 0.0
 _STAGES = ("coarse", "normals", "region_growing", "density")
-
-# run_pipeline's subset key of the whole cloud (the without_coarse variants)
-_WHOLE_CLOUD = ("cloud",)
 
 # scans are stored in the sensor frame: normals are flipped toward the origin
 _VIEWPOINT = (0.0, 0.0, 0.0)
@@ -149,39 +146,42 @@ class CoarseSplit:
 
 
 class StageCache:
-    """Stage results of one cloud, shared by pipeline calls on it.
+    """Stage results of one cloud under one pipeline config, shared by the
+    sweep variants run on it.
 
-    Each result is stored under a key naming the stage and every config
-    field the stage reads, so calls whose configs agree on those fields
-    (the seven sweep variants, say) compute it once. A stage may also read
-    another's result without computing it (``lookup``): the coarse-ground
-    normals reuse the whole cloud's when a without_coarse call came first,
-    and the whole-cloud query fills in the density verdicts. The cache
-    belongs to the points of its first use; the cloud must not change
-    while the cache is in use.
+    The first call binds the cache to its cloud and to its config less
+    stage_mode and eigen_mode, the two fields the variants differ in. Each
+    stage is stored once under its name: ``coarse``, ``kdtree``,
+    ``neighbours``, ``normals/cloud``, ``normals/ground``,
+    ``region_grow/cloud``, ``region_grow/ground`` and ``density``. A stage
+    may read another's result without computing it (``lookup``). The
+    cloud must not change while the cache is in use.
     """
 
     def __init__(self):
-        self._points = None
+        self._bound = None
         self._results: dict = {}
 
-    def _check(self, points: np.ndarray) -> None:
-        if self._points is None:
-            self._points = points
-        elif points is not self._points:
-            raise ValueError("this stage cache holds another cloud's stages")
+    def bind(self, points: np.ndarray, cfg: PipelineConfig) -> None:
+        """Bind the cache to ``points`` and ``cfg`` at first use; refuse
+        another cloud, or a config that differs in more than the modes,
+        with ``InvalidSpecError``."""
+        base = replace(cfg, stage_mode=FULL, eigen_mode=HYBRID)
+        if self._bound is None:
+            self._bound = points, base
+        elif points is not self._bound[0] or base != self._bound[1]:
+            raise InvalidSpecError(
+                "this stage cache holds another cloud's or config's stages")
 
-    def get(self, points: np.ndarray, key: tuple, compute):
-        """The result stored under ``key``, from ``compute()`` on a miss."""
-        self._check(points)
-        if key not in self._results:
-            self._results[key] = compute()
-        return self._results[key]
+    def get(self, name: str, compute):
+        """The result stored under ``name``, from ``compute()`` on a miss."""
+        if name not in self._results:
+            self._results[name] = compute()
+        return self._results[name]
 
-    def lookup(self, points: np.ndarray, key: tuple):
-        """The result stored under ``key``, or None when there is none."""
-        self._check(points)
-        return self._results.get(key)
+    def lookup(self, name: str):
+        """The result stored under ``name``, or None when there is none."""
+        return self._results.get(name)
 
 
 @dataclass
@@ -488,14 +488,7 @@ def _kdtree(points: np.ndarray, cache: StageCache):
     """The cache's kd-tree of the whole cloud, shared by its queries."""
     # scipy.spatial takes ~0.35 s to import; only kd-tree users pay for it
     from scipy.spatial import cKDTree
-    return cache.get(points, ("kdtree",), lambda: cKDTree(points))
-
-
-def _density_key(cfg: PipelineConfig) -> tuple:
-    """Cache key of the density verdicts, per point of the cloud: 0 not yet
-    judged, 1 dense, 2 sparse. A point's verdict does not depend on which
-    other points are queried with it."""
-    return ("density", cfg.density_radius, cfg.density_min_points)
+    return cache.get("kdtree", lambda: cKDTree(points))
 
 
 def density_filter(points: np.ndarray, structure_mask: np.ndarray,
@@ -509,13 +502,15 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
 
     A point whose cubic grid cell already holds enough points is dense
     without a query (``_dense_cells``); the others query the kd-tree. With
-    a ``cache`` of ``points``, the kd-tree and each point's verdict per
-    (density_radius, density_min_points) are kept, so a later call queries
-    only the structure points no earlier call or dense cell has judged.
-    Once the whole-cloud normals of a cache are made, every point is
-    judged (``_whole_cloud_neighbours``): a sweep then makes no query and
-    no grid here.
+    a ``cache`` of ``points`` and ``cfg``, the kd-tree and each point's
+    verdict (0 not yet judged, 1 dense, 2 sparse) are kept, so a later call
+    queries only the structure points no earlier call or dense cell has
+    judged. Once the whole-cloud normals of a cache are made, every point
+    is judged (``_whole_cloud_neighbours``): a sweep then makes no query
+    and no grid here.
     """
+    cache = StageCache() if cache is None else cache
+    cache.bind(points, cfg)
     mask = np.asarray(structure_mask, dtype=bool).copy()
     idx = np.flatnonzero(mask)
     if len(idx) == 0 or cfg.density_min_points == 0:
@@ -527,9 +522,7 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     if len(points) < k:
         mask[idx] = False
         return mask
-    cache = StageCache() if cache is None else cache
-    verdict = cache.get(points, _density_key(cfg),
-                        lambda: _dense_cells(points, cfg))
+    verdict = cache.get("density", lambda: _dense_cells(points, cfg))
     todo = idx[verdict[idx] == 0]
     if len(todo):
         bound = np.nextafter(cfg.density_radius, np.inf)
@@ -569,10 +562,8 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig,
     tree = _kdtree(points, cache)
     table = np.empty((n, k), dtype=np.intp)
     tie_free = np.empty(n, dtype=bool)
-    verdict = None
-    if 0 < m <= k:
-        verdict = cache.get(points, _density_key(cfg),
-                            lambda: np.zeros(n, dtype=np.int8))
+    verdict = cache.get("density", lambda: np.zeros(n, dtype=np.int8)) \
+        if 0 < m <= k else None
 
     def query(rows):
         dist, idx = tree.query(points[rows], k=k + 1, workers=1)
@@ -590,8 +581,8 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig,
 
 
 def _subset_from_whole(points: np.ndarray, subset: np.ndarray, k: int,
-                       whole_idx: np.ndarray, tie_free: np.ndarray,
-                       whole_normals: np.ndarray, whole_curv: np.ndarray):
+                       tie_free: np.ndarray, whole_normals: np.ndarray,
+                       whole_curv: np.ndarray, whole_idx: np.ndarray):
     """The subset's normals, curvature and subset-local k-nearest table,
     equal to the direct subset query's (``geom.knn_table``), from the
     whole cloud's; the subset has at least k points.
@@ -625,32 +616,30 @@ def _normals_for(points, subset, cfg, cache=None):
     growing), k = normal_k; the normals face the sensor at the origin.
 
     Every path gives the direct query's result (``geom.knn_table`` on the
-    subset's points) bit for bit. With a ``cache``:
+    subset's points) bit for bit. With a ``cache`` of ``points`` and
+    ``cfg``:
 
     - the whole cloud takes its table from one (k+1)-nearest query on the
       cache's kd-tree, which also judges every point's density
       (``_whole_cloud_neighbours``);
-    - a smaller subset, once the whole cloud's normals of the same k are
-      cached, reuses each whole-cloud row that lies inside it
-      (``_subset_from_whole``).
+    - a smaller subset, once the whole cloud's normals are cached, reuses
+      each whole-cloud row that lies inside it (``_subset_from_whole``).
 
     Any other call queries a kd-tree of the subset, so a lone mode-H run
     makes no whole-cloud query.
     """
     k = cfg.normal_k
-    if cache is not None and len(subset) == len(points) > k:
-        knn_idx, _ = cache.get(
-            points, ("neighbours", k),
-            lambda: _whole_cloud_neighbours(points, cfg, cache))
-        normals, curv = normals_from_neighbors(points, knn_idx, _VIEWPOINT)
-        return normals, curv, knn_idx
-    if cache is not None and len(subset) >= k:
-        shared = cache.lookup(points, ("neighbours", k))
-        whole = cache.lookup(points, ("normals", _WHOLE_CLOUD, k))
-        if shared is not None and whole is not None:
-            whole_normals, whole_curv, whole_idx = whole
-            return _subset_from_whole(points, subset, k, whole_idx, shared[1],
-                                      whole_normals, whole_curv)
+    if cache is not None:
+        cache.bind(points, cfg)
+        if len(subset) == len(points) > k:
+            knn_idx, _ = cache.get("neighbours", lambda: (
+                _whole_cloud_neighbours(points, cfg, cache)))
+            normals, curv = normals_from_neighbors(points, knn_idx, _VIEWPOINT)
+            return normals, curv, knn_idx
+        shared = cache.lookup("neighbours")
+        whole = cache.lookup("normals/cloud")
+        if len(subset) >= k and shared is not None and whole is not None:
+            return _subset_from_whole(points, subset, k, shared[1], *whole)
     sub_pts = points[subset]
     knn_idx = knn_table(sub_pts, k)
     normals, curv = normals_from_neighbors(sub_pts, knn_idx, _VIEWPOINT)
@@ -675,17 +664,18 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig,
     then the density filter. without_fine: coarse split + density filter.
     without_coarse: fine segmentation over the whole cloud + density filter.
 
-    Calls that pass the same ``cache`` for one cloud compute each stage
-    once per distinct setting of the config fields it reads; predictions
-    equal those of independent calls. latency_ms holds the time this call
-    spent, so a stage served from the cache records about 0. Outputs share
-    arrays with the cache: treat them as read-only.
+    Variants of one cloud and config that pass the same ``cache``
+    (``StageCache``) run each stage they share once; predictions equal
+    those of independent calls. latency_ms holds the time this call spent,
+    so a stage served from the cache records about 0. Outputs share arrays
+    with the cache: treat them as read-only.
     """
     if len(cloud) == 0:
         raise DegenerateCloudError("cannot segment an empty cloud")
     n = len(cloud)
     pts = cloud.points
     cache = StageCache() if cache is None else cache
+    cache.bind(pts, cfg)
     latency = dict.fromkeys(_STAGES, 0.0)
     warnings: list[str] = []
     plane = None
@@ -693,31 +683,25 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig,
     mask = np.zeros(n, dtype=bool)
 
     if cfg.stage_mode in (FULL, WITHOUT_FINE):
-        subset_key = ("coarse", cfg.voxel_leaf, cfg.ransac_threshold,
-                      cfg.ransac_iterations, cfg.ransac_seed)
+        subset = "ground"
         with _timed(latency, "coarse"):
-            cs = cache.get(pts, subset_key, lambda: coarse_split(cloud, cfg))
+            cs = cache.get("coarse", lambda: coarse_split(cloud, cfg))
             plane = cs.plane
             coarse_ground = cs.ground
             if cs.warning:
                 warnings.append(cs.warning)
             mask[cs.structure] = True
     else:
-        subset_key = _WHOLE_CLOUD
+        subset = "cloud"
         coarse_ground = np.arange(n, dtype=np.intp)
 
     if cfg.stage_mode in (FULL, WITHOUT_COARSE) and len(coarse_ground) >= 3:
-        normals_key = ("normals", subset_key, cfg.normal_k)
         with _timed(latency, "normals"):
-            normals, curv, knn_idx = cache.get(
-                pts, normals_key,
-                lambda: _normals_for(pts, coarse_ground, cfg, cache))
+            normals, curv, knn_idx = cache.get("normals/" + subset, lambda: (
+                _normals_for(pts, coarse_ground, cfg, cache)))
         with _timed(latency, "region_growing"):
-            grown = cache.get(
-                pts, ("region_grow", normals_key, cfg.rg_angle_threshold_deg,
-                      cfg.rg_curvature_threshold, cfg.rg_min_cluster),
-                lambda: region_grow(pts, coarse_ground, normals, curv, cfg,
-                                    knn_idx=knn_idx))
+            grown = cache.get("region_grow/" + subset, lambda: region_grow(
+                pts, coarse_ground, normals, curv, cfg, knn_idx=knn_idx))
             # the cached clusters stay verdict-free; each call gets copies
             clusters = [replace(c, verdict=classify_cluster(c, cfg))
                         for c in grown]

@@ -401,6 +401,58 @@ class TestSweep:
             assert report["mean_iou"] is None
 
 
+def load_tracing():
+    """``perfbench/tracing.py``, loaded from its file as it stands."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerContract:
+    """The benchmark tracer wraps trusskit functions by module attribute.
+    Its span counts of one swept scan pin both the stage sharing of a
+    sweep and the call sites the tracer patches."""
+
+    # span name -> (calls with all seven variants, calls with mode H alone)
+    SPANS = {"segment.coarse_split": (1, 1), "segment.knn": (2, 1),
+             "segment.region_grow": (2, 1), "segment.density": (7, 1),
+             "segment.run_pipeline": (7, 1)}
+
+    def test_span_counts_of_one_scan(self, tmp_path):
+        tracing = load_tracing()
+        data = tmp_path / "data"
+        assert cli.main(["generate", "--config", "configs/ortho.cfg",
+                         "--set", "sensor.v_resolution=32",
+                         "--set", "sensor.h_resolution=128",
+                         "--out", str(data), "--n", "1",
+                         "--seed", "5"]) == 0
+        path = str(data / "clouds" / "scan_00000.pcd")
+        pipeline = tio.load_config("configs/ortho.cfg").pipeline
+        for column, modes in enumerate((list(cli.MODES), ["H"])):
+            variants = [(str(tmp_path / f"{column}{mode}"),
+                         cli._mode_config(pipeline, mode)) for mode in modes]
+            for out_dir, _ in variants:
+                Path(out_dir).mkdir()
+            untraced = cli._segment_one((path, variants))
+            tracer = tracing.Tracer()
+            with tracer.installed():
+                traced = cli._segment_one((path, variants))
+            calls = {}
+            for span in tracer.spans:
+                calls[span[0]] = calls.get(span[0], 0) + 1
+            assert calls["cli.segment_one"] == 1
+            for name, counts in self.SPANS.items():
+                assert calls.get(name, 0) == counts[column], (name, modes)
+            assert 1 <= calls.get("geom.pca", 0) <= (2, 1)[column]
+            # tracing changes no record
+            assert [(r.error, r.cm) for r in traced] == \
+                [(r.error, r.cm) for r in untraced]
+            assert all(r.error is None for r in traced)
+
+
 class TestThreshold:
     def test_separable_scores(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
@@ -467,6 +519,16 @@ class TestExport:
         colors = {tuple(line.split()[3:]) for line in body}
         assert colors <= {("0", "255", "0"), ("0", "0", "0")}
 
+    def test_label_past_int64_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "huge.pcd"
+        src.write_bytes(b"VERSION .7\nFIELDS x y z label\nSIZE 4 4 4 4\n"
+                        b"TYPE F F F F\nCOUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\n"
+                        b"POINTS 1\nDATA ascii\n1 2 3 1e30\n")
+        rc = cli.main(["export", "--cloud", str(src),
+                       "--out", str(tmp_path / "x.ply")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_pred_field_fails(self, tmp_path):
         cloud = LabeledCloud(np.eye(3), [0, 1, 0])
         src = tmp_path / "plain.pcd"
@@ -497,7 +559,7 @@ def test_import_does_not_load_scipy_spatial():
 def cli_inputs(tmp_path_factory):
     """Paths a CLI argument can name: a tiny dataset with its mode-H
     predictions, an empty directory, a garbage text file, a non-UTF-8 file,
-    score files, a regular file that outputs may overwrite and a missing
+    score files, PCD files whose labels do not fit, a regular file that outputs may overwrite and a missing
     path."""
     root = tmp_path_factory.mktemp("cli_inputs")
     data = make_tiny_dataset(root, n=1)
@@ -509,6 +571,14 @@ def cli_inputs(tmp_path_factory):
     (root / "binary.bin").write_bytes(bytes(range(128, 256)) * 4)
     (root / "scores.csv").write_text("score,truth\n0.1,0\n0.9,1\n0.4,1\n")
     (root / "odd_scores.csv").write_text("nan,1\ninf,0\n-inf,1\n1e308,0\n")
+    # ascii PCDs whose labels do not fit: 300 in U 1, 1e30 past int64
+    (root / "odd_clouds").mkdir()
+    for name, (t, s, value) in {"wrapped": ("U", 1, "300"),
+                                "huge": ("F", 4, "1e30")}.items():
+        (root / "odd_clouds" / f"{name}.pcd").write_text(
+            f"VERSION .7\nFIELDS x y z label\nSIZE 4 4 4 {s}\n"
+            f"TYPE F F F {t}\nCOUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\n"
+            f"POINTS 1\nDATA ascii\n1 2 3 {value}\n")
     return {"data": data, "clouds": data / "clouds",
             "cloud": data / "clouds" / "scan_00000.pcd",
             "pred": root / "pred",
@@ -517,6 +587,9 @@ def cli_inputs(tmp_path_factory):
             "existing": root / "existing.txt",
             "binary": root / "binary.bin", "scores": root / "scores.csv",
             "odd_scores": root / "odd_scores.csv",
+            "odd_clouds": root / "odd_clouds",
+            "wrapped": root / "odd_clouds" / "wrapped.pcd",
+            "huge": root / "odd_clouds" / "huge.pcd",
             "config": Path("configs/ortho.cfg"), "missing": root / "missing",
             "root": root}
 
@@ -573,7 +646,8 @@ def _cli_argv(draw, paths):
             argv += ["--set", item]
         return argv + flag("--jobs", lambda: draw(st.sampled_from(_INTS)))
 
-    dirs = ("data", "clouds", "pred", "empty", "missing", "garbage")
+    dirs = ("data", "clouds", "pred", "empty", "missing", "garbage",
+            "odd_clouds")
     command = draw(st.sampled_from(["generate", "segment", "evaluate",
                                     "sweep", "threshold", "export"]))
     if command == "generate":
@@ -596,7 +670,7 @@ def _cli_argv(draw, paths):
                 ["roc", "pr", "auc"]))) + flag("--out", out)
     else:
         files = ("pred_cloud", "cloud", "garbage", "binary", "missing",
-                 "empty")
+                 "empty", "wrapped", "huge")
         argv = flag("--cloud", lambda: path(*files), True) + flag(
             "--pred-field", lambda: draw(st.sampled_from(
                 ["pred", "label", "x", "nope"]))) + flag(

@@ -9,6 +9,7 @@ from trusskit import io as tio
 from trusskit.errors import (
     ConfigRangeError,
     ConfigTypeError,
+    FieldRangeError,
     InvalidSpecError,
     LengthMismatchError,
     MalformedHeaderError,
@@ -106,6 +107,46 @@ class TestPcdRoundTrip:
         cloud = tio.read_pcd(text.encode())
         assert np.allclose(cloud.points[0], [1, 2, 3])
         assert cloud.face_label[0] == 9
+
+    @staticmethod
+    def one_label(field, type_size, value, data="ascii"):
+        """A one-point PCD whose ``field`` is of ``type_size`` ("U1", ...)
+        and holds ``value``: ascii text, or the bytes of a binary body."""
+        head = (f"VERSION .7\nFIELDS x y z {field}\n"
+                f"SIZE 4 4 4 {type_size[1:]}\nTYPE F F F {type_size[0]}\n"
+                "COUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\nPOINTS 1\n"
+                f"DATA {data}\n").encode()
+        if data == "ascii":
+            return head + f"1 2 3 {value}\n".encode()
+        return head + np.array([1, 2, 3], "<f4").tobytes() + value
+
+    @pytest.mark.parametrize("type_size, value", [
+        ("U1", "300"), ("U4", "-1"), ("U8", "18446744073709551615"),
+        ("I1", "128"), ("I2", "-32769"), ("U2", "nan"), ("I4", "inf"),
+        ("U1", "0.9"), ("I4", "-1.5")])
+    def test_ascii_value_that_does_not_fit_is_refused(self, type_size, value):
+        with pytest.raises(FieldRangeError, match=f"'label'.*{type_size}"):
+            tio.read_pcd(self.one_label("label", type_size, value))
+
+    @pytest.mark.parametrize("type_size, value, label", [
+        ("U1", "255", 255), ("U4", "4294967295", 4294967295),
+        ("I1", "-128", 0), ("I8", "-9223372036854775808", 0)])
+    def test_ascii_value_at_the_ends_of_its_type(self, type_size, value,
+                                                 label):
+        cloud = tio.read_pcd(self.one_label("label", type_size, value))
+        assert cloud.face_label.tolist() == [label]
+
+    @pytest.mark.parametrize("field", ["label", "intensity"])
+    def test_label_past_int64_is_refused(self, field):
+        for blob in (self.one_label(field, "F4", "1e30"),
+                     self.one_label(field, "F8", "9223372036854775808"),
+                     self.one_label(field, "U8",
+                                    np.array(2**63, "<u8").tobytes(),
+                                    "binary")):
+            with pytest.raises(FieldRangeError, match=repr(field)):
+                tio.read_pcd(blob)
+        below = self.one_label(field, "F8", "9223372036854774784")
+        assert tio.read_pcd(below).face_label.tolist() == [2**63 - 1024]
 
     def test_missing_xyz(self):
         text = ("VERSION .7\nFIELDS x y label\nSIZE 4 4 4\nTYPE F F U\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trusskit import cli, geom, segment, synth
 from trusskit import io as tio
-from trusskit.errors import DegenerateCloudError
+from trusskit.errors import DegenerateCloudError, InvalidSpecError
 from trusskit.geom import LabeledCloud, Pose
 from trusskit.primitives import HeightFieldGround, Scene
 from helpers import (
@@ -828,53 +828,70 @@ class TestStageCache:
         ids = {id(c) for c in shared["R"].clusters}
         assert not ids & {id(c) for c in shared["H"].clusters}
 
-    def test_every_config_field_is_in_its_stage_key(self):
+    @pytest.mark.parametrize("entry", ["run_pipeline", "density_filter",
+                                       "_normals_for"])
+    def test_config_other_than_the_modes_is_refused(self, entry):
         cloud = _reduced_scan(2)
+        pts = cloud.points
         other = {"voxel_leaf": 0.2, "ransac_threshold": 0.3,
                  "ransac_iterations": 50, "ransac_seed": 1, "normal_k": 12,
                  "rg_angle_threshold_deg": 10.0,
                  "rg_curvature_threshold": 0.01, "rg_min_cluster": 40,
-                 "eigen_mode": segment.RATIO, "ratio_threshold": 0.6,
-                 "magnitude_threshold": 1.0, "density_radius": 0.15,
-                 "density_min_points": 4,
-                 "stage_mode": segment.WITHOUT_COARSE}
-        fresh_a = output_digest(segment.run_pipeline(cloud, CFG))
-        for f in fields(segment.PipelineConfig):
-            cfg_b = replace(CFG, **{f.name: other[f.name]})
-            cache = segment.StageCache()
-            segment.run_pipeline(cloud, CFG, cache)
-            shared_b = output_digest(segment.run_pipeline(cloud, cfg_b, cache))
-            fresh_b = output_digest(segment.run_pipeline(cloud, cfg_b))
-            assert fresh_b != fresh_a, f"{f.name} change does not show"
-            assert shared_b == fresh_b, f.name
+                 "ratio_threshold": 0.6, "magnitude_threshold": 1.0,
+                 "density_radius": 0.15, "density_min_points": 4}
+        modes = {"stage_mode", "eigen_mode"}
+        assert set(other) | modes == {f.name for f in
+                                      fields(segment.PipelineConfig)}
+        call = {
+            "run_pipeline": lambda cfg, cache: segment.run_pipeline(
+                cloud, cfg, cache),
+            "density_filter": lambda cfg, cache: segment.density_filter(
+                pts, np.ones(len(pts), dtype=bool), cfg, cache),
+            "_normals_for": lambda cfg, cache: segment._normals_for(
+                pts, np.arange(len(pts)), cfg, cache),
+        }[entry]
+        cache = segment.StageCache()
+        segment.run_pipeline(cloud, CFG, cache)
+        for name, value in other.items():
+            with pytest.raises(InvalidSpecError):
+                call(replace(CFG, **{name: value}), cache)
+        # the modes alone may differ
+        call(replace(CFG, stage_mode=segment.WITHOUT_COARSE,
+                     eigen_mode=segment.RATIO), cache)
 
     def test_cache_of_another_cloud_is_refused(self):
         cache = segment.StageCache()
         segment.run_pipeline(_reduced_scan(1), CFG, cache)
-        with pytest.raises(ValueError):
-            segment.run_pipeline(_reduced_scan(1), CFG, cache)
-        with pytest.raises(ValueError):
-            cache.lookup(_reduced_scan(1).points, ("kdtree",))
+        other = _reduced_scan(1)
+        with pytest.raises(InvalidSpecError):
+            segment.run_pipeline(other, CFG, cache)
+        with pytest.raises(InvalidSpecError):
+            segment.density_filter(other.points,
+                                   np.ones(len(other), dtype=bool), CFG, cache)
+        with pytest.raises(InvalidSpecError):
+            segment._normals_for(other.points, np.arange(len(other)), CFG,
+                                 cache)
 
     def test_lookup_computes_nothing(self):
         cloud = _reduced_scan(1)
         cache = segment.StageCache()
-        assert cache.lookup(cloud.points, ("kdtree",)) is None
+        assert cache.lookup("kdtree") is None
         segment.run_pipeline(cloud, CFG, cache)
         # mode H alone makes no whole-cloud query
-        assert cache.lookup(cloud.points, ("neighbours", CFG.normal_k)) \
-            is None
-        assert cache.lookup(cloud.points, ("kdtree",)) is not None
+        assert cache.lookup("neighbours") is None
+        assert cache.lookup("normals/cloud") is None
+        assert cache.lookup("kdtree") is not None
+        assert cache.lookup("normals/ground") is not None
 
 
 WC = replace(CFG, stage_mode=segment.WITHOUT_COARSE)
 
 
-def whole_cloud_cache(cloud, cfg=WC):
-    """A stage cache of ``cloud`` after one run of the without_coarse
-    ``cfg``, as a sweep's first variant leaves it."""
+def whole_cloud_cache(cloud):
+    """A stage cache of ``cloud`` after one without_coarse run, as a
+    sweep's first variant leaves it."""
     cache = segment.StageCache()
-    segment.run_pipeline(cloud, cfg, cache)
+    segment.run_pipeline(cloud, WC, cache)
     return cache
 
 
@@ -937,8 +954,7 @@ class TestSharedNeighbourhoods:
         assert_same_normals(
             segment._normals_for(cloud.points, whole, CFG, cache),
             segment._normals_for(cloud.points, whole, CFG))
-        assert cache.lookup(cloud.points, ("neighbours", CFG.normal_k)) \
-            is not None
+        assert cache.lookup("neighbours") is not None
 
     def test_shipped_ortho_reuses_most_ground_rows(self, monkeypatch,
                                                    shipped_cloud):
@@ -987,15 +1003,6 @@ class TestSharedNeighbourhoods:
         assert_same_normals(got, segment._normals_for(cloud.points, subset,
                                                       CFG))
 
-    @pytest.mark.parametrize("ks", [(30, 12), (12, 30), (8, 8)])
-    def test_normal_k_differs_between_variants(self, ks):
-        cloud = _reduced_scan(3)
-        wc_k, full_k = ks
-        cache = whole_cloud_cache(cloud, replace(WC, normal_k=wc_k))
-        cfg = replace(CFG, normal_k=full_k)
-        assert output_digest(segment.run_pipeline(cloud, cfg, cache)) == \
-            output_digest(segment.run_pipeline(cloud, cfg))
-
     @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
     def test_density_verdicts_equal_the_query(self, monkeypatch,
                                               shipped_cloud, scan):
@@ -1007,7 +1014,7 @@ class TestSharedNeighbourhoods:
         dist, _ = cKDTree(pts).query(
             pts, k=m + 1, distance_upper_bound=np.nextafter(r, np.inf))
         want = np.where(dist[:, -1] <= r, 1, 2)
-        verdict = cache.lookup(pts, ("density", r, m))
+        verdict = cache.lookup("density")
         assert np.array_equal(verdict, want)
         # every point is judged: the filter makes no grid and no query
         monkeypatch.setattr(segment, "_dense_cells", None)
@@ -1021,8 +1028,7 @@ class TestSharedNeighbourhoods:
             cfg = replace(WC, density_min_points=m)
             cache = segment.StageCache()
             segment._whole_cloud_neighbours(cloud.points, cfg, cache)
-            verdict = cache.lookup(cloud.points,
-                                   ("density", cfg.density_radius, m))
+            verdict = cache.lookup("density")
             assert (verdict is None) == (m == 0 or m > CFG.normal_k), m
             mask = np.ones(len(cloud), dtype=bool)
             assert np.array_equal(
