@@ -278,6 +278,11 @@ def _score_rows(path):
                 from None
 
 
+# --method -> (threshold search, the curve objective it maximises)
+_THRESHOLD_METHODS = {"roc": (tmetrics.select_threshold_roc, "gmean"),
+                      "pr": (tmetrics.select_threshold_pr, "f1")}
+
+
 def cmd_threshold(args) -> int:
     scores, truth = [], []
     for line_num, row in _score_rows(args.scores):
@@ -296,12 +301,9 @@ def cmd_threshold(args) -> int:
             ) from None
         scores.append(score)
         truth.append(label == 1.0)
-    select = tmetrics.select_threshold_roc if args.method == "roc" else \
-        tmetrics.select_threshold_pr
+    select, objective = _THRESHOLD_METHODS[args.method]
     threshold, curve = select(np.asarray(scores), np.asarray(truth))
-    best = max(curve, key=lambda p: p.gmean if args.method == "roc" else p.f1)
-    objective = "gmean" if args.method == "roc" else "f1"
-    value = best.gmean if args.method == "roc" else best.f1
+    value = max(getattr(p, objective) for p in curve)
     print(f"threshold {threshold:.6g} ({objective} {value:.4f}, "
           f"{len(curve)} candidates)")
     if args.out:
@@ -376,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="pick a score threshold (ROC or PR)")
     p.add_argument("--scores", required=True, help="CSV with score,truth rows")
-    p.add_argument("--method", choices=("roc", "pr"), default="roc")
+    p.add_argument("--method", choices=tuple(_THRESHOLD_METHODS),
+                   default="roc")
     p.add_argument("--out", help="optional curve CSV path")
     p.set_defaults(func=cmd_threshold)
 

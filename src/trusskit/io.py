@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -303,9 +303,10 @@ def read_pcd(src: Union[str, Path, bytes]) -> LabeledCloud:
     """Read a PCD file into a LabeledCloud.
 
     Needs x, y, z fields in any order; a ``label`` field (or, failing that,
-    ``intensity``) provides face labels, rounded to the nearest non-negative
-    integer. Other fields are ignored. A label >= 2**63, or an ascii value
-    that does not fit its integer field's type, raises ``FieldRangeError``.
+    ``intensity``) provides face labels, rounded to the nearest integer, with
+    negative labels clamped to 0. Other fields are ignored. A label that is
+    not finite or is >= 2**63, or an ascii value that does not fit its
+    integer field's type, raises ``FieldRangeError``.
     """
     header, arrays = read_pcd_arrays(src)
     for axis in ("x", "y", "z"):
@@ -315,10 +316,10 @@ def read_pcd(src: Union[str, Path, bytes]) -> LabeledCloud:
     source = next((f for f in ("label", "intensity")
                    if f in arrays and arrays[f].ndim == 1), None)
     raw = arrays[source].astype(np.float64) if source else np.zeros(len(pts))
-    raw = np.maximum(np.rint(np.where(np.isfinite(raw), raw, 0.0)), 0.0)
-    if raw.max(initial=0.0) >= 2.0**63:
-        raise FieldRangeError(f"field {source!r} holds a label >= 2**63")
-    labels = raw.astype(np.int64)
+    if not (np.isfinite(raw) & (raw < 2.0**63)).all():
+        raise FieldRangeError(
+            f"field {source!r} holds a label that is not finite or >= 2**63")
+    labels = np.maximum(np.rint(raw), 0.0).astype(np.int64)
     vp = header.viewpoint
     pose = Pose(tuple(vp[:3]), tuple(np.asarray(vp[3:]) / np.linalg.norm(vp[3:])))
     return LabeledCloud(pts, labels, sensor_pose=pose)
@@ -417,66 +418,56 @@ def _finite(text: str) -> float:
 
 
 def _parse_value(section, key, raw, kind):
+    """Parse one raw value by its dataclass field's annotation: ``bool``,
+    ``str``, ``float`` (finite only), ``int``, or a fixed-length tuple of
+    ints or finite floats."""
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return _finite(raw)
-        if kind == "bool":
+        if kind is bool:
             word = raw.strip().lower()
             if word not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {raw!r}")
             return _BOOL_WORDS[word]
-        if kind == "str":
+        if kind is str:
             return raw.strip()
-        if kind.startswith("ivec"):
-            vals = tuple(int(v) for v in raw.split())
-        else:                                  # vecN
-            vals = tuple(_finite(v) for v in raw.split())
-        want = int(kind[-1])
-        if len(vals) != want:
-            raise ValueError(f"expected {want} values, got {len(vals)}")
+        if kind is float:
+            return _finite(raw)
+        if kind is int:
+            return int(raw)
+        items = get_args(kind)                 # tuple[T, T, ...]
+        parse = _finite if items[0] is float else int
+        vals = tuple(parse(v) for v in raw.split())
+        if len(vals) != len(items):
+            raise ValueError(f"expected {len(items)} values, got {len(vals)}")
         return vals
     except ValueError as exc:
         raise ConfigTypeError(f"[{section}] {key}: {exc}") from None
 
 
-_SCHEMA = {
-    "sensor": {
-        "v_resolution": "int", "h_resolution": "int", "min_range": "float",
-        "max_range": "float", "v_fov_deg": "float", "h_fov_deg": "float",
-        "noise_sigma": "float", "seed": "int",
-    },
-    "truss": {
-        "node_counts": "ivec3", "bar_length": "float", "bar_width": "float",
-        "crossed": "bool", "label_mode": "str",
-    },
-    "scene": {
-        "ground_amplitude": "float", "ground_wavelength": "float",
-        "tree_count": "int", "tree_scale_bounds": "vec2",
-        "tree_xy_min": "vec2", "tree_xy_max": "vec2", "seed": "int",
-    },
-    "boxes": {
-        "count": "int", "length_bounds": "vec2", "width_bounds": "vec2",
-        "position_min": "vec3", "position_max": "vec3",
-    },
-    "pipeline": {
-        "voxel_leaf": "float", "ransac_threshold": "float",
-        "ransac_iterations": "int", "ransac_seed": "int", "normal_k": "int",
-        "rg_angle_threshold_deg": "float", "rg_curvature_threshold": "float",
-        "rg_min_cluster": "int", "eigen_mode": "str", "ratio_threshold": "float",
-        "magnitude_threshold": "float", "density_radius": "float",
-        "density_min_points": "int", "stage_mode": "str",
-    },
-    "dataset": {
-        "out_dir": "str", "n_scans": "int", "seed": "int", "jobs": "int",
-        "sensor_position": "vec3",
-    },
+# one section per config dataclass, in dump order; the section's keys are
+# the dataclass's fields
+_SECTIONS = {
+    "sensor": SensorConfig, "truss": TrussSpec, "scene": SceneSpec,
+    "boxes": BoxFieldSpec, "pipeline": PipelineConfig, "dataset": DatasetConfig,
 }
+# sections that fill an optional [scene] part: section -> SceneSpec field
+_SCENE_PARTS = {"truss": "structure", "boxes": "boxes"}
 
-def _build_section(section: str, values: dict, cls):
+
+def _section_keys(cls) -> dict:
+    """{key: annotation} of a section, in field order; [scene] leaves out
+    the parts that sections of their own fill."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dc_fields(cls)
+            if not (cls is SceneSpec and f.name in _SCENE_PARTS.values())}
+
+
+# built once per process: get_type_hints on every load is slow
+_KEYS = {section: _section_keys(cls) for section, cls in _SECTIONS.items()}
+
+
+def _build_section(section: str, values: dict):
     try:
-        return cls(**values)
+        return _SECTIONS[section](**values)
     except InvalidSpecError as exc:
         raise ConfigRangeError(f"[{section}] {exc}") from None
 
@@ -492,42 +483,34 @@ def loads_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigTypeError(f"cannot parse config: {exc}") from None
 
-    raw: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise UnknownKeyError(f"unknown section [{section}]")
-        raw[section] = dict(parser.items(section))
+    raw = {section: dict(parser.items(section))
+           for section in parser.sections()}
     for dotted, value in (overrides or {}).items():
         if "." not in dotted:
             raise UnknownKeyError(f"override {dotted!r} needs section.key form")
         section, key = dotted.split(".", 1)
         raw.setdefault(section, {})[key] = str(value)
+    for section in raw:
+        if section not in _KEYS:
+            raise UnknownKeyError(f"unknown section [{section}]")
 
     parsed: dict[str, dict] = {}
     for section, items in raw.items():
-        if section not in _SCHEMA:
-            raise UnknownKeyError(f"unknown section [{section}]")
-        schema = _SCHEMA[section]
+        keys = _KEYS[section]
         parsed[section] = {}
         for key, value in items.items():
-            if key not in schema:
+            if key not in keys:
                 raise UnknownKeyError(f"[{section}] unknown key {key!r}")
-            parsed[section][key] = _parse_value(section, key, value, schema[key])
+            parsed[section][key] = _parse_value(section, key, value, keys[key])
 
-    sensor = _build_section("sensor", parsed.get("sensor", {}), SensorConfig)
-    pipeline = _build_section("pipeline", parsed.get("pipeline", {}),
-                              PipelineConfig)
-    dataset = _build_section("dataset", parsed.get("dataset", {}), DatasetConfig)
-    truss = _build_section("truss", parsed["truss"], TrussSpec) \
-        if "truss" in parsed else None
-    boxes = _build_section("boxes", parsed["boxes"], BoxFieldSpec) \
-        if "boxes" in parsed else None
-    scene_kwargs = dict(parsed.get("scene", {}))
-    scene_kwargs["structure"] = truss
-    scene_kwargs["boxes"] = boxes
-    scene = _build_section("scene", scene_kwargs, SceneSpec)
-    return RunConfig(sensor=sensor, scene=scene, pipeline=pipeline,
-                     dataset=dataset)
+    scene = dict(parsed.get("scene", {}))
+    for section, field in _SCENE_PARTS.items():
+        scene[field] = (_build_section(section, parsed[section])
+                        if section in parsed else None)
+    parsed["scene"] = scene
+    # the other sections are named after their RunConfig fields
+    return RunConfig(**{f.name: _build_section(f.name, parsed.get(f.name, {}))
+                        for f in dc_fields(RunConfig)})
 
 
 def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
@@ -552,23 +535,14 @@ def _value_text(value) -> str:
 def dump_config(cfg: RunConfig) -> str:
     """Serialise a RunConfig; load(dump(cfg)) reproduces cfg exactly."""
     out = []
-
-    def emit(section, obj, skip=()):
+    for section, keys in _KEYS.items():
+        obj = (getattr(cfg.scene, _SCENE_PARTS[section])
+               if section in _SCENE_PARTS else getattr(cfg, section))
+        if obj is None:
+            continue
         out.append(f"[{section}]")
-        for f in dc_fields(obj):
-            if f.name in skip:
-                continue
-            out.append(f"{f.name} = {_value_text(getattr(obj, f.name))}")
+        out.extend(f"{key} = {_value_text(getattr(obj, key))}" for key in keys)
         out.append("")
-
-    emit("sensor", cfg.sensor)
-    if cfg.scene.structure is not None:
-        emit("truss", cfg.scene.structure)
-    emit("scene", cfg.scene, skip=("structure", "boxes"))
-    if cfg.scene.boxes is not None:
-        emit("boxes", cfg.scene.boxes)
-    emit("pipeline", cfg.pipeline)
-    emit("dataset", cfg.dataset)
     return "\n".join(out)
 
 

@@ -571,10 +571,11 @@ def cli_inputs(tmp_path_factory):
     (root / "binary.bin").write_bytes(bytes(range(128, 256)) * 4)
     (root / "scores.csv").write_text("score,truth\n0.1,0\n0.9,1\n0.4,1\n")
     (root / "odd_scores.csv").write_text("nan,1\ninf,0\n-inf,1\n1e308,0\n")
-    # ascii PCDs whose labels do not fit: 300 in U 1, 1e30 past int64
+    # ascii PCDs whose labels do not fit: 300 in U 1, 1e30 past int64, inf
     (root / "odd_clouds").mkdir()
     for name, (t, s, value) in {"wrapped": ("U", 1, "300"),
-                                "huge": ("F", 4, "1e30")}.items():
+                                "huge": ("F", 4, "1e30"),
+                                "infinite": ("F", 4, "inf")}.items():
         (root / "odd_clouds" / f"{name}.pcd").write_text(
             f"VERSION .7\nFIELDS x y z label\nSIZE 4 4 4 {s}\n"
             f"TYPE F F F {t}\nCOUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\n"
@@ -590,6 +591,7 @@ def cli_inputs(tmp_path_factory):
             "odd_clouds": root / "odd_clouds",
             "wrapped": root / "odd_clouds" / "wrapped.pcd",
             "huge": root / "odd_clouds" / "huge.pcd",
+            "infinite": root / "odd_clouds" / "infinite.pcd",
             "config": Path("configs/ortho.cfg"), "missing": root / "missing",
             "root": root}
 
@@ -670,7 +672,7 @@ def _cli_argv(draw, paths):
                 ["roc", "pr", "auc"]))) + flag("--out", out)
     else:
         files = ("pred_cloud", "cloud", "garbage", "binary", "missing",
-                 "empty", "wrapped", "huge")
+                 "empty", "wrapped", "huge", "infinite")
         argv = flag("--cloud", lambda: path(*files), True) + flag(
             "--pred-field", lambda: draw(st.sampled_from(
                 ["pred", "label", "x", "nope"]))) + flag(

@@ -1,4 +1,7 @@
+import re
 from dataclasses import replace
+from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -148,6 +151,21 @@ class TestPcdRoundTrip:
         below = self.one_label(field, "F8", "9223372036854774784")
         assert tio.read_pcd(below).face_label.tolist() == [2**63 - 1024]
 
+    @pytest.mark.parametrize("field", ["label", "intensity"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("data", ["ascii", "binary"])
+    def test_non_finite_label_is_refused(self, field, value, data):
+        # an unusable label is refused, not read as background
+        blob = (value if data == "ascii"
+                else np.array(float(value), "<f4").tobytes())
+        with pytest.raises(FieldRangeError, match=repr(field)):
+            tio.read_pcd(self.one_label(field, "F4", blob, data))
+
+    def test_negative_label_is_clamped_to_zero(self):
+        for value in ("-3.7", "-1e30"):
+            cloud = tio.read_pcd(self.one_label("label", "F8", value))
+            assert cloud.face_label.tolist() == [0]
+
     def test_missing_xyz(self):
         text = ("VERSION .7\nFIELDS x y label\nSIZE 4 4 4\nTYPE F F U\n"
                 "COUNT 1 1 1\nWIDTH 1\nHEIGHT 1\nPOINTS 1\nDATA ascii\n1 2 0\n")
@@ -275,17 +293,31 @@ class TestConfig:
         with pytest.raises(ConfigTypeError):
             tio.loads_config("[truss]\nnode_counts = 2 2\n")
 
+    def test_readme_lists_every_key(self):
+        # the README config table names each section's keys in its second
+        # column; a field added to a config dataclass must appear there
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            m = re.fullmatch(r"`\[(\w+)\]`", cells[0])
+            if m and len(cells) == 3:
+                listed[m[1]] = re.findall(r"`(\w+)`", cells[1])
+        assert listed == {section: list(keys)
+                          for section, keys in tio._KEYS.items()}
+
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_values_rejected(self, text):
         # a NaN slips through every `x <= 0` range check, so the parser
         # refuses non-finite numbers for every float and vector key
         checked = 0
-        for section, keys in tio._SCHEMA.items():
+        for section, keys in tio._KEYS.items():
             for key, kind in keys.items():
-                if kind == "float":
+                items = get_args(kind)
+                if kind is float:
                     value = text
-                elif kind.startswith("vec"):
-                    value = " ".join(["1.0"] * (int(kind[-1]) - 1) + [text])
+                elif items and items[0] is float:
+                    value = " ".join(["1.0"] * (len(items) - 1) + [text])
                 else:
                     continue
                 with pytest.raises(ConfigTypeError,
