@@ -28,7 +28,6 @@ from .segment import (
     PipelineConfig,
     Plane,
     SegmentationOutput,
-    StageCache,
     classify_cluster,
     coarse_split,
     density_filter,

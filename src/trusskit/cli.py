@@ -31,7 +31,6 @@ from .segment import (
     RATIO,
     WITHOUT_COARSE,
     WITHOUT_FINE,
-    StageCache,
     run_pipeline,
 )
 from .synth import generate_dataset
@@ -129,32 +128,24 @@ def cmd_generate(args) -> int:
 
 
 def _segment_one(task) -> list:
-    """Worker: read one file and run each variant of ``(out_dir, config)``
-    pairs on it through one stage cache, writing its prediction and
-    latency; returns one scored ``CloudRecord`` per variant, in the order
-    given.
-
-    The without_coarse variants run first: their whole-cloud neighbour
-    query then also serves the coarse-ground normals and the density
-    filter of the others (``segment._normals_for``), so those record
-    less latency than they would alone. Predictions do not depend on the
-    order."""
-    path, variants = task
+    """Worker: read one file and run the variants of ``pipeline`` named by
+    ``(out_dir, mode)`` targets on it in one ``run_pipeline`` call, writing
+    each prediction and latency; returns one scored ``CloudRecord`` per
+    target, in the order given. A scan that fails to read or segment fails
+    every target."""
+    path, pipeline, targets = task
     name = Path(path).name
     try:
         cloud = tio.read_pcd(path)
+        results = run_pipeline(cloud, pipeline,
+                               [MODES[mode] for _, mode in targets])
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
-        return [tmetrics.CloudRecord(name, error=error) for _ in variants]
-    cache = StageCache()
-    records = [None] * len(variants)
-    order = sorted(range(len(variants)),
-                   key=lambda i: variants[i][1].stage_mode != WITHOUT_COARSE)
-    for i in order:
-        out_dir, pipeline = variants[i]
+        return [tmetrics.CloudRecord(name, error=error) for _ in targets]
+    records = []
+    for (out_dir, _), result in zip(targets, results):
         rec = tmetrics.CloudRecord(name)
         try:
-            result = run_pipeline(cloud, pipeline, cache)
             out_path = Path(out_dir) / name
             tio.write_prediction_pcd(cloud, result.prediction, out_path)
             payload = {"stages_ms": result.latency_ms,
@@ -167,7 +158,7 @@ def _segment_one(task) -> list:
             rec.latency_ms = result.total_ms
         except Exception as exc:
             rec.error = f"{type(exc).__name__}: {exc}"
-        records[i] = rec
+        records.append(rec)
     return records
 
 
@@ -178,12 +169,13 @@ def _segment_pool(jobs: int) -> ProcessPoolExecutor:
                                initializer=single_threaded_queries)
 
 
-def _segment_dir(files, variants, jobs: int) -> list:
-    """Segment every file with every ``(out_dir, config)`` variant; returns
-    each variant's per-file records."""
-    for out_dir, _ in variants:
+def _segment_dir(files, pipeline, targets, jobs: int) -> list:
+    """Segment every file with the variant of ``pipeline`` of every
+    ``(out_dir, mode)`` target; returns each target's per-file records."""
+    for out_dir, _ in targets:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    tasks = [(str(f), [(str(d), cfg) for d, cfg in variants]) for f in files]
+    tasks = [(str(f), pipeline, [(str(d), mode) for d, mode in targets])
+             for f in files]
     if jobs > 1:
         with _segment_pool(jobs) as pool:
             results = list(pool.map(_segment_one, tasks))
@@ -195,9 +187,9 @@ def _segment_dir(files, variants, jobs: int) -> list:
 def cmd_segment(args) -> int:
     cfg = _load_config(args)
     jobs = _jobs(args, 1)
-    pipeline = _mode_config(cfg.pipeline, args.mode)
     files = _pcd_files(args.in_dir)
-    [records] = _segment_dir(files, [(args.out, pipeline)], jobs)
+    [records] = _segment_dir(files, cfg.pipeline, [(args.out, args.mode)],
+                             jobs)
     failures = [r for r in records if r.error]
     for r in failures:
         print(f"error: {r.file}: {r.error}", file=sys.stderr)
@@ -233,11 +225,10 @@ def cmd_sweep(args) -> int:
     jobs = _jobs(args, 1)
     files = _pcd_files(args.in_dir)
     out = Path(args.out)
-    # one pass over the scans: each is read once and its seven variants
-    # share the pipeline stages they have in common
-    variants = [(out / mode, _mode_config(cfg.pipeline, mode))
-                for mode in MODES]
-    records = _segment_dir(files, variants, jobs)
+    # one pass over the scans: each is read once and segmented by one
+    # run_pipeline call, which runs every stage the seven variants share once
+    targets = [(out / mode, mode) for mode in MODES]
+    records = _segment_dir(files, cfg.pipeline, targets, jobs)
     # one line per failed scan, however many of the variants it failed in
     failed = {}
     for mode_records in records:
@@ -247,10 +238,10 @@ def cmd_sweep(args) -> int:
     for name in sorted(failed):
         print(f"error: {name}: {failed[name]}", file=sys.stderr)
     rows = []
-    for mode, (pred_dir, pipeline), mode_records in zip(MODES, variants,
-                                                        records):
-        report = tmetrics.evaluate_pairs(mode_records,
-                                         tio.config_fingerprint(pipeline))
+    for (pred_dir, mode), mode_records in zip(targets, records):
+        report = tmetrics.evaluate_pairs(
+            mode_records,
+            tio.config_fingerprint(_mode_config(cfg.pipeline, mode)))
         report.write_json(pred_dir / "report.json")
         report.write_csv(pred_dir / "report.csv")
         _print_summary(mode, report)

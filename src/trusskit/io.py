@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields as dc_fields
+from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Union, get_args, get_type_hints
 
@@ -247,9 +248,18 @@ def _parse_header(text: str) -> tuple[PcdHeader, int]:
                      points, data, version), offset
 
 
+def _exact_int(token: str, info: np.iinfo) -> Optional[int]:
+    """The integer a token spells, or None if none in ``info``'s range."""
+    value = Decimal(token)
+    return int(value) if value.is_finite() and info.min <= value <= info.max \
+        and value == value.to_integral_value() else None
+
+
 def read_pcd_arrays(src: Union[str, Path, bytes]):
     """Parse a PCD file into (header, {field: array}) without interpreting
-    any semantics. COUNT>1 fields come back as (n, count) arrays."""
+    any semantics. COUNT>1 fields come back as (n, count) arrays. An ascii
+    integer field accepts any spelling float64 parses (``5``, ``5.0``,
+    ``5e0``); 8-byte integers past 2**53 are read exactly."""
     blob = Path(src).read_bytes() if isinstance(src, (str, Path)) else src
     head_text = blob[:65536].decode("latin-1", errors="replace")
     header, body_off = _parse_header(head_text)
@@ -285,17 +295,24 @@ def read_pcd_arrays(src: Union[str, Path, bytes]):
         for (f, d, sh), c, t, s in zip(specs, header.counts, header.types,
                                        header.sizes):
             chunk = flat[:, col:col + c]
-            col += c
-            arr = chunk[:, 0] if not sh else chunk
             if t != "F":
-                # 0 and powers of two are exact in float64; NaN fails too
                 info = np.iinfo(d)
+                # float64 holds every integer below 2**53 exactly; larger
+                # values of an 8-byte field are read again from their tokens
+                big = (np.abs(chunk) >= 2.0**53) & (s == 8)
+                exact = [_exact_int(tokens[row * per_point + col + j], info)
+                         for row, j in np.argwhere(big)]
+                # 0 and powers of two are exact in float64; NaN fails too
                 top = 2.0 ** (info.bits - (info.min < 0))
-                if not ((arr >= float(info.min)) & (arr < top)
-                        & (arr == np.trunc(arr))).all():
+                fits = big | ((chunk >= float(info.min)) & (chunk < top)
+                              & (chunk == np.trunc(chunk)))
+                if None in exact or not fits.all():
                     raise FieldRangeError(
                         f"field {f!r} holds a value that does not fit {t}{s}")
-            out[f] = arr.astype(d)
+                chunk = np.where(big, 0, chunk).astype(d)
+                chunk[big] = exact
+            col += c
+            out[f] = (chunk[:, 0] if not sh else chunk).astype(d)
     return header, out
 
 
@@ -315,11 +332,16 @@ def read_pcd(src: Union[str, Path, bytes]) -> LabeledCloud:
     pts = np.column_stack([arrays["x"], arrays["y"], arrays["z"]]).astype(np.float64)
     source = next((f for f in ("label", "intensity")
                    if f in arrays and arrays[f].ndim == 1), None)
-    raw = arrays[source].astype(np.float64) if source else np.zeros(len(pts))
-    if not (np.isfinite(raw) & (raw < 2.0**63)).all():
+    raw = arrays[source] if source else np.zeros(len(pts))
+    exact = raw.dtype.kind in "iu"     # integer labels skip float64
+    if not (raw <= 2**63 - 1 if exact
+            else np.isfinite(raw) & (raw < 2.0**63)).all():
+        at = header.fields.index(source)
         raise FieldRangeError(
-            f"field {source!r} holds a label that is not finite or >= 2**63")
-    labels = np.maximum(np.rint(raw), 0.0).astype(np.int64)
+            f"field {source!r} ({header.types[at]}{header.sizes[at]}) holds "
+            f"a label that is not finite or >= 2**63")
+    labels = np.maximum(raw if exact else np.rint(raw.astype(np.float64)),
+                        0).astype(np.int64)
     vp = header.viewpoint
     pose = Pose(tuple(vp[:3]), tuple(np.asarray(vp[3:]) / np.linalg.norm(vp[3:])))
     return LabeledCloud(pts, labels, sensor_pose=pose)

@@ -9,11 +9,13 @@ density filter finally demotes sparse structure points.
 RANSAC scores its hypotheses in cache-sized blocks of voxels and
 hypotheses. The density filter marks every point of a grid cell that holds
 more than density_min_points points as dense and queries the kd-tree only
-for the rest. The seven variants of a sweep share a ``StageCache`` and
-make one whole-cloud (k+1)-nearest query: it gives the whole-cloud
-neighbour table, most coarse-ground rows and their normals, and every
-point's density verdict (``_normals_for``). None of these shortcuts
-changes a prediction.
+for the rest. One ``run_pipeline`` call runs any set of variants (the
+seven of a sweep) as one plan, each stage they need once: the coarse
+split, the whole-cloud and coarse-ground normals and region growing, one
+density filter over the union of their masks. The whole cloud's
+(k+1)-nearest query gives its neighbour table, most coarse-ground rows and
+their normals, and every point's density verdict (``_normals_for``). None
+of these shortcuts changes a prediction.
 
 The RANSAC hypothesis blocks, the normals' covariances and region
 growing's edge table run their row blocks on ``geom.query_workers()`` threads
@@ -29,7 +31,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,9 +56,6 @@ FULL, WITHOUT_FINE, WITHOUT_COARSE = "full", "without_fine", "without_coarse"
 STRUCTURE, GROUND = "structure", "ground"
 
 _MIN_GROUND_INLIER_FRACTION = 0.05
-
-# latency_ms keys of run_pipeline, in stage order; skipped stages report 0.0
-_STAGES = ("coarse", "normals", "region_growing", "density")
 
 # scans are stored in the sensor frame: normals are flipped toward the origin
 _VIEWPOINT = (0.0, 0.0, 0.0)
@@ -145,43 +144,17 @@ class CoarseSplit:
     warning: Optional[str] = None
 
 
-class StageCache:
-    """Stage results of one cloud under one pipeline config, shared by the
-    sweep variants run on it.
+class Neighbours(NamedTuple):
+    """Normals, curvature and subset-local k-nearest table of a point subset
+    (``_normals_for``). The whole cloud's (k+1)-nearest query also gives,
+    per point, whether its row is tie-free and its density verdict (1
+    dense, 2 sparse; None when density_min_points is 0 or above k)."""
 
-    The first call binds the cache to its cloud and to its config less
-    stage_mode and eigen_mode, the two fields the variants differ in. Each
-    stage is stored once under its name: ``coarse``, ``kdtree``,
-    ``neighbours``, ``normals/cloud``, ``normals/ground``,
-    ``region_grow/cloud``, ``region_grow/ground`` and ``density``. A stage
-    may read another's result without computing it (``lookup``). The
-    cloud must not change while the cache is in use.
-    """
-
-    def __init__(self):
-        self._bound = None
-        self._results: dict = {}
-
-    def bind(self, points: np.ndarray, cfg: PipelineConfig) -> None:
-        """Bind the cache to ``points`` and ``cfg`` at first use; refuse
-        another cloud, or a config that differs in more than the modes,
-        with ``InvalidSpecError``."""
-        base = replace(cfg, stage_mode=FULL, eigen_mode=HYBRID)
-        if self._bound is None:
-            self._bound = points, base
-        elif points is not self._bound[0] or base != self._bound[1]:
-            raise InvalidSpecError(
-                "this stage cache holds another cloud's or config's stages")
-
-    def get(self, name: str, compute):
-        """The result stored under ``name``, from ``compute()`` on a miss."""
-        if name not in self._results:
-            self._results[name] = compute()
-        return self._results[name]
-
-    def lookup(self, name: str):
-        """The result stored under ``name``, or None when there is none."""
-        return self._results.get(name)
+    normals: np.ndarray
+    curvature: np.ndarray
+    knn_idx: np.ndarray
+    tie_free: Optional[np.ndarray] = None
+    density: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -484,33 +457,21 @@ def _dense_cells(points: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     return verdict
 
 
-def _kdtree(points: np.ndarray, cache: StageCache):
-    """The cache's kd-tree of the whole cloud, shared by its queries."""
-    # scipy.spatial takes ~0.35 s to import; only kd-tree users pay for it
-    from scipy.spatial import cKDTree
-    return cache.get("kdtree", lambda: cKDTree(points))
-
-
 def density_filter(points: np.ndarray, structure_mask: np.ndarray,
                    cfg: PipelineConfig,
-                   cache: Optional[StageCache] = None) -> np.ndarray:
+                   verdict: Optional[np.ndarray] = None) -> np.ndarray:
     """Demote structure points with too few neighbours inside the radius.
 
     A structure point stays when at least density_min_points points of the
     whole cloud (structure and ground, the point itself excluded) lie
-    within density_radius, boundary inclusive. Never promotes ground.
+    within density_radius, boundary inclusive. Never promotes ground. A
+    point's verdict does not depend on the mask.
 
-    A point whose cubic grid cell already holds enough points is dense
-    without a query (``_dense_cells``); the others query the kd-tree. With
-    a ``cache`` of ``points`` and ``cfg``, the kd-tree and each point's
-    verdict (0 not yet judged, 1 dense, 2 sparse) are kept, so a later call
-    queries only the structure points no earlier call or dense cell has
-    judged. Once the whole-cloud normals of a cache are made, every point
-    is judged (``_whole_cloud_neighbours``): a sweep then makes no query
-    and no grid here.
+    ``verdict`` holds what is known per point (0 not judged, 1 dense, 2
+    sparse; left unchanged): by default the grid's dense cells
+    (``_dense_cells``), or every point's (``Neighbours.density``). The
+    structure points not yet judged query a kd-tree of the cloud.
     """
-    cache = StageCache() if cache is None else cache
-    cache.bind(points, cfg)
     mask = np.asarray(structure_mask, dtype=bool).copy()
     idx = np.flatnonzero(mask)
     if len(idx) == 0 or cfg.density_min_points == 0:
@@ -522,15 +483,19 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     if len(points) < k:
         mask[idx] = False
         return mask
-    verdict = cache.get("density", lambda: _dense_cells(points, cfg))
-    todo = idx[verdict[idx] == 0]
-    if len(todo):
+    if verdict is None:
+        verdict = _dense_cells(points, cfg)
+    judged = verdict[idx]
+    todo = judged == 0
+    if todo.any():
+        # scipy.spatial takes ~0.35 s to import; only kd-tree users pay
+        from scipy.spatial import cKDTree
         bound = np.nextafter(cfg.density_radius, np.inf)
-        dist, _ = _kdtree(points, cache).query(
-            points[todo], k=k, distance_upper_bound=bound,
+        dist, _ = cKDTree(points).query(
+            points[idx[todo]], k=k, distance_upper_bound=bound,
             workers=query_workers())
-        verdict[todo] = np.where(dist[:, -1] <= cfg.density_radius, 1, 2)
-    mask[idx[verdict[idx] == 2]] = False
+        judged[todo] = np.where(dist[:, -1] <= cfg.density_radius, 1, 2)
+    mask[idx[judged == 2]] = False
     return mask
 
 
@@ -540,11 +505,10 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
 _QUERY_BLOCK = 4096
 
 
-def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig,
-                            cache: StageCache):
-    """The whole cloud's (n, k) neighbour table and per row whether it is
-    tie-free, from one (k+1)-nearest query per point on the cache's
-    kd-tree; k is normal_k and the cloud has more than k points.
+def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
+    """The whole cloud's (n, k) neighbour table, per row whether it is
+    tie-free, and every point's density verdict, from one (k+1)-nearest
+    query per point; k is normal_k and the cloud has more than k points.
 
     A row is tie-free when its k + 1 distances strictly increase. Then its
     first k columns are the k-nearest query's row, in the same order. A
@@ -552,18 +516,18 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig,
     neighbours on the same tree, so the table equals ``geom.knn_table``
     row for row. When density_min_points is at most k, column
     density_min_points of the distances is each point's (m+1)-th nearest
-    distance, the density filter's own test: every point's verdict is
-    stored for ``density_filter``.
+    distance, the density filter's own test, so the verdict is 1 (dense)
+    or 2 (sparse); else it is None.
 
     The query runs in blocks of ``_QUERY_BLOCK`` rows on
     ``query_workers()`` threads (``geom.run_row_blocks``).
     """
+    from scipy.spatial import cKDTree   # deferred, as in density_filter
     n, k, m = len(points), cfg.normal_k, cfg.density_min_points
-    tree = _kdtree(points, cache)
+    tree = cKDTree(points)
     table = np.empty((n, k), dtype=np.intp)
     tie_free = np.empty(n, dtype=bool)
-    verdict = cache.get("density", lambda: np.zeros(n, dtype=np.int8)) \
-        if 0 < m <= k else None
+    verdict = np.empty(n, dtype=np.int8) if 0 < m <= k else None
 
     def query(rows):
         dist, idx = tree.query(points[rows], k=k + 1, workers=1)
@@ -577,15 +541,14 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig,
     if len(ties):
         table[ties] = tree.query(points[ties], k=k,
                                  workers=query_workers())[1]
-    return table, tie_free
+    return table, tie_free, verdict
 
 
 def _subset_from_whole(points: np.ndarray, subset: np.ndarray, k: int,
-                       tie_free: np.ndarray, whole_normals: np.ndarray,
-                       whole_curv: np.ndarray, whole_idx: np.ndarray):
+                       whole: Neighbours) -> Neighbours:
     """The subset's normals, curvature and subset-local k-nearest table,
     equal to the direct subset query's (``geom.knn_table``), from the
-    whole cloud's; the subset has at least k points.
+    whole cloud's (``whole``); the subset has at least k points.
 
     A point whose whole-cloud row is tie-free and holds only subset points
     has those points as its k nearest in the subset too, in the same
@@ -597,129 +560,145 @@ def _subset_from_whole(points: np.ndarray, subset: np.ndarray, k: int,
     """
     local = np.full(len(points), -1, dtype=np.intp)
     local[subset] = np.arange(len(subset))
-    knn_idx = local[whole_idx[subset]]
-    redo = np.flatnonzero(~(tie_free[subset] & (knn_idx >= 0).all(axis=1)))
-    normals, curv = whole_normals[subset], whole_curv[subset]
+    knn_idx = local[whole.knn_idx[subset]]
+    redo = np.flatnonzero(
+        ~(whole.tie_free[subset] & (knn_idx >= 0).all(axis=1)))
+    normals, curv = whole.normals[subset], whole.curvature[subset]
     if len(redo):
-        from scipy.spatial import cKDTree   # deferred, as in _kdtree
+        from scipy.spatial import cKDTree   # deferred, as in density_filter
         sub_pts = points[subset]
         knn_idx[redo] = cKDTree(sub_pts).query(
             sub_pts[redo], k=k, workers=query_workers())[1]
         normals[redo], curv[redo] = normals_from_neighbors(
             sub_pts, knn_idx[redo], _VIEWPOINT, rows=redo)
-    return normals, curv, knn_idx
+    return Neighbours(normals, curv, knn_idx)
 
 
-def _normals_for(points, subset, cfg, cache=None):
+def _normals_for(points, subset, cfg,
+                 whole: Optional[Neighbours] = None) -> Neighbours:
     """Normals and curvature of the points ``subset`` (sorted distinct
     indices) plus their subset-local k-nearest table (reused by region
     growing), k = normal_k; the normals face the sensor at the origin.
 
     Every path gives the direct query's result (``geom.knn_table`` on the
-    subset's points) bit for bit. With a ``cache`` of ``points`` and
-    ``cfg``:
+    subset's points) bit for bit:
 
-    - the whole cloud takes its table from one (k+1)-nearest query on the
-      cache's kd-tree, which also judges every point's density
-      (``_whole_cloud_neighbours``);
-    - a smaller subset, once the whole cloud's normals are cached, reuses
-      each whole-cloud row that lies inside it (``_subset_from_whole``).
+    - the whole cloud, when it has more than k points, takes its table
+      from one (k+1)-nearest query, which also judges every point's
+      density (``_whole_cloud_neighbours``);
+    - a subset of at least k points, given the whole cloud's result
+      ``whole``, reuses each whole-cloud row that lies inside it
+      (``_subset_from_whole``).
 
     Any other call queries a kd-tree of the subset, so a lone mode-H run
     makes no whole-cloud query.
     """
     k = cfg.normal_k
-    if cache is not None:
-        cache.bind(points, cfg)
-        if len(subset) == len(points) > k:
-            knn_idx, _ = cache.get("neighbours", lambda: (
-                _whole_cloud_neighbours(points, cfg, cache)))
-            normals, curv = normals_from_neighbors(points, knn_idx, _VIEWPOINT)
-            return normals, curv, knn_idx
-        shared = cache.lookup("neighbours")
-        whole = cache.lookup("normals/cloud")
-        if len(subset) >= k and shared is not None and whole is not None:
-            return _subset_from_whole(points, subset, k, shared[1], *whole)
+    if len(subset) == len(points) > k:
+        knn_idx, tie_free, verdict = _whole_cloud_neighbours(points, cfg)
+        normals, curv = normals_from_neighbors(points, knn_idx, _VIEWPOINT)
+        return Neighbours(normals, curv, knn_idx, tie_free, verdict)
+    if len(subset) >= k and whole is not None and whole.tie_free is not None:
+        return _subset_from_whole(points, subset, k, whole)
     sub_pts = points[subset]
     knn_idx = knn_table(sub_pts, k)
     normals, curv = normals_from_neighbors(sub_pts, knn_idx, _VIEWPOINT)
-    return normals, curv, knn_idx
+    return Neighbours(normals, curv, knn_idx)
 
 
 @contextmanager
 def _timed(latency: dict, stage: str):
-    """Record the wall time of the block as latency[stage] in ms."""
+    """Add the wall time of the block to latency[stage], in ms."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        latency[stage] = (time.perf_counter() - t0) * 1e3
+        latency[stage] = latency.get(stage, 0.0) \
+            + (time.perf_counter() - t0) * 1e3
 
 
-def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig,
-                 cache: Optional[StageCache] = None) -> SegmentationOutput:
-    """Run the configured pipeline variant on one scan.
+def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
+    """Run pipeline variants on one scan.
 
     full: coarse split, then fine segmentation inside the coarse ground,
     then the density filter. without_fine: coarse split + density filter.
     without_coarse: fine segmentation over the whole cloud + density filter.
 
-    Variants of one cloud and config that pass the same ``cache``
-    (``StageCache``) run each stage they share once; predictions equal
-    those of independent calls. latency_ms holds the time this call spent,
-    so a stage served from the cache records about 0. Outputs share arrays
-    with the cache: treat them as read-only.
+    Returns the ``SegmentationOutput`` of ``cfg``, or with ``modes``, a
+    list of (stage_mode, eigen_mode) pairs, one output per pair, each equal
+    to that of ``cfg`` under those modes alone. The stages the variants
+    need run once each, in this order: the coarse split; whole-cloud
+    normals and region growing, whose (k+1)-nearest query also serves the
+    coarse ground's rows and every point's density (``_normals_for``);
+    coarse-ground normals and region growing; one density filter over the
+    union of the variants' masks. Each variant then only judges its
+    clusters (``classify_cluster``). Its latency_ms holds the measured time
+    of each stage it uses, region_growing with its own verdicts added.
+    Outputs share arrays: treat them as read-only.
     """
+    single = modes is None
+    variants = [replace(cfg, stage_mode=s, eigen_mode=e) for s, e in
+                ([(cfg.stage_mode, cfg.eigen_mode)] if single else modes)]
+    if not variants:
+        return []
     if len(cloud) == 0:
         raise DegenerateCloudError("cannot segment an empty cloud")
-    n = len(cloud)
-    pts = cloud.points
-    cache = StageCache() if cache is None else cache
-    cache.bind(pts, cfg)
-    latency = dict.fromkeys(_STAGES, 0.0)
-    warnings: list[str] = []
-    plane = None
-    clusters: list[Cluster] = []
-    mask = np.zeros(n, dtype=bool)
+    n, pts = len(cloud), cloud.points
+    stage_modes = {v.stage_mode for v in variants}
+    ms: dict = {}   # measured time of each stage run
+    grown = {}      # stage mode -> the verdict-free clusters of its subset
+    coarse = whole = None
+    everything = np.arange(n, dtype=np.intp)
 
-    if cfg.stage_mode in (FULL, WITHOUT_FINE):
-        subset = "ground"
-        with _timed(latency, "coarse"):
-            cs = cache.get("coarse", lambda: coarse_split(cloud, cfg))
-            plane = cs.plane
-            coarse_ground = cs.ground
-            if cs.warning:
-                warnings.append(cs.warning)
-            mask[cs.structure] = True
-    else:
-        subset = "cloud"
-        coarse_ground = np.arange(n, dtype=np.intp)
+    def fine(stage_mode, subset, from_whole=None):
+        with _timed(ms, "normals/" + stage_mode):
+            nbrs = _normals_for(pts, subset, cfg, from_whole)
+        with _timed(ms, "region_growing/" + stage_mode):
+            grown[stage_mode] = region_grow(pts, subset, nbrs.normals,
+                                            nbrs.curvature, cfg, nbrs.knn_idx)
+        return nbrs
 
-    if cfg.stage_mode in (FULL, WITHOUT_COARSE) and len(coarse_ground) >= 3:
-        with _timed(latency, "normals"):
-            normals, curv, knn_idx = cache.get("normals/" + subset, lambda: (
-                _normals_for(pts, coarse_ground, cfg, cache)))
-        with _timed(latency, "region_growing"):
-            grown = cache.get("region_grow/" + subset, lambda: region_grow(
-                pts, coarse_ground, normals, curv, cfg, knn_idx=knn_idx))
-            # the cached clusters stay verdict-free; each call gets copies
-            clusters = [replace(c, verdict=classify_cluster(c, cfg))
-                        for c in grown]
-            for c in clusters:
-                if c.verdict == STRUCTURE:
-                    mask[c.indices] = True
+    if stage_modes & {FULL, WITHOUT_FINE}:
+        with _timed(ms, "coarse"):
+            coarse = coarse_split(cloud, cfg)
+    # the whole cloud first: its query serves the coarse ground's normals
+    if WITHOUT_COARSE in stage_modes and n >= 3:
+        whole = fine(WITHOUT_COARSE, everything)
+    if FULL in stage_modes and len(coarse.ground) >= 3:
+        fine(FULL, coarse.ground, whole)
 
-    with _timed(latency, "density"):
-        before = mask.copy()
-        mask = density_filter(pts, mask, cfg, cache)
-    removed = np.flatnonzero(before & ~mask)
+    outputs = []
+    for v in variants:
+        split = v.stage_mode != WITHOUT_COARSE
+        out = SegmentationOutput(
+            prediction=np.zeros(n, dtype=bool),
+            plane=coarse.plane if split else None,
+            coarse_ground=coarse.ground if split else everything,
+            clusters=[],
+            density_removed=None,   # set after the density filter
+            warnings=[coarse.warning] if split and coarse.warning else [],
+            latency_ms={"coarse": ms["coarse"] if split else 0.0,
+                        "normals": ms.get("normals/" + v.stage_mode, 0.0),
+                        "region_growing": ms.get(
+                            "region_growing/" + v.stage_mode, 0.0)})
+        if split:
+            out.prediction[coarse.structure] = True
+        if v.stage_mode in grown:
+            with _timed(out.latency_ms, "region_growing"):
+                # each variant gets copies of the grown clusters
+                out.clusters = [replace(c, verdict=classify_cluster(c, v))
+                                for c in grown[v.stage_mode]]
+                for c in out.clusters:
+                    if c.verdict == STRUCTURE:
+                        out.prediction[c.indices] = True
+        outputs.append(out)
 
-    return SegmentationOutput(
-        prediction=mask,
-        plane=plane,
-        coarse_ground=coarse_ground,
-        clusters=clusters,
-        density_removed=removed,
-        warnings=warnings,
-        latency_ms=latency,
-    )
+    with _timed(ms, "density"):
+        kept = density_filter(
+            pts, np.logical_or.reduce([out.prediction for out in outputs]),
+            cfg, None if whole is None else whole.density)
+    for out in outputs:
+        out.density_removed = np.flatnonzero(out.prediction & ~kept)
+        out.prediction &= kept
+        out.latency_ms["density"] = ms["density"]
+    return outputs[0] if single else outputs

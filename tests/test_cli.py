@@ -266,21 +266,25 @@ class TestSweep:
         assert miou["1"] == miou["2"]
 
     def test_segment_one_keeps_variant_order(self, tmp_path):
-        # the without_coarse variants run first inside, but each record,
+        # the stages run in plan order inside, but each record,
         # prediction and latency file is that of its own variant
         cloud = _reduced_scan(2)
         path = tmp_path / "scan.pcd"
         tio.write_pcd(cloud, path)
         cloud = tio.read_pcd(path)
-        variants = [(tmp_path / mode, cli._mode_config(
-            segment.PipelineConfig(), mode)) for mode in cli.MODES]
-        for out_dir, _ in variants:
+        # in an order that is not cli.MODES's, one mode twice
+        modes = ["WF", "H", "WC_M", "R", "WC_H", "M", "H", "WC_R"]
+        targets = [(tmp_path / f"{i}{mode}", mode)
+                   for i, mode in enumerate(modes)]
+        for out_dir, _ in targets:
             out_dir.mkdir()
         records = cli._segment_one(
-            (str(path), [(str(d), cfg) for d, cfg in variants]))
-        assert len(records) == len(variants)
-        for (out_dir, cfg), rec in zip(variants, records):
-            alone = segment.run_pipeline(cloud, cfg)
+            (str(path), segment.PipelineConfig(),
+             [(str(d), mode) for d, mode in targets]))
+        assert len(records) == len(targets)
+        for (out_dir, mode), rec in zip(targets, records):
+            alone = segment.run_pipeline(
+                cloud, cli._mode_config(segment.PipelineConfig(), mode))
             assert rec.error is None and rec.file == path.name
             assert rec.cm == tmetrics.confusion(alone.prediction,
                                                 cloud.truss_mask)
@@ -306,7 +310,8 @@ class TestSweep:
         # inline
         data = make_tiny_dataset(tmp_path, n=2)
         files = cli._pcd_files(data)
-        cfg = cli._mode_config(segment.PipelineConfig(), "H")
+        base = segment.PipelineConfig()
+        cfg = cli._mode_config(base, "H")
         # the settings stay patched after the loop, in the forked workers too
         for _ in thread_settings(monkeypatch, ((2, True),)):
             want = [segment.run_pipeline(tio.read_pcd(f), cfg).prediction
@@ -316,7 +321,7 @@ class TestSweep:
         pool = cli._segment_pool(2)
         try:
             results = list(pool.map(segment_one_counting_threads,
-                                    [(str(f), [(str(out), cfg)])
+                                    [(str(f), base, [(str(out), "H")])
                                      for f in files], timeout=120))
         except TimeoutError:
             for child in multiprocessing.active_children():
@@ -401,6 +406,63 @@ class TestSweep:
             assert report["mean_iou"] is None
 
 
+    def test_variants_report_each_shared_stage_alike(self, tmp_path):
+        # each variant's latency holds the measured time of every stage it
+        # uses, however many variants share that stage
+        data = make_tiny_dataset(tmp_path, n=1)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", "configs/ortho.cfg",
+                         "--in", str(data), "--out", str(out)]) == 0
+        stages = {mode: json.loads((out / mode / "scan_00000.latency.json")
+                                   .read_text())["stages_ms"]
+                  for mode in cli.MODES}
+        for stage, modes in (("coarse", ["R", "M", "H", "WF"]),
+                             ("normals", ["R", "M", "H"]),
+                             ("normals", ["WC_R", "WC_M", "WC_H"]),
+                             ("density", list(cli.MODES))):
+            values = {stages[mode][stage] for mode in modes}
+            assert len(values) == 1 and values.pop() > 0, (stage, modes)
+        # region growing adds each variant's own verdicts to the shared
+        # growth; a stage a variant skips reads 0
+        assert all(stages[mode]["region_growing"] > 0 for mode in cli.MODES
+                   if mode != "WF")
+        assert all(stages[mode]["coarse"] == 0.0
+                   for mode in ("WC_R", "WC_M", "WC_H"))
+        assert stages["WF"]["normals"] == stages["WF"]["region_growing"] == 0
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        [[float(i), 2.0 * i, 0.5 * i] for i in range(5)]],
+        ids=["two_points", "collinear"])
+    def test_degenerate_scan_fails_every_variant(self, tmp_path, capsys,
+                                                 points):
+        # the coarse split cannot fit a plane, so the scan's one pipeline
+        # call fails, and with it the WC variants that do not split
+        (tmp_path / "in").mkdir()
+        tio.write_pcd(LabeledCloud(np.array(points)),
+                      tmp_path / "in" / "thin.pcd")
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        rc = cli.main(["sweep", "--in", str(tmp_path / "in"),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        prefix = "error: thin.pcd: DegenerateCloudError: "
+        assert err.count("thin.pcd") == 1 and err.startswith(prefix)
+        error = err.splitlines()[0][len("error: thin.pcd: "):]
+        for mode in cli.MODES:
+            [row] = json.loads(
+                (out / mode / "report.json").read_text())["clouds"]
+            assert row["error"] == error, mode
+        # WC_H alone makes no coarse split: the scan is all background
+        assert cli.main(["segment", "--in", str(tmp_path / "in"),
+                         "--out", str(tmp_path / "wc"),
+                         "--mode", "WC_H"]) == 0
+        _, arrays = tio.read_pcd_arrays(tmp_path / "wc" / "thin.pcd")
+        assert len(arrays["pred"]) == len(points)
+        assert not (arrays["pred"] > 0.5).any()
+
+
 def load_tracing():
     """``perfbench/tracing.py``, loaded from its file as it stands."""
     import importlib.util
@@ -418,8 +480,8 @@ class TestTracerContract:
 
     # span name -> (calls with all seven variants, calls with mode H alone)
     SPANS = {"segment.coarse_split": (1, 1), "segment.knn": (2, 1),
-             "segment.region_grow": (2, 1), "segment.density": (7, 1),
-             "segment.run_pipeline": (7, 1)}
+             "segment.region_grow": (2, 1), "segment.density": (1, 1),
+             "segment.run_pipeline": (1, 1)}
 
     def test_span_counts_of_one_scan(self, tmp_path):
         tracing = load_tracing()
@@ -432,14 +494,15 @@ class TestTracerContract:
         path = str(data / "clouds" / "scan_00000.pcd")
         pipeline = tio.load_config("configs/ortho.cfg").pipeline
         for column, modes in enumerate((list(cli.MODES), ["H"])):
-            variants = [(str(tmp_path / f"{column}{mode}"),
-                         cli._mode_config(pipeline, mode)) for mode in modes]
-            for out_dir, _ in variants:
+            targets = [(str(tmp_path / f"{column}{mode}"), mode)
+                       for mode in modes]
+            for out_dir, _ in targets:
                 Path(out_dir).mkdir()
-            untraced = cli._segment_one((path, variants))
+            task = (path, pipeline, targets)
+            untraced = cli._segment_one(task)
             tracer = tracing.Tracer()
             with tracer.installed():
-                traced = cli._segment_one((path, variants))
+                traced = cli._segment_one(task)
             calls = {}
             for span in tracer.spans:
                 calls[span[0]] = calls.get(span[0], 0) + 1

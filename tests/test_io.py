@@ -139,6 +139,54 @@ class TestPcdRoundTrip:
         cloud = tio.read_pcd(self.one_label("label", type_size, value))
         assert cloud.face_label.tolist() == [label]
 
+    @pytest.mark.parametrize("type_size, value, want", [
+        ("I8", "9007199254740993", 2**53 + 1),
+        ("I8", "+9007199254740993", 2**53 + 1),
+        ("I8", "9.007199254740993e15", 2**53 + 1),
+        ("I8", "-9007199254740993", -(2**53 + 1)),
+        ("I8", "9223372036854775807", 2**63 - 1),
+        ("I8", "-9223372036854775808", -2**63),
+        ("U8", "18446744073709551615", 2**64 - 1),
+        ("U8", "1e19", 10**19),
+        ("I8", "5.0", 5)])
+    def test_ascii_eight_byte_integer_is_exact(self, type_size, value, want):
+        _, arrays = tio.read_pcd_arrays(self.one_label("label", type_size,
+                                                       value))
+        assert arrays["label"].dtype == np.dtype(f"<{type_size.lower()}")
+        assert arrays["label"].tolist() == [want]
+
+    @pytest.mark.parametrize("type_size, value", [
+        ("I8", "9223372036854775808"), ("I8", "-9223372036854775809"),
+        ("U8", "18446744073709551616"), ("I8", "9007199254740993.5"),
+        ("U8", "-1"), ("I8", "inf"), ("I8", "nan"), ("I8", "1e400")])
+    def test_ascii_eight_byte_integer_past_its_type_is_refused(
+            self, type_size, value):
+        with pytest.raises(FieldRangeError) as exc:
+            tio.read_pcd_arrays(self.one_label("label", type_size, value))
+        assert str(exc.value) == \
+            f"field 'label' holds a value that does not fit {type_size}"
+
+    def test_ascii_eight_byte_integers_keep_their_places(self):
+        # large values among small ones, in a COUNT 2 field and a scalar
+        rows = [(0, 2**53 + 1, 7, 2**64 - 1), (1, -5, -(2**63), 3),
+                (2, 2**62 + 3, 2**53, 2**53 + 3)]
+        text = ("VERSION .7\nFIELDS x ids tag y z\nSIZE 4 8 8 4 4\n"
+                "TYPE F I U F F\nCOUNT 1 2 1 1 1\nWIDTH 3\nHEIGHT 1\n"
+                "POINTS 3\nDATA ascii\n"
+                + "".join(f"{x} {a} {b} {t} 0 0\n" for x, a, b, t in rows))
+        _, arrays = tio.read_pcd_arrays(text.encode())
+        assert arrays["ids"].tolist() == [[a, b] for _, a, b, _ in rows]
+        assert arrays["tag"].tolist() == [t for *_, t in rows]
+        assert arrays["x"].tolist() == [0.0, 1.0, 2.0]
+
+    def test_eight_byte_integer_label_is_exact(self):
+        cloud = tio.read_pcd(self.one_label("label", "I8",
+                                            "9223372036854775807"))
+        assert cloud.face_label.tolist() == [2**63 - 1]
+        blob = np.array(2**53 + 1, "<u8").tobytes()
+        cloud = tio.read_pcd(self.one_label("label", "U8", blob, "binary"))
+        assert cloud.face_label.tolist() == [2**53 + 1]
+
     @pytest.mark.parametrize("field", ["label", "intensity"])
     def test_label_past_int64_is_refused(self, field):
         for blob in (self.one_label(field, "F4", "1e30"),

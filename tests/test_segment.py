@@ -298,7 +298,7 @@ class TestRegionGrow:
         cfg = segment.PipelineConfig(rg_curvature_threshold=threshold)
         ground = segment.coarse_split(cloud, cfg).ground
         normals, curv, knn_idx = segment._normals_for(cloud.points, ground,
-                                                      cfg)
+                                                      cfg)[:3]
         assert 0.10 <= (curv > threshold).mean() <= 0.20
         got = segment.region_grow(cloud.points, ground, normals, curv, cfg,
                                   knn_idx)
@@ -320,7 +320,7 @@ class TestRegionGrow:
         cfg = segment.PipelineConfig(rg_min_cluster=min_cluster)
         whole = np.arange(len(cloud))
         normals, curv, knn_idx = segment._normals_for(cloud.points, whole,
-                                                      cfg)
+                                                      cfg)[:3]
         got = segment.region_grow(cloud.points, whole, normals, curv, cfg,
                                   knn_idx)
         want = region_grow_sequential(
@@ -403,7 +403,7 @@ def grow_inputs(shipped_cloud):
             idx = (segment.coarse_split(cloud, CFG).ground
                    if subset == "coarse" else np.arange(len(cloud)))
             made[scan, subset] = (cloud.points, idx, *segment._normals_for(
-                cloud.points, idx, CFG))
+                cloud.points, idx, CFG)[:3])
         return made[scan, subset]
     return get
 
@@ -671,17 +671,20 @@ class TestDensityFilter:
                               mask & (count >= CFG.density_min_points))
 
     def test_shared_cache_across_modes_equals_fresh_calls(self):
+        # the verdicts of the whole-cloud normals serve every mode's mask
         cloud = _reduced_scan(2)
-        cache = segment.StageCache()
+        verdict = whole_cloud(cloud).density
+        kept = verdict.copy()
         for mode, (stage, eigen) in cli.MODES.items():
             cfg = replace(CFG, stage_mode=stage, eigen_mode=eigen)
             out = segment.run_pipeline(cloud, cfg)
             before = out.prediction.copy()
             before[out.density_removed] = True
-            shared = segment.density_filter(cloud.points, before, cfg, cache)
+            shared = segment.density_filter(cloud.points, before, cfg, verdict)
             fresh = segment.density_filter(cloud.points, before, cfg)
             assert np.array_equal(shared, out.prediction), mode
             assert np.array_equal(fresh, out.prediction), mode
+        assert np.array_equal(verdict, kept)
 
 
 class TestRunPipeline:
@@ -780,124 +783,134 @@ def output_digest(out):
                          for c in out.clusters]}
 
 
-def sweep_order(order):
-    """The seven variants of ``cli.MODES`` in their own order ("modes") or
-    as a sweep runs them, the without_coarse ones first ("wc_first")."""
-    modes = list(cli.MODES)
-    if order == "wc_first":
-        modes.sort(key=lambda m: cli.MODES[m][0] != segment.WITHOUT_COARSE)
-    return modes
-
-
 SWEEP_SCANS = ["seed1", "seed2", "seed3", "ground_not_found", "tiny_ground"]
 
 
+def sweep_scan(scan):
+    """(cloud, base config) of one of ``SWEEP_SCANS``."""
+    if scan == "ground_not_found":
+        rng = np.random.default_rng(13)
+        return LabeledCloud(rng.uniform(-50, 50, (2000, 3))), CFG
+    if scan == "tiny_ground":
+        return tiny_coarse_ground_cloud()
+    return _reduced_scan(int(scan[-1])), CFG
+
+
+def run_alone(cloud, cfg, stage, eigen):
+    """One variant by its own ``run_pipeline`` call."""
+    return segment.run_pipeline(
+        cloud, replace(cfg, stage_mode=stage, eigen_mode=eigen))
+
+
 class TestStageCache:
+    """The stages the variants of one ``run_pipeline`` call share run once
+    and serve each variant as its own call would."""
+
     @pytest.mark.parametrize("scan", SWEEP_SCANS)
     def test_shared_sweep_equals_independent_runs(self, scan):
-        self.check_shared_sweep(scan, "modes")
-
-    @pytest.mark.parametrize("scan", SWEEP_SCANS)
-    def test_sweep_order_equals_independent_runs(self, scan):
-        self.check_shared_sweep(scan, "wc_first")
-
-    @staticmethod
-    def check_shared_sweep(scan, order):
-        """The seven variants of ``scan`` through one cache, in ``order``
-        (``sweep_order``), each equal to an independent run."""
-        if scan == "ground_not_found":
-            rng = np.random.default_rng(13)
-            cloud, base = LabeledCloud(rng.uniform(-50, 50, (2000, 3))), CFG
-        elif scan == "tiny_ground":
-            cloud, base = tiny_coarse_ground_cloud()
-        else:
-            cloud, base = _reduced_scan(int(scan[-1])), CFG
-        cache = segment.StageCache()
-        shared = {}
-        for mode in sweep_order(order):
-            stage, eigen = cli.MODES[mode]
-            cfg = replace(base, stage_mode=stage, eigen_mode=eigen)
-            shared[mode] = segment.run_pipeline(cloud, cfg, cache)
-            fresh = segment.run_pipeline(cloud, cfg)
+        cloud, base = sweep_scan(scan)
+        shared = dict(zip(cli.MODES, segment.run_pipeline(
+            cloud, base, list(cli.MODES.values()))))
+        for mode, (stage, eigen) in cli.MODES.items():
+            fresh = run_alone(cloud, base, stage, eigen)
             assert output_digest(shared[mode]) == output_digest(fresh), mode
         if scan == "ground_not_found":
             assert "GroundNotFound" in shared["H"].warnings[0]
         if scan == "tiny_ground":
             assert 0 < len(shared["H"].coarse_ground) < 3
-        # each call owns its Cluster objects; the cached ones keep no verdict
+        # each variant owns its Cluster objects; the grown ones keep no
+        # verdict
         ids = {id(c) for c in shared["R"].clusters}
         assert not ids & {id(c) for c in shared["H"].clusters}
 
-    @pytest.mark.parametrize("entry", ["run_pipeline", "density_filter",
-                                       "_normals_for"])
-    def test_config_other_than_the_modes_is_refused(self, entry):
-        cloud = _reduced_scan(2)
-        pts = cloud.points
-        other = {"voxel_leaf": 0.2, "ransac_threshold": 0.3,
-                 "ransac_iterations": 50, "ransac_seed": 1, "normal_k": 12,
-                 "rg_angle_threshold_deg": 10.0,
-                 "rg_curvature_threshold": 0.01, "rg_min_cluster": 40,
-                 "ratio_threshold": 0.6, "magnitude_threshold": 1.0,
-                 "density_radius": 0.15, "density_min_points": 4}
-        modes = {"stage_mode", "eigen_mode"}
-        assert set(other) | modes == {f.name for f in
-                                      fields(segment.PipelineConfig)}
-        call = {
-            "run_pipeline": lambda cfg, cache: segment.run_pipeline(
-                cloud, cfg, cache),
-            "density_filter": lambda cfg, cache: segment.density_filter(
-                pts, np.ones(len(pts), dtype=bool), cfg, cache),
-            "_normals_for": lambda cfg, cache: segment._normals_for(
-                pts, np.arange(len(pts)), cfg, cache),
-        }[entry]
-        cache = segment.StageCache()
-        segment.run_pipeline(cloud, CFG, cache)
-        for name, value in other.items():
-            with pytest.raises(InvalidSpecError):
-                call(replace(CFG, **{name: value}), cache)
-        # the modes alone may differ
-        call(replace(CFG, stage_mode=segment.WITHOUT_COARSE,
-                     eigen_mode=segment.RATIO), cache)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+           k=st.integers(3, 12), m=st.integers(0, 15),
+           radius=st.floats(0.1, 0.6),
+           modes=st.lists(st.sampled_from(list(cli.MODES.values())),
+                          max_size=9))
+    def test_random_clouds_and_modes_equal_independent_runs(
+            self, seed, n, k, m, radius, modes):
+        # a noisy floor under scattered points, some of them duplicated:
+        # clouds too small to split, whole clouds of at most k points,
+        # tied rows, density settings past the (k+1)-nearest table,
+        # repeated and reordered modes
+        rng = np.random.default_rng(seed)
+        floor = rng.uniform(0.0, 2.0, (n, 3)) * [1.0, 1.0, 0.01]
+        above = rng.uniform(0.0, 2.0, (n // 2, 3))
+        pts = np.vstack([floor, above])
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), n // 8)]])
+        cloud = LabeledCloud(pts)
+        cfg = replace(CFG, voxel_leaf=0.05, ransac_threshold=0.05,
+                      ransac_iterations=30, normal_k=k, rg_min_cluster=3,
+                      density_radius=radius, density_min_points=m)
+        want = []
+        for stage, eigen in modes:
+            try:
+                want.append(output_digest(run_alone(cloud, cfg, stage, eigen)))
+            except DegenerateCloudError:
+                with pytest.raises(DegenerateCloudError):
+                    segment.run_pipeline(cloud, cfg, modes)
+                return
+        got = segment.run_pipeline(cloud, cfg, modes)
+        assert [output_digest(o) for o in got] == want
 
-    def test_cache_of_another_cloud_is_refused(self):
-        cache = segment.StageCache()
-        segment.run_pipeline(_reduced_scan(1), CFG, cache)
-        other = _reduced_scan(1)
-        with pytest.raises(InvalidSpecError):
-            segment.run_pipeline(other, CFG, cache)
-        with pytest.raises(InvalidSpecError):
-            segment.density_filter(other.points,
-                                   np.ones(len(other), dtype=bool), CFG, cache)
-        with pytest.raises(InvalidSpecError):
-            segment._normals_for(other.points, np.arange(len(other)), CFG,
-                                 cache)
+    def test_no_modes_run_nothing(self, monkeypatch):
+        monkeypatch.setattr(segment, "coarse_split", None)
+        monkeypatch.setattr(segment, "density_filter", None)
+        assert segment.run_pipeline(_reduced_scan(1), CFG, []) == []
 
-    def test_lookup_computes_nothing(self):
-        cloud = _reduced_scan(1)
-        cache = segment.StageCache()
-        assert cache.lookup("kdtree") is None
-        segment.run_pipeline(cloud, CFG, cache)
-        # mode H alone makes no whole-cloud query
-        assert cache.lookup("neighbours") is None
-        assert cache.lookup("normals/cloud") is None
-        assert cache.lookup("kdtree") is not None
-        assert cache.lookup("normals/ground") is not None
+    @pytest.mark.parametrize("pair", [("full", "bogus"), ("bogus", "hybrid"),
+                                      ("hybrid", "full")])
+    def test_unknown_mode_pair_is_refused(self, pair):
+        with pytest.raises(InvalidSpecError):
+            segment.run_pipeline(_reduced_scan(1), CFG,
+                                 [cli.MODES["H"], pair])
+
+    # modes -> calls of (coarse_split, _normals_for, region_grow,
+    # density_filter, _whole_cloud_neighbours, _subset_from_whole,
+    # _dense_cells): with a WC mode, the whole-cloud query serves the
+    # coarse ground's rows and judges every point's density
+    @pytest.mark.parametrize("modes,calls", [
+        (list(cli.MODES), (1, 2, 2, 1, 1, 1, 0)),
+        (["H"], (1, 1, 1, 1, 0, 0, 1)),
+        (["WF", "WF"], (1, 0, 0, 1, 0, 0, 1)),
+        (["WC_H", "WC_R"], (0, 1, 1, 1, 1, 0, 0)),
+        (["M", "R"], (1, 1, 1, 1, 0, 0, 1))],
+        ids=["seven", "H", "WF_twice", "WC_only", "M_R"])
+    def test_each_stage_runs_once(self, monkeypatch, modes, calls):
+        names = ("coarse_split", "_normals_for", "region_grow",
+                 "density_filter", "_whole_cloud_neighbours",
+                 "_subset_from_whole", "_dense_cells")
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name, inner):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(segment, name,
+                                counting(name, getattr(segment, name)))
+        segment.run_pipeline(_reduced_scan(1), CFG,
+                             [cli.MODES[m] for m in modes])
+        assert tuple(counts[name] for name in names) == calls
 
 
 WC = replace(CFG, stage_mode=segment.WITHOUT_COARSE)
 
 
-def whole_cloud_cache(cloud):
-    """A stage cache of ``cloud`` after one without_coarse run, as a
-    sweep's first variant leaves it."""
-    cache = segment.StageCache()
-    segment.run_pipeline(cloud, WC, cache)
-    return cache
+def whole_cloud(cloud):
+    """The whole-cloud ``_normals_for`` result of ``cloud``, as the
+    without_coarse variants of a ``run_pipeline`` call make it."""
+    return segment._normals_for(cloud.points, np.arange(len(cloud)), CFG)
 
 
 def assert_same_normals(got, want):
-    """Two ``_normals_for`` results equal element for element, dtypes too."""
-    for a, b in zip(got, want):
+    """The normals, curvature and neighbour table of two ``_normals_for``
+    results equal element for element, dtypes too."""
+    for a, b in zip(got[:3], want[:3]):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
 
@@ -932,7 +945,7 @@ class TestSharedNeighbourhoods:
     def test_subsets_equal_direct_query(self, shipped_cloud, scan):
         cloud = shipped_cloud(scan)
         pts = cloud.points
-        cache = whole_cloud_cache(cloud)
+        whole = whole_cloud(cloud)
         rng = np.random.default_rng(7)
         subsets = {
             "coarse": segment.coarse_split(cloud, CFG).ground,
@@ -944,27 +957,26 @@ class TestSharedNeighbourhoods:
         for name, subset in subsets.items():
             assert len(subset) >= CFG.normal_k, name
             assert_same_normals(
-                segment._normals_for(pts, subset, CFG, cache),
+                segment._normals_for(pts, subset, CFG, whole),
                 segment._normals_for(pts, subset, CFG))
 
     def test_whole_cloud_equals_direct_query(self, shipped_cloud):
-        cloud = shipped_cloud("ortho")
-        whole = np.arange(len(cloud))
-        cache = segment.StageCache()
-        assert_same_normals(
-            segment._normals_for(cloud.points, whole, CFG, cache),
-            segment._normals_for(cloud.points, whole, CFG))
-        assert cache.lookup("neighbours") is not None
+        pts = shipped_cloud("ortho").points
+        got = segment._normals_for(pts, np.arange(len(pts)), CFG)
+        table = geom.knn_table(pts, CFG.normal_k)
+        assert_same_normals(got, (*geom.normals_from_neighbors(
+            pts, table, (0.0, 0.0, 0.0)), table))
+        assert got.tie_free is not None and got.density is not None
 
     def test_shipped_ortho_reuses_most_ground_rows(self, monkeypatch,
                                                    shipped_cloud):
         # guards the fast path: the coarse ground's rows come from the
         # whole-cloud table, only the boundary is queried and made again
         cloud = shipped_cloud("ortho")
-        cache = whole_cloud_cache(cloud)
+        whole = whole_cloud(cloud)
         ground = segment.coarse_split(cloud, CFG).ground
         counts = normals_rows(monkeypatch)
-        segment._normals_for(cloud.points, ground, CFG, cache)
+        segment._normals_for(cloud.points, ground, CFG, whole)
         assert len(counts) <= 1
         assert 1 - sum(counts) / len(ground) >= 0.85
 
@@ -979,16 +991,15 @@ class TestSharedNeighbourhoods:
         k = CFG.normal_k
         tie_free_want = strictly_increasing_rows(pts, k)
         assert (~tie_free_want).mean() > 0.2
-        table, tie_free = segment._whole_cloud_neighbours(
-            pts, CFG, segment.StageCache())
+        table, tie_free, _ = segment._whole_cloud_neighbours(pts, CFG)
         assert np.array_equal(tie_free, tie_free_want)
         assert np.array_equal(table, geom.knn_table(pts, k))
 
         cloud = LabeledCloud(pts)
-        cache = whole_cloud_cache(cloud)
+        whole = whole_cloud(cloud)
         subset = np.flatnonzero(pts[:, 2] <= np.median(pts[:, 2]))
         counts = normals_rows(monkeypatch)
-        got = segment._normals_for(cloud.points, subset, CFG, cache)
+        got = segment._normals_for(cloud.points, subset, CFG, whole)
         # every tied row of the subset is queried and made again
         assert sum(counts) >= (~tie_free_want[subset]).sum()
         assert_same_normals(got, segment._normals_for(cloud.points, subset,
@@ -996,9 +1007,9 @@ class TestSharedNeighbourhoods:
 
     def test_subset_smaller_than_normal_k(self):
         cloud = _reduced_scan(2)
-        cache = whole_cloud_cache(cloud)
+        whole = whole_cloud(cloud)
         subset = np.arange(0, 10 * (CFG.normal_k - 5), 10)
-        got = segment._normals_for(cloud.points, subset, CFG, cache)
+        got = segment._normals_for(cloud.points, subset, CFG, whole)
         assert got[2].shape == (len(subset), len(subset))
         assert_same_normals(got, segment._normals_for(cloud.points, subset,
                                                       CFG))
@@ -1009,51 +1020,49 @@ class TestSharedNeighbourhoods:
         from scipy.spatial import cKDTree
         cloud = shipped_cloud(scan)
         pts = cloud.points
-        cache = whole_cloud_cache(cloud)
+        whole = whole_cloud(cloud)
         m, r = CFG.density_min_points, CFG.density_radius
         dist, _ = cKDTree(pts).query(
             pts, k=m + 1, distance_upper_bound=np.nextafter(r, np.inf))
         want = np.where(dist[:, -1] <= r, 1, 2)
-        verdict = cache.lookup("density")
+        verdict = whole.density
         assert np.array_equal(verdict, want)
         # every point is judged: the filter makes no grid and no query
         monkeypatch.setattr(segment, "_dense_cells", None)
         mask = np.random.default_rng(5).random(len(pts)) < 0.5
-        got = segment.density_filter(pts, mask, CFG, cache)
+        got = segment.density_filter(pts, mask, CFG, verdict)
         assert np.array_equal(got, mask & (want == 1))
 
     def test_density_settings_past_the_table_query_as_before(self):
         cloud = _reduced_scan(2)
         for m in (0, CFG.normal_k, CFG.normal_k + 1):
             cfg = replace(WC, density_min_points=m)
-            cache = segment.StageCache()
-            segment._whole_cloud_neighbours(cloud.points, cfg, cache)
-            verdict = cache.lookup("density")
+            _, _, verdict = segment._whole_cloud_neighbours(cloud.points, cfg)
             assert (verdict is None) == (m == 0 or m > CFG.normal_k), m
             mask = np.ones(len(cloud), dtype=bool)
             assert np.array_equal(
-                segment.density_filter(cloud.points, mask, cfg, cache),
+                segment.density_filter(cloud.points, mask, cfg, verdict),
                 segment.density_filter(cloud.points, mask, cfg))
 
     def test_query_peak_is_the_table_plus_blocks(self):
-        # the whole-cloud stage holds the (n, k) index table and small
-        # per-point flags; the (k+1)-nearest distances live one block at a
+        # the whole-cloud stage holds the (n, k) index table, small
+        # per-point flags and the kd-tree's index array (the tree does not
+        # copy the cloud); the (k+1)-nearest distances live one block at a
         # time, never as an (n, k + 1) float table
         import tracemalloc
         pts = np.random.default_rng(3).uniform(0.0, 40.0, (60000, 3))
-        cache = segment.StageCache()
-        segment._kdtree(pts, cache)
         k = CFG.normal_k
         tracemalloc.start()
         try:
-            table, _ = segment._whole_cloud_neighbours(pts, CFG, cache)
+            table, _, _ = segment._whole_cloud_neighbours(pts, CFG)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         blocks = geom.query_workers() * segment._QUERY_BLOCK * (k + 1) * 16
         flags = 2 * len(pts)
-        assert peak <= table.nbytes + flags + 2 * blocks
-        assert table.nbytes + flags + 2 * blocks \
+        tree = np.dtype(np.intp).itemsize * len(pts)
+        assert peak <= table.nbytes + flags + tree + 2 * blocks
+        assert table.nbytes + flags + tree + 2 * blocks \
             < table.nbytes + len(pts) * (k + 1) * 8
 
 
@@ -1160,13 +1169,9 @@ class TestThreadedBlocks:
         digests = {}
         for setting in thread_settings(monkeypatch,
                                        ((1, False), (2, False), (2, True))):
-            cache = segment.StageCache()
-            # in sweep order, so the whole-cloud query serves the others
-            digests[setting] = {
-                mode: output_digest(segment.run_pipeline(
-                    cloud, replace(CFG, stage_mode=cli.MODES[mode][0],
-                                   eigen_mode=cli.MODES[mode][1]), cache))
-                for mode in sweep_order("wc_first")}
+            digests[setting] = [output_digest(out) for out in
+                                segment.run_pipeline(
+                                    cloud, CFG, list(cli.MODES.values()))]
         want = digests.pop((1, False))
         for setting, got in digests.items():
             assert got == want, setting
