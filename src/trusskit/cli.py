@@ -74,8 +74,8 @@ def _env_int(name: str, minimum=None):
     return value
 
 
-def _jobs(args, default: int) -> int:
-    return args.jobs or _env_int("TRUSSKIT_JOBS", minimum=1) or default
+def _jobs(args) -> int:
+    return args.jobs or _env_int("TRUSSKIT_JOBS", minimum=1) or 1
 
 
 def _parse_overrides(pairs):
@@ -115,14 +115,12 @@ def cmd_generate(args) -> int:
     env_seed = _env_int("TRUSSKIT_SEED", minimum=0)
     seed = args.seed if args.seed is not None else \
         env_seed if env_seed is not None else cfg.dataset.seed
-    jobs = _jobs(args, cfg.dataset.jobs)
     n = args.n or cfg.dataset.n_scans
     out = args.out or cfg.dataset.out_dir
     if not out:
         raise TrussKitError("no output directory (use --out or dataset.out_dir)")
     records = generate_dataset(cfg.scene, n, seed, out, sensor=cfg.sensor,
-                               fixed_position=cfg.dataset.sensor_position,
-                               jobs=jobs)
+                               jobs=_jobs(args))
     print(f"wrote {len(records)} scans to {out}")
     return 0
 
@@ -186,7 +184,7 @@ def _segment_dir(files, pipeline, targets, jobs: int) -> list:
 
 def cmd_segment(args) -> int:
     cfg = _load_config(args)
-    jobs = _jobs(args, 1)
+    jobs = _jobs(args)
     files = _pcd_files(args.in_dir)
     [records] = _segment_dir(files, cfg.pipeline, [(args.out, args.mode)],
                              jobs)
@@ -222,7 +220,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    jobs = _jobs(args, 1)
+    jobs = _jobs(args)
     files = _pcd_files(args.in_dir)
     out = Path(args.out)
     # one pass over the scans: each is read once and segmented by one

@@ -401,8 +401,6 @@ class DatasetConfig:
     out_dir: str = ""
     n_scans: int = 100
     seed: int = 0
-    jobs: int = 1
-    sensor_position: tuple[float, float, float] = (0.0, 0.0, 2.0)
 
     def __post_init__(self):
         # a config file holds one line per key and strips its values, so
@@ -416,8 +414,6 @@ class DatasetConfig:
             raise InvalidSpecError("n_scans must be >= 1")
         if self.seed < 0:
             raise InvalidSpecError("seed must be >= 0")
-        if self.jobs < 1:
-            raise InvalidSpecError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -115,9 +115,6 @@ class HeightFieldGround:
         k = 2.0 * np.pi / self.wavelength
         return self.amplitude * np.sin(k * np.asarray(x)) * np.sin(k * np.asarray(y))
 
-    def labels(self) -> np.ndarray:
-        return np.array([0], dtype=np.int64)
-
 
 @dataclass
 class Scene:

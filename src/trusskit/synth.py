@@ -51,7 +51,6 @@ class SensorConfig:
     v_fov_deg: float = 45.0
     h_fov_deg: float = 360.0
     noise_sigma: float = 0.008
-    seed: int = 0
 
     def __post_init__(self):
         if self.v_resolution < 1 or self.h_resolution < 1:
@@ -115,7 +114,8 @@ class BoxFieldSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """World recipe: ground, optional truss, trees, optional training boxes."""
+    """World recipe: ground, optional truss, trees, optional training boxes,
+    and the sensor position of a scene without a structure."""
 
     structure: Optional[TrussSpec] = None
     ground_amplitude: float = 0.2
@@ -126,6 +126,7 @@ class SceneSpec:
     tree_xy_max: tuple[float, float] = (25.0, 25.0)
     boxes: Optional[BoxFieldSpec] = None
     seed: int = 0
+    sensor_position: tuple[float, float, float] = (0.0, 0.0, 2.0)
 
     def __post_init__(self):
         if self.tree_count < 0:
@@ -422,7 +423,8 @@ def _solid_pairs(scene: Scene, R, origin, els, azs, max_range):
     return ray, owner[new_solid][cells // (2 * v_res)][rect]
 
 
-def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig) -> LabeledCloud:
+def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
+                 seed: int = 0) -> LabeledCloud:
     """Simulate one scan: nearest-hit labels, range gating, along-ray noise.
 
     Rays outside [min_range, max_range] of their nearest hit yield no point.
@@ -430,9 +432,11 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig) -> LabeledCloud:
     pairs; boxes are slab-tested in one batch and each trunk or canopy is
     intersected with its own rays. Each ray takes the smallest hit parameter
     over all solids, ties going to the solid listed first. Noise draws come
-    from one per-ray slot of a counter-based stream keyed by cfg.seed, so
-    output does not depend on evaluation order.
+    from one per-ray slot of a counter-based stream keyed by ``seed``
+    (>= 0), so output does not depend on evaluation order.
     """
+    if seed < 0:
+        raise InvalidSpecError("seed must be >= 0")
     dirs_s, els, azs = ray_grid(cfg)
     R = pose.rotation_matrix()
     origin = np.asarray(pose.translation, dtype=np.float64)
@@ -478,7 +482,7 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig) -> LabeledCloud:
     hit = np.isfinite(t_best) & (t_best >= cfg.min_range) & (t_best <= cfg.max_range)
     ranges = t_best[hit]
     if cfg.noise_sigma > 0.0:
-        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        rng = np.random.Generator(np.random.Philox(seed))
         noise = rng.normal(0.0, cfg.noise_sigma, size=n)
         ranges = ranges + noise[hit]
     points = dirs_s[hit] * ranges[:, None]
@@ -505,7 +509,7 @@ def _scene_for(spec: SceneSpec) -> Scene:
 
 
 def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
-                 fixed_position, base_seed: int, out_dir: str) -> dict:
+                 base_seed: int, out_dir: str) -> dict:
     """Build, scan and write one cloud; returns its manifest record."""
     from . import io as tio
 
@@ -528,10 +532,11 @@ def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
                 break
             pose = sample_sensor_pose(WITHIN_STRUCTURE_MODE, (lo, hi), pose_rng)
     else:
-        pose = sample_sensor_pose(FIXED_ORIENTATION_MODE, fixed_position, pose_rng)
+        pose = sample_sensor_pose(FIXED_ORIENTATION_MODE,
+                                  scene_spec.sensor_position, pose_rng)
 
     scan_seed = int(noise_child.generate_state(1, np.uint64)[0])
-    cloud = raycast_scan(scene, pose, replace(sensor, seed=scan_seed))
+    cloud = raycast_scan(scene, pose, sensor, seed=scan_seed)
 
     rel = f"clouds/scan_{i:05d}.pcd"
     tio.write_pcd(cloud, Path(out_dir) / rel, mode="binary")
@@ -546,7 +551,7 @@ def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
 
 def generate_dataset(scene_spec: SceneSpec, n_scans: int, seed: int, out_dir,
                      sensor: SensorConfig = SensorConfig(),
-                     fixed_position=(0.0, 0.0, 2.0), jobs: int = 1) -> list[dict]:
+                     jobs: int = 1) -> list[dict]:
     """Write n_scans labeled PCD scans plus a manifest under out_dir.
 
     Every scan draws from an independent stream derived from (seed, index),
@@ -557,8 +562,7 @@ def generate_dataset(scene_spec: SceneSpec, n_scans: int, seed: int, out_dir,
         raise InvalidSpecError("n_scans must be >= 1")
     out = Path(out_dir)
     (out / "clouds").mkdir(parents=True, exist_ok=True)
-    args = [(i, scene_spec, sensor, tuple(fixed_position), seed, str(out))
-            for i in range(n_scans)]
+    args = [(i, scene_spec, sensor, seed, str(out)) for i in range(n_scans)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_scan_record_star, args))

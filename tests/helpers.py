@@ -363,7 +363,7 @@ def candidate_rays_cap(center_s, radius, els, azs):
     return (rows[:, None] * h + cols[None, :]).ravel()
 
 
-def raycast_scan_per_solid(scene, pose, cfg):
+def raycast_scan_per_solid(scene, pose, cfg, seed=0):
     """Reference for ``synth.raycast_scan``: its earlier form, kept verbatim
     as a bit-identity gate. It culls and intersects one solid at a time, in
     scene order, with ``ray_box_slab`` for boxes."""
@@ -417,7 +417,7 @@ def raycast_scan_per_solid(scene, pose, cfg):
     hit = np.isfinite(t_best) & (t_best >= cfg.min_range) & (t_best <= cfg.max_range)
     ranges = t_best[hit]
     if cfg.noise_sigma > 0.0:
-        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        rng = np.random.Generator(np.random.Philox(seed))
         noise = rng.normal(0.0, cfg.noise_sigma, size=n)
         ranges = ranges + noise[hit]
     points = dirs_s[hit] * ranges[:, None]

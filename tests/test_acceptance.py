@@ -186,8 +186,8 @@ def _reduced_scan(seed, nodes=(3, 3, 3)):
     pose = synth.sample_sensor_pose(
         synth.WITHIN_STRUCTURE_MODE,
         (lo + [0.4, 0.4, 0.8], hi - [0.4, 0.4, 0.4]), seed + 10)
-    sensor = synth.SensorConfig(v_resolution=32, h_resolution=128, seed=seed)
-    return synth.raycast_scan(scene, pose, sensor)
+    sensor = synth.SensorConfig(v_resolution=32, h_resolution=128)
+    return synth.raycast_scan(scene, pose, sensor, seed=seed)
 
 
 def test_criterion_5_pipeline_invariants():
@@ -332,7 +332,7 @@ def test_criterion_8_performance_sanity():
                               shell_labels))
     scene = Scene(solids, HeightFieldGround(0.2, 10.0))
     cloud = synth.raycast_scan(scene, Pose((0.3, 0.2, 2.0)),
-                               synth.SensorConfig(seed=5))
+                               synth.SensorConfig(), seed=5)
     assert len(cloud) == 65536
     cfg = segment.PipelineConfig(eigen_mode=segment.HYBRID)
     best = np.inf

@@ -17,6 +17,7 @@ from trusskit import io as tio
 from trusskit import metrics as tmetrics
 from trusskit.geom import LabeledCloud
 from test_acceptance import _reduced_scan
+from test_io import MALFORMED_PCDS
 from test_segment import thread_settings
 
 TINY = ["--set", "sensor.v_resolution=8", "--set", "sensor.h_resolution=32"]
@@ -145,6 +146,102 @@ class TestGenerate:
             f"error: [{section}] seed must be >= 0\n"
         assert not (tmp_path / "a").exists()
 
+    def test_no_output_directory_is_error(self, capsys):
+        rc = cli.main(["generate", *TINY, "--n", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: no output directory (use --out or dataset.out_dir)\n"
+
+    def test_spec_hash_covers_the_sensor_position(self, tmp_path):
+        # the fixed sensor position of a box-field scene is a [scene] key,
+        # so a dataset scanned from elsewhere carries another spec hash
+        manifests, clouds = {}, {}
+        for position in ("0 0 2", "0 0 3", None):
+            out = tmp_path / str(position)
+            where = ["--set", f"scene.sensor_position={position}"] \
+                if position else []
+            assert cli.main(["generate", "--config", "configs/training.cfg",
+                             *TINY, "--set", "boxes.count=6", *where,
+                             "--out", str(out), "--n", "2",
+                             "--seed", "3"]) == 0
+            lines = (out / "manifest.json-lines").read_text().splitlines()
+            manifests[position] = [json.loads(line) for line in lines]
+            clouds[position] = tree_bytes(out / "clouds")
+        hashes = {position: {rec["spec_hash"] for rec in records}
+                  for position, records in manifests.items()}
+        assert all(len(h) == 1 for h in hashes.values())
+        assert hashes["0 0 2"] != hashes["0 0 3"]
+        assert clouds["0 0 2"] != clouds["0 0 3"]
+        # training.cfg sets 0 0 2
+        assert manifests[None] == manifests["0 0 2"]
+        assert clouds[None] == clouds["0 0 2"]
+
+
+class TestConfigOverrides:
+    @pytest.mark.parametrize("override, message", [
+        ("pipeline.ransac_iterations=0",
+         "[pipeline] ransac_iterations must be >= 1"),
+        ("pipeline.rg_angle_threshold_deg=90",
+         "[pipeline] angle threshold must be in (0, 90) degrees"),
+        ("pipeline.rg_curvature_threshold=-1",
+         "[pipeline] curvature threshold must be >= 0"),
+        ("pipeline.rg_min_cluster=0",
+         "[pipeline] rg_min_cluster must be >= 1"),
+        ("pipeline.density_min_points=-1",
+         "[pipeline] density_min_points must be >= 0"),
+        ("sensor.min_range=40", "[sensor] need 0 < min_range < max_range"),
+        ("sensor.v_fov_deg=181", "[sensor] vertical FOV must be in (0, 180]"),
+        ("sensor.h_fov_deg=0", "[sensor] horizontal FOV must be in (0, 360]"),
+        ("sensor.noise_sigma=-1", "[sensor] noise sigma must be >= 0"),
+        ("truss.bar_length=0", "[truss] bar dimensions must be positive"),
+        ("truss.bar_width=3",
+         "[truss] bar width must be smaller than bar length"),
+        ("truss.label_mode=x", "[truss] unknown label mode 'x'"),
+        ("boxes.count=-1", "[boxes] box count must be >= 0"),
+        ("boxes.length_bounds=2 1",
+         "[boxes] box dimension bounds must satisfy 0 < lo <= hi"),
+        ("boxes.position_min=20 20 20",
+         "[boxes] box placement bounds are ill-ordered"),
+        ("scene.tree_count=-1", "[scene] tree count must be >= 0"),
+        ("scene.tree_scale_bounds=2 1",
+         "[scene] tree scale bounds must satisfy 0 < lo <= hi"),
+        ("scene.tree_xy_min=30 30",
+         "[scene] tree placement bounds are ill-ordered"),
+        ("scene.ground_amplitude=-1", "[scene] ground amplitude must be >= 0"),
+        ("scene.ground_wavelength=0",
+         "[scene] ground wavelength must be positive"),
+        ("dataset.n_scans=0", "[dataset] n_scans must be >= 1"),
+    ])
+    def test_range_error_is_refused(self, tmp_path, capsys, override,
+                                    message):
+        rc = cli.main(["generate", *TINY, "--set", override,
+                       "--out", str(tmp_path / "a"), "--n", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "a").exists()
+
+    # not config keys: the noise seed is raycast_scan's argument, the
+    # worker count comes from --jobs, the sensor position is a [scene] key
+    @pytest.mark.parametrize("override", [
+        "sensor.seed=3", "dataset.jobs=2", "dataset.sensor_position=0 0 3"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, override):
+        section, key = override.split("=")[0].split(".")
+        rc = cli.main(["generate", *TINY, "--set", override,
+                       "--out", str(tmp_path / "a"), "--n", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: [{section}] unknown key {key!r}\n"
+        assert not (tmp_path / "a").exists()
+
+    def test_set_without_equals_is_error(self, tmp_path, capsys):
+        rc = cli.main(["generate", *TINY, "--set", "sensor.v_resolution",
+                       "--out", str(tmp_path / "a"), "--n", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: override 'sensor.v_resolution' must be " \
+            "section.key=value\n"
+        assert not (tmp_path / "a").exists()
+
 
 class TestModeMap:
     def test_table_mode_names(self):
@@ -176,6 +273,37 @@ class TestSegmentEvaluate:
         assert "pred" in arrays and "label" in arrays
         payload = json.loads(preds[0].with_suffix(".latency.json").read_text())
         assert payload["total_ms"] > 0
+
+    def test_unreadable_scan_fails_only_itself(self, tmp_path, capsys):
+        data = make_tiny_dataset(tmp_path)
+        (data / "clouds" / "bad.pcd").write_text("not a point cloud\n")
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        rc = cli.main(["segment", "--in", str(data), "--out", str(out),
+                       "--mode", "H"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: bad.pcd: MalformedHeaderError: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out.startswith("segmented 2/3 clouds (mode H)")
+        assert sorted(p.name for p in out.glob("*.pcd")) == \
+            ["scan_00000.pcd", "scan_00001.pcd"]
+
+    def test_write_failure_fails_only_its_target(self, tmp_path):
+        # a directory stands where one target's prediction goes
+        data = make_tiny_dataset(tmp_path, n=1)
+        path = data / "clouds" / "scan_00000.pcd"
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        good.mkdir()
+        (bad / path.name).mkdir(parents=True)
+        pipeline = tio.load_config("configs/ortho.cfg").pipeline
+        ok, failed = cli._segment_one(
+            (str(path), pipeline, [(str(good), "H"), (str(bad), "WF")]))
+        assert ok.error is None and ok.metrics is not None
+        assert (good / path.name).is_file()
+        assert failed.error.startswith("IsADirectoryError: ")
+        assert failed.cm is None and failed.metrics is None
 
     def test_negative_ransac_seed_is_error(self, tmp_path, capsys):
         data = make_tiny_dataset(tmp_path)
@@ -543,6 +671,14 @@ class TestThreshold:
         rc = cli.main(["threshold", "--scores", str(path)])
         assert rc == 1
 
+    def test_non_utf8_file_is_error(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"score,truth\n" + bytes(range(128, 256)) + b"\n")
+        rc = cli.main(["threshold", "--scores", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: not a CSV text file (")
+
     @pytest.mark.parametrize("bad_row", ["abc,0", "0.5", "0.1,0.7", "0.2,2",
                                          "nan,1", "inf,0", "-inf,1"])
     def test_malformed_row_names_file_and_line(self, tmp_path, capsys,
@@ -581,6 +717,23 @@ class TestExport:
         body = out.read_text().split("end_header\n")[1].strip().splitlines()
         colors = {tuple(line.split()[3:]) for line in body}
         assert colors <= {("0", "255", "0"), ("0", "0", "0")}
+
+    def test_truth_from_another_file(self, tmp_path):
+        # the cloud's own labels are all background; --truth colours by
+        # the other file's
+        points = np.random.default_rng(2).normal(size=(6, 3))
+        src = tmp_path / "pred.pcd"
+        tio.write_prediction_pcd(LabeledCloud(points), [1, 1, 1, 0, 0, 0], src)
+        truth = tmp_path / "truth.pcd"
+        tio.write_pcd(LabeledCloud(points, [1, 0, 1, 0, 1, 0]), truth)
+        out = tmp_path / "c.ply"
+        rc = cli.main(["export", "--cloud", str(src), "--truth", str(truth),
+                       "--out", str(out)])
+        assert rc == 0
+        body = out.read_text().split("end_header\n")[1].splitlines()
+        colors = [tuple(int(v) for v in line.split()[3:]) for line in body]
+        tp, tn, fp, fn = (0, 255, 0), (0, 0, 0), (255, 0, 0), (255, 165, 0)
+        assert colors == [tp, fp, tp, tn, fn, tn]
 
     def test_label_past_int64_fails_cleanly(self, tmp_path, capsys):
         src = tmp_path / "huge.pcd"
@@ -622,7 +775,8 @@ def test_import_does_not_load_scipy_spatial():
 def cli_inputs(tmp_path_factory):
     """Paths a CLI argument can name: a tiny dataset with its mode-H
     predictions, an empty directory, a garbage text file, a non-UTF-8 file,
-    score files, PCD files whose labels do not fit, a regular file that outputs may overwrite and a missing
+    score files, PCD files whose labels do not fit or whose header or body
+    is malformed, a regular file that outputs may overwrite and a missing
     path."""
     root = tmp_path_factory.mktemp("cli_inputs")
     data = make_tiny_dataset(root, n=1)
@@ -634,7 +788,8 @@ def cli_inputs(tmp_path_factory):
     (root / "binary.bin").write_bytes(bytes(range(128, 256)) * 4)
     (root / "scores.csv").write_text("score,truth\n0.1,0\n0.9,1\n0.4,1\n")
     (root / "odd_scores.csv").write_text("nan,1\ninf,0\n-inf,1\n1e308,0\n")
-    # ascii PCDs whose labels do not fit: 300 in U 1, 1e30 past int64, inf
+    # ascii PCDs whose labels do not fit (300 in U 1, 1e30 past int64,
+    # inf), and the malformed ones of test_io
     (root / "odd_clouds").mkdir()
     for name, (t, s, value) in {"wrapped": ("U", 1, "300"),
                                 "huge": ("F", 4, "1e30"),
@@ -643,6 +798,8 @@ def cli_inputs(tmp_path_factory):
             f"VERSION .7\nFIELDS x y z label\nSIZE 4 4 4 {s}\n"
             f"TYPE F F F {t}\nCOUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\n"
             f"POINTS 1\nDATA ascii\n1 2 3 {value}\n")
+    for name, (blob, _) in MALFORMED_PCDS.items():
+        (root / "odd_clouds" / f"{name}.pcd").write_bytes(blob)
     return {"data": data, "clouds": data / "clouds",
             "cloud": data / "clouds" / "scan_00000.pcd",
             "pred": root / "pred",
@@ -655,6 +812,8 @@ def cli_inputs(tmp_path_factory):
             "wrapped": root / "odd_clouds" / "wrapped.pcd",
             "huge": root / "odd_clouds" / "huge.pcd",
             "infinite": root / "odd_clouds" / "infinite.pcd",
+            **{name: root / "odd_clouds" / f"{name}.pcd"
+               for name in MALFORMED_PCDS},
             "config": Path("configs/ortho.cfg"), "missing": root / "missing",
             "root": root}
 
@@ -735,7 +894,7 @@ def _cli_argv(draw, paths):
                 ["roc", "pr", "auc"]))) + flag("--out", out)
     else:
         files = ("pred_cloud", "cloud", "garbage", "binary", "missing",
-                 "empty", "wrapped", "huge", "infinite")
+                 "empty", "wrapped", "huge", "infinite", *MALFORMED_PCDS)
         argv = flag("--cloud", lambda: path(*files), True) + flag(
             "--pred-field", lambda: draw(st.sampled_from(
                 ["pred", "label", "x", "nope"]))) + flag(

@@ -32,6 +32,25 @@ def random_cloud(rng, n, with_pose=True):
                         rng.integers(0, 40, n), sensor_pose=pose)
 
 
+def _one_point_pcd(count="1 1 1", width="1", points="1", body="1 2 3"):
+    return (f"VERSION .7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
+            f"COUNT {count}\nWIDTH {width}\nHEIGHT 1\nPOINTS {points}\n"
+            f"DATA ascii\n{body}\n").encode()
+
+
+# one-point PCDs with one header or body fault each, and the start of the
+# MalformedHeaderError message each gets
+MALFORMED_PCDS = {
+    "count_zero": (_one_point_pcd(count="0 1 1"),
+                   "COUNT entries must be >= 1"),
+    "negative_width": (_one_point_pcd(width="-1"), "negative WIDTH/HEIGHT"),
+    "points_mismatch": (_one_point_pcd(width="2"),
+                        "WIDTH*HEIGHT = 2 but POINTS = 1"),
+    "non_numeric_body": (_one_point_pcd(body="1 2 x"),
+                         "non-numeric ascii body"),
+}
+
+
 class TestPcdRoundTrip:
     def test_empty_cloud(self):
         blob = tio.write_pcd(LabeledCloud(np.zeros((0, 3))))
@@ -237,6 +256,14 @@ class TestPcdRoundTrip:
                 tio.read_pcd(bytes(mutated))
             except TrussKitError:
                 pass   # typed rejection is the contract
+
+    @pytest.mark.parametrize("name", MALFORMED_PCDS)
+    def test_malformed_pcd_is_refused(self, name):
+        blob, message = MALFORMED_PCDS[name]
+        assert tio.read_pcd(_one_point_pcd()).points.shape == (1, 3)
+        with pytest.raises(MalformedHeaderError) as err:
+            tio.read_pcd(blob)
+        assert str(err.value).startswith(message)
 
     def test_unsupported_data_mode(self):
         text = ("VERSION .7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
@@ -472,7 +499,7 @@ def _run_configs(draw):
         draw(st.integers(1, 4096)), draw(st.integers(1, 4096)), min_range,
         max_range, draw(st.floats(0.0, 180.0, exclude_min=True)),
         draw(st.floats(0.0, 360.0, exclude_min=True)),
-        draw(st.floats(0.0, 1e3)), draw(seed))
+        draw(st.floats(0.0, 1e3)))
     truss = None
     if draw(st.booleans()):
         length = draw(pos)
@@ -489,7 +516,7 @@ def _run_configs(draw):
     tree_lo, tree_hi = draw(_bounds_pair(vec(2), vec(2)))
     scene = SceneSpec(truss, draw(st.floats(0.0, 1e3)), draw(pos),
                       draw(st.integers(0, 500)), draw(_ordered(pos)),
-                      tree_lo, tree_hi, boxes, draw(seed))
+                      tree_lo, tree_hi, boxes, draw(seed), draw(vec(3)))
     pipeline = PipelineConfig(
         draw(pos), draw(pos), draw(st.integers(1, 10**6)), draw(seed),
         draw(st.integers(3, 200)),
@@ -499,7 +526,5 @@ def _run_configs(draw):
         draw(st.floats(0.0, 1.0, exclude_min=True)), draw(pos), draw(pos),
         draw(st.integers(0, 10**6)),
         draw(st.sampled_from(["full", "without_fine", "without_coarse"])))
-    dataset = tio.DatasetConfig("", draw(st.integers(1, 10**6)),
-                                draw(seed), draw(st.integers(1, 64)),
-                                draw(vec(3)))
+    dataset = tio.DatasetConfig("", draw(st.integers(1, 10**6)), draw(seed))
     return tio.RunConfig(sensor, scene, pipeline, dataset)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,38 @@ class TestEvaluateDataset:
         assert len(report.errors) == 1
         assert "orphan.pcd" in report.errors[0]
         assert report.mean_f1 == pytest.approx(1.0)
+
+
+class TestReportFields:
+    def test_two_class_iou_and_latency_percentiles(self, tmp_path):
+        # a: iou 3/6, background 4/7; b: no background point, so its
+        # background IoU (and two-class IoU) is undefined; c: iou 1/2,
+        # background 6/7
+        counts = {"a.pcd": (3, 1, 4, 2), "b.pcd": (5, 0, 0, 0),
+                  "c.pcd": (1, 1, 6, 0)}
+        latency = {"a.pcd": 10.0, "b.pcd": 60.0, "c.pcd": 20.0}
+        records = []
+        for name, cm in counts.items():
+            cm = tm.ConfusionMatrix(*cm)
+            records.append(tm.CloudRecord(name, cm, tm.metrics(cm),
+                                          latency[name]))
+        report = tm.evaluate_pairs(records, "fp")
+        two = {r.file: r.metrics.two_class_iou for r in report.rows}
+        assert two["a.pcd"] == pytest.approx((1 / 2 + 4 / 7) / 2)
+        assert two["b.pcd"] is None
+        assert two["c.pcd"] == pytest.approx((1 / 2 + 6 / 7) / 2)
+        assert report.mean_two_class_iou == pytest.approx(17 / 28)
+        assert report.mean_iou == pytest.approx((1 / 2 + 1 + 1 / 2) / 3)
+        assert report.undefined_excluded == 0
+        assert report.latency_mean_ms == pytest.approx(30.0)
+        assert report.latency_median_ms == pytest.approx(20.0)
+        # linear interpolation at rank 0.95 * 2 = 1.9 of (10, 20, 60)
+        assert report.latency_p95_ms == pytest.approx(56.0)
+
+        report.write_json(tmp_path / "report.json")
+        written = json.loads((tmp_path / "report.json").read_text())
+        for key in ("mean_two_class_iou", "latency_median_ms",
+                    "latency_p95_ms"):
+            assert written[key] == pytest.approx(getattr(report, key))
+        assert [row["two_class_iou"] for row in written["clouds"]] == \
+            [two["a.pcd"], None, two["c.pcd"]]

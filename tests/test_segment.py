@@ -26,7 +26,7 @@ from test_acceptance import _reduced_scan
 CFG = segment.PipelineConfig()
 
 
-def truss_scene_cloud(seed=0, nodes=(3, 3, 3), trees=2, sensor=None):
+def truss_scene_cloud(seed=0, nodes=(3, 3, 3), trees=2):
     spec = synth.SceneSpec(structure=synth.TrussSpec(nodes), tree_count=trees,
                            seed=seed)
     scene = synth.build_scene(spec)
@@ -34,9 +34,8 @@ def truss_scene_cloud(seed=0, nodes=(3, 3, 3), trees=2, sensor=None):
     pose = synth.sample_sensor_pose(
         synth.WITHIN_STRUCTURE_MODE,
         (lo + [0.5, 0.5, 0.8], hi - [0.5, 0.5, 0.5]), seed + 1)
-    sensor = sensor or synth.SensorConfig(v_resolution=32, h_resolution=128,
-                                          seed=seed)
-    return synth.raycast_scan(scene, pose, sensor)
+    sensor = synth.SensorConfig(v_resolution=32, h_resolution=128)
+    return synth.raycast_scan(scene, pose, sensor, seed=seed)
 
 
 class TestRansac:
@@ -180,7 +179,7 @@ class TestCoarseSplit:
         scene = Scene([], HeightFieldGround(0.1, 10.0))
         cloud = synth.raycast_scan(
             scene, Pose((0, 0, 2)),
-            synth.SensorConfig(v_resolution=32, h_resolution=64, seed=1))
+            synth.SensorConfig(v_resolution=32, h_resolution=64), seed=1)
         cs = segment.coarse_split(cloud, CFG)
         assert len(cs.ground) == len(cloud)
         assert len(cs.structure) == 0
@@ -700,7 +699,7 @@ class TestRunPipeline:
         scene = Scene([], HeightFieldGround(0.2, 10.0))
         cloud = synth.raycast_scan(
             scene, Pose((0, 0, 2)),
-            synth.SensorConfig(v_resolution=32, h_resolution=128, seed=2))
+            synth.SensorConfig(v_resolution=32, h_resolution=128), seed=2)
         out = segment.run_pipeline(cloud, CFG)
         assert out.prediction.sum() <= 0.01 * len(cloud)
 

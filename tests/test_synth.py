@@ -232,22 +232,29 @@ class TestRaycast:
         box = OrientedBox([0, 0, 2.0], [12, 12, 6], np.eye(3), np.arange(1, 7))
         scene = Scene([box])
         clean_cfg = synth.SensorConfig(v_resolution=1024, h_resolution=1024,
-                                       noise_sigma=0.0, seed=9)
+                                       noise_sigma=0.0)
         noisy_cfg = synth.SensorConfig(v_resolution=1024, h_resolution=1024,
-                                       noise_sigma=0.008, seed=9)
+                                       noise_sigma=0.008)
         pose = Pose((0, 0, 2))
-        clean = synth.raycast_scan(scene, pose, clean_cfg)
-        noisy = synth.raycast_scan(scene, pose, noisy_cfg)
+        clean = synth.raycast_scan(scene, pose, clean_cfg, seed=9)
+        noisy = synth.raycast_scan(scene, pose, noisy_cfg, seed=9)
         assert len(clean) == len(noisy) == 1024 * 1024
         delta = np.linalg.norm(noisy.points, axis=1) - \
             np.linalg.norm(clean.points, axis=1)
         assert abs(delta.std() / 0.008 - 1.0) <= 0.02
         assert np.array_equal(clean.face_label, noisy.face_label)
 
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.008])
+    def test_negative_seed_is_refused(self, noise_sigma):
+        cfg = replace(SMALL_SENSOR, noise_sigma=noise_sigma)
+        scene = Scene([], HeightFieldGround(0.1, 10.0))
+        with pytest.raises(InvalidSpecError, match="seed must be >= 0"):
+            synth.raycast_scan(scene, Pose((0, 0, 2)), cfg, seed=-1)
 
-def _assert_same_scan(scene, pose, cfg):
-    got = synth.raycast_scan(scene, pose, cfg)
-    want = raycast_scan_per_solid(scene, pose, cfg)
+
+def _assert_same_scan(scene, pose, cfg, seed=0):
+    got = synth.raycast_scan(scene, pose, cfg, seed=seed)
+    want = raycast_scan_per_solid(scene, pose, cfg, seed)
     assert got.points.tobytes() == want.points.tobytes()
     assert np.array_equal(got.face_label, want.face_label)
     return got
@@ -278,18 +285,17 @@ class TestBatchedBoxes:
         cfg = tio.load_config(CONFIGS / f"{config}.cfg")
         calls = []
 
-        def recording(scene, pose, sensor):
-            calls.append((scene, pose, sensor))
-            return raycast(scene, pose, sensor)
+        def recording(scene, pose, sensor, seed):
+            calls.append((scene, pose, sensor, seed))
+            return raycast(scene, pose, sensor, seed=seed)
 
         raycast = synth.raycast_scan
         monkeypatch.setattr(synth, "raycast_scan", recording)
-        synth.generate_dataset(cfg.scene, 2, 5, tmp_path, sensor=cfg.sensor,
-                               fixed_position=cfg.dataset.sensor_position)
+        synth.generate_dataset(cfg.scene, 2, 5, tmp_path, sensor=cfg.sensor)
         monkeypatch.undo()
         assert len(calls) == 2
-        for scene, pose, sensor in calls:
-            cloud = _assert_same_scan(scene, pose, sensor)
+        for scene, pose, sensor, seed in calls:
+            cloud = _assert_same_scan(scene, pose, sensor, seed)
             assert (cloud.face_label > 0).sum() > 1000
 
     def test_sensor_inside_a_cover_sphere(self):
@@ -329,17 +335,18 @@ class TestBatchedBoxes:
         scene = _box_ring()
         rng = np.random.default_rng(int(h_fov))
         cfg = synth.SensorConfig(v_resolution=32, h_resolution=200,
-                                 h_fov_deg=h_fov, seed=2)
+                                 h_fov_deg=h_fov)
         for _ in range(4):
             pose = Pose((0.0, 0.0, 2.0), tuple(synth.random_unit_quaternion(rng)))
-            _assert_same_scan(scene, pose, cfg)
+            _assert_same_scan(scene, pose, cfg, seed=2)
 
     def test_single_channel(self):
         scene = _box_ring(seed=1)
-        cfg = synth.SensorConfig(v_resolution=1, h_resolution=720, seed=3)
+        cfg = synth.SensorConfig(v_resolution=1, h_resolution=720)
         for az in (0.0, 0.3, -2.0):
             q = (np.cos(az / 2), 0.0, 0.0, np.sin(az / 2))
-            cloud = _assert_same_scan(scene, Pose((0.0, 0.0, 2.0), q), cfg)
+            cloud = _assert_same_scan(scene, Pose((0.0, 0.0, 2.0), q), cfg,
+                                      seed=3)
             assert (cloud.face_label > 0).any()
 
     def test_scene_without_boxes(self):
@@ -517,8 +524,7 @@ class TestRayGround:
             return ray_ground(origin, dirs, ground, t_upper)
 
         monkeypatch.setattr(synth, "ray_ground", recording)
-        synth.generate_dataset(cfg.scene, 1, 3, tmp_path, sensor=cfg.sensor,
-                               fixed_position=cfg.dataset.sensor_position)
+        synth.generate_dataset(cfg.scene, 1, 3, tmp_path, sensor=cfg.sensor)
         [(origin, dirs, ground, t_upper)] = calls
         assert len(dirs) == cfg.sensor.v_resolution * cfg.sensor.h_resolution
         got = ray_ground(origin, dirs, ground, t_upper)
@@ -638,12 +644,12 @@ class TestGenerateDataset:
     def test_training_style_labels(self, tmp_path):
         from trusskit import io as tio
         spec = synth.SceneSpec(tree_count=3, seed=2,
+                               sensor_position=(0, 0, 1.5),
                                boxes=synth.BoxFieldSpec(
                                    count=10,
                                    position_min=(-6, -6, 0),
                                    position_max=(6, 6, 3)))
-        synth.generate_dataset(spec, 1, 11, tmp_path, sensor=SMALL_SENSOR,
-                               fixed_position=(0, 0, 1.5))
+        synth.generate_dataset(spec, 1, 11, tmp_path, sensor=SMALL_SENSOR)
         cloud = tio.read_pcd(tmp_path / "clouds" / "scan_00000.pcd")
         assert len(cloud) > 50
         assert (cloud.face_label >= 0).all()
