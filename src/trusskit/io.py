@@ -469,14 +469,18 @@ _SECTIONS = {
 }
 # sections that fill an optional [scene] part: section -> SceneSpec field
 _SCENE_PARTS = {"truss": "structure", "boxes": "boxes"}
+# dataclass fields that are not keys of their own section: the [scene]
+# parts come from sections of their own, and the pipeline variant is
+# chosen per command (`segment --mode`, `sweep`), not per config file
+_NOT_KEYS = {SceneSpec: tuple(_SCENE_PARTS.values()),
+             PipelineConfig: ("stage_mode", "eigen_mode")}
 
 
 def _section_keys(cls) -> dict:
-    """{key: annotation} of a section, in field order; [scene] leaves out
-    the parts that sections of their own fill."""
+    """{key: annotation} of a section, in field order."""
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in dc_fields(cls)
-            if not (cls is SceneSpec and f.name in _SCENE_PARTS.values())}
+            if f.name not in _NOT_KEYS.get(cls, ())}
 
 
 # built once per process: get_type_hints on every load is slow
@@ -551,7 +555,9 @@ def _value_text(value) -> str:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Serialise a RunConfig; load(dump(cfg)) reproduces cfg exactly."""
+    """Serialise a RunConfig's keys; load(dump(cfg)) reproduces every key.
+    The pipeline variant (``stage_mode``, ``eigen_mode``) is not a key, so
+    it comes back as the default, whatever ``cfg`` holds."""
     out = []
     for section, keys in _KEYS.items():
         obj = (getattr(cfg.scene, _SCENE_PARTS[section])

@@ -108,9 +108,11 @@ def _threshold_curve(scores, truth):
         raise SingleClassError("threshold search needs both classes in truth")
 
     uniq = np.unique(s)
-    cands = np.concatenate([[uniq[0] - 1.0],
-                            (uniq[:-1] + uniq[1:]) / 2.0,
-                            [uniq[-1] + 1.0]])
+    # sentinels one below and one above the scores; from magnitude 2**53
+    # on, ±1 rounds back onto the score, and the next float lies outside
+    lo = min(uniq[0] - 1.0, np.nextafter(uniq[0], -np.inf))
+    hi = max(uniq[-1] + 1.0, np.nextafter(uniq[-1], np.inf))
+    cands = np.concatenate([[lo], (uniq[:-1] + uniq[1:]) / 2.0, [hi]])
     order = np.argsort(s, kind="stable")
     sorted_scores = s[order]
     pos_prefix = np.concatenate([[0], np.cumsum(t[order])])

@@ -63,7 +63,12 @@ _VIEWPOINT = (0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All tunables of the segmentation pipeline."""
+    """All tunables of the segmentation pipeline, plus the variant it runs.
+
+    ``stage_mode`` and ``eigen_mode`` pick the variant. They are set per
+    command (``segment --mode``, ``sweep``) or per library call, so they
+    are not keys of the ``[pipeline]`` config section.
+    """
 
     voxel_leaf: float = 0.1
     ransac_threshold: float = 0.5

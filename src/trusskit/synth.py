@@ -16,10 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,6 +40,38 @@ FIXED_ORIENTATION_MODE = "fixed_position_random_orientation"
 WITHIN_STRUCTURE_MODE = "random_within_structure"
 
 
+@lru_cache(maxsize=None)
+def _numeric_fields(cls) -> tuple:
+    """(name, item types) of each float or tuple field of a spec class, in
+    field order; a float field's item types are None."""
+    hints = get_type_hints(cls)
+    kinds = ((f.name, hints[f.name]) for f in fields(cls))
+    return tuple((name, get_args(kind) or None) for name, kind in kinds
+                 if kind is float or get_origin(kind) is tuple)
+
+
+def _canonical(spec) -> None:
+    """Store a frozen spec's float fields as float and its tuple fields as
+    tuples of their annotated length and item types, so that specs with
+    equal values compare, hash and fingerprint equal (``0`` and ``0.0``, a
+    list and a tuple). A value of another shape raises InvalidSpecError."""
+    for name, items in _numeric_fields(type(spec)):
+        value = getattr(spec, name)
+        try:
+            if items is None:
+                canon = float(value)
+            else:
+                canon = tuple(value)
+                if len(canon) != len(items):
+                    raise ValueError
+                canon = tuple(kind(v) for kind, v in zip(items, canon))
+        except (TypeError, ValueError):
+            need = "a number" if items is None else f"{len(items)} numbers"
+            raise InvalidSpecError(f"{name} must be {need}, not {value!r}") \
+                from None
+        object.__setattr__(spec, name, canon)
+
+
 @dataclass(frozen=True)
 class SensorConfig:
     """Spinning LiDAR model (defaults follow a 128-channel Ouster OS1)."""
@@ -53,6 +85,7 @@ class SensorConfig:
     noise_sigma: float = 0.008
 
     def __post_init__(self):
+        _canonical(self)
         if self.v_resolution < 1 or self.h_resolution < 1:
             raise InvalidSpecError("resolutions must be >= 1")
         if not 0 < self.min_range < self.max_range:
@@ -76,9 +109,9 @@ class TrussSpec:
     label_mode: str = "per_face"
 
     def __post_init__(self):
-        if len(self.node_counts) != 3 or any(int(c) < 2 for c in self.node_counts):
+        _canonical(self)
+        if any(c < 2 for c in self.node_counts):
             raise InvalidSpecError("node counts must be >= 2 on every axis")
-        object.__setattr__(self, "node_counts", tuple(int(c) for c in self.node_counts))
         if self.bar_length <= 0 or self.bar_width <= 0:
             raise InvalidSpecError("bar dimensions must be positive")
         if self.bar_width >= self.bar_length:
@@ -103,6 +136,7 @@ class BoxFieldSpec:
     position_max: tuple[float, float, float] = (15.0, 15.0, 6.0)
 
     def __post_init__(self):
+        _canonical(self)
         if self.count < 0:
             raise InvalidSpecError("box count must be >= 0")
         for lo, hi in (self.length_bounds, self.width_bounds):
@@ -129,6 +163,7 @@ class SceneSpec:
     sensor_position: tuple[float, float, float] = (0.0, 0.0, 2.0)
 
     def __post_init__(self):
+        _canonical(self)
         if self.tree_count < 0:
             raise InvalidSpecError("tree count must be >= 0")
         if self.seed < 0:

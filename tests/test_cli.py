@@ -221,9 +221,11 @@ class TestConfigOverrides:
         assert not (tmp_path / "a").exists()
 
     # not config keys: the noise seed is raycast_scan's argument, the
-    # worker count comes from --jobs, the sensor position is a [scene] key
+    # worker count comes from --jobs, the sensor position is a [scene] key,
+    # and the variant is chosen per command (segment --mode, sweep)
     @pytest.mark.parametrize("override", [
-        "sensor.seed=3", "dataset.jobs=2", "dataset.sensor_position=0 0 3"])
+        "sensor.seed=3", "dataset.jobs=2", "dataset.sensor_position=0 0 3",
+        "pipeline.eigen_mode=ratio", "pipeline.stage_mode=full"])
     def test_removed_key_is_unknown(self, tmp_path, capsys, override):
         section, key = override.split("=")[0].split(".")
         rc = cli.main(["generate", *TINY, "--set", override,

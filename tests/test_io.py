@@ -362,6 +362,21 @@ class TestConfig:
         with pytest.raises(UnknownKeyError):
             tio.loads_config("[nonsense]\nx = 1\n")
 
+    @pytest.mark.parametrize("key, value", [("eigen_mode", "ratio"),
+                                            ("stage_mode", "full")])
+    def test_variant_is_not_a_key(self, tmp_path, key, value):
+        # the variant is chosen per command (segment --mode, sweep); the
+        # field stays for library run_pipeline calls
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[pipeline]\n{key} = {value}\n")
+        with pytest.raises(UnknownKeyError,
+                           match=rf"^\[pipeline\] unknown key '{key}'$"):
+            tio.load_config(path)
+        pipeline = PipelineConfig(eigen_mode="ratio", stage_mode="without_fine")
+        text = tio.dump_config(tio.RunConfig(pipeline=pipeline))
+        assert key not in text
+        assert tio.loads_config(text).pipeline == PipelineConfig()
+
     def test_type_error(self):
         with pytest.raises(ConfigTypeError):
             tio.loads_config("[pipeline]\nnormal_k = thirty\n")
@@ -446,7 +461,6 @@ seed = 3
 count = 12
 
 [pipeline]
-eigen_mode = magnitude
 rg_min_cluster = 20
 
 [dataset]
@@ -459,7 +473,7 @@ seed = 11
         assert cfg.scene.structure.node_counts == (6, 5, 10)
         assert cfg.scene.structure.crossed is True
         assert cfg.scene.boxes.count == 12
-        assert cfg.pipeline.eigen_mode == "magnitude"
+        assert cfg.pipeline.rg_min_cluster == 20
         again = tio.loads_config(tio.dump_config(cfg))
         assert again == cfg
         third = tio.loads_config(tio.dump_config(again))
@@ -522,9 +536,9 @@ def _run_configs(draw):
         draw(st.integers(3, 200)),
         draw(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True)),
         draw(st.floats(0.0, 1e3)), draw(st.integers(1, 10**6)),
-        draw(st.sampled_from(["ratio", "magnitude", "hybrid"])),
-        draw(st.floats(0.0, 1.0, exclude_min=True)), draw(pos), draw(pos),
-        draw(st.integers(0, 10**6)),
-        draw(st.sampled_from(["full", "without_fine", "without_coarse"])))
+        # the default variant: stage_mode and eigen_mode are not keys
+        ratio_threshold=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        magnitude_threshold=draw(pos), density_radius=draw(pos),
+        density_min_points=draw(st.integers(0, 10**6)))
     dataset = tio.DatasetConfig("", draw(st.integers(1, 10**6)), draw(seed))
     return tio.RunConfig(sensor, scene, pipeline, dataset)

@@ -150,6 +150,23 @@ class TestThresholds:
         all_pos_f1 = 2 * 3 / (2 * 3 + 3 + 0)
         assert max(p.f1 for p in curve) == pytest.approx(all_pos_f1)
 
+    @pytest.mark.parametrize("scale", [1e20, -1e20, 2.0**53, 1e307])
+    def test_sentinels_stay_outside_huge_scores(self, scale):
+        # ±1 rounds back onto a score of magnitude 2**53 or more
+        scores = np.sort(np.array([1.0, 2.0, 3.0, 4.0]) * scale)
+        truth = np.array([False, False, True, True])
+        if scale < 0:
+            truth = truth[::-1]
+        _, curve = tm.select_threshold_roc(scores, truth)
+        first, last = curve[0], curve[-1]
+        assert first.threshold < scores[0] and last.threshold > scores[-1]
+        assert (first.tpr, first.fpr) == (1.0, 1.0)
+        assert (last.tpr, last.fpr) == (0.0, 0.0)
+
+    def test_sentinels_of_ordinary_scores_are_one_outside(self):
+        _, curve = tm.select_threshold_roc([0.25, 0.5, 2.0], [0, 1, 1])
+        assert (curve[0].threshold, curve[-1].threshold) == (-0.75, 3.0)
+
     def test_roc_curve_monotone(self):
         rng = np.random.default_rng(5)
         scores = rng.normal(size=120)

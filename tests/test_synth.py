@@ -124,6 +124,54 @@ class TestBuildScene:
                               np.arange(1, 13))
 
 
+class TestSpecValues:
+    """Spec values have one form: float fields hold floats, tuple fields
+    tuples of their annotated length and item type."""
+
+    @pytest.mark.parametrize("field, loose, canonical", [
+        ("sensor_position", (0, 0, 2), (0.0, 0.0, 2.0)),
+        ("sensor_position", [0, 0, 2], (0.0, 0.0, 2.0)),
+        ("tree_xy_min", np.array([-25, -25]), (-25.0, -25.0)),
+        ("ground_amplitude", 0, 0.0),
+    ])
+    def test_equal_values_fingerprint_equal(self, field, loose, canonical):
+        a = synth.SceneSpec(**{field: loose})
+        b = synth.SceneSpec(**{field: canonical})
+        assert a == b and hash(a) == hash(b)
+        assert synth.spec_fingerprint(a, SMALL_SENSOR) == \
+            synth.spec_fingerprint(b, SMALL_SENSOR)
+        assert synth.spec_fingerprint(a, replace(SMALL_SENSOR, max_range=30)) \
+            == synth.spec_fingerprint(a, SMALL_SENSOR)
+
+    def test_item_types_follow_the_annotation(self):
+        spec = synth.TrussSpec(node_counts=[2, 3.0, np.int64(4)], bar_length=2)
+        assert spec.node_counts == (2, 3, 4)
+        assert {type(c) for c in spec.node_counts} == {int}
+        assert type(spec.bar_length) is float
+
+    def test_list_field_generates(self, tmp_path):
+        # a list once reached _scene_for's lru_cache as an unhashable key
+        sensor = synth.SensorConfig(v_resolution=4, h_resolution=8)
+        listed = synth.SceneSpec(sensor_position=[0, 0, 2])
+        recs = synth.generate_dataset(listed, 1, 0, tmp_path, sensor=sensor)
+        assert recs[0]["spec_hash"] == \
+            synth.spec_fingerprint(synth.SceneSpec(), sensor)
+
+    @pytest.mark.parametrize("cls, field, value, message", [
+        (synth.SceneSpec, "sensor_position", (0, 0), "3 numbers"),
+        (synth.SceneSpec, "tree_xy_min", (0,), "2 numbers"),
+        (synth.SceneSpec, "tree_scale_bounds", (1, 2, 3), "2 numbers"),
+        (synth.BoxFieldSpec, "position_min", (0, 0), "3 numbers"),
+        (synth.TrussSpec, "node_counts", (2, 2), "3 numbers"),
+        (synth.TrussSpec, "node_counts", 3, "3 numbers"),
+        (synth.SensorConfig, "max_range", "far", "a number"),
+    ])
+    def test_wrong_shape_is_refused(self, cls, field, value, message):
+        with pytest.raises(InvalidSpecError,
+                           match=f"^{field} must be {message}, not "):
+            cls(**{field: value})
+
+
 class TestSamplePose:
     def test_fixed_mode_translation(self):
         for seed in range(5):
