@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import io as tio
 from . import metrics as tmetrics
 from .errors import TrussKitError
-from .geom import single_threaded_queries
+from .geom import worker_pool
 from .segment import (
     FULL,
     HYBRID,
@@ -160,13 +159,6 @@ def _segment_one(task) -> list:
     return records
 
 
-def _segment_pool(jobs: int) -> ProcessPoolExecutor:
-    """Worker processes for ``_segment_dir``; each runs its kd-tree queries
-    on one thread, so ``jobs`` workers keep ``jobs`` cores busy."""
-    return ProcessPoolExecutor(max_workers=jobs,
-                               initializer=single_threaded_queries)
-
-
 def _segment_dir(files, pipeline, targets, jobs: int) -> list:
     """Segment every file with the variant of ``pipeline`` of every
     ``(out_dir, mode)`` target; returns each target's per-file records."""
@@ -175,7 +167,7 @@ def _segment_dir(files, pipeline, targets, jobs: int) -> list:
     tasks = [(str(f), pipeline, [(str(d), mode) for d, mode in targets])
              for f in files]
     if jobs > 1:
-        with _segment_pool(jobs) as pool:
+        with worker_pool(jobs) as pool:
             results = list(pool.map(_segment_one, tasks))
     else:
         results = [_segment_one(t) for t in tasks]

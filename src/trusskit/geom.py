@@ -23,22 +23,27 @@ normals' covariances here, the edge table and RANSAC scoring in
 ``segment``), run on every CPU this process may run on
 (``query_workers``); the calling thread takes blocks too. Each row's
 arithmetic is the same on any number of threads, so results are bit
-identical. A worker process of a ``--jobs`` pool calls
+identical. ``worker_pool`` is the one process pool of every ``--jobs``
+command (``generate``, ``segment``, ``sweep``): each worker calls
 ``single_threaded_queries``, so it runs every block inline and the workers
 do not oversubscribe the cores.
+
+``canonicalize`` gives every config dataclass one stored form per value.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import (
     EmptySubsetError,
+    InvalidSpecError,
     NonFiniteError,
     NonPositiveLeafError,
     NonUnitDirectionError,
@@ -70,6 +75,51 @@ def _as_points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (n, 3) point array, got shape {pts.shape}")
     return pts
+
+
+@lru_cache(maxsize=None)
+def _numeric_fields(cls) -> tuple:
+    """(name, annotation, item types) of each float, int or tuple field of a
+    config class, in field order; a float or int field has no item types."""
+    hints = get_type_hints(cls)
+    kinds = ((f.name, hints[f.name]) for f in fields(cls))
+    return tuple((name, kind, get_args(kind) or None) for name, kind in kinds
+                 if kind in (float, int) or get_origin(kind) is tuple)
+
+
+def _integral(value) -> int:
+    """``value`` as an int when it is an integral number, else ValueError."""
+    whole = int(value)
+    if whole != value:
+        raise ValueError
+    return whole
+
+
+_CASTS = {float: float, int: _integral}
+
+
+def canonicalize(spec) -> None:
+    """Store a frozen config dataclass's float fields as float, its int
+    fields as int and its tuple fields as tuples of their annotated length
+    and item types, so that equal values compare, hash and fingerprint
+    equal (``0`` and ``0.0``, ``30.0`` and ``30``, a list and a tuple). Any
+    other value, or a non-integral one for an int, raises InvalidSpecError."""
+    for name, kind, items in _numeric_fields(type(spec)):
+        value = getattr(spec, name)
+        try:
+            if items is None:
+                canon = _CASTS[kind](value)
+            else:
+                canon = tuple(value)
+                if len(canon) != len(items):
+                    raise ValueError
+                canon = tuple(_CASTS[item](v) for item, v in zip(items, canon))
+        except (TypeError, ValueError, OverflowError):
+            need = f"{len(items)} numbers" if items else \
+                {float: "a number", int: "an integer"}[kind]
+            raise InvalidSpecError(f"{name} must be {need}, not {value!r}") \
+                from None
+        object.__setattr__(spec, name, canon)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -265,6 +315,13 @@ def single_threaded_queries() -> None:
     that share the cores with each other)."""
     global _query_workers
     _query_workers = 1
+
+
+def worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """``jobs`` worker processes of a ``--jobs`` command, each running its
+    kd-tree queries and row blocks on one thread."""
+    return ProcessPoolExecutor(max_workers=jobs,
+                               initializer=single_threaded_queries)
 
 
 def run_row_blocks(n: int, block: int, job) -> None:

@@ -30,7 +30,7 @@ from .errors import (
     TruncatedBodyError,
     UnknownKeyError,
 )
-from .geom import LabeledCloud, Pose
+from .geom import LabeledCloud, Pose, canonicalize
 from .segment import PipelineConfig
 from .synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
@@ -116,13 +116,20 @@ def write_pcd_fields(columns: list, viewpoint, mode: str = "binary",
     return blob
 
 
+def _write_cloud(cloud: LabeledCloud, path, mode: str, before_label=(),
+                 after_label=()):
+    """Write the columns ``x y z``, ``before_label``, ``label``,
+    ``after_label`` of a cloud, its sensor pose as the viewpoint."""
+    xyz = [(axis, "F", 4, cloud.points[:, i]) for i, axis in enumerate("xyz")]
+    return write_pcd_fields(
+        [*xyz, *before_label, ("label", "U", 4, cloud.face_label),
+         *after_label],
+        cloud.sensor_pose.viewpoint_tuple(), mode, path)
+
+
 def write_pcd(cloud: LabeledCloud, path=None, mode: str = "binary"):
     """Write a labeled cloud with fields ``x y z label`` (F F F U)."""
-    pts = cloud.points
-    return write_pcd_fields(
-        [("x", "F", 4, pts[:, 0]), ("y", "F", 4, pts[:, 1]),
-         ("z", "F", 4, pts[:, 2]), ("label", "U", 4, cloud.face_label)],
-        cloud.sensor_pose.viewpoint_tuple(), mode, path)
+    return _write_cloud(cloud, path, mode)
 
 
 def write_prediction_pcd(cloud: LabeledCloud, pred, path=None,
@@ -131,12 +138,8 @@ def write_prediction_pcd(cloud: LabeledCloud, pred, path=None,
     pred = np.asarray(pred).astype(bool)
     if len(pred) != len(cloud):
         raise LengthMismatchError("prediction length differs from cloud")
-    pts = cloud.points
-    return write_pcd_fields(
-        [("x", "F", 4, pts[:, 0]), ("y", "F", 4, pts[:, 1]),
-         ("z", "F", 4, pts[:, 2]), ("label", "U", 4, cloud.face_label),
-         ("pred", "U", 1, pred.astype(np.uint8))],
-        cloud.sensor_pose.viewpoint_tuple(), mode, path)
+    return _write_cloud(cloud, path, mode,
+                        after_label=[("pred", "U", 1, pred.astype(np.uint8))])
 
 
 def export_features(cloud: LabeledCloud, normals, curvature, path=None,
@@ -147,15 +150,10 @@ def export_features(cloud: LabeledCloud, normals, curvature, path=None,
     curvature = np.asarray(curvature, float)
     if len(normals) != len(cloud) or len(curvature) != len(cloud):
         raise LengthMismatchError("attribute lengths differ from cloud")
-    pts = cloud.points
-    return write_pcd_fields(
-        [("x", "F", 4, pts[:, 0]), ("y", "F", 4, pts[:, 1]),
-         ("z", "F", 4, pts[:, 2]),
-         ("nx", "F", 4, normals[:, 0]), ("ny", "F", 4, normals[:, 1]),
-         ("nz", "F", 4, normals[:, 2]),
-         ("curvature", "F", 4, curvature),
-         ("label", "U", 4, cloud.face_label)],
-        cloud.sensor_pose.viewpoint_tuple(), mode, path)
+    features = [(f"n{axis}", "F", 4, normals[:, i])
+                for i, axis in enumerate("xyz")]
+    return _write_cloud(cloud, path, mode, before_label=[
+        *features, ("curvature", "F", 4, curvature)])
 
 
 def _parse_header(text: str) -> tuple[PcdHeader, int]:
@@ -403,6 +401,7 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        canonicalize(self)
         # a config file holds one line per key and strips its values, so
         # no other out_dir survives dump_config and loads_config
         out_dir = self.out_dir

@@ -112,7 +112,12 @@ def _threshold_curve(scores, truth):
     # on, ±1 rounds back onto the score, and the next float lies outside
     lo = min(uniq[0] - 1.0, np.nextafter(uniq[0], -np.inf))
     hi = max(uniq[-1] + 1.0, np.nextafter(uniq[-1], np.inf))
-    cands = np.concatenate([[lo], (uniq[:-1] + uniq[1:]) / 2.0, [hi]])
+    # halve first only where the sum overflows: halving subnormal scores
+    # first can round a midpoint onto a score
+    with np.errstate(over="ignore"):
+        mid = (uniq[:-1] + uniq[1:]) / 2.0
+    mid = np.where(np.isfinite(mid), mid, uniq[:-1] / 2.0 + uniq[1:] / 2.0)
+    cands = np.concatenate([[lo], mid, [hi]])
     order = np.argsort(s, kind="stable")
     sorted_scores = s[order]
     pos_prefix = np.concatenate([[0], np.cumsum(t[order])])

@@ -39,6 +39,7 @@ from .errors import DegenerateCloudError, InvalidSpecError
 from .geom import (
     EigenDecomp,
     LabeledCloud,
+    canonicalize,
     covariance,
     eigen_sym3_stack,
     extent_along,
@@ -86,6 +87,7 @@ class PipelineConfig:
     stage_mode: str = FULL
 
     def __post_init__(self):
+        canonicalize(self)
         for name in ("voxel_leaf", "ransac_threshold", "magnitude_threshold",
                      "density_radius"):
             if getattr(self, name) <= 0:

@@ -9,22 +9,34 @@ The surviving (ray, solid) pairs go to one batched slab test for the boxes
 and one intersection call per trunk or canopy, and one merge keeps each
 ray's nearest hit. Points are stored in the sensor frame; the ground-truth
 label of each point is the label of the face its noiseless ray hit.
+
+``build_scene`` seats the truss at the corner of ``structure_bounding_box``,
+the box that sensor poses and tree placement use too. ``generate_dataset``
+spreads scans over ``geom.worker_pool`` workers; each scan draws from its
+own seed stream, so no byte depends on the worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidBoundsError, InvalidSpecError
-from .geom import LabeledCloud, Pose, quat_to_matrix, random_unit_quaternion
+from .geom import (
+    LabeledCloud,
+    Pose,
+    canonicalize,
+    quat_to_matrix,
+    random_unit_quaternion,
+    worker_pool,
+)
 from .primitives import (
     Ellipsoid,
     HeightFieldGround,
@@ -40,38 +52,6 @@ FIXED_ORIENTATION_MODE = "fixed_position_random_orientation"
 WITHIN_STRUCTURE_MODE = "random_within_structure"
 
 
-@lru_cache(maxsize=None)
-def _numeric_fields(cls) -> tuple:
-    """(name, item types) of each float or tuple field of a spec class, in
-    field order; a float field's item types are None."""
-    hints = get_type_hints(cls)
-    kinds = ((f.name, hints[f.name]) for f in fields(cls))
-    return tuple((name, get_args(kind) or None) for name, kind in kinds
-                 if kind is float or get_origin(kind) is tuple)
-
-
-def _canonical(spec) -> None:
-    """Store a frozen spec's float fields as float and its tuple fields as
-    tuples of their annotated length and item types, so that specs with
-    equal values compare, hash and fingerprint equal (``0`` and ``0.0``, a
-    list and a tuple). A value of another shape raises InvalidSpecError."""
-    for name, items in _numeric_fields(type(spec)):
-        value = getattr(spec, name)
-        try:
-            if items is None:
-                canon = float(value)
-            else:
-                canon = tuple(value)
-                if len(canon) != len(items):
-                    raise ValueError
-                canon = tuple(kind(v) for kind, v in zip(items, canon))
-        except (TypeError, ValueError):
-            need = "a number" if items is None else f"{len(items)} numbers"
-            raise InvalidSpecError(f"{name} must be {need}, not {value!r}") \
-                from None
-        object.__setattr__(spec, name, canon)
-
-
 @dataclass(frozen=True)
 class SensorConfig:
     """Spinning LiDAR model (defaults follow a 128-channel Ouster OS1)."""
@@ -85,7 +65,7 @@ class SensorConfig:
     noise_sigma: float = 0.008
 
     def __post_init__(self):
-        _canonical(self)
+        canonicalize(self)
         if self.v_resolution < 1 or self.h_resolution < 1:
             raise InvalidSpecError("resolutions must be >= 1")
         if not 0 < self.min_range < self.max_range:
@@ -109,7 +89,7 @@ class TrussSpec:
     label_mode: str = "per_face"
 
     def __post_init__(self):
-        _canonical(self)
+        canonicalize(self)
         if any(c < 2 for c in self.node_counts):
             raise InvalidSpecError("node counts must be >= 2 on every axis")
         if self.bar_length <= 0 or self.bar_width <= 0:
@@ -136,7 +116,7 @@ class BoxFieldSpec:
     position_max: tuple[float, float, float] = (15.0, 15.0, 6.0)
 
     def __post_init__(self):
-        _canonical(self)
+        canonicalize(self)
         if self.count < 0:
             raise InvalidSpecError("box count must be >= 0")
         for lo, hi in (self.length_bounds, self.width_bounds):
@@ -163,7 +143,7 @@ class SceneSpec:
     sensor_position: tuple[float, float, float] = (0.0, 0.0, 2.0)
 
     def __post_init__(self):
-        _canonical(self)
+        canonicalize(self)
         if self.tree_count < 0:
             raise InvalidSpecError("tree count must be >= 0")
         if self.seed < 0:
@@ -179,74 +159,42 @@ class SceneSpec:
 def build_truss(spec: TrussSpec) -> list[OrientedBox]:
     """Axis-aligned bars joining every pair of adjacent grid nodes.
 
-    Bars are emitted X-axis first, then Y, then Z, then (if crossed) one
-    diagonal per exterior lateral panel with alternating direction. Labels
-    are sequential from 1: one per bar in per_bar mode, six per bar
+    Bars are emitted X-axis first, then Y, then Z, each family in node-grid
+    order, then (if crossed) one diagonal per exterior lateral panel with
+    alternating direction, the y-min/max faces before the x-min/max faces.
+    Labels are sequential from 1: one per bar in per_bar mode, six per bar
     (-x +x -y +y -z +z) in per_face mode.
     """
-    nx, ny, nz = spec.node_counts
+    counts = np.array(spec.node_counts)
     L, w = spec.bar_length, spec.bar_width
     bars: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def axis_half(axis):
-        h = np.full(3, w / 2.0)
-        h[axis] = L / 2.0
-        return h
-
-    for ix in range(nx - 1):
-        for iy in range(ny):
-            for iz in range(nz):
-                c = np.array([(ix + 0.5) * L, iy * L, iz * L])
-                bars.append((c, axis_half(0), np.eye(3)))
-    for ix in range(nx):
-        for iy in range(ny - 1):
-            for iz in range(nz):
-                c = np.array([ix * L, (iy + 0.5) * L, iz * L])
-                bars.append((c, axis_half(1), np.eye(3)))
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz - 1):
-                c = np.array([ix * L, iy * L, (iz + 0.5) * L])
-                bars.append((c, axis_half(2), np.eye(3)))
+    for axis, step in enumerate(np.eye(3, dtype=np.int64)):
+        half = np.full(3, w / 2.0)
+        half[axis] = L / 2.0
+        for node in np.ndindex(*(counts - step)):
+            bars.append(((node + step / 2.0) * L, half, np.eye(3)))
 
     if spec.crossed:
-        diag_half = np.array([L * np.sqrt(2.0) / 2.0, w / 2.0, w / 2.0])
+        half = np.array([L * np.sqrt(2.0) / 2.0, w / 2.0, w / 2.0])
+        # (panel face axis, lateral axis the diagonal runs along)
+        for face, along in ((1, 0), (0, 1)):
+            normal = np.eye(3)[face]
+            for side, i, k in np.ndindex(2, counts[along] - 1, counts[2] - 1):
+                a = np.zeros(3, dtype=np.int64)
+                a[face] = side * (counts[face] - 1)
+                b = a.copy()
+                a[along], b[along] = i, i + 1
+                a[2], b[2] = (k + 1, k) if (i + k) % 2 else (k, k + 1)
+                a, b = a * L, b * L
+                u = (b - a) / np.linalg.norm(b - a)
+                rot = np.column_stack([u, normal, np.cross(u, normal)])
+                bars.append(((a + b) / 2.0, half, rot))
 
-        def diag_box(p0, p1, panel_normal):
-            u = (p1 - p0) / np.linalg.norm(p1 - p0)
-            v = np.asarray(panel_normal, dtype=np.float64)
-            rot = np.column_stack([u, v, np.cross(u, v)])
-            return ((p0 + p1) / 2.0, diag_half, rot)
-
-        for iy in (0, ny - 1):                       # panels on the y-min/max faces
-            for ix in range(nx - 1):
-                for iz in range(nz - 1):
-                    y = iy * L
-                    a = np.array([ix * L, y, iz * L])
-                    b = np.array([(ix + 1) * L, y, (iz + 1) * L])
-                    if (ix + iz) % 2:
-                        a, b = np.array([ix * L, y, (iz + 1) * L]), \
-                            np.array([(ix + 1) * L, y, iz * L])
-                    bars.append(diag_box(a, b, (0.0, 1.0, 0.0)))
-        for ix in (0, nx - 1):                       # panels on the x-min/max faces
-            for iy in range(ny - 1):
-                for iz in range(nz - 1):
-                    x = ix * L
-                    a = np.array([x, iy * L, iz * L])
-                    b = np.array([x, (iy + 1) * L, (iz + 1) * L])
-                    if (iy + iz) % 2:
-                        a, b = np.array([x, iy * L, (iz + 1) * L]), \
-                            np.array([x, (iy + 1) * L, iz * L])
-                    bars.append(diag_box(a, b, (1.0, 0.0, 0.0)))
-
-    boxes = []
-    for b, (center, half, rot) in enumerate(bars):
-        if spec.label_mode == "per_bar":
-            labels = np.full(6, b + 1, dtype=np.int64)
-        else:
-            labels = np.arange(6 * b + 1, 6 * b + 7, dtype=np.int64)
-        boxes.append(OrientedBox(center, half, rot, labels))
-    return boxes
+    per_bar = spec.label_mode == "per_bar"
+    return [OrientedBox(*bar, np.full(6, b + 1) if per_bar
+                        else np.arange(6 * b + 1, 6 * b + 7))
+            for b, bar in enumerate(bars)]
 
 
 def structure_bounding_box(spec: TrussSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -275,13 +223,11 @@ def build_scene(spec: SceneSpec) -> Scene:
     next_label = 1
 
     if spec.structure is not None:
-        boxes = build_truss(spec.structure)
-        sx, sy, _ = spec.structure.spans
-        shift = np.array([-sx / 2.0, -sy / 2.0, 0.0])
-        for b in boxes:
-            solids.append(OrientedBox(b.center + shift, b.half_extents,
-                                      b.rotation, b.face_labels))
-        next_label = int(max(b.face_labels.max() for b in boxes)) + 1
+        solids = build_truss(spec.structure)
+        shift = structure_bounding_box(spec.structure)[0]
+        for b in solids:
+            b.center = b.center + shift
+        next_label = int(max(b.face_labels.max() for b in solids)) + 1
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     if spec.boxes is not None:
@@ -559,13 +505,11 @@ def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
     pose_rng = np.random.default_rng(pose_child)
     if scene_spec.structure is not None:
         lo, hi = structure_bounding_box(scene_spec.structure)
-        lo = lo.copy()
         lo[2] = max(lo[2], scene_spec.ground_amplitude + 0.3)
-        pose = sample_sensor_pose(WITHIN_STRUCTURE_MODE, (lo, hi), pose_rng)
-        for _ in range(200):
+        for _ in range(201):          # the last draw stands, clear or not
+            pose = sample_sensor_pose(WITHIN_STRUCTURE_MODE, (lo, hi), pose_rng)
             if pose_has_clearance(scene, pose.translation):
                 break
-            pose = sample_sensor_pose(WITHIN_STRUCTURE_MODE, (lo, hi), pose_rng)
     else:
         pose = sample_sensor_pose(FIXED_ORIENTATION_MODE,
                                   scene_spec.sensor_position, pose_rng)
@@ -597,17 +541,14 @@ def generate_dataset(scene_spec: SceneSpec, n_scans: int, seed: int, out_dir,
         raise InvalidSpecError("n_scans must be >= 1")
     out = Path(out_dir)
     (out / "clouds").mkdir(parents=True, exist_ok=True)
-    args = [(i, scene_spec, sensor, seed, str(out)) for i in range(n_scans)]
+    columns = (range(n_scans), repeat(scene_spec), repeat(sensor),
+               repeat(seed), repeat(str(out)))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_scan_record_star, args))
+        with worker_pool(jobs) as pool:
+            records = list(pool.map(_scan_record, *columns))
     else:
-        records = [_scan_record_star(a) for a in args]
+        records = list(map(_scan_record, *columns))
     with open(out / "manifest.json-lines", "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return records
-
-
-def _scan_record_star(args) -> dict:
-    return _scan_record(*args)

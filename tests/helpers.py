@@ -634,3 +634,72 @@ def ransac_plane_reference(points, threshold, iterations, seed):
     plane = Plane(normal, d)
     inliers = np.flatnonzero(plane.distance(pts) <= threshold)
     return plane, inliers, all_counts, best_idx
+
+
+def build_truss_five_loops(spec):
+    """The bars ``synth.build_truss`` built with one triple loop per bar
+    axis and one per diagonal panel face: (center, half extents, rotation,
+    face labels) of each bar, in emission order."""
+    nx, ny, nz = spec.node_counts
+    L, w = spec.bar_length, spec.bar_width
+    bars = []
+
+    def axis_half(axis):
+        h = np.full(3, w / 2.0)
+        h[axis] = L / 2.0
+        return h
+
+    for ix in range(nx - 1):
+        for iy in range(ny):
+            for iz in range(nz):
+                c = np.array([(ix + 0.5) * L, iy * L, iz * L])
+                bars.append((c, axis_half(0), np.eye(3)))
+    for ix in range(nx):
+        for iy in range(ny - 1):
+            for iz in range(nz):
+                c = np.array([ix * L, (iy + 0.5) * L, iz * L])
+                bars.append((c, axis_half(1), np.eye(3)))
+    for ix in range(nx):
+        for iy in range(ny):
+            for iz in range(nz - 1):
+                c = np.array([ix * L, iy * L, (iz + 0.5) * L])
+                bars.append((c, axis_half(2), np.eye(3)))
+
+    if spec.crossed:
+        diag_half = np.array([L * np.sqrt(2.0) / 2.0, w / 2.0, w / 2.0])
+
+        def diag_box(p0, p1, panel_normal):
+            u = (p1 - p0) / np.linalg.norm(p1 - p0)
+            v = np.asarray(panel_normal, dtype=np.float64)
+            rot = np.column_stack([u, v, np.cross(u, v)])
+            return ((p0 + p1) / 2.0, diag_half, rot)
+
+        for iy in (0, ny - 1):                       # y-min/max faces
+            for ix in range(nx - 1):
+                for iz in range(nz - 1):
+                    y = iy * L
+                    a = np.array([ix * L, y, iz * L])
+                    b = np.array([(ix + 1) * L, y, (iz + 1) * L])
+                    if (ix + iz) % 2:
+                        a, b = np.array([ix * L, y, (iz + 1) * L]), \
+                            np.array([(ix + 1) * L, y, iz * L])
+                    bars.append(diag_box(a, b, (0.0, 1.0, 0.0)))
+        for ix in (0, nx - 1):                       # x-min/max faces
+            for iy in range(ny - 1):
+                for iz in range(nz - 1):
+                    x = ix * L
+                    a = np.array([x, iy * L, iz * L])
+                    b = np.array([x, (iy + 1) * L, (iz + 1) * L])
+                    if (iy + iz) % 2:
+                        a, b = np.array([x, iy * L, (iz + 1) * L]), \
+                            np.array([x, (iy + 1) * L, iz * L])
+                    bars.append(diag_box(a, b, (1.0, 0.0, 0.0)))
+
+    out = []
+    for b, (center, half, rot) in enumerate(bars):
+        if spec.label_mode == "per_bar":
+            labels = np.full(6, b + 1, dtype=np.int64)
+        else:
+            labels = np.arange(6 * b + 1, 6 * b + 7, dtype=np.int64)
+        out.append((center, half, rot, labels))
+    return out

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,17 @@ class TestGenerate:
             rc = cli.main(["generate", "--config", "configs/training.cfg",
                            *TINY, "--set", "boxes.count=6",
                            "--out", str(out), "--n", "4", "--seed", "3",
+                           "--jobs", jobs])
+            assert rc == 0
+        assert tree_bytes(a) == tree_bytes(b)
+
+    def test_jobs_do_not_change_truss_bytes(self, tmp_path):
+        # a crossed truss scene with trees, built once in each worker
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out, jobs in ((a, "1"), (b, "2")):
+            rc = cli.main(["generate", "--config", "configs/crossed.cfg",
+                           *TINY, "--set", "truss.node_counts=4 3 3",
+                           "--out", str(out), "--n", "3", "--seed", "3",
                            "--jobs", jobs])
             assert rc == 0
         assert tree_bytes(a) == tree_bytes(b)
@@ -428,7 +440,7 @@ class TestSweep:
 
     def test_pool_workers_query_on_one_thread(self):
         # --jobs N workers share the cores: one kd-tree thread each
-        with cli._segment_pool(2) as pool:
+        with geom.worker_pool(2) as pool:
             assert [pool.submit(geom.query_workers).result()
                     for _ in range(2)] == [1, 1]
         assert geom.query_workers() == len(os.sched_getaffinity(0))
@@ -448,7 +460,7 @@ class TestSweep:
                     for f in files]
         out = tmp_path / "pred"
         out.mkdir()
-        pool = cli._segment_pool(2)
+        pool = geom.worker_pool(2)
         try:
             results = list(pool.map(segment_one_counting_threads,
                                     [(str(f), base, [(str(out), "H")])
@@ -666,6 +678,15 @@ class TestThreshold:
         rc = cli.main(["threshold", "--scores", str(path), "--method", "pr"])
         assert rc == 0
         assert "threshold 0.5" in capsys.readouterr().out
+
+    def test_huge_scores_separate(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_text("score,truth\n1e308,0\n1.7e308,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["threshold", "--scores", str(path)])
+        assert rc == 0
+        assert "(gmean 1.0000, 3 candidates)" in capsys.readouterr().out
 
     def test_single_class_exit_nonzero(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -302,6 +302,78 @@ class TestFeatureExport:
             cloud.points.astype(np.float32))
 
 
+class TestCloudColumns:
+    """The three cloud writers share one column layout: ``x y z``, their
+    own columns, ``label``, and the sensor pose as the viewpoint."""
+
+    @pytest.mark.parametrize("mode", ["binary", "ascii"])
+    def test_bytes_equal_spelled_out_columns(self, mode):
+        rng = np.random.default_rng(8)
+        cloud = random_cloud(rng, 40)
+        pred = rng.random(40) < 0.5
+        normals = rng.normal(size=(40, 3))
+        curvature = rng.random(40) / 3
+        p = cloud.points
+        xyz = [("x", "F", 4, p[:, 0]), ("y", "F", 4, p[:, 1]),
+               ("z", "F", 4, p[:, 2])]
+        label = [("label", "U", 4, cloud.face_label)]
+        vp = cloud.sensor_pose.viewpoint_tuple()
+        assert tio.write_pcd(cloud, mode=mode) == \
+            tio.write_pcd_fields(xyz + label, vp, mode)
+        assert tio.write_prediction_pcd(cloud, pred, mode=mode) == \
+            tio.write_pcd_fields(
+                xyz + label + [("pred", "U", 1, pred.astype(np.uint8))],
+                vp, mode)
+        features = [("nx", "F", 4, normals[:, 0]),
+                    ("ny", "F", 4, normals[:, 1]),
+                    ("nz", "F", 4, normals[:, 2]),
+                    ("curvature", "F", 4, curvature)]
+        assert tio.export_features(cloud, normals, curvature, mode=mode) == \
+            tio.write_pcd_fields(xyz + features + label, vp, mode)
+
+
+class TestConfigValueForms:
+    """Every config dataclass stores one form of each value: int fields
+    hold ints, float fields floats."""
+
+    def test_integral_spellings_fingerprint_equal(self):
+        assert tio.config_fingerprint(PipelineConfig(voxel_leaf=1)) == \
+            tio.config_fingerprint(PipelineConfig(voxel_leaf=1.0))
+        loose = PipelineConfig(normal_k=30.0, ransac_iterations=100.0,
+                               density_min_points=np.int64(10),
+                               ransac_seed=1.0)
+        exact = PipelineConfig(normal_k=30, ransac_iterations=100,
+                               density_min_points=10, ransac_seed=1)
+        assert loose == exact and hash(loose) == hash(exact)
+        assert tio.config_fingerprint(loose) == tio.config_fingerprint(exact)
+        assert type(loose.normal_k) is int
+        assert tio.DatasetConfig(n_scans=2.0, seed=3.0) == \
+            tio.DatasetConfig(n_scans=2, seed=3)
+
+    @pytest.mark.parametrize("cls, field, value, message", [
+        (PipelineConfig, "normal_k", 30.5, "an integer"),
+        (PipelineConfig, "ransac_iterations", "100", "an integer"),
+        (PipelineConfig, "density_min_points", float("nan"), "an integer"),
+        (PipelineConfig, "ransac_seed", float("inf"), "an integer"),
+        (PipelineConfig, "voxel_leaf", None, "a number"),
+        (SensorConfig, "v_resolution", 8.5, "an integer"),
+        (tio.DatasetConfig, "n_scans", 2.5, "an integer"),
+        (TrussSpec, "node_counts", (2, 2.5, 3), "3 numbers"),
+    ])
+    def test_other_values_are_refused(self, cls, field, value, message):
+        with pytest.raises(InvalidSpecError,
+                           match=f"^{field} must be {message}, not "):
+            cls(**{field: value})
+
+    def test_integral_float_resolution_raycasts(self):
+        from trusskit import synth
+        sensor = SensorConfig(v_resolution=8.0, h_resolution=16.0)
+        assert sensor == SensorConfig(v_resolution=8, h_resolution=16)
+        scene = synth.build_scene(SceneSpec())
+        cloud = synth.raycast_scan(scene, Pose((0.0, 0.0, 2.0)), sensor)
+        assert 0 < len(cloud) <= 8 * 16
+
+
 class TestPlyExport:
     def test_perfect_prediction_colors(self):
         rng = np.random.default_rng(6)

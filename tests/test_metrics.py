@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,20 @@ class TestThresholds:
         assert first.threshold < scores[0] and last.threshold > scores[-1]
         assert (first.tpr, first.fpr) == (1.0, 1.0)
         assert (last.tpr, last.fpr) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("scores", [(1e308, 1.7e308),
+                                        (-1.7e308, 1.7e308),
+                                        (5e-324, 1e-323)])
+    def test_midpoints_of_extreme_scores_separate(self, scores):
+        # the sum of two scores above 2**1023 overflows; halving two
+        # subnormal scores first rounds the midpoint onto the lower one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thr, curve = tm.select_threshold_roc(np.array(scores),
+                                                 np.array([False, True]))
+        assert scores[0] < thr <= scores[1]
+        assert all(np.isfinite(p.threshold) for p in curve)
+        assert max(p.gmean for p in curve) == 1.0
 
     def test_sentinels_of_ordinary_scores_are_one_outside(self):
         _, curve = tm.select_threshold_roc([0.25, 0.5, 2.0], [0, 1, 1])

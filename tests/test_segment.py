@@ -669,7 +669,7 @@ class TestDensityFilter:
         assert np.array_equal(segment.density_filter(pts, mask, CFG),
                               mask & (count >= CFG.density_min_points))
 
-    def test_shared_cache_across_modes_equals_fresh_calls(self):
+    def test_shared_verdicts_across_modes_equal_fresh_calls(self):
         # the verdicts of the whole-cloud normals serve every mode's mask
         cloud = _reduced_scan(2)
         verdict = whole_cloud(cloud).density
@@ -1161,8 +1161,8 @@ class TestThreadedBlocks:
             assert np.array_equal(inliers, want[1])
 
     @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
-    def test_seven_modes_through_one_cache(self, monkeypatch, shipped_cloud,
-                                           scan):
+    def test_seven_modes_through_one_plan(self, monkeypatch, shipped_cloud,
+                                          scan):
         # serial small blocks are left to the kernel tests above
         cloud = shipped_cloud(scan)
         digests = {}

@@ -21,6 +21,7 @@ from trusskit.primitives import (
     ray_ground,
 )
 from helpers import (
+    build_truss_five_loops,
     exhaustive_scene_hit,
     ray_box_slab,
     ray_ground_stepwise,
@@ -77,6 +78,25 @@ class TestBuildTruss:
         xs = sorted({round(float(b.center[0]), 6) for b in boxes})
         assert 0.0 in xs and 4.0 in xs
 
+    @pytest.mark.parametrize("counts", [(2, 2, 2), (6, 5, 10), (21, 5, 3),
+                                        (3, 4, 2), (2, 7, 5)])
+    @pytest.mark.parametrize("crossed", [False, True])
+    @pytest.mark.parametrize("label_mode", ["per_face", "per_bar"])
+    @pytest.mark.parametrize("bar_length", [2.0, 1.3, 0.7])
+    def test_bit_identical_to_five_loop_reference(self, counts, crossed,
+                                                  label_mode, bar_length):
+        spec = synth.TrussSpec(counts, bar_length=bar_length, crossed=crossed,
+                               label_mode=label_mode)
+        got = [(b.center, b.half_extents, b.rotation, b.face_labels)
+               for b in synth.build_truss(spec)]
+        want = build_truss_five_loops(spec)
+        assert len(got) == len(want)
+        for bar, (g, w) in enumerate(zip(got, want)):
+            for part, a, b in zip(("center", "half", "rotation", "labels"),
+                                  g, w):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                    (bar, part)
+
 
 class TestBuildScene:
     def test_ground_only(self):
@@ -114,6 +134,19 @@ class TestBuildScene:
         labels = np.concatenate([s.labels() for s in scene.solids])
         structure = np.unique(labels[labels > 0])
         assert np.array_equal(structure, np.arange(1, len(structure) + 1))
+
+    def test_truss_seated_at_bounding_box_corner(self):
+        spec = synth.TrussSpec((3, 4, 2), bar_length=1.3, crossed=True)
+        scene = synth.build_scene(synth.SceneSpec(structure=spec))
+        lo, hi = synth.structure_bounding_box(spec)
+        sx, sy, _ = spec.spans
+        assert lo.tolist() == [-sx / 2.0, -sy / 2.0, 0.0]
+        for seated, bar in zip(scene.solids, synth.build_truss(spec)):
+            assert np.array_equal(seated.center, bar.center + lo)
+        # the grid's outermost bar centres lie on the box's faces
+        centers = np.array([s.center for s in scene.solids])
+        assert np.array_equal(centers.min(axis=0), lo)
+        assert np.allclose(centers.max(axis=0), hi)
 
     def test_per_bar_scene_builds(self):
         spec = synth.SceneSpec(
@@ -731,6 +764,36 @@ class TestGenerateDataset:
         boxes = replace(spec, structure=None, boxes=synth.BoxFieldSpec(count=4))
         synth.generate_dataset(boxes, 3, 42, tmp_path / "c", sensor=SMALL_SENSOR)
         assert len(builds) == 3 and len({b.seed for b in builds}) == 3
+
+    @pytest.mark.parametrize("clear_at", [1, 4, None])
+    def test_pose_is_the_first_clear_draw(self, tmp_path, monkeypatch,
+                                          clear_at):
+        # one draw per clearance test from the scan's pose stream; with no
+        # clear draw in 201, the last one stands
+        calls, checked = [], []
+        draw = synth.sample_sensor_pose
+
+        def recording(mode, bounds, rng):
+            calls.append((mode, bounds, draw(mode, bounds, rng)))
+            return calls[-1][2]
+
+        def clearance(scene, position):
+            checked.append(position)
+            return len(checked) == clear_at
+
+        monkeypatch.setattr(synth, "sample_sensor_pose", recording)
+        monkeypatch.setattr(synth, "pose_has_clearance", clearance)
+        spec = synth.SceneSpec(structure=synth.TrussSpec((2, 2, 3)))
+        [rec] = synth.generate_dataset(spec, 1, 42, tmp_path,
+                                       sensor=SMALL_SENSOR)
+        assert len(calls) == len(checked) == (clear_at or 201)
+        root = np.random.SeedSequence(entropy=42, spawn_key=(0,))
+        stream = np.random.default_rng(root.spawn(3)[1])
+        for mode, bounds, pose in calls:
+            assert mode == synth.WITHIN_STRUCTURE_MODE
+            assert draw(mode, bounds, stream) == pose
+        assert rec["pose"] == {"translation": list(pose.translation),
+                               "quaternion": list(pose.quaternion)}
 
     def test_clearance_matches_per_solid_test(self):
         spec = synth.SceneSpec(structure=synth.TrussSpec((3, 3, 3), crossed=True),
