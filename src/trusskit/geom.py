@@ -78,13 +78,14 @@ def _as_points(points) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _numeric_fields(cls) -> tuple:
-    """(name, annotation, item types) of each float, int or tuple field of a
-    config class, in field order; a float or int field has no item types."""
+def _typed_fields(cls) -> tuple:
+    """(name, annotation, item types) of each float, int, bool, str or
+    tuple field of a config class, in field order; a field that is not a
+    tuple has no item types."""
     hints = get_type_hints(cls)
     kinds = ((f.name, hints[f.name]) for f in fields(cls))
     return tuple((name, kind, get_args(kind) or None) for name, kind in kinds
-                 if kind in (float, int) or get_origin(kind) is tuple)
+                 if kind in _CASTS or get_origin(kind) is tuple)
 
 
 def _integral(value) -> int:
@@ -95,16 +96,34 @@ def _integral(value) -> int:
     return whole
 
 
-_CASTS = {float: float, int: _integral}
+def _boolean(value) -> bool:
+    """``value`` as a bool when it is True, False, 0 or 1, else ValueError."""
+    if not isinstance(value, (bool, np.bool_, int, np.integer)) \
+            or value not in (0, 1):
+        raise ValueError
+    return bool(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError
+    return str(value)
+
+
+_CASTS = {float: float, int: _integral, bool: _boolean, str: _string}
+_NEEDS = {float: "a number", int: "an integer",
+          bool: "True, False, 0 or 1", str: "a string"}
 
 
 def canonicalize(spec) -> None:
     """Store a frozen config dataclass's float fields as float, its int
-    fields as int and its tuple fields as tuples of their annotated length
-    and item types, so that equal values compare, hash and fingerprint
-    equal (``0`` and ``0.0``, ``30.0`` and ``30``, a list and a tuple). Any
-    other value, or a non-integral one for an int, raises InvalidSpecError."""
-    for name, kind, items in _numeric_fields(type(spec)):
+    fields as int, its bool fields as bool, its str fields as str and its
+    tuple fields as tuples of their annotated length and item types, so
+    that equal values compare, hash and fingerprint equal (``0`` and
+    ``0.0``, ``30.0`` and ``30``, ``1`` and ``True``, a list and a tuple).
+    Any other value, such as a non-integral one for an int or a string for
+    a bool, raises InvalidSpecError."""
+    for name, kind, items in _typed_fields(type(spec)):
         value = getattr(spec, name)
         try:
             if items is None:
@@ -115,8 +134,7 @@ def canonicalize(spec) -> None:
                     raise ValueError
                 canon = tuple(_CASTS[item](v) for item, v in zip(items, canon))
         except (TypeError, ValueError, OverflowError):
-            need = f"{len(items)} numbers" if items else \
-                {float: "a number", int: "an integer"}[kind]
+            need = f"{len(items)} numbers" if items else _NEEDS[kind]
             raise InvalidSpecError(f"{name} must be {need}, not {value!r}") \
                 from None
         object.__setattr__(spec, name, canon)

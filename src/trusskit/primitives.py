@@ -331,16 +331,26 @@ def ray_ellipsoid(origin: np.ndarray, dirs: np.ndarray, ell: Ellipsoid):
 
 
 def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
-               t_upper: np.ndarray):
+               t_upper: np.ndarray, settled=None):
     """First crossing of the ground surface along each ray, below t_upper.
 
     amplitude 0 is solved exactly against the plane z = 0. Otherwise the
     surface is bracketed by marching within the |z| <= amplitude band in
     steps of min(0.05, wavelength / 64) and refined by bisection. The
-    bisection keeps f(lo) > 0 >= f(hi) and stops once every midpoint equals
-    its lo or hi, i.e. the brackets are adjacent floats: from then on each
-    halving maps (lo, hi) to itself, so the result is that of all 80
-    halvings (a 0.05 bracket at 1 <= t < 32 closes after about 44-48).
+    bisection keeps f(lo) > 0 >= f(hi). A ray leaves it with t = mid, the
+    midpoint of its bracket, once mid equals its lo or hi, i.e. the bracket
+    is two adjacent floats: from then on each halving maps (lo, hi) to
+    itself, so the result is that of all 80 halvings (a 0.05 bracket at
+    1 <= t < 32 closes after about 44-48). A ray still open after 80
+    halvings takes the midpoint of its last bracket.
+
+    ``settled(lo, hi, rays)``, if given, is asked before each halving for
+    a bool mask over the open brackets (``rays`` are their indices into
+    ``dirs``); a ray it marks leaves with t = mid too. The caller promises
+    that every t in [lo, hi] serves it as well as the root, which lies in
+    that bracket. With ``settled=None`` every t is the root described
+    above.
+
     A level ray starting inside the band is marched up to its t_upper,
     which must then be finite (NonFiniteError otherwise).
     """
@@ -401,17 +411,35 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
         idx, cur, end = idx[alive], nxt[alive], end[alive]
         dx, dy, dzs = dx[alive], dy[alive], dzs[alive]
 
-    if brackets:
-        lo_b, hi_b, b_idx = (np.concatenate(part) for part in zip(*brackets))
-        dx, dy, dzs = dirs[b_idx, 0], dirs[b_idx, 1], dz[b_idx]
-        for _ in range(80):
-            mid = 0.5 * (lo_b + hi_b)
-            if ((mid == lo_b) | (mid == hi_b)).all():
-                break
-            below = f(mid, dx, dy, dzs) <= 0.0
-            hi_b = np.where(below, mid, hi_b)
-            lo_b = np.where(below, lo_b, mid)
-        t[b_idx] = 0.5 * (lo_b + hi_b)
+    if not brackets:
+        return t
+    lo, hi, idx = (np.concatenate(part) for part in zip(*brackets))
+    dx, dy, dzs = dirs[idx, 0], dirs[idx, 1], dz[idx]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        if settled is not None:
+            done |= settled(lo, hi, idx)
+        n_done = np.count_nonzero(done)
+        # a finished ray keeps the bracket (mid, mid), a fixed point of the
+        # halving; its rows go only once a quarter of the rows are finished,
+        # since compacting six arrays costs more than a few idle rows
+        if 4 * n_done >= len(idx):
+            t[idx[done]] = mid[done]
+            if n_done == len(idx):
+                return t
+            keep = np.flatnonzero(~done)
+            lo, hi, mid, idx, dx, dy, dzs = (
+                a.take(keep) for a in (lo, hi, mid, idx, dx, dy, dzs))
+            done = np.zeros(len(idx), dtype=bool)
+        below = f(mid, dx, dy, dzs) <= 0.0
+        # select by 0/1 weights, exact for these finite brackets (x * 1 +
+        # y * 0 == x): np.where branches on below, a coin flip per row
+        up = (below | done).astype(np.float64)
+        hi = mid * up + hi * (1.0 - up)
+        up = (below & ~done).astype(np.float64)
+        lo = lo * up + mid * (1.0 - up)
+    t[idx] = 0.5 * (lo + hi)
     return t
 
 

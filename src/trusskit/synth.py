@@ -405,7 +405,7 @@ def _solid_pairs(scene: Scene, R, origin, els, azs, max_range):
 
 
 def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
-                 seed: int = 0) -> LabeledCloud:
+                 seed: int = 0, dtype=np.float64) -> LabeledCloud:
     """Simulate one scan: nearest-hit labels, range gating, along-ray noise.
 
     Rays outside [min_range, max_range] of their nearest hit yield no point.
@@ -415,9 +415,19 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
     over all solids, ties going to the solid listed first. Noise draws come
     from one per-ray slot of a counter-based stream keyed by ``seed``
     (>= 0), so output does not depend on evaluation order.
+
+    ``dtype`` is the precision of the returned points: ``np.float64`` (the
+    default) or ``np.float32``, the points a PCD stores. With float32 the
+    ground bisection of a ray stops once every t in its bracket gives the
+    same ground decision, range gate and float32 point (``_ground_settled``),
+    and the points equal ``raycast_scan(...).points.astype(np.float32)``
+    bit for bit, with the same labels.
     """
     if seed < 0:
         raise InvalidSpecError("seed must be >= 0")
+    if dtype not in (np.float64, np.float32):
+        raise InvalidSpecError(
+            f"dtype must be np.float64 or np.float32, not {dtype!r}")
     dirs_s, els, azs = ray_grid(cfg)
     R = pose.rotation_matrix()
     origin = np.asarray(pose.translation, dtype=np.float64)
@@ -453,21 +463,57 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
     label_best = np.zeros(n, dtype=np.int64)
     label_best[ray[win]] = label[win]
 
-    if scene.ground is not None:
-        t_upper = np.minimum(t_best, cfg.max_range + 1.0)
-        tg = ray_ground(origin, dirs_w, scene.ground, t_upper)
-        better = tg < t_best
-        t_best[better] = tg[better]
-        label_best[better] = 0
-
-    hit = np.isfinite(t_best) & (t_best >= cfg.min_range) & (t_best <= cfg.max_range)
-    ranges = t_best[hit]
+    noise = np.zeros(n)
     if cfg.noise_sigma > 0.0:
         rng = np.random.Generator(np.random.Philox(seed))
         noise = rng.normal(0.0, cfg.noise_sigma, size=n)
-        ranges = ranges + noise[hit]
-    points = dirs_s[hit] * ranges[:, None]
+
+    if scene.ground is not None:
+        t_upper = np.minimum(t_best, cfg.max_range + 1.0)
+        settled = None
+        if dtype == np.float32:
+            settled = _ground_settled(dirs_s, noise, t_best, cfg)
+        tg = ray_ground(origin, dirs_w, scene.ground, t_upper, settled)
+        better = tg < t_best
+        t_best = np.where(better, tg, t_best)
+        label_best[better] = 0
+
+    hit = np.isfinite(t_best) & (t_best >= cfg.min_range) & (t_best <= cfg.max_range)
+    ranges = t_best[hit] + noise[hit]         # t + 0.0 == t when noiseless
+    points = (dirs_s[hit] * ranges[:, None]).astype(dtype, copy=False)
     return LabeledCloud(points, label_best[hit], sensor_pose=pose)
+
+
+def _ground_settled(dirs_s, noise, t_solid, cfg: SensorConfig):
+    """The ``settled`` rule of ``ray_ground`` for a float32 scan.
+
+    A bracket [lo, hi] of ray r is settled when lo and hi agree on
+    ``t < t_solid[r]`` (the ground is nearer), on ``t >= min_range`` and on
+    ``t <= max_range``, and, where these make a ground point, on its
+    float32 coordinates ``float32(dirs_s[r] * (t + noise[r]))``. Each of
+    these is monotone in t, so every t in the bracket then gives what the
+    root gives. A bracket wider than ``lo * 2**-26`` is not tested: it
+    holds a float32 rounding point of some coordinate in most cases, and
+    one more halving costs less than the test.
+    """
+    def settled(lo, hi, rays):
+        width = hi - lo
+        out = (width > 0.0) & (width <= lo * 2.0 ** -26)
+        near = np.flatnonzero(out)
+        a, b, r = lo[near], hi[near], rays[near]
+        d, noise_r, t_solid_r = dirs_s[r], noise[r], t_solid[r]
+        ground = a < t_solid_r
+        same = (b < t_solid_r) == ground
+        after_min = a >= cfg.min_range
+        same &= (b >= cfg.min_range) == after_min
+        before_max = a <= cfg.max_range
+        same &= (b <= cfg.max_range) == before_max
+        eq = ((d * (a + noise_r)[:, None]).astype(np.float32)
+              == (d * (b + noise_r)[:, None]).astype(np.float32))
+        point = ground & after_min & before_max
+        out[near] = same & (~point | (eq[:, 0] & eq[:, 1] & eq[:, 2]))
+        return out
+    return settled
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +561,8 @@ def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
                                   scene_spec.sensor_position, pose_rng)
 
     scan_seed = int(noise_child.generate_state(1, np.uint64)[0])
-    cloud = raycast_scan(scene, pose, sensor, seed=scan_seed)
+    # float32: the points write_pcd stores, bit for bit
+    cloud = raycast_scan(scene, pose, sensor, seed=scan_seed, dtype=np.float32)
 
     rel = f"clouds/scan_{i:05d}.pcd"
     tio.write_pcd(cloud, Path(out_dir) / rel, mode="binary")

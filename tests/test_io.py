@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from pathlib import Path
 from typing import get_args
@@ -359,11 +360,49 @@ class TestConfigValueForms:
         (SensorConfig, "v_resolution", 8.5, "an integer"),
         (tio.DatasetConfig, "n_scans", 2.5, "an integer"),
         (TrussSpec, "node_counts", (2, 2.5, 3), "3 numbers"),
+        (TrussSpec, "crossed", "no", "True, False, 0 or 1"),
+        (TrussSpec, "crossed", 2, "True, False, 0 or 1"),
+        (TrussSpec, "crossed", 1.0, "True, False, 0 or 1"),
+        (TrussSpec, "crossed", None, "True, False, 0 or 1"),
     ])
     def test_other_values_are_refused(self, cls, field, value, message):
         with pytest.raises(InvalidSpecError,
                            match=f"^{field} must be {message}, not "):
             cls(**{field: value})
+
+    STR_FIELDS = [(TrussSpec, "label_mode"), (PipelineConfig, "eigen_mode"),
+                  (PipelineConfig, "stage_mode"), (tio.DatasetConfig, "out_dir")]
+
+    def test_every_str_field_is_listed(self):
+        assert {(cls, f.name) for cls in tio._SECTIONS.values()
+                for f in dataclass_fields(cls) if f.type in ("str", str)} \
+            == set(self.STR_FIELDS)
+
+    @pytest.mark.parametrize("cls, field", STR_FIELDS)
+    @pytest.mark.parametrize("value", [5, None, b"per_face", ("full",)])
+    def test_str_fields_refuse_other_values(self, cls, field, value):
+        with pytest.raises(InvalidSpecError,
+                           match=f"^{field} must be a string, not "):
+            cls(**{field: value})
+
+    def test_bool_spellings_fingerprint_equal(self):
+        from trusskit import synth
+        specs = [TrussSpec(crossed=v) for v in (True, 1, np.True_, np.int64(1))]
+        assert all(type(spec.crossed) is bool for spec in specs)
+        assert {synth.spec_fingerprint(SceneSpec(structure=spec),
+                                       SensorConfig()) for spec in specs} \
+            == {"ecb0c70f58c75f78"}
+        assert TrussSpec(crossed=0) == TrussSpec(crossed=np.False_)
+        assert TrussSpec(crossed=0).crossed is False
+
+    @pytest.mark.parametrize("config, spec_hash", [
+        ("ortho", "121cdf09d143c551"), ("crossed", "fda7b9c1341d5c35"),
+        ("training", "201dc74a171c1482")])
+    def test_shipped_spec_hashes_hold(self, config, spec_hash):
+        from trusskit import synth
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        cfg = tio.load_config(configs / f"{config}.cfg")
+        assert synth.spec_fingerprint(cfg.scene, cfg.sensor) == spec_hash
 
     def test_integral_float_resolution_raycasts(self):
         from trusskit import synth

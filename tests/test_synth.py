@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trusskit import synth
 from trusskit import io as tio
@@ -358,24 +360,32 @@ def _box_ring(count=12, radius=6.0, seed=0):
     return Scene(solids, HeightFieldGround(0.2, 8.0))
 
 
+def _dataset_scans(config, dataset_seed, tmp_path, monkeypatch):
+    """(scene, pose, sensor, noise seed) of the two scans a dataset of a
+    shipped config raycasts, recorded with their dtype passed through."""
+    cfg = tio.load_config(CONFIGS / f"{config}.cfg")
+    calls = []
+
+    def recording(scene, pose, sensor, seed, dtype=np.float64):
+        calls.append((scene, pose, sensor, seed))
+        return raycast(scene, pose, sensor, seed=seed, dtype=dtype)
+
+    raycast = synth.raycast_scan
+    monkeypatch.setattr(synth, "raycast_scan", recording)
+    synth.generate_dataset(cfg.scene, 2, dataset_seed, tmp_path,
+                           sensor=cfg.sensor)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    return calls
+
+
 class TestBatchedBoxes:
     """synth.raycast_scan against its earlier per-solid form, bit for bit."""
 
     @pytest.mark.parametrize("config", ["ortho", "crossed", "training"])
     def test_real_scans_bit_identical(self, config, tmp_path, monkeypatch):
-        cfg = tio.load_config(CONFIGS / f"{config}.cfg")
-        calls = []
-
-        def recording(scene, pose, sensor, seed):
-            calls.append((scene, pose, sensor, seed))
-            return raycast(scene, pose, sensor, seed=seed)
-
-        raycast = synth.raycast_scan
-        monkeypatch.setattr(synth, "raycast_scan", recording)
-        synth.generate_dataset(cfg.scene, 2, 5, tmp_path, sensor=cfg.sensor)
-        monkeypatch.undo()
-        assert len(calls) == 2
-        for scene, pose, sensor, seed in calls:
+        for scene, pose, sensor, seed in _dataset_scans(config, 5, tmp_path,
+                                                        monkeypatch):
             cloud = _assert_same_scan(scene, pose, sensor, seed)
             assert (cloud.face_label > 0).sum() > 1000
 
@@ -576,6 +586,108 @@ class TestBatchedBoxes:
             assert (dist <= cover.radius[own][None]).any(axis=1).all()
 
 
+def _assert_float32_scan(scene, pose, cfg, seed=0):
+    """The float32 scan is the float64 scan rounded, bit for bit."""
+    want = synth.raycast_scan(scene, pose, cfg, seed=seed)
+    got = synth.raycast_scan(scene, pose, cfg, seed=seed, dtype=np.float32)
+    stored = got.points.astype(np.float32)
+    assert np.array_equal(stored, got.points)
+    assert stored.tobytes() == want.points.astype(np.float32).tobytes()
+    assert np.array_equal(got.face_label, want.face_label)
+    return want
+
+
+class TestFloat32Scan:
+    """raycast_scan(..., dtype=np.float32), whose ground bisection stops once
+    a ray's float32 point is fixed, against the float64 scan rounded."""
+
+    SENSOR = synth.SensorConfig(v_resolution=8, h_resolution=32,
+                                v_fov_deg=60.0, noise_sigma=0.008)
+    GROUND = HeightFieldGround(0.2, 10.0)
+    POSE = Pose((0.3, -0.2, 2.0))
+
+    @pytest.mark.parametrize("config", ["ortho", "crossed", "training"])
+    def test_real_scans(self, config, tmp_path, monkeypatch):
+        for scene, pose, sensor, seed in _dataset_scans(config, 6, tmp_path,
+                                                        monkeypatch):
+            cloud = _assert_float32_scan(scene, pose, sensor, seed)
+            assert (cloud.face_label == 0).sum() > 1000
+
+    @settings(max_examples=40, deadline=None)
+    @given(scene_seed=st.integers(0, 2 ** 16),
+           pose_seed=st.integers(0, 2 ** 16),
+           amplitude=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+           wavelength=st.floats(2.0, 20.0),
+           noise_sigma=st.sampled_from([0.0, 0.008, 0.05]),
+           min_range=st.floats(0.05, 3.0),
+           max_range=st.floats(4.0, 30.0),
+           height=st.floats(0.25, 4.0))
+    def test_random_scenes(self, scene_seed, pose_seed, amplitude, wavelength,
+                           noise_sigma, min_range, max_range, height):
+        scene = Scene(_box_ring(seed=scene_seed).solids,
+                      HeightFieldGround(amplitude, wavelength))
+        rng = np.random.default_rng(pose_seed)
+        pose = Pose((*rng.uniform(-1.0, 1.0, 2), height),
+                    tuple(synth.random_unit_quaternion(rng)))
+        cfg = synth.SensorConfig(v_resolution=16, h_resolution=64,
+                                 min_range=min_range, max_range=max_range,
+                                 noise_sigma=noise_sigma)
+        _assert_float32_scan(scene, pose, cfg, seed=pose_seed)
+
+    def _roots(self):
+        """Rays of SENSOR at POSE and their float64 ground roots below
+        max_range + 1, the t_upper of a ray that meets no solid."""
+        dirs_s, _, _ = synth.ray_grid(self.SENSOR)
+        dirs = dirs_s @ self.POSE.rotation_matrix().T
+        origin = np.asarray(self.POSE.translation)
+        t_upper = np.full(len(dirs), self.SENSOR.max_range + 1.0)
+        return origin, dirs, ray_ground(origin, dirs, self.GROUND, t_upper)
+
+    @pytest.mark.parametrize("bound", ["min_range", "max_range"])
+    def test_crossing_on_a_range_bound(self, bound):
+        # the bound one float below, at and one float above a ray's root:
+        # that ray's bracket straddles the bound while it halves (max_range
+        # moves t_upper to the bound + 1, which leaves the root where it is)
+        _, _, root = self._roots()
+        rays = np.flatnonzero(root < 25.0)
+        assert len(rays) > 50
+        scene = Scene([], self.GROUND)
+        for r in rays[::len(rays) // 12]:
+            for b in (np.nextafter(root[r], 0.0), root[r],
+                      np.nextafter(root[r], np.inf)):
+                cfg = replace(self.SENSOR, **{bound: b})
+                _assert_float32_scan(scene, self.POSE, cfg, seed=int(r))
+
+    def test_crossing_ties_a_solid(self):
+        # a wall whose -x face runs, to within two floats, through a ray's
+        # ground point: the ray's march bracket ends at t_upper == t_best,
+        # its wall hit, and the ground root and the wall tie or part by a
+        # float or two
+        origin, dirs, root = self._roots()
+        outcomes = set()
+        for r in np.flatnonzero((root < 25.0) & (dirs[:, 0] > 0.3))[::3]:
+            x, y = origin[:2] + root[r] * dirs[r, :2]
+            for ulps in range(-2, 3):
+                face = x + ulps * np.spacing(x)
+                wall = OrientedBox([face + 0.05, y, 0.0], [0.05, 1.0, 1.0],
+                                   np.eye(3), np.arange(1, 7))
+                _, [t_wall], _ = ray_boxes(origin, dirs, pack_boxes([wall]),
+                                           np.array([r]), np.array([0]))
+                [tg] = ray_ground(origin, dirs[r:r + 1], self.GROUND,
+                                  np.array([t_wall]))
+                outcomes.add("ground" if tg < t_wall else
+                             "tie" if tg == t_wall else "wall")
+                _assert_float32_scan(Scene([wall], self.GROUND), self.POSE,
+                                     self.SENSOR, seed=int(r))
+        assert {"ground", "tie"} <= outcomes, outcomes
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, "float32"])
+    def test_other_dtypes_are_refused(self, dtype):
+        with pytest.raises(InvalidSpecError, match="dtype must be"):
+            synth.raycast_scan(Scene([], self.GROUND), self.POSE, self.SENSOR,
+                               dtype=dtype)
+
+
 def _ground_f(origin, dirs, ground, t):
     """Signed height above the ground at t, in ray_ground's float operations."""
     ox, oy, oz = origin
@@ -600,9 +712,9 @@ class TestRayGround:
         cfg = tio.load_config(CONFIGS / f"{config}.cfg")
         calls = []
 
-        def recording(origin, dirs, ground, t_upper):
+        def recording(origin, dirs, ground, t_upper, settled=None):
             calls.append((origin, dirs, ground, t_upper))
-            return ray_ground(origin, dirs, ground, t_upper)
+            return ray_ground(origin, dirs, ground, t_upper, settled)
 
         monkeypatch.setattr(synth, "ray_ground", recording)
         synth.generate_dataset(cfg.scene, 1, 3, tmp_path, sensor=cfg.sensor)
@@ -612,6 +724,10 @@ class TestRayGround:
         want = ray_ground_stepwise(origin, dirs, ground, t_upper)
         assert np.isfinite(got).sum() > 1000
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # a settled rule that never fires changes nothing
+        never = ray_ground(origin, dirs, ground, t_upper,
+                           lambda lo, hi, rays: np.zeros(len(lo), dtype=bool))
+        assert np.array_equal(never.view(np.int64), want.view(np.int64))
 
     def test_origin_below_surface_is_immediate_contact(self):
         # height(2.5, 2.5) = 0.2: an origin at z = 0.1 is inside the band
