@@ -300,8 +300,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _, arrays = tio.read_pcd_arrays(args.cloud)
-    cloud = tio.read_pcd(args.cloud)
+    header, arrays = tio.read_pcd_arrays(args.cloud)
+    cloud = tio.cloud_from_arrays(header, arrays)
     if args.pred_field not in arrays:
         raise TrussKitError(f"{args.cloud} lacks field {args.pred_field!r}")
     pred = np.asarray(arrays[args.pred_field]).reshape(-1) > 0.5

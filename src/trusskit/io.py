@@ -156,24 +156,45 @@ def export_features(cloud: LabeledCloud, normals, curvature, path=None,
         *features, ("curvature", "F", 4, curvature)])
 
 
-def _parse_header(text: str) -> tuple[PcdHeader, int]:
-    """Parse header lines; returns the header and the byte offset where the
-    body starts (offset into the original byte stream)."""
+# a header is a few hundred bytes: its lines are first looked for in this
+# many leading characters, so a binary body is not split into lines too
+_HEAD_PREFIX = 1024
+
+
+def _header_entries(text: str, cut: bool):
+    """{KEY: values} of the header lines up to and including the DATA line,
+    and the byte offset just past that line; None when ``text`` holds no
+    DATA line. With ``cut``, ``text`` is a prefix of the header window, and
+    a line that runs to its end counts as absent: the line may go on past
+    the cut (a final ``\\r`` may be half of a ``\\r\\n``)."""
     entries: dict[str, list[str]] = {}
     offset = 0
-    found_data = False
     for raw in text.splitlines(keepends=True):
         offset += len(raw.encode("latin-1"))
+        if cut and offset == len(text):
+            return None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        entries[parts[0].upper()] = parts[1:]
-        if parts[0].upper() == "DATA":
-            found_data = True
-            break
-    if not found_data:
+        key = parts[0].upper()
+        entries[key] = parts[1:]
+        if key == "DATA":
+            return entries, offset
+    return None
+
+
+def _parse_header(text: str) -> tuple[PcdHeader, int]:
+    """Parse header lines; returns the header and the byte offset where the
+    body starts (offset into the original byte stream). ``text`` is the
+    latin-1 decoded header window, one character per byte."""
+    cut = len(text) > _HEAD_PREFIX
+    found = _header_entries(text[:_HEAD_PREFIX], cut)
+    if found is None and cut:
+        found = _header_entries(text, False)
+    if found is None:
         raise MalformedHeaderError("no DATA line found")
+    entries, offset = found
 
     def need(key):
         if key not in entries:
@@ -241,9 +262,11 @@ def _parse_header(text: str) -> tuple[PcdHeader, int]:
     data = need("DATA")[0].lower() if need("DATA") else ""
     if data not in ("ascii", "binary"):
         raise MalformedHeaderError(f"unsupported DATA mode {data!r}")
-    version = entries.get("VERSION", [".7"])[0]
+    version = entries.get("VERSION", [".7"])
+    if not version:
+        raise MalformedHeaderError("VERSION line is empty")
     return PcdHeader(names, sizes, types, counts, width, height, viewpoint,
-                     points, data, version), offset
+                     points, data, version[0]), offset
 
 
 def _exact_int(token: str, info: np.iinfo) -> Optional[int]:
@@ -268,12 +291,13 @@ def read_pcd_arrays(src: Union[str, Path, bytes]):
     dtype = np.dtype([(f, d, sh) for f, d, sh in specs])
     out: dict[str, np.ndarray] = {}
     if header.data == "binary":
-        body = blob[body_off:]
         need = header.points * dtype.itemsize
-        if len(body) < need:
-            raise TruncatedBodyError(
-                f"body holds {len(body)} bytes, header declares {need}")
-        rec = np.frombuffer(body[:need], dtype=dtype)
+        if len(blob) - body_off < need:
+            raise TruncatedBodyError(f"body holds {len(blob) - body_off} "
+                                     f"bytes, header declares {need}")
+        rec = np.frombuffer(blob, dtype=dtype, count=header.points,
+                            offset=body_off)
+        # each field is copied out, so no array keeps the file's bytes alive
         for f, _, _ in specs:
             out[f] = rec[f].copy()
     else:
@@ -323,7 +347,13 @@ def read_pcd(src: Union[str, Path, bytes]) -> LabeledCloud:
     not finite or is >= 2**63, or an ascii value that does not fit its
     integer field's type, raises ``FieldRangeError``.
     """
-    header, arrays = read_pcd_arrays(src)
+    return cloud_from_arrays(*read_pcd_arrays(src))
+
+
+def cloud_from_arrays(header: PcdHeader, arrays: dict) -> LabeledCloud:
+    """The LabeledCloud of ``read_pcd_arrays``' ``(header, arrays)``, with
+    ``read_pcd``'s rules; for a caller that needs the other fields too, so
+    the file is parsed once."""
     for axis in ("x", "y", "z"):
         if axis not in arrays or arrays[axis].ndim != 1:
             raise MissingXyzError(f"missing scalar field {axis!r}")

@@ -703,3 +703,100 @@ def build_truss_five_loops(spec):
             labels = np.arange(6 * b + 1, 6 * b + 7, dtype=np.int64)
         out.append((center, half, rot, labels))
     return out
+
+
+def parse_pcd_header_reference(text):
+    """Reference for ``io._parse_header``: its earlier form, kept verbatim
+    as an identity gate apart from refusing an empty VERSION line (it
+    raised IndexError). It splits the whole header window into lines,
+    binary body included."""
+    from trusskit.errors import MalformedHeaderError
+    from trusskit.io import _DTYPES, PcdHeader
+
+    entries: dict[str, list[str]] = {}
+    offset = 0
+    found_data = False
+    for raw in text.splitlines(keepends=True):
+        offset += len(raw.encode("latin-1"))
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        entries[parts[0].upper()] = parts[1:]
+        if parts[0].upper() == "DATA":
+            found_data = True
+            break
+    if not found_data:
+        raise MalformedHeaderError("no DATA line found")
+
+    def need(key):
+        if key not in entries:
+            raise MalformedHeaderError(f"missing {key} line")
+        return entries[key]
+
+    names = need("FIELDS")
+    if not names:
+        raise MalformedHeaderError("FIELDS line is empty")
+    if len(set(names)) != len(names):
+        raise MalformedHeaderError("duplicate field names")
+
+    def ints(key, expect_len):
+        vals = need(key)
+        if len(vals) != expect_len:
+            raise MalformedHeaderError(f"{key} count differs from FIELDS")
+        try:
+            out = [int(v) for v in vals]
+        except ValueError as exc:
+            raise MalformedHeaderError(f"bad {key} entry: {exc}") from None
+        return out
+
+    sizes = ints("SIZE", len(names))
+    types = need("TYPE")
+    if len(types) != len(names):
+        raise MalformedHeaderError("TYPE count differs from FIELDS")
+    counts = ints("COUNT", len(names)) if "COUNT" in entries else [1] * len(names)
+    if any(c < 1 for c in counts):
+        raise MalformedHeaderError("COUNT entries must be >= 1")
+    for t, s in zip(types, sizes):
+        if (t, s) not in _DTYPES:
+            raise MalformedHeaderError(f"unsupported field type {t}{s}")
+
+    try:
+        width = int(need("WIDTH")[0])
+        height = int(need("HEIGHT")[0])
+    except (ValueError, IndexError):
+        raise MalformedHeaderError("bad WIDTH/HEIGHT") from None
+    if width < 0 or height < 0:
+        raise MalformedHeaderError("negative WIDTH/HEIGHT")
+    if "POINTS" in entries:
+        try:
+            points = int(entries["POINTS"][0])
+        except (ValueError, IndexError):
+            raise MalformedHeaderError("bad POINTS") from None
+    else:
+        points = width * height
+    if width * height != points or points < 0:
+        raise MalformedHeaderError(
+            f"WIDTH*HEIGHT = {width * height} but POINTS = {points}")
+
+    viewpoint = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    if "VIEWPOINT" in entries:
+        vals = entries["VIEWPOINT"]
+        try:
+            vp = tuple(float(v) for v in vals)
+        except ValueError:
+            raise MalformedHeaderError("bad VIEWPOINT") from None
+        if len(vp) != 7 or not all(np.isfinite(vp)):
+            raise MalformedHeaderError("VIEWPOINT needs 7 finite values")
+        if abs(np.linalg.norm(vp[3:]) - 1.0) > 1e-3:
+            raise MalformedHeaderError("VIEWPOINT quaternion is not unit")
+        viewpoint = vp
+
+    data = need("DATA")[0].lower() if need("DATA") else ""
+    if data not in ("ascii", "binary"):
+        raise MalformedHeaderError(f"unsupported DATA mode {data!r}")
+    version = entries.get("VERSION", [".7"])
+    if not version:
+        raise MalformedHeaderError("VERSION line is empty")
+    return PcdHeader(names, sizes, types, counts, width, height, viewpoint,
+                     points, data, version[0]), offset

@@ -26,6 +26,8 @@ from trusskit.geom import LabeledCloud, Pose, estimate_normals
 from trusskit.segment import PipelineConfig
 from trusskit.synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
+from helpers import parse_pcd_header_reference
+
 
 def random_cloud(rng, n, with_pose=True):
     pose = Pose((1.0, -2.0, 3.0), (1.0, 0.0, 0.0, 0.0)) if with_pose else Pose()
@@ -33,8 +35,9 @@ def random_cloud(rng, n, with_pose=True):
                         rng.integers(0, 40, n), sensor_pose=pose)
 
 
-def _one_point_pcd(count="1 1 1", width="1", points="1", body="1 2 3"):
-    return (f"VERSION .7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
+def _one_point_pcd(count="1 1 1", width="1", points="1", body="1 2 3",
+                   version=".7"):
+    return (f"VERSION {version}\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
             f"COUNT {count}\nWIDTH {width}\nHEIGHT 1\nPOINTS {points}\n"
             f"DATA ascii\n{body}\n").encode()
 
@@ -49,6 +52,7 @@ MALFORMED_PCDS = {
                         "WIDTH*HEIGHT = 2 but POINTS = 1"),
     "non_numeric_body": (_one_point_pcd(body="1 2 x"),
                          "non-numeric ascii body"),
+    "empty_version": (_one_point_pcd(version=""), "VERSION line is empty"),
 }
 
 
@@ -112,7 +116,8 @@ class TestPcdRoundTrip:
             tio.read_pcd(text.encode())
         cloud = random_cloud(np.random.default_rng(2), 10)
         blob = tio.write_pcd(cloud, mode="binary")
-        with pytest.raises(TruncatedBodyError):
+        with pytest.raises(TruncatedBodyError,
+                           match="^body holds 156 bytes, header declares 160$"):
             tio.read_pcd(blob[:-4])
 
     def test_intensity_carries_labels(self):
@@ -272,6 +277,123 @@ class TestPcdRoundTrip:
                 "DATA binary_compressed\n")
         with pytest.raises(MalformedHeaderError):
             tio.read_pcd(text.encode())
+
+
+_HEADER = ["VERSION .7", "FIELDS x y z label", "SIZE 4 4 4 4",
+           "TYPE F F F U", "COUNT 1 1 1 1", "WIDTH 3", "HEIGHT 1",
+           "VIEWPOINT 0 0 0 1 0 0 0", "POINTS 3"]
+# header lines a mutation may put in: bad values, lower-case keys, blanks
+_OTHER_LINES = ["FIELDS x y z x", "SIZE 4 4 4", "TYPE F F F I", "COUNT 0 1 1 1",
+                "WIDTH -1", "WIDTH x", "height 1", "VIEWPOINT 0 0 0 2 0 0 0",
+                "POINTS", "POINTS 4", "DATA", "data ascii", "VERSION", "  ",
+                "# note"]
+_EOLS = ["\n", "\r", "\r\n"]
+# line breaks of str.splitlines besides \n and \r
+_OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"]
+_LATIN1 = st.characters(min_codepoint=0, max_codepoint=255)
+
+
+@st.composite
+def header_windows(draw):
+    """The latin-1 text of a PCD file's first 64 KiB: a header with random
+    edits, comments, line ends and inner line breaks, its DATA line placed
+    around the end of the parser's prefix or past it, and a random body."""
+    lines = list(_HEADER)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(
+            ["insert", "replace", "delete", "comment", "break"]))
+        if kind == "insert":
+            lines.insert(at, draw(st.sampled_from(_HEADER + _OTHER_LINES)))
+        elif kind == "comment":
+            lines.insert(at, "#" + draw(st.text(_LATIN1, max_size=40)))
+        elif lines and at < len(lines):
+            if kind == "replace":
+                lines[at] = draw(st.sampled_from(_OTHER_LINES))
+            elif kind == "delete":
+                del lines[at]
+            else:
+                cut = draw(st.integers(0, len(lines[at])))
+                lines[at] = (lines[at][:cut] + draw(st.sampled_from(
+                    _OTHER_BREAKS)) + lines[at][cut:])
+    data = draw(st.sampled_from(
+        ["DATA binary", "DATA ascii", "DATA binary", "DATA binary_compressed",
+         None]))
+    head = "".join(line + draw(st.sampled_from(_EOLS)) for line in lines)
+    tail = "" if data is None else data + draw(st.sampled_from(_EOLS))
+    # a comment before DATA moves its line's end to the prefix's end plus
+    # shift (a CRLF with shift 1 straddles the cut), or well past the prefix
+    place = draw(st.sampled_from(["as is", "at the cut", "past the cut"]))
+    pad_eol = draw(st.sampled_from(_EOLS))
+    if place == "at the cut":
+        width = (tio._HEAD_PREFIX + draw(st.integers(-4, 4)) - len(head)
+                 - len(tail) - 1 - len(pad_eol))
+    else:
+        width = draw(st.integers(tio._HEAD_PREFIX, 3 * tio._HEAD_PREFIX)) \
+            if place == "past the cut" else -1
+    if width >= 0:
+        head += "#" + "p" * width + pad_eol
+    body = draw(st.one_of(st.binary(max_size=300),
+                          st.binary(max_size=300).map(lambda b: b"\n" + b)))
+    return (head + tail + body.decode("latin-1"))[:65536]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except MalformedHeaderError as exc:
+        return type(exc), str(exc)
+
+
+class TestHeaderPrefix:
+    """``io._parse_header`` splits a short prefix of the header window
+    first; it must read every header as splitting the whole window does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=header_windows())
+    def test_same_header_offset_or_error_as_whole_window(self, text):
+        assert _parse_outcome(tio._parse_header, text) == \
+            _parse_outcome(parse_pcd_header_reference, text)
+
+    @pytest.mark.parametrize("eol", _EOLS)
+    @pytest.mark.parametrize("shift", range(-3, 4))
+    def test_data_line_ending_at_the_cut(self, eol, shift):
+        # the body starts with \n: after a DATA line ending in \r it is
+        # that line's terminator's second half
+        head = "".join(line + eol for line in _HEADER)
+        data = "DATA binary" + eol
+        width = tio._HEAD_PREFIX + shift - len(head) - len(data) - 1 - len(eol)
+        text = head + "#" + "p" * width + eol + data + "\n\x00\x01\r\n"
+        header, offset = tio._parse_header(text)
+        assert (header, offset) == parse_pcd_header_reference(text)
+        assert offset == tio._HEAD_PREFIX + shift + (eol == "\r")
+
+    def test_header_past_the_window_is_refused(self):
+        # the header is read from the first 64 KiB only
+        cloud = random_cloud(np.random.default_rng(4), 3)
+        blob = tio.write_pcd(cloud)
+        long = b"VERSION .7\n#" + b"p" * 65536 + b"\n" + blob[len(b"VERSION .7\n"):]
+        with pytest.raises(MalformedHeaderError, match="no DATA line found"):
+            tio.read_pcd(long)
+        fits = b"VERSION .7\n#" + b"p" * 60000 + b"\n" + blob[len(b"VERSION .7\n"):]
+        assert np.array_equal(tio.read_pcd(fits).points, tio.read_pcd(blob).points)
+
+
+class TestReadArraysOwnData:
+    @pytest.mark.parametrize("mode", ["binary", "ascii"])
+    def test_arrays_own_their_data(self, mode, tmp_path):
+        cloud = random_cloud(np.random.default_rng(5), 7)
+        path = tmp_path / "c.pcd"
+        tio.write_pcd(cloud, path, mode=mode)
+        header, arrays = tio.read_pcd_arrays(path)
+        assert list(arrays) == ["x", "y", "z", "label"]
+        for name, arr in arrays.items():
+            assert arr.base is None and arr.flags.writeable, name
+            assert arr.flags.c_contiguous, name
+            before = arr.copy()
+            arr[:] = 0
+            _, again = tio.read_pcd_arrays(path)
+            assert np.array_equal(again[name], before), name
 
 
 class TestFeatureExport:
