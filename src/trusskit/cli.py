@@ -22,7 +22,7 @@ import numpy as np
 from . import io as tio
 from . import metrics as tmetrics
 from .errors import TrussKitError
-from .geom import worker_pool
+from .geom import fingerprint, map_jobs
 from .segment import (
     FULL,
     HYBRID,
@@ -124,68 +124,79 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _outcomes(cloud, pipeline, modes) -> list:
+    """Each variant's ``run_pipeline`` output, or the exception it raised.
+    The variants share one call; if that raises, each runs alone, so a
+    variant fails in a sweep exactly when its lone ``segment`` run does."""
+    try:
+        return run_pipeline(cloud, pipeline, modes)
+    except Exception as exc:
+        if len(modes) == 1:
+            return [exc]
+    return [_outcomes(cloud, pipeline, [mode])[0] for mode in modes]
+
+
 def _segment_one(task) -> list:
-    """Worker: read one file and run the variants of ``pipeline`` named by
-    ``(out_dir, mode)`` targets on it in one ``run_pipeline`` call, writing
-    each prediction and latency; returns one scored ``CloudRecord`` per
-    target, in the order given. A scan that fails to read or segment fails
-    every target."""
+    """Worker: read one file, run the variants of ``pipeline`` named by
+    ``(out_dir, mode)`` targets on it (``_outcomes``) and write each one's
+    prediction and latency; returns one scored ``CloudRecord`` per target,
+    in the order given. A scan that fails to read fails every target."""
     path, pipeline, targets = task
     name = Path(path).name
     try:
         cloud = tio.read_pcd(path)
-        results = run_pipeline(cloud, pipeline,
-                               [MODES[mode] for _, mode in targets])
+        outcomes = _outcomes(cloud, pipeline,
+                             [MODES[mode] for _, mode in targets])
     except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return [tmetrics.CloudRecord(name, error=error) for _ in targets]
+        outcomes = [exc] * len(targets)
     records = []
-    for (out_dir, _), result in zip(targets, results):
-        rec = tmetrics.CloudRecord(name)
+    for (out_dir, _), result in zip(targets, outcomes):
         try:
+            if isinstance(result, Exception):
+                raise result
             out_path = Path(out_dir) / name
             tio.write_prediction_pcd(cloud, result.prediction, out_path)
-            payload = {"stages_ms": result.latency_ms,
-                       "total_ms": result.total_ms,
-                       "warnings": result.warnings}
-            out_path.with_suffix(".latency.json").write_text(
-                json.dumps(payload, sort_keys=True) + "\n")
-            rec.cm = tmetrics.confusion(result.prediction, cloud.truss_mask)
-            rec.metrics = tmetrics.metrics(rec.cm)
-            rec.latency_ms = result.total_ms
+            tio.write_latency(out_path, result.latency_ms, result.total_ms,
+                              result.warnings)
+            records.append(tmetrics.score_cloud(
+                name, result.prediction, cloud.truss_mask, result.total_ms))
         except Exception as exc:
-            rec.error = f"{type(exc).__name__}: {exc}"
-        records.append(rec)
+            records.append(tmetrics.CloudRecord(
+                name, error=f"{type(exc).__name__}: {exc}"))
     return records
 
 
-def _segment_dir(files, pipeline, targets, jobs: int) -> list:
-    """Segment every file with the variant of ``pipeline`` of every
-    ``(out_dir, mode)`` target; returns each target's per-file records."""
-    for out_dir, _ in targets:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    tasks = [(str(f), pipeline, [(str(d), mode) for d, mode in targets])
-             for f in files]
-    if jobs > 1:
-        with worker_pool(jobs) as pool:
-            results = list(pool.map(_segment_one, tasks))
-    else:
-        results = [_segment_one(t) for t in tasks]
-    return [list(records) for records in zip(*results)]
+def _report_failures(records) -> int:
+    """Print one ``error: FILE: ERROR`` line per failed file, in name
+    order, with the file's first error; returns how many files failed."""
+    failed = {}
+    for r in records:
+        if r.error:
+            failed.setdefault(r.file, r.error)
+    for name in sorted(failed):
+        print(f"error: {name}: {failed[name]}", file=sys.stderr)
+    return len(failed)
 
 
-def cmd_segment(args) -> int:
+def _segment_scans(args, targets) -> tuple:
+    """Read and segment each scan under ``--in`` once for all ``(out_dir,
+    mode)`` targets, over ``--jobs`` workers; name each failed scan on
+    stderr. Returns the config, each target's records and the failure count."""
     cfg = _load_config(args)
     jobs = _jobs(args)
     files = _pcd_files(args.in_dir)
-    [records] = _segment_dir(files, cfg.pipeline, [(args.out, args.mode)],
-                             jobs)
-    failures = [r for r in records if r.error]
-    for r in failures:
-        print(f"error: {r.file}: {r.error}", file=sys.stderr)
-    print(f"segmented {len(files) - len(failures)}/{len(files)} clouds "
+    for out_dir, _ in targets:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    tasks = [(str(f), cfg.pipeline, targets) for f in files]
+    records = [list(r) for r in zip(*map_jobs(_segment_one, jobs, tasks))]
+    return cfg, records, _report_failures(r for rs in records for r in rs)
+
+
+def cmd_segment(args) -> int:
+    _, [records], failed = _segment_scans(args, [(args.out, args.mode)])
+    print(f"segmented {len(records) - failed}/{len(records)} clouds "
           f"(mode {args.mode}) into {args.out}")
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def _print_summary(label: str, report) -> None:
@@ -204,34 +215,17 @@ def cmd_evaluate(args) -> int:
     report.write_json(base.with_suffix(".json"))
     report.write_csv(base.with_suffix(".csv"))
     _print_summary(Path(args.pred).name or "-", report)
-    if report.errors:
-        print(f"error: {report.errors[0]}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if _report_failures(report.rows) else 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    jobs = _jobs(args)
-    files = _pcd_files(args.in_dir)
     out = Path(args.out)
-    # one pass over the scans: each is read once and segmented by one
-    # run_pipeline call, which runs every stage the seven variants share once
     targets = [(out / mode, mode) for mode in MODES]
-    records = _segment_dir(files, cfg.pipeline, targets, jobs)
-    # one line per failed scan, however many of the variants it failed in
-    failed = {}
-    for mode_records in records:
-        for r in mode_records:
-            if r.error:
-                failed.setdefault(r.file, r.error)
-    for name in sorted(failed):
-        print(f"error: {name}: {failed[name]}", file=sys.stderr)
+    cfg, records, failed = _segment_scans(args, targets)
     rows = []
     for (pred_dir, mode), mode_records in zip(targets, records):
         report = tmetrics.evaluate_pairs(
-            mode_records,
-            tio.config_fingerprint(_mode_config(cfg.pipeline, mode)))
+            mode_records, fingerprint(_mode_config(cfg.pipeline, mode)))
         report.write_json(pred_dir / "report.json")
         report.write_csv(pred_dir / "report.csv")
         _print_summary(mode, report)

@@ -23,19 +23,21 @@ normals' covariances here, the edge table and RANSAC scoring in
 ``segment``), run on every CPU this process may run on
 (``query_workers``); the calling thread takes blocks too. Each row's
 arithmetic is the same on any number of threads, so results are bit
-identical. ``worker_pool`` is the one process pool of every ``--jobs``
-command (``generate``, ``segment``, ``sweep``): each worker calls
-``single_threaded_queries``, so it runs every block inline and the workers
-do not oversubscribe the cores.
+identical. ``map_jobs`` is the one ``--jobs`` map (``generate``,
+``segment``, ``sweep``): with more than one job it runs on a
+``worker_pool``, whose workers call ``single_threaded_queries``, so they
+run every block inline and do not oversubscribe the cores.
 
-``canonicalize`` gives every config dataclass one stored form per value.
+``canonicalize`` stores one form per config value; ``fingerprint`` hashes it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, get_args, get_origin, get_type_hints
 
@@ -44,6 +46,7 @@ import numpy as np
 from .errors import (
     EmptySubsetError,
     InvalidSpecError,
+    LengthMismatchError,
     NonFiniteError,
     NonPositiveLeafError,
     NonUnitDirectionError,
@@ -73,7 +76,8 @@ def _as_points(points) -> np.ndarray:
     if pts.ndim == 1 and pts.size == 3:
         pts = pts.reshape(1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) point array, got shape {pts.shape}")
+        raise InvalidSpecError(
+            f"expected (n, 3) point array, got shape {pts.shape}")
     return pts
 
 
@@ -140,6 +144,12 @@ def canonicalize(spec) -> None:
         object.__setattr__(spec, name, canon)
 
 
+def fingerprint(value) -> str:
+    """Stable short hash of a config dataclass, or of JSON holding them."""
+    blob = json.dumps(value, sort_keys=True, default=asdict)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion stored as (w, x, y, z)."""
     w, x, y, z = q
@@ -173,12 +183,14 @@ class Pose:
         t = tuple(float(v) for v in self.translation)
         q = tuple(float(v) for v in self.quaternion)
         if len(t) != 3 or len(q) != 4:
-            raise ValueError("pose needs a 3-vector translation and wxyz quaternion")
+            raise InvalidSpecError(
+                "pose needs a 3-vector translation and wxyz quaternion")
         if not all(np.isfinite(t)) or not all(np.isfinite(q)):
             raise NonFiniteError("pose components must be finite")
         norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {norm:.9f} is not 1 within 1e-6")
+            raise NonUnitDirectionError(
+                f"quaternion norm {norm:.9f} is not 1 within 1e-6")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "quaternion", q)
 
@@ -212,9 +224,10 @@ class LabeledCloud:
         else:
             self.face_label = np.asarray(self.face_label, dtype=np.int64).reshape(-1)
             if len(self.face_label) != n:
-                raise ValueError("face_label length differs from point count")
+                raise LengthMismatchError(
+                    "face_label length differs from point count")
             if n and self.face_label.min() < 0:
-                raise ValueError("face labels must be non-negative")
+                raise InvalidSpecError("face labels must be non-negative")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -243,14 +256,16 @@ class EigenDecomp:
         self.centroid = np.asarray(self.centroid, dtype=np.float64).reshape(3)
         lam = self.eigenvalues
         if lam[0] > lam[1] + 1e-12 or lam[1] > lam[2] + 1e-12:
-            raise ValueError("eigenvalues must be sorted ascending")
+            raise InvalidSpecError("eigenvalues must be sorted ascending")
         if lam[0] < -1e-9:
-            raise ValueError("covariance eigenvalues must be non-negative")
+            raise InvalidSpecError(
+                "covariance eigenvalues must be non-negative")
         self.eigenvalues = np.maximum(lam, 0.0)
         V = self.eigenvectors
         gram = V.T @ V
         if np.abs(gram - np.eye(3)).max() > 1e-6:
-            raise ValueError("eigenvectors must be orthonormal within 1e-6")
+            raise NonUnitDirectionError(
+                "eigenvectors must be orthonormal within 1e-6")
 
     @property
     def curvature(self) -> float:
@@ -293,7 +308,7 @@ def eigen_sym3_stack(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 3 or C.shape[1:] != (3, 3):
-        raise ValueError(f"expected (n, 3, 3) stack, got {C.shape}")
+        raise InvalidSpecError(f"expected (n, 3, 3) stack, got {C.shape}")
     Ct = C.transpose(0, 2, 1)
     if len(C) and np.abs(C - Ct).max() > 1e-9:
         raise NotSymmetricError("matrix is not symmetric within 1e-9")
@@ -307,7 +322,7 @@ def eigen_sym3(C: np.ndarray, centroid=(0.0, 0.0, 0.0)) -> EigenDecomp:
     (``eigen_sym3_stack`` on a stack of one)."""
     C = np.asarray(C, dtype=np.float64)
     if C.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got {C.shape}")
+        raise InvalidSpecError(f"expected 3x3 matrix, got {C.shape}")
     lam, V = eigen_sym3_stack(C[None])
     return EigenDecomp(lam[0], V[0], np.asarray(centroid, dtype=np.float64))
 
@@ -340,6 +355,14 @@ def worker_pool(jobs: int) -> ProcessPoolExecutor:
     kd-tree queries and row blocks on one thread."""
     return ProcessPoolExecutor(max_workers=jobs,
                                initializer=single_threaded_queries)
+
+
+def map_jobs(fn, jobs: int, *iterables) -> list:
+    """``list(map(fn, *iterables))``, on ``jobs`` processes when > 1."""
+    if jobs > 1:
+        with worker_pool(jobs) as pool:
+            return list(pool.map(fn, *iterables))
+    return list(map(fn, *iterables))
 
 
 def run_row_blocks(n: int, block: int, job) -> None:

@@ -10,9 +10,8 @@ channel carrying labels.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import json
-from dataclasses import asdict, dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Union, get_args, get_type_hints
@@ -83,7 +82,7 @@ def write_pcd_fields(columns: list, viewpoint, mode: str = "binary",
     when given, otherwise returns the bytes.
     """
     if mode not in ("ascii", "binary"):
-        raise ValueError(f"unsupported DATA mode {mode!r}")
+        raise InvalidSpecError(f"unsupported DATA mode {mode!r}")
     n = len(columns[0][3]) if columns else 0
     for name, _, _, arr in columns:
         if len(arr) != n:
@@ -140,6 +139,19 @@ def write_prediction_pcd(cloud: LabeledCloud, pred, path=None,
         raise LengthMismatchError("prediction length differs from cloud")
     return _write_cloud(cloud, path, mode,
                         after_label=[("pred", "U", 1, pred.astype(np.uint8))])
+
+
+def write_latency(pred_path, stages_ms, total_ms, warnings) -> None:
+    """Write the ``<name>.latency.json`` sidecar of a prediction PCD."""
+    Path(pred_path).with_suffix(".latency.json").write_text(json.dumps(
+        {"stages_ms": stages_ms, "total_ms": total_ms, "warnings": warnings},
+        sort_keys=True) + "\n")
+
+
+def read_latency(pred_path) -> Optional[dict]:
+    """``write_latency``'s keys and values, or None without a sidecar."""
+    path = Path(pred_path).with_suffix(".latency.json")
+    return json.loads(path.read_text()) if path.exists() else None
 
 
 def export_features(cloud: LabeledCloud, normals, curvature, path=None,
@@ -597,9 +609,3 @@ def dump_config(cfg: RunConfig) -> str:
         out.extend(f"{key} = {_value_text(getattr(obj, key))}" for key in keys)
         out.append("")
     return "\n".join(out)
-
-
-def config_fingerprint(obj) -> str:
-    """Stable short hash of any config dataclass."""
-    blob = json.dumps(asdict(obj), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -1,9 +1,8 @@
 """Confusion-matrix metrics, dataset aggregation and threshold selection.
 
-A dataset report aggregates one ``CloudRecord`` per scan
-(``evaluate_pairs``). ``trusskit sweep`` scores each variant's prediction
-in memory where it is made; ``evaluate_dataset`` scores prediction PCDs
-read back from disk (``trusskit evaluate``).
+A dataset report (``evaluate_pairs``) aggregates one ``score_cloud`` record
+per scan. ``trusskit sweep`` scores each variant's prediction in memory;
+``evaluate_dataset`` scores prediction PCDs read back (``trusskit evaluate``).
 
 The positive class is always "structure". Metrics with a zero denominator
 are flagged undefined (None) and excluded from dataset means; the excluded
@@ -20,7 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyInputError, LengthMismatchError, SingleClassError
+from . import io as tio
+from .errors import (
+    EmptyInputError,
+    InvalidSpecError,
+    LengthMismatchError,
+    SingleClassError,
+)
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,7 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
+            raise InvalidSpecError("confusion counts must be non-negative")
 
     @property
     def total(self) -> int:
@@ -164,6 +169,12 @@ class CloudRecord:
     error: Optional[str] = None
 
 
+def score_cloud(file: str, pred, truth, latency_ms=None) -> CloudRecord:
+    """A scan's record: its confusion matrix, metrics and latency."""
+    cm = confusion(pred, truth)
+    return CloudRecord(file, cm, metrics(cm), latency_ms)
+
+
 @dataclass
 class DatasetReport:
     """Per-cloud metrics plus unweighted means over defined clouds."""
@@ -277,11 +288,9 @@ def evaluate_dataset(truth_files: list, pred_dir) -> DatasetReport:
     Per-file problems are collected in the report instead of aborting the
     whole run.
     """
-    from . import io as tio
-
     records = []
     for path in sorted(Path(p) for p in truth_files):
-        rec = CloudRecord(file=path.name)
+        latency = None
         try:
             truth = tio.read_pcd(path).truss_mask
             ppath = Path(pred_dir) / path.name
@@ -291,12 +300,9 @@ def evaluate_dataset(truth_files: list, pred_dir) -> DatasetReport:
             if "pred" not in fields:
                 raise LengthMismatchError(f"{ppath.name} lacks field 'pred'")
             pred = np.asarray(fields["pred"]).reshape(-1) > 0.5
-            lat_path = ppath.with_suffix(".latency.json")
-            if lat_path.exists():
-                rec.latency_ms = json.loads(lat_path.read_text()).get("total_ms")
-            rec.cm = confusion(pred, truth)
-            rec.metrics = metrics(rec.cm)
+            latency = (tio.read_latency(ppath) or {}).get("total_ms")
+            records.append(score_cloud(path.name, pred, truth, latency))
         except Exception as exc:           # collected per file, not fatal
-            rec.error = f"{type(exc).__name__}: {exc}"
-        records.append(rec)
+            records.append(CloudRecord(path.name, latency_ms=latency,
+                                       error=f"{type(exc).__name__}: {exc}"))
     return evaluate_pairs(records, "external-predictions")

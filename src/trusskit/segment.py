@@ -35,7 +35,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateCloudError, InvalidSpecError
+from .errors import (
+    DegenerateCloudError,
+    InvalidSpecError,
+    NonUnitDirectionError,
+)
 from .geom import (
     EigenDecomp,
     LabeledCloud,
@@ -125,7 +129,7 @@ class Plane:
         self.normal = np.asarray(self.normal, dtype=np.float64).reshape(3)
         nrm = float(np.linalg.norm(self.normal))
         if abs(nrm - 1.0) > 1e-9:
-            raise ValueError("plane normal must be unit length")
+            raise NonUnitDirectionError("plane normal must be unit length")
         self.d = float(self.d)
 
     def distance(self, points: np.ndarray) -> np.ndarray:

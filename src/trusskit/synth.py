@@ -12,15 +12,14 @@ label of each point is the label of the face its noiseless ray hit.
 
 ``build_scene`` seats the truss at the corner of ``structure_bounding_box``,
 the box that sensor poses and tree placement use too. ``generate_dataset``
-spreads scans over ``geom.worker_pool`` workers; each scan draws from its
-own seed stream, so no byte depends on the worker count.
+spreads scans over ``--jobs`` workers with ``geom.map_jobs``; each scan
+draws from its own seed stream, so no byte depends on the worker count.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
@@ -33,9 +32,10 @@ from .geom import (
     LabeledCloud,
     Pose,
     canonicalize,
+    fingerprint,
+    map_jobs,
     quat_to_matrix,
     random_unit_quaternion,
-    worker_pool,
 )
 from .primitives import (
     Ellipsoid,
@@ -305,7 +305,7 @@ def sample_sensor_pose(mode: str, bounds, seed) -> Pose:
             raise InvalidBoundsError("pose bounds must satisfy hi > lo per axis")
         pos = rng.uniform(lo, hi)
     else:
-        raise ValueError(f"unknown pose mode {mode!r}")
+        raise InvalidSpecError(f"unknown pose mode {mode!r}")
     quat = random_unit_quaternion(rng)
     return Pose(tuple(pos), tuple(quat))
 
@@ -521,9 +521,7 @@ def _ground_settled(dirs_s, noise, t_solid, cfg: SensorConfig):
 # ---------------------------------------------------------------------------
 
 def spec_fingerprint(scene_spec: SceneSpec, sensor: SensorConfig) -> str:
-    blob = json.dumps({"scene": asdict(scene_spec), "sensor": asdict(sensor)},
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return fingerprint({"scene": scene_spec, "sensor": sensor})
 
 
 # the last scene _scan_record built, kept at module level so it outlives
@@ -588,13 +586,8 @@ def generate_dataset(scene_spec: SceneSpec, n_scans: int, seed: int, out_dir,
         raise InvalidSpecError("n_scans must be >= 1")
     out = Path(out_dir)
     (out / "clouds").mkdir(parents=True, exist_ok=True)
-    columns = (range(n_scans), repeat(scene_spec), repeat(sensor),
-               repeat(seed), repeat(str(out)))
-    if jobs > 1:
-        with worker_pool(jobs) as pool:
-            records = list(pool.map(_scan_record, *columns))
-    else:
-        records = list(map(_scan_record, *columns))
+    records = map_jobs(_scan_record, jobs, range(n_scans), repeat(scene_spec),
+                       repeat(sensor), repeat(seed), repeat(str(out)))
     with open(out / "manifest.json-lines", "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

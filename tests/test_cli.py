@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import tempfile
 import threading
 import warnings
@@ -374,6 +375,20 @@ class TestSegmentEvaluate:
         assert rc == 1
         assert "only.pcd" in capsys.readouterr().err
 
+    def test_evaluate_names_every_failed_file(self, tmp_path, capsys):
+        truth_dir = tmp_path / "truth"
+        truth_dir.mkdir(), (tmp_path / "pred").mkdir()
+        for name in ("b.pcd", "a.pcd"):
+            tio.write_pcd(LabeledCloud(np.eye(3), [1, 0, 1]), truth_dir / name)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--truth", str(truth_dir),
+                       "--pred", str(tmp_path / "pred"),
+                       "--report", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err == "".join(
+            f"error: {name}: FileNotFoundError: no prediction for {name}\n"
+            for name in ("a.pcd", "b.pcd"))
+
 
 class TestSweep:
     def test_seven_mode_layout(self, tmp_path):
@@ -511,7 +526,7 @@ class TestSweep:
         cfg = tio.load_config("configs/ortho.cfg")
         for mode in cli.MODES:
             swept = json.loads((out / mode / "report.json").read_text())
-            assert swept["config_fingerprint"] == tio.config_fingerprint(
+            assert swept["config_fingerprint"] == geom.fingerprint(
                 cli._mode_config(cfg.pipeline, mode))
             rep = tmp_path / "eval" / mode
             rc = cli.main(["evaluate", "--truth", str(data),
@@ -578,8 +593,9 @@ class TestSweep:
         ids=["two_points", "collinear"])
     def test_degenerate_scan_fails_every_variant(self, tmp_path, capsys,
                                                  points):
-        # the coarse split cannot fit a plane, so the scan's one pipeline
-        # call fails, and with it the WC variants that do not split
+        # the coarse split cannot fit a plane, so every variant that splits
+        # fails; the WC variants make no coarse split and, as in their lone
+        # runs, predict the whole scan background
         (tmp_path / "in").mkdir()
         tio.write_pcd(LabeledCloud(np.array(points)),
                       tmp_path / "in" / "thin.pcd")
@@ -595,14 +611,63 @@ class TestSweep:
         for mode in cli.MODES:
             [row] = json.loads(
                 (out / mode / "report.json").read_text())["clouds"]
-            assert row["error"] == error, mode
-        # WC_H alone makes no coarse split: the scan is all background
+            if mode.startswith("WC_"):
+                assert row["error"] is None, mode
+                assert row["tn"] == len(points), mode
+                _, arrays = tio.read_pcd_arrays(out / mode / "thin.pcd")
+                assert len(arrays["pred"]) == len(points)
+                assert not (arrays["pred"] > 0.5).any(), mode
+            else:
+                assert row["error"] == error, mode
+                assert not (out / mode / "thin.pcd").exists(), mode
+        # WC_H alone makes the same all-background prediction
         assert cli.main(["segment", "--in", str(tmp_path / "in"),
                          "--out", str(tmp_path / "wc"),
                          "--mode", "WC_H"]) == 0
-        _, arrays = tio.read_pcd_arrays(tmp_path / "wc" / "thin.pcd")
-        assert len(arrays["pred"]) == len(points)
-        assert not (arrays["pred"] > 0.5).any()
+        assert ((tmp_path / "wc" / "thin.pcd").read_bytes()
+                == (out / "WC_H" / "thin.pcd").read_bytes())
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["scattered", "collinear", "duplicates"]),
+           n=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+           modes=st.lists(st.sampled_from(list(cli.MODES)), min_size=1,
+                          max_size=len(cli.MODES), unique=True))
+    def test_variant_fails_as_its_lone_run(self, kind, n, seed, modes):
+        # scans too small or too thin for the coarse split: a variant of a
+        # sweep writes the prediction, or fails with the error, of its own
+        # lone run
+        rng = np.random.default_rng(seed)
+        if kind == "collinear":
+            pts = rng.normal(size=3) + np.outer(rng.uniform(-2.0, 2.0, n),
+                                                rng.normal(size=3))
+        elif kind == "duplicates":
+            pts = rng.normal(size=(2, 3))[rng.integers(0, 2, n)]
+        else:
+            pts = rng.normal(size=(n, 3))
+        cloud = LabeledCloud(pts.reshape(n, 3), rng.integers(0, 2, n))
+        pipeline = segment.PipelineConfig()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            scan = Path(tmp) / "thin.pcd"
+            tio.write_pcd(cloud, scan)
+
+            def run(root: Path, modes: list) -> list:
+                """(prediction bytes or None, record) of each mode."""
+                for mode in modes:
+                    (root / mode).mkdir(parents=True)
+                records = cli._segment_one(
+                    (str(scan), pipeline, [(str(root / m), m) for m in modes]))
+                preds = [root / m / scan.name for m in modes]
+                return [(p.read_bytes() if p.exists() else None,
+                         (r.error, r.cm, r.metrics))
+                        for p, r in zip(preds, records)]
+
+            swept = run(Path(tmp) / "sweep", modes)
+            for mode, got in zip(modes, swept):
+                assert got == run(Path(tmp) / "alone", [mode])[0], mode
+                shutil.rmtree(Path(tmp) / "alone")
+        event(f"{sum(pred is not None for pred, _ in swept)} of "
+              f"{len(modes)} variants predicted")
 
 
 def load_tracing():

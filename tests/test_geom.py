@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from trusskit import geom
+from trusskit import io as tio
+from trusskit import metrics, segment, synth
 from trusskit.errors import (
     EmptySubsetError,
     NonFiniteError,
@@ -16,6 +18,7 @@ from trusskit.errors import (
     NonUnitDirectionError,
     NotSymmetricError,
     TooFewPointsError,
+    TrussKitError,
 )
 from helpers import (
     brute_knn,
@@ -63,6 +66,47 @@ class TestQueryWorkers:
         monkeypatch.setattr(geom, "_query_workers", None)
         geom.single_threaded_queries()
         assert geom.query_workers() == 1
+
+
+class TestMapJobs:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_same_list_in_order(self, jobs):
+        # divmod pickles by name, so pool workers can run it
+        assert geom.map_jobs(divmod, jobs, range(40, 0, -3), range(1, 15)) \
+            == list(map(divmod, range(40, 0, -3), range(1, 15)))
+
+
+_ROTATION = np.eye(3)
+
+# library misuse: each call raises a TrussKitError that is also a
+# ValueError
+MISUSE = {
+    "points_shape": lambda: geom.covariance(np.zeros((4, 2))),
+    "pose_lengths": lambda: geom.Pose((0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+    "pose_quaternion": lambda: geom.Pose((0.0, 0.0, 0.0), (2.0, 0, 0, 0)),
+    "cloud_label_count": lambda: geom.LabeledCloud(np.zeros((3, 3)), [1]),
+    "cloud_label_sign": lambda: geom.LabeledCloud(np.zeros((2, 3)), [0, -1]),
+    "eigen_unsorted": lambda: geom.EigenDecomp([3.0, 2.0, 1.0], _ROTATION,
+                                               np.zeros(3)),
+    "eigen_negative": lambda: geom.EigenDecomp([-1.0, 2.0, 3.0], _ROTATION,
+                                               np.zeros(3)),
+    "eigen_vectors": lambda: geom.EigenDecomp([1.0, 2.0, 3.0],
+                                              2.0 * _ROTATION, np.zeros(3)),
+    "eigen_stack_shape": lambda: geom.eigen_sym3_stack(np.eye(3)),
+    "eigen_matrix_shape": lambda: geom.eigen_sym3(np.eye(2)),
+    "pcd_data_mode": lambda: tio.write_pcd_fields(
+        [("x", "F", 4, np.zeros(1))], (0, 0, 0, 1, 0, 0, 0), "text"),
+    "confusion_counts": lambda: metrics.ConfusionMatrix(-1, 0, 0, 0),
+    "plane_normal": lambda: segment.Plane((0.0, 0.0, 2.0), 0.0),
+    "pose_mode": lambda: synth.sample_sensor_pose("bogus", (0, 0, 0), 0),
+}
+
+
+@pytest.mark.parametrize("call", MISUSE.values(), ids=list(MISUSE))
+def test_misuse_raises_typed_error(call):
+    with pytest.raises(TrussKitError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 class TestRunRowBlocks:

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
@@ -22,7 +23,7 @@ from trusskit.errors import (
     TruncatedBodyError,
     UnknownKeyError,
 )
-from trusskit.geom import LabeledCloud, Pose, estimate_normals
+from trusskit.geom import LabeledCloud, Pose, estimate_normals, fingerprint
 from trusskit.segment import PipelineConfig
 from trusskit.synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
@@ -396,6 +397,20 @@ class TestReadArraysOwnData:
             assert np.array_equal(again[name], before), name
 
 
+class TestLatencySidecar:
+    def test_round_trip(self, tmp_path):
+        pred = tmp_path / "scan_00001.pcd"
+        payload = {"stages_ms": {"coarse": 1.5, "density": 0.25},
+                   "total_ms": 2.125, "warnings": ["GroundNotFound: ..."]}
+        tio.write_latency(pred, **payload)
+        path = tmp_path / "scan_00001.latency.json"
+        assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+        assert tio.read_latency(pred) == payload
+
+    def test_absent_sidecar_reads_none(self, tmp_path):
+        assert tio.read_latency(tmp_path / "scan.pcd") is None
+
+
 class TestFeatureExport:
     def make(self, rng, n=100):
         pts = np.column_stack([rng.uniform(-1, 1, (n, 2)), np.zeros(n)])
@@ -460,15 +475,15 @@ class TestConfigValueForms:
     hold ints, float fields floats."""
 
     def test_integral_spellings_fingerprint_equal(self):
-        assert tio.config_fingerprint(PipelineConfig(voxel_leaf=1)) == \
-            tio.config_fingerprint(PipelineConfig(voxel_leaf=1.0))
+        assert fingerprint(PipelineConfig(voxel_leaf=1)) == \
+            fingerprint(PipelineConfig(voxel_leaf=1.0))
         loose = PipelineConfig(normal_k=30.0, ransac_iterations=100.0,
                                density_min_points=np.int64(10),
                                ransac_seed=1.0)
         exact = PipelineConfig(normal_k=30, ransac_iterations=100,
                                density_min_points=10, ransac_seed=1)
         assert loose == exact and hash(loose) == hash(exact)
-        assert tio.config_fingerprint(loose) == tio.config_fingerprint(exact)
+        assert fingerprint(loose) == fingerprint(exact)
         assert type(loose.normal_k) is int
         assert tio.DatasetConfig(n_scans=2.0, seed=3.0) == \
             tio.DatasetConfig(n_scans=2, seed=3)
@@ -525,6 +540,18 @@ class TestConfigValueForms:
         configs = Path(__file__).resolve().parents[1] / "configs"
         cfg = tio.load_config(configs / f"{config}.cfg")
         assert synth.spec_fingerprint(cfg.scene, cfg.sensor) == spec_hash
+
+    @pytest.mark.parametrize("config, digest", [
+        ("ortho", "1d944f956129b81c"), ("crossed", "29d3e29c20914cdb"),
+        ("training", "8ef48393d1ff91f6")])
+    def test_shipped_config_fingerprints_hold(self, config, digest):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        cfg = tio.load_config(configs / f"{config}.cfg")
+        assert fingerprint(cfg) == digest
+        # a sweep report's fingerprint: the variant's pipeline
+        assert fingerprint(replace(
+            cfg.pipeline, stage_mode="full", eigen_mode="hybrid")) \
+            == "8ab527a49738052c"
 
     def test_integral_float_resolution_raycasts(self):
         from trusskit import synth
