@@ -60,17 +60,15 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _env_int(name: str, minimum=None):
+def _env_int(name: str, minimum: int):
+    """An environment variable by the rule of an int flag; None if unset."""
     raw = os.environ.get(name)
     if not raw:
         return None
     try:
-        value = int(raw)
-    except ValueError:
-        raise TrussKitError(f"{name}={raw!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise TrussKitError(f"{name}={raw!r} must be >= {minimum}")
-    return value
+        return _int_at_least(minimum)(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise TrussKitError(f"{name}={exc}") from None
 
 
 def _jobs(args) -> int:

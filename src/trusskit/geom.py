@@ -28,13 +28,16 @@ identical. ``map_jobs`` is the one ``--jobs`` map (``generate``,
 ``worker_pool``, whose workers call ``single_threaded_queries``, so they
 run every block inline and do not oversubscribe the cores.
 
-``canonicalize`` stores one form per config value; ``fingerprint`` hashes it.
+``field_value`` is the one rule of a stored config value, ``canonicalize``
+applies it to each field of a config dataclass (and of ``Pose``), and
+``fingerprint`` hashes the result.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -92,8 +95,20 @@ def _typed_fields(cls) -> tuple:
                  if kind in _CASTS or get_origin(kind) is tuple)
 
 
+def _real(value) -> float:
+    """``value`` as a float when it is a finite number, else ValueError."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError
+    real = float(value)
+    if not math.isfinite(real):
+        raise ValueError
+    return real
+
+
 def _integral(value) -> int:
     """``value`` as an int when it is an integral number, else ValueError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError
     whole = int(value)
     if whole != value:
         raise ValueError
@@ -114,33 +129,38 @@ def _string(value) -> str:
     return str(value)
 
 
-_CASTS = {float: float, int: _integral, bool: _boolean, str: _string}
+_CASTS = {float: _real, int: _integral, bool: _boolean, str: _string}
 _NEEDS = {float: "a number", int: "an integer",
           bool: "True, False, 0 or 1", str: "a string"}
 
 
+def field_value(kind, items, value):
+    """``value`` in the stored form of a field annotated ``kind`` (a tuple
+    field's item types are ``items``, else None): a finite float, an exact
+    int (``30.0`` is ``30``), a bool, a str, or a tuple of them. Any other
+    value, NaN or a bool or str for a number included, raises
+    InvalidSpecError."""
+    try:
+        if items is None:
+            return _CASTS[kind](value)
+        canon = tuple(value)
+        if len(canon) != len(items):
+            raise ValueError
+        return tuple(_CASTS[item](v) for item, v in zip(items, canon))
+    except (TypeError, ValueError, OverflowError):
+        need = f"{len(items)} numbers" if items else _NEEDS[kind]
+        raise InvalidSpecError(f"must be {need}, not {value!r}") from None
+
+
 def canonicalize(spec) -> None:
-    """Store a frozen config dataclass's float fields as float, its int
-    fields as int, its bool fields as bool, its str fields as str and its
-    tuple fields as tuples of their annotated length and item types, so
-    that equal values compare, hash and fingerprint equal (``0`` and
-    ``0.0``, ``30.0`` and ``30``, ``1`` and ``True``, a list and a tuple).
-    Any other value, such as a non-integral one for an int or a string for
-    a bool, raises InvalidSpecError."""
+    """Store each typed field of a frozen dataclass in its ``field_value``
+    form, so equal values compare, hash and fingerprint equal (``0`` and
+    ``0.0``, a list and a tuple); InvalidSpecError names a refused field."""
     for name, kind, items in _typed_fields(type(spec)):
-        value = getattr(spec, name)
         try:
-            if items is None:
-                canon = _CASTS[kind](value)
-            else:
-                canon = tuple(value)
-                if len(canon) != len(items):
-                    raise ValueError
-                canon = tuple(_CASTS[item](v) for item, v in zip(items, canon))
-        except (TypeError, ValueError, OverflowError):
-            need = f"{len(items)} numbers" if items else _NEEDS[kind]
-            raise InvalidSpecError(f"{name} must be {need}, not {value!r}") \
-                from None
+            canon = field_value(kind, items, getattr(spec, name))
+        except InvalidSpecError as exc:
+            raise InvalidSpecError(f"{name} {exc}") from None
         object.__setattr__(spec, name, canon)
 
 
@@ -180,19 +200,11 @@ class Pose:
     quaternion: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        t = tuple(float(v) for v in self.translation)
-        q = tuple(float(v) for v in self.quaternion)
-        if len(t) != 3 or len(q) != 4:
-            raise InvalidSpecError(
-                "pose needs a 3-vector translation and wxyz quaternion")
-        if not all(np.isfinite(t)) or not all(np.isfinite(q)):
-            raise NonFiniteError("pose components must be finite")
-        norm = float(np.linalg.norm(q))
+        canonicalize(self)
+        norm = math.hypot(*self.quaternion)
         if abs(norm - 1.0) > 1e-6:
             raise NonUnitDirectionError(
                 f"quaternion norm {norm:.9f} is not 1 within 1e-6")
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "quaternion", q)
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(np.asarray(self.quaternion))

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, fields as dc_fields
 from decimal import Decimal
 from pathlib import Path
-from typing import Optional, Union, get_args, get_type_hints
+from typing import Optional, Union, get_args
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     TruncatedBodyError,
     UnknownKeyError,
 )
-from .geom import LabeledCloud, Pose, canonicalize
+from .geom import LabeledCloud, Pose, _typed_fields, canonicalize, field_value
 from .segment import PipelineConfig
 from .synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
@@ -465,40 +465,33 @@ class RunConfig:
     dataset: DatasetConfig = DatasetConfig()
 
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
+_BOOL_WORDS = {"true": True, "yes": True, "on": True,
+               "false": False, "no": False, "off": False}
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not a finite number")
-    return value
+def _token(text: str):
+    """A config token as the bool, int or float it spells, else as text."""
+    if text.lower() in _BOOL_WORDS:
+        return _BOOL_WORDS[text.lower()]
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _parse_value(section, key, raw, kind):
-    """Parse one raw value by its dataclass field's annotation: ``bool``,
-    ``str``, ``float`` (finite only), ``int``, or a fixed-length tuple of
-    ints or finite floats."""
+    """A raw config value in its ``geom.field_value`` form: a str key's
+    stripped text, else its tokens (one token, or a tuple of them)."""
+    if kind is str:
+        value = raw.strip()
+    else:
+        tokens = tuple(_token(token) for token in raw.split())
+        value = tokens[0] if len(tokens) == 1 else tokens
     try:
-        if kind is bool:
-            word = raw.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return _BOOL_WORDS[word]
-        if kind is str:
-            return raw.strip()
-        if kind is float:
-            return _finite(raw)
-        if kind is int:
-            return int(raw)
-        items = get_args(kind)                 # tuple[T, T, ...]
-        parse = _finite if items[0] is float else int
-        vals = tuple(parse(v) for v in raw.split())
-        if len(vals) != len(items):
-            raise ValueError(f"expected {len(items)} values, got {len(vals)}")
-        return vals
-    except ValueError as exc:
+        return field_value(kind, get_args(kind) or None, value)
+    except InvalidSpecError as exc:
         raise ConfigTypeError(f"[{section}] {key}: {exc}") from None
 
 
@@ -517,15 +510,10 @@ _NOT_KEYS = {SceneSpec: tuple(_SCENE_PARTS.values()),
              PipelineConfig: ("stage_mode", "eigen_mode")}
 
 
-def _section_keys(cls) -> dict:
-    """{key: annotation} of a section, in field order."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dc_fields(cls)
-            if f.name not in _NOT_KEYS.get(cls, ())}
-
-
-# built once per process: get_type_hints on every load is slow
-_KEYS = {section: _section_keys(cls) for section, cls in _SECTIONS.items()}
+# {key: annotation} of each section, in field order
+_KEYS = {section: {name: kind for name, kind, _ in _typed_fields(cls)
+                   if name not in _NOT_KEYS.get(cls, ())}
+         for section, cls in _SECTIONS.items()}
 
 
 def _build_section(section: str, values: dict):

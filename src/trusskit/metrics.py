@@ -290,7 +290,6 @@ def evaluate_dataset(truth_files: list, pred_dir) -> DatasetReport:
     """
     records = []
     for path in sorted(Path(p) for p in truth_files):
-        latency = None
         try:
             truth = tio.read_pcd(path).truss_mask
             ppath = Path(pred_dir) / path.name
@@ -303,6 +302,6 @@ def evaluate_dataset(truth_files: list, pred_dir) -> DatasetReport:
             latency = (tio.read_latency(ppath) or {}).get("total_ms")
             records.append(score_cloud(path.name, pred, truth, latency))
         except Exception as exc:           # collected per file, not fatal
-            records.append(CloudRecord(path.name, latency_ms=latency,
-                                       error=f"{type(exc).__name__}: {exc}"))
+            records.append(CloudRecord(
+                path.name, error=f"{type(exc).__name__}: {exc}"))
     return evaluate_pairs(records, "external-predictions")

@@ -341,7 +341,7 @@ class TestSegmentEvaluate:
                        "--out", str(tmp_path / "pred"), "--mode", "H"])
         assert rc == 1
         assert capsys.readouterr().err == \
-            "error: [pipeline] density_radius: 'nan' is not a finite number\n"
+            "error: [pipeline] density_radius: must be a number, not nan\n"
         assert not (tmp_path / "pred").exists()
 
     def test_evaluate_perfect_predictions(self, tmp_path, capsys):

@@ -561,6 +561,86 @@ class TestConfigValueForms:
         cloud = synth.raycast_scan(scene, Pose((0.0, 0.0, 2.0)), sensor)
         assert 0 < len(cloud) <= 8 * 16
 
+    # (class, field, value count) of every float and float-tuple field of
+    # a config section's class and of Pose; a float field counts None
+    FLOAT_FIELDS = [
+        (cls, f.name, None if f.type == "float" else f.type.count("float"))
+        for cls in (*tio._SECTIONS.values(), Pose)
+        for f in dataclass_fields(cls)
+        if f.type == "float" or f.type.startswith("tuple[float")]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -np.inf, np.float32("nan")])
+    def test_non_finite_values_refused_by_the_classes(self, value):
+        # a NaN slips through every `x <= 0` range check, so a library
+        # caller is refused it as a config file is
+        for cls, name, count in self.FLOAT_FIELDS:
+            given = value if count is None else (1.0,) * (count - 1) + (value,)
+            need = "a number" if count is None else f"{count} numbers"
+            with pytest.raises(InvalidSpecError,
+                               match=f"^{name} must be {need}, not "):
+                cls(**{name: given})
+        assert len(self.FLOAT_FIELDS) == 24 + 2
+
+    @pytest.mark.parametrize("cls, field, value, message", [
+        (PipelineConfig, "voxel_leaf", True, "a number"),
+        (PipelineConfig, "voxel_leaf", "0.2", "a number"),
+        (PipelineConfig, "voxel_leaf", b"0.2", "a number"),
+        (SensorConfig, "noise_sigma", np.False_, "a number"),
+        (PipelineConfig, "normal_k", True, "an integer"),
+        (tio.DatasetConfig, "n_scans", np.True_, "an integer"),
+        (TrussSpec, "node_counts", (2, True, 3), "3 numbers"),
+        (SceneSpec, "sensor_position", ("0", 0.0, 2.0), "3 numbers"),
+        (Pose, "translation", (0.0, 0.0, "2"), "3 numbers"),
+        (Pose, "quaternion", (True, 0.0, 0.0, 0.0), "4 numbers"),
+    ])
+    def test_bools_and_strings_are_not_numbers(self, cls, field, value,
+                                               message):
+        with pytest.raises(InvalidSpecError,
+                           match=f"^{field} must be {message}, not "):
+            cls(**{field: value})
+
+    def test_huge_int_is_exact(self, tmp_path):
+        big = 2**64 + 1                  # float64 would round it to 2**64
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[pipeline]\nransac_seed = {big}\n")
+        for cfg in (tio.load_config(path).pipeline,
+                    PipelineConfig(ransac_seed=big)):
+            assert type(cfg.ransac_seed) is int and cfg.ransac_seed == big
+        assert tio.loads_config(tio.dump_config(tio.load_config(path))) \
+            .pipeline.ransac_seed == big
+
+    @pytest.mark.parametrize("text", ["30.0", "3e1", " 30 "])
+    def test_integral_spelling_in_a_file(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[pipeline]\nnormal_k = {text}\n")
+        cfg = tio.load_config(path).pipeline
+        assert type(cfg.normal_k) is int and cfg.normal_k == 30
+        assert fingerprint(cfg) == fingerprint(PipelineConfig(normal_k=30))
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("pipeline.voxel_leaf", "true", "a number, not True"),
+        ("pipeline.voxel_leaf", "0.2.1", "a number, not '0.2.1'"),
+        ("pipeline.normal_k", "yes", "an integer, not True"),
+        ("pipeline.normal_k", "30.5", "an integer, not 30.5"),
+        ("truss.crossed", "2", "True, False, 0 or 1, not 2"),
+        ("truss.node_counts", "2 2", "3 numbers, not (2, 2)"),
+        ("scene.sensor_position", "0 0 nan", "3 numbers, not (0, 0, nan)"),
+        ("sensor.noise_sigma", "", "a number, not ()"),
+    ])
+    def test_file_value_refusal_names_key(self, key, text, message):
+        section, name = key.split(".")
+        with pytest.raises(ConfigTypeError) as info:
+            tio.loads_config("", overrides={key: text})
+        assert str(info.value) == f"[{section}] {name}: must be {message}"
+
+    @pytest.mark.parametrize("text, crossed", [
+        ("true", True), ("Yes", True), ("ON", True), ("1", True),
+        ("false", False), ("no", False), ("off", False), ("0", False)])
+    def test_bool_words(self, text, crossed):
+        cfg = tio.loads_config(f"[truss]\ncrossed = {text}\n")
+        assert cfg.scene.structure.crossed is crossed
+
 
 class TestPlyExport:
     def test_perfect_prediction_colors(self):

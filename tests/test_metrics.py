@@ -263,6 +263,28 @@ class TestEvaluateDataset:
         assert "orphan.pcd" in report.errors[0]
         assert report.mean_f1 == pytest.approx(1.0)
 
+    def test_failed_row_carries_no_latency(self, tmp_path):
+        # b's prediction is one point short, so only a is scored, and only
+        # a's latency enters the mean
+        truth = np.array([True, False] * 4)
+        _write_pair(tmp_path, "a.pcd", truth, truth)
+        _write_pair(tmp_path, "b.pcd", truth, truth)
+        short = LabeledCloud(np.zeros((len(truth) - 1, 3)), truth[:-1])
+        tio.write_prediction_pcd(short, truth[:-1], tmp_path / "pred" / "b.pcd")
+        for name, total_ms in (("a.pcd", 10.0), ("b.pcd", 1000.0)):
+            tio.write_latency(tmp_path / "pred" / name, {}, total_ms, [])
+        files = sorted((tmp_path / "truth").glob("*.pcd"))
+        report = tm.evaluate_dataset(files, pred_dir=tmp_path / "pred")
+        assert report.errors[0].startswith("b.pcd: LengthMismatchError")
+        assert report.latency_mean_ms == 10.0
+        report.write_json(tmp_path / "report.json")
+        clouds = json.loads((tmp_path / "report.json").read_text())["clouds"]
+        assert [c["latency_ms"] for c in clouds] == [10.0, None]
+        report.write_csv(tmp_path / "report.csv")
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert [row.split(",")[-1] for row in rows[1:]] == \
+            ["10.000000", "10.000000"]
+
 
 class TestReportFields:
     def test_two_class_iou_and_latency_percentiles(self, tmp_path):

@@ -801,7 +801,7 @@ def run_alone(cloud, cfg, stage, eigen):
         cloud, replace(cfg, stage_mode=stage, eigen_mode=eigen))
 
 
-class TestStageCache:
+class TestStagePlan:
     """The stages the variants of one ``run_pipeline`` call share run once
     and serve each variant as its own call would."""
 
