@@ -1,9 +1,12 @@
 """Command-line front door: generate, segment, evaluate, sweep, threshold,
 export.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error. TRUSSKIT_SEED and
-TRUSSKIT_JOBS environment variables override the corresponding defaults
-when the flags are not given.
+Each value a user types is read as a config line's and checked once, by
+the config dataclass it sets. A [dataset] key comes from `generate --out`,
+`--n` or `--seed`, else TRUSSKIT_SEED (the seed), else --set, else the
+config file; --jobs, else TRUSSKIT_JOBS, else 1, is an int >= 1 by the same
+rule. Exit codes: 0 success, 1 runtime failure, 2 usage error (a refused
+flag); a refused value names its flag, variable or [section] key.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tio
 from . import metrics as tmetrics
-from .errors import TrussKitError
-from .geom import fingerprint, map_jobs
+from .errors import InvalidSpecError, TrussKitError
+from .geom import field_value, fingerprint, map_jobs
 from .segment import (
     FULL,
     HYBRID,
@@ -47,47 +51,46 @@ MODES = {
 }
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer of at least ``minimum``."""
-    def parse(value: str) -> int:
+def _flag(parse):
+    """argparse type of ``parse``: InvalidSpecError is a usage error."""
+    def flag(text: str):
         try:
-            n = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-        if n < minimum:
-            raise argparse.ArgumentTypeError(f"{value!r} must be >= {minimum}")
-        return n
-    return parse
+            return parse(text)
+        except InvalidSpecError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag
 
 
-def _env_int(name: str, minimum: int):
-    """An environment variable by the rule of an int flag; None if unset."""
-    raw = os.environ.get(name)
-    if not raw:
+def _env(name: str, parse):
+    """``parse`` of environment variable ``name``; None if unset or empty."""
+    if not (raw := os.environ.get(name)):
         return None
     try:
-        return _int_at_least(minimum)(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise TrussKitError(f"{name}={exc}") from None
+        return parse(raw)
+    except InvalidSpecError as exc:
+        raise TrussKitError(f"{name}={raw!r}: {exc}") from None
+
+
+def _job_count(text: str) -> int:
+    """A worker count: an int as a config line spells one, at least 1."""
+    jobs = field_value(int, None, tio.config_value(int, text))
+    if jobs < 1:
+        raise InvalidSpecError(f"must be >= 1, not {jobs}")
+    return jobs
 
 
 def _jobs(args) -> int:
-    return args.jobs or _env_int("TRUSSKIT_JOBS", minimum=1) or 1
-
-
-def _parse_overrides(pairs):
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise TrussKitError(f"override {pair!r} must be section.key=value")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    return args.jobs or _env("TRUSSKIT_JOBS", _job_count) or 1
 
 
 def _load_config(args) -> tio.RunConfig:
-    overrides = _parse_overrides(getattr(args, "set", None))
-    if getattr(args, "config", None):
+    overrides = {}
+    for pair in args.set or ():
+        key, equals, value = pair.partition("=")
+        if not equals:
+            raise TrussKitError(f"override {pair!r} must be section.key=value")
+        overrides[key.strip()] = value.strip()
+    if args.config:
         return tio.load_config(args.config, overrides)
     return tio.loads_config("", overrides)
 
@@ -109,16 +112,15 @@ def _mode_config(pipeline, mode: str):
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    env_seed = _env_int("TRUSSKIT_SEED", minimum=0)
-    seed = args.seed if args.seed is not None else \
-        env_seed if env_seed is not None else cfg.dataset.seed
-    n = args.n or cfg.dataset.n_scans
-    out = args.out or cfg.dataset.out_dir
-    if not out:
+    env_seed = _env("TRUSSKIT_SEED", partial(tio.dataset_value, "seed"))
+    given = {"seed": env_seed if args.seed is None else args.seed,
+             "n_scans": args.n, "out_dir": args.out}
+    ds = replace(cfg.dataset, **{k: v for k, v in given.items() if v is not None})
+    if not ds.out_dir:
         raise TrussKitError("no output directory (use --out or dataset.out_dir)")
-    records = generate_dataset(cfg.scene, n, seed, out, sensor=cfg.sensor,
-                               jobs=_jobs(args))
-    print(f"wrote {len(records)} scans to {out}")
+    records = generate_dataset(cfg.scene, ds.n_scans, ds.seed, ds.out_dir,
+                               sensor=cfg.sensor, jobs=_jobs(args))
+    print(f"wrote {len(records)} scans to {ds.out_dir}")
     return 0
 
 
@@ -318,14 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="run configuration file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a configuration value")
-        p.add_argument("--jobs", type=_int_at_least(1), default=None,
+        p.add_argument("--jobs", type=_flag(_job_count), default=None,
                        help="parallel workers (default 1)")
 
     p = sub.add_parser("generate", help="synthesise a labeled scan dataset")
     common(p)
-    p.add_argument("--out", help="output dataset directory")
-    p.add_argument("--n", type=_int_at_least(1), default=None, help="scan count")
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    for flag, key in (("--out", "out_dir"), ("--n", "n_scans"),
+                      ("--seed", "seed")):
+        p.add_argument(flag, type=_flag(partial(tio.dataset_value, key)),
+                       help=f"sets dataset.{key}")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("segment", help="run one pipeline variant over a dataset")

@@ -41,6 +41,17 @@ class InvalidSpecError(TrussKitError, ValueError):
     """Structure/scene specification violates its invariants."""
 
 
+class FieldTypeError(InvalidSpecError):
+    """A field refuses a value; ``reason`` reads ``must be …, not …``."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(field, reason)
+        self.field, self.reason = field, reason
+
+    def __str__(self):
+        return f"{self.field} {self.reason}"
+
+
 class InvalidBoundsError(TrussKitError, ValueError):
     """Sampling bounds are degenerate or ill-ordered."""
 

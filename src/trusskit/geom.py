@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import (
     EmptySubsetError,
+    FieldTypeError,
     InvalidSpecError,
     LengthMismatchError,
     NonFiniteError,
@@ -155,12 +156,12 @@ def field_value(kind, items, value):
 def canonicalize(spec) -> None:
     """Store each typed field of a frozen dataclass in its ``field_value``
     form, so equal values compare, hash and fingerprint equal (``0`` and
-    ``0.0``, a list and a tuple); InvalidSpecError names a refused field."""
+    ``0.0``, a list and a tuple); FieldTypeError names a refused field."""
     for name, kind, items in _typed_fields(type(spec)):
         try:
             canon = field_value(kind, items, getattr(spec, name))
         except InvalidSpecError as exc:
-            raise InvalidSpecError(f"{name} {exc}") from None
+            raise FieldTypeError(name, str(exc)) from None
         object.__setattr__(spec, name, canon)
 
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, fields as dc_fields
 from decimal import Decimal
 from pathlib import Path
-from typing import Optional, Union, get_args
+from typing import Optional, Union
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     ConfigRangeError,
     ConfigTypeError,
     FieldRangeError,
+    FieldTypeError,
     InvalidSpecError,
     LengthMismatchError,
     MalformedHeaderError,
@@ -29,7 +30,7 @@ from .errors import (
     TruncatedBodyError,
     UnknownKeyError,
 )
-from .geom import LabeledCloud, Pose, _typed_fields, canonicalize, field_value
+from .geom import LabeledCloud, Pose, _typed_fields, canonicalize
 from .segment import PipelineConfig
 from .synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
@@ -115,14 +116,12 @@ def write_pcd_fields(columns: list, viewpoint, mode: str = "binary",
     return blob
 
 
-def _write_cloud(cloud: LabeledCloud, path, mode: str, before_label=(),
-                 after_label=()):
-    """Write the columns ``x y z``, ``before_label``, ``label``,
-    ``after_label`` of a cloud, its sensor pose as the viewpoint."""
+def _write_cloud(cloud: LabeledCloud, path, mode: str, after_label=()):
+    """Write the columns ``x y z``, ``label``, ``after_label`` of a cloud,
+    its sensor pose as the viewpoint."""
     xyz = [(axis, "F", 4, cloud.points[:, i]) for i, axis in enumerate("xyz")]
     return write_pcd_fields(
-        [*xyz, *before_label, ("label", "U", 4, cloud.face_label),
-         *after_label],
+        [*xyz, ("label", "U", 4, cloud.face_label), *after_label],
         cloud.sensor_pose.viewpoint_tuple(), mode, path)
 
 
@@ -152,20 +151,6 @@ def read_latency(pred_path) -> Optional[dict]:
     """``write_latency``'s keys and values, or None without a sidecar."""
     path = Path(pred_path).with_suffix(".latency.json")
     return json.loads(path.read_text()) if path.exists() else None
-
-
-def export_features(cloud: LabeledCloud, normals, curvature, path=None,
-                    mode: str = "binary"):
-    """Write per-point features ``x y z nx ny nz curvature label`` so an
-    external model can consume coordinate/normal/curvature inputs."""
-    normals = np.asarray(normals, float)
-    curvature = np.asarray(curvature, float)
-    if len(normals) != len(cloud) or len(curvature) != len(cloud):
-        raise LengthMismatchError("attribute lengths differ from cloud")
-    features = [(f"n{axis}", "F", 4, normals[:, i])
-                for i, axis in enumerate("xyz")]
-    return _write_cloud(cloud, path, mode, before_label=[
-        *features, ("curvature", "F", 4, curvature)])
 
 
 # a header is a few hundred bytes: its lines are first looked for in this
@@ -481,18 +466,13 @@ def _token(text: str):
     return text
 
 
-def _parse_value(section, key, raw, kind):
-    """A raw config value in its ``geom.field_value`` form: a str key's
-    stripped text, else its tokens (one token, or a tuple of them)."""
+def config_value(kind, text: str):
+    """What a field annotated ``kind`` gets, unchecked, from a config
+    line's ``text``: a str the stripped text, else one token or a tuple."""
     if kind is str:
-        value = raw.strip()
-    else:
-        tokens = tuple(_token(token) for token in raw.split())
-        value = tokens[0] if len(tokens) == 1 else tokens
-    try:
-        return field_value(kind, get_args(kind) or None, value)
-    except InvalidSpecError as exc:
-        raise ConfigTypeError(f"[{section}] {key}: {exc}") from None
+        return text.strip()
+    tokens = tuple(_token(token) for token in text.split())
+    return tokens[0] if len(tokens) == 1 else tokens
 
 
 # one section per config dataclass, in dump order; the section's keys are
@@ -519,40 +499,46 @@ _KEYS = {section: {name: kind for name, kind, _ in _typed_fields(cls)
 def _build_section(section: str, values: dict):
     try:
         return _SECTIONS[section](**values)
+    except FieldTypeError as exc:
+        raise ConfigTypeError(f"[{section}] {exc.field}: {exc.reason}") from None
     except InvalidSpecError as exc:
         raise ConfigRangeError(f"[{section}] {exc}") from None
+
+
+def dataset_value(key: str, text: str):
+    """The stored value of ``[dataset] key`` written ``text`` on a config
+    line; DatasetConfig's InvalidSpecError if it refuses the value."""
+    value = config_value(_KEYS["dataset"][key], text)
+    return getattr(DatasetConfig(**{key: value}), key)
 
 
 def loads_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
     """Parse the key-value run configuration (INI syntax, documented keys
     only, every default applied when absent). ``overrides`` maps
-    "section.key" strings onto raw values and is validated identically.
-    """
+    "section.key" strings onto raw values and is validated identically:
+    each value goes through ``config_value`` to its section's dataclass,
+    which checks it once."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigTypeError(f"cannot parse config: {exc}") from None
 
-    raw = {section: dict(parser.items(section))
-           for section in parser.sections()}
+    parsed = {section: dict(parser.items(section))
+              for section in parser.sections()}
     for dotted, value in (overrides or {}).items():
         if "." not in dotted:
             raise UnknownKeyError(f"override {dotted!r} needs section.key form")
         section, key = dotted.split(".", 1)
-        raw.setdefault(section, {})[key] = str(value)
-    for section in raw:
+        parsed.setdefault(section, {})[key] = str(value)
+    for section, items in parsed.items():
         if section not in _KEYS:
             raise UnknownKeyError(f"unknown section [{section}]")
-
-    parsed: dict[str, dict] = {}
-    for section, items in raw.items():
         keys = _KEYS[section]
-        parsed[section] = {}
         for key, value in items.items():
             if key not in keys:
                 raise UnknownKeyError(f"[{section}] unknown key {key!r}")
-            parsed[section][key] = _parse_value(section, key, value, keys[key])
+            items[key] = config_value(keys[key], value)
 
     scene = dict(parsed.get("scene", {}))
     for section, field in _SCENE_PARTS.items():
@@ -578,8 +564,6 @@ def _value_text(value) -> str:
         return "true" if value else "false"
     if isinstance(value, tuple):
         return " ".join(_value_text(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

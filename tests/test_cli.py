@@ -137,7 +137,7 @@ class TestGenerate:
                       "--out", str(tmp_path / "a"), "--n", "1",
                       "--seed", "-1"])
         assert exc.value.code == 2
-        assert "argument --seed: '-1' must be >= 0" in capsys.readouterr().err
+        assert "argument --seed: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
     def test_negative_env_seed_is_error(self, tmp_path, monkeypatch, capsys):
@@ -146,7 +146,7 @@ class TestGenerate:
                        "--out", str(tmp_path / "a"), "--n", "1"])
         assert rc == 1
         assert capsys.readouterr().err == \
-            "error: TRUSSKIT_SEED='-1' must be >= 0\n"
+            "error: TRUSSKIT_SEED='-1': seed must be >= 0\n"
         assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("section", ["dataset", "scene"])
@@ -256,6 +256,133 @@ class TestConfigOverrides:
             "error: override 'sensor.v_resolution' must be " \
             "section.key=value\n"
         assert not (tmp_path / "a").exists()
+
+
+class TestOneValueRule:
+    """A [dataset] value is read and checked alike whether a flag, the
+    environment, ``--set`` or the config file gives it."""
+
+    BASE = [*TINY, "--set", "scene.tree_count=2"]
+    FLAGS = {"seed": "--seed", "n_scans": "--n"}
+
+    def given(self, tmp_path, monkeypatch, where, **values):
+        """The argv that sets each ``[dataset]`` key of ``values`` from
+        ``where``: ``flag``, ``env`` (the seed only), ``set`` or ``file``."""
+        if where == "file":
+            path = tmp_path / "run.cfg"
+            path.write_text("[dataset]\n" + "".join(
+                f"{key} = {text}\n" for key, text in values.items()))
+            return ["--config", str(path)]
+        argv = []
+        for key, text in values.items():
+            if where == "env":
+                assert key == "seed"
+                monkeypatch.setenv("TRUSSKIT_SEED", text)
+            else:
+                argv += [self.FLAGS[key], text] if where == "flag" \
+                    else ["--set", f"dataset.{key}={text}"]
+        return argv
+
+    @pytest.mark.parametrize("where", ["flag", "env", "set", "file"])
+    def test_integral_spellings_make_one_dataset(self, tmp_path, monkeypatch,
+                                                where):
+        want, other = tmp_path / "want", tmp_path / "other"
+        for out, seed in ((want, "5"), (other, "6")):
+            assert cli.main(["generate", *self.BASE, "--out", str(out),
+                             "--n", "2", "--seed", seed]) == 0
+        assert tree_bytes(other) != tree_bytes(want)
+        for seed, n in [("5", "2"), ("5.0", "2.0"), ("5e0", "2e0"),
+                        ("0.5e1", "20e-1")]:
+            out = tmp_path / f"{where}-{seed}"
+            # no variable sets n_scans, so the env case takes --n
+            values = {"seed": seed} if where == "env" else \
+                {"seed": seed, "n_scans": n}
+            argv = self.given(tmp_path, monkeypatch, where, **values)
+            if where == "env":
+                argv += ["--n", n]
+            assert cli.main(["generate", *argv, *self.BASE,
+                             "--out", str(out)]) == 0
+            assert tree_bytes(out) == tree_bytes(want), (seed, n)
+
+    @pytest.mark.parametrize("where, key", [
+        ("flag", "seed"), ("flag", "n_scans"), ("env", "seed"),
+        ("set", "seed"), ("set", "n_scans"), ("file", "seed"),
+        ("file", "n_scans")])
+    @pytest.mark.parametrize("text, shown", [("5.5", "5.5"), ("true", "True"),
+                                             ("x", "'x'")])
+    def test_refused_value_names_its_source(self, tmp_path, monkeypatch,
+                                            capsys, where, key, text, shown):
+        out = tmp_path / "out"
+        argv = ["generate", *self.given(tmp_path, monkeypatch, where,
+                                        **{key: text}),
+                *TINY, "--out", str(out)]
+        reason = f"must be an integer, not {shown}"
+        if where == "flag":
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"error: argument {self.FLAGS[key]}: {key} {reason}\n")
+        else:
+            assert cli.main(argv) == 1
+            want = f"TRUSSKIT_SEED={text!r}: seed {reason}" \
+                if where == "env" else f"[dataset] {key}: {reason}"
+            assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
+
+    def test_precedence(self, tmp_path, monkeypatch):
+        # flag, then TRUSSKIT_SEED, then --set, then the file
+        calls = []
+        monkeypatch.setattr(cli, "generate_dataset",
+                            lambda scene, n, seed, out, **kw:
+                            calls.append((seed, n, out)) or [])
+        path = tmp_path / "run.cfg"
+        path.write_text("[dataset]\nseed = 1\nn_scans = 1\nout_dir = f\n")
+        sources = [["--config", str(path)],
+                   ["--set", "dataset.seed=2", "--set", "dataset.n_scans=2",
+                    "--set", "dataset.out_dir=s"],
+                   "3",
+                   ["--seed", "4", "--n", "4", "--out", "o"]]
+        want = [(1, 1, "f"), (2, 2, "s"), (3, 2, "s"), (4, 4, "o")]
+        for used in range(1, 5):
+            monkeypatch.delenv("TRUSSKIT_SEED", raising=False)
+            argv = ["generate"]
+            for source in sources[:used]:
+                if isinstance(source, str):
+                    monkeypatch.setenv("TRUSSKIT_SEED", source)
+                else:
+                    argv += source
+            assert cli.main(argv) == 0
+            assert calls[-1] == want[used - 1]
+
+    @pytest.mark.parametrize("text", ["2", "2.0", "2e0", " 2 "])
+    def test_jobs_take_integral_spellings(self, monkeypatch, text):
+        args = cli.build_parser().parse_args(
+            ["generate", "--jobs", text])
+        assert type(args.jobs) is int and cli._jobs(args) == 2
+        monkeypatch.setenv("TRUSSKIT_JOBS", text)
+        args = cli.build_parser().parse_args(["generate"])
+        assert args.jobs is None and cli._jobs(args) == 2
+
+    @pytest.mark.parametrize("text, reason", [
+        ("2.5", "must be an integer, not 2.5"),
+        ("true", "must be an integer, not True"),
+        ("x", "must be an integer, not 'x'"),
+        ("0", "must be >= 1, not 0")])
+    def test_refused_jobs_name_their_source(self, tmp_path, monkeypatch,
+                                            capsys, text, reason):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--jobs", text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --jobs: {reason}\n")
+        monkeypatch.setenv("TRUSSKIT_JOBS", text)
+        out = tmp_path / "out"
+        assert cli.main(["generate", *TINY, "--out", str(out), "--n", "1"]) \
+            == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            f"error: TRUSSKIT_JOBS={text!r}: {reason}\n"
 
 
 class TestModeMap:
@@ -857,6 +984,77 @@ def test_import_does_not_load_scipy_spatial():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+# generate one full-resolution scan of each shipped config and sweep it
+_KERNEL_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from trusskit import cli
+configs, out = sys.argv[2], sys.argv[3]
+for name in ("ortho", "crossed", "training"):
+    cfg, data = f"{configs}/{name}.cfg", f"{out}/{name}/data"
+    assert cli.main(["generate", "--config", cfg, "--out", data,
+                     "--n", "1", "--seed", "26"]) == 0
+    assert cli.main(["sweep", "--config", cfg, "--in", data,
+                     "--out", f"{out}/{name}/sweep"]) == 0
+"""
+
+
+def _kernel_switch_skip_reason():
+    """Why OPENBLAS_CORETYPE cannot switch numpy's BLAS kernel here, or
+    None if it can."""
+    import platform
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return f"OpenBLAS core types are x86-64 kernels, not " \
+               f"{platform.machine()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS"
+    if "openblas" not in blas.get("name", "").lower():
+        return f"numpy's BLAS is {blas.get('name')}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's OpenBLAS is built for one kernel (no DYNAMIC_ARCH)"
+    return None
+
+
+def test_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # clouds, manifests and predictions are made by the same arithmetic
+    # whichever BLAS kernel numpy's OpenBLAS runs
+    import subprocess
+    import sys
+
+    import trusskit
+
+    reason = _kernel_switch_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    src = str(Path(trusskit.__file__).resolve().parent.parent)
+    configs = str(Path(__file__).resolve().parents[1] / "configs")
+    runs = {}
+    for core in ("Haswell", "Sandybridge"):
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("TRUSSKIT_", "OPENBLAS_"))}
+        env.update(OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2")
+        runs[core] = subprocess.Popen(
+            [sys.executable, "-c", _KERNEL_RUN, src, configs,
+             str(tmp_path / core)], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
+    cores, trees = set(), []
+    for core, proc in runs.items():
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+        cores |= {line for line in err.splitlines()
+                  if line.startswith("Core: ")}
+        trees.append({str(p.relative_to(tmp_path / core)): p.read_bytes()
+                      for p in sorted((tmp_path / core).rglob("*"))
+                      if p.suffix == ".pcd"
+                      or p.name == "manifest.json-lines"})
+    assert cores == {"Core: Haswell", "Core: Sandybridge"}
+    # per config: one cloud, one manifest and seven predictions
+    assert len(trees[0]) == 3 * 9
+    assert trees[0] == trees[1]
 
 
 @pytest.fixture(scope="module")

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trusskit import geom
 from trusskit import io as tio
 from trusskit.errors import (
     ConfigRangeError,
     ConfigTypeError,
     FieldRangeError,
+    FieldTypeError,
     InvalidSpecError,
     LengthMismatchError,
     MalformedHeaderError,
@@ -23,7 +25,7 @@ from trusskit.errors import (
     TruncatedBodyError,
     UnknownKeyError,
 )
-from trusskit.geom import LabeledCloud, Pose, estimate_normals, fingerprint
+from trusskit.geom import LabeledCloud, Pose, fingerprint
 from trusskit.segment import PipelineConfig
 from trusskit.synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
@@ -411,46 +413,15 @@ class TestLatencySidecar:
         assert tio.read_latency(tmp_path / "scan.pcd") is None
 
 
-class TestFeatureExport:
-    def make(self, rng, n=100):
-        pts = np.column_stack([rng.uniform(-1, 1, (n, 2)), np.zeros(n)])
-        cloud = LabeledCloud(pts, rng.integers(0, 3, n))
-        normals, curv = estimate_normals(cloud, k=10, viewpoint=(0, 0, 5))
-        return cloud, normals, curv
-
-    def test_plane_curvature_zero_column(self, tmp_path):
-        cloud, normals, curv = self.make(np.random.default_rng(4))
-        path = tmp_path / "f.pcd"
-        tio.export_features(cloud, normals, curv, path)
-        _, arrays = tio.read_pcd_arrays(path)
-        assert set(arrays) == {"x", "y", "z", "nx", "ny", "nz",
-                               "curvature", "label"}
-        assert np.abs(arrays["curvature"]).max() <= 1e-9
-
-    def test_round_trip_and_unit_norms(self, tmp_path):
-        cloud, normals, curv = self.make(np.random.default_rng(5))
-        blob = tio.export_features(cloud, normals, curv)
-        _, arrays = tio.read_pcd_arrays(blob)
-        got = np.column_stack([arrays["nx"], arrays["ny"], arrays["nz"]])
-        assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= 1e-6
-        assert np.array_equal(arrays["label"],
-                              cloud.face_label.astype(np.uint32))
-        assert np.array_equal(
-            np.column_stack([arrays["x"], arrays["y"], arrays["z"]]),
-            cloud.points.astype(np.float32))
-
-
 class TestCloudColumns:
-    """The three cloud writers share one column layout: ``x y z``, their
-    own columns, ``label``, and the sensor pose as the viewpoint."""
+    """The two cloud writers share one column layout: ``x y z``,
+    ``label``, their own columns, and the sensor pose as the viewpoint."""
 
     @pytest.mark.parametrize("mode", ["binary", "ascii"])
     def test_bytes_equal_spelled_out_columns(self, mode):
         rng = np.random.default_rng(8)
         cloud = random_cloud(rng, 40)
         pred = rng.random(40) < 0.5
-        normals = rng.normal(size=(40, 3))
-        curvature = rng.random(40) / 3
         p = cloud.points
         xyz = [("x", "F", 4, p[:, 0]), ("y", "F", 4, p[:, 1]),
                ("z", "F", 4, p[:, 2])]
@@ -462,12 +433,6 @@ class TestCloudColumns:
             tio.write_pcd_fields(
                 xyz + label + [("pred", "U", 1, pred.astype(np.uint8))],
                 vp, mode)
-        features = [("nx", "F", 4, normals[:, 0]),
-                    ("ny", "F", 4, normals[:, 1]),
-                    ("nz", "F", 4, normals[:, 2]),
-                    ("curvature", "F", 4, curvature)]
-        assert tio.export_features(cloud, normals, curvature, mode=mode) == \
-            tio.write_pcd_fields(xyz + features + label, vp, mode)
 
 
 class TestConfigValueForms:
@@ -633,6 +598,42 @@ class TestConfigValueForms:
         with pytest.raises(ConfigTypeError) as info:
             tio.loads_config("", overrides={key: text})
         assert str(info.value) == f"[{section}] {name}: must be {message}"
+
+    def test_each_value_is_checked_once(self, monkeypatch):
+        # the loader hands each section's tokens to its dataclass, whose
+        # canonicalize is the one check of each typed field
+        calls = []
+        check = geom.field_value
+        for module in (geom, tio):       # wherever the rule is called from
+            if hasattr(module, "field_value"):
+                monkeypatch.setattr(module, "field_value", lambda *args:
+                                    calls.append(args) or check(*args))
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        cfg = tio.load_config(configs / "training.cfg")
+        built = (cfg.sensor, cfg.scene, cfg.scene.boxes, cfg.pipeline,
+                 cfg.dataset)
+        assert len(calls) == sum(len(geom._typed_fields(type(spec)))
+                                 for spec in built) == 37
+
+    def test_type_refusal_names_its_field(self):
+        import pickle
+        with pytest.raises(FieldTypeError) as info:
+            TrussSpec(node_counts=(2, 2))
+        exc = info.value
+        assert (exc.field, exc.reason) == ("node_counts",
+                                           "must be 3 numbers, not (2, 2)")
+        assert str(exc) == "node_counts must be 3 numbers, not (2, 2)"
+        again = pickle.loads(pickle.dumps(exc))
+        assert (type(again), str(again), again.field) == \
+            (FieldTypeError, str(exc), "node_counts")
+
+    def test_sections_are_checked_in_build_order(self):
+        # each section's dataclass checks its own values, so a range error
+        # of [sensor] is found before a type error of a later [pipeline]
+        text = "[pipeline]\nnormal_k = x\n[sensor]\nv_resolution = 0\n"
+        with pytest.raises(ConfigRangeError,
+                           match=r"^\[sensor\] resolutions must be >= 1$"):
+            tio.loads_config(text)
 
     @pytest.mark.parametrize("text, crossed", [
         ("true", True), ("Yes", True), ("ON", True), ("1", True),
