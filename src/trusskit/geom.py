@@ -6,8 +6,9 @@ table, PCA-based normal/curvature estimation, the cubic grid cells behind
 voxel-grid downsampling and the density filter's dense-cell test, and small
 projection helpers used by the segmentation stages.
 
-Per-point normals take the batched neighbourhood covariances through a
-closed-form symmetric 3x3 eigensolver: Smith's trigonometric eigenvalues
+Per-point normals take the neighbourhood covariances, six sums per row
+over three contiguous ``(b, k)`` coordinate columns, through a closed-form
+symmetric 3x3 eigensolver: Smith's trigonometric eigenvalues
 (Smith 1961) and the normal as the largest cross product of two rows of
 ``C - lambda0 I`` (Kopp 2008, "Efficient numerical diagonalization of
 hermitian 3x3 matrices"). Rows whose smallest eigenvalue is not well
@@ -19,9 +20,9 @@ Full eigen-decompositions (cluster statistics) go through one stacked path,
 stack. ``eigen_sym3`` and ``pca_stats`` are that path on a stack of one.
 
 kd-tree queries, and the row-block kernels of ``run_row_blocks`` (the
-normals' covariances here, the edge table and RANSAC scoring in
-``segment``), run on every CPU this process may run on
-(``query_workers``); the calling thread takes blocks too. Each row's
+blocked neighbour queries and the normals' covariances here, the edge
+table and RANSAC scoring in ``segment``), run on every CPU this process
+may run on (``query_workers``); the calling thread takes blocks too. Each row's
 arithmetic is the same on any number of threads, so results are bit
 identical. ``map_jobs`` is the one ``--jobs`` map (``generate``,
 ``segment``, ``sweep``): with more than one job it runs on a
@@ -68,11 +69,18 @@ _EIGEN_GAP_TOL = 1e-4
 # this process may run on
 _query_workers: Optional[int] = None
 
-# neighbourhoods per normals block: keeps the (b, k, 3) gather and centred
-# copy at ~3 MB each for k = 30. Freeing whole-cloud ones (~30 MB) raises
-# glibc's mmap and trim thresholds, which leaves the heap resident after
-# the call.
+# neighbourhoods per normals block: keeps the three (b, k) coordinate
+# columns at ~1 MB each for k = 30. Freeing whole-cloud temporaries (tens
+# of MB) raises glibc's mmap and trim thresholds, which leaves the heap
+# resident after the call.
 _NORMALS_BLOCK = 4096
+
+# rows per block of a kd-tree query (query_blocks): each block's (b, k)
+# distances are handed on and dropped, so no (n, k) float table is held
+_QUERY_BLOCK = 4096
+
+# the upper triangle of a symmetric 3x3 matrix, row by row
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def _as_points(points) -> np.ndarray:
@@ -429,9 +437,8 @@ def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", divide="ignore"):
         trace = cov[:, 0, 0] + cov[:, 1, 1] + cov[:, 2, 2]
         inv = 1.0 / trace
-        a00, a01, a02, a11, a12, a22 = (
-            cov[:, i, j] * inv
-            for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+        a00, a01, a02, a11, a12, a22 = (cov[:, i, j] * inv
+                                        for i, j in _UPPER)
         q = 1.0 / 3.0                            # trace of C / trace(C)
         b00, b11, b22 = a00 - q, a11 - q, a22 - q
         p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
@@ -486,16 +493,32 @@ def _oriented_normals(cov: np.ndarray, points: np.ndarray,
     return normals, np.clip(curvature, 0.0, MAX_CURVATURE)
 
 
+def query_blocks(tree, points: np.ndarray, k: int, keep) -> None:
+    """Query the k nearest neighbours of every row of ``points`` on the
+    kd-tree ``tree`` in blocks of ``_QUERY_BLOCK`` rows on
+    ``query_workers()`` threads (``run_row_blocks``), calling
+    ``keep(rows, dist, idx)`` with each block's distances and indices. Each
+    row's result is the one a single whole query gives it."""
+    run_row_blocks(len(points), _QUERY_BLOCK, lambda rows: keep(
+        rows, *tree.query(points[rows], k=k, workers=1)))
+
+
 def knn_table(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of each point's k nearest points, nearest first, from
-    an exact kd-tree query on ``query_workers()`` threads. A point is its
-    own first neighbour; k is capped at n."""
+    an exact kd-tree query in row blocks (``query_blocks``); only the index
+    table is kept, never an (n, k) table of distances. A point is its own
+    first neighbour; k is capped at n."""
     # scipy.spatial takes ~0.35 s to import; only kd-tree users pay for it
     from scipy.spatial import cKDTree
 
     k = min(k, len(points))
-    _, idx = cKDTree(points).query(points, k=k, workers=query_workers())
-    return idx.reshape(len(points), k)
+    table = np.empty((len(points), k), dtype=np.intp)
+
+    def keep(rows, _, idx):
+        table[rows] = idx.reshape(-1, k)
+
+    query_blocks(cKDTree(points), points, k, keep)
+    return table
 
 
 def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
@@ -520,22 +543,29 @@ def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
     normal and eigenvalues exactly.
 
     The covariances are made in blocks of ``_NORMALS_BLOCK`` rows on
-    ``query_workers()`` threads (``run_row_blocks``): a few large array
-    operations per block, which run without the GIL. The eigen-analysis,
-    dozens of small operations per block, then runs block by block on the
-    calling thread, so the threads do not pass the GIL back and forth.
-    Every row's arithmetic is that of a single whole-cloud pass, bit for
-    bit.
+    ``query_workers()`` threads (``run_row_blocks``). A block gathers three
+    contiguous (b, k) coordinate columns from x, y and z arrays made once
+    per call, centres each row on its own mean and takes the six
+    upper-triangle sums of products row by row (``einsum``, no BLAS). The
+    eigen-analysis, dozens of small operations per block, then runs block
+    by block on the calling thread, so the threads do not pass the GIL back
+    and forth. Each row's sums read only that row and use no BLAS, so they
+    depend on neither the block, the thread count nor the BLAS kernel:
+    every row is that of a single whole-cloud pass, bit for bit.
     """
     n, k = neighbor_idx.shape
     centres = points if rows is None else points[rows]
     view = np.asarray(viewpoint, dtype=np.float64)
+    columns = [np.ascontiguousarray(points[:, axis]) for axis in range(3)]
     cov = np.empty((n, 3, 3))
 
     def covariances(block):
-        neigh = points[neighbor_idx[block]]           # (b, k, 3)
-        X = neigh - neigh.mean(axis=1, keepdims=True)
-        cov[block] = np.matmul(X.transpose(0, 2, 1), X) / k
+        xs = [c[neighbor_idx[block]] for c in columns]    # 3 x (b, k)
+        for x in xs:
+            x -= x.mean(axis=1, keepdims=True)
+        for i, j in _UPPER:
+            cov[block, i, j] = cov[block, j, i] = np.einsum(
+                "ij,ij->i", xs[i], xs[j]) / k
 
     run_row_blocks(n, _NORMALS_BLOCK, covariances)
     normals = np.empty((n, 3))

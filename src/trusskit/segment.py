@@ -50,6 +50,7 @@ from .geom import (
     grid_cells,
     knn_table,
     normals_from_neighbors,
+    query_blocks,
     query_workers,
     run_row_blocks,
     voxel_downsample,
@@ -510,12 +511,6 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     return mask
 
 
-# rows per block of the whole-cloud (k+1)-nearest query: each block's
-# (b, k + 1) distances are judged and dropped, so no (n, k + 1) float
-# table is ever held
-_QUERY_BLOCK = 4096
-
-
 def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
     """The whole cloud's (n, k) neighbour table, per row whether it is
     tie-free, and every point's density verdict, from one (k+1)-nearest
@@ -530,8 +525,9 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
     distance, the density filter's own test, so the verdict is 1 (dense)
     or 2 (sparse); else it is None.
 
-    The query runs in blocks of ``_QUERY_BLOCK`` rows on
-    ``query_workers()`` threads (``geom.run_row_blocks``).
+    The query runs in row blocks on ``query_workers()`` threads
+    (``geom.query_blocks``): each block's (b, k + 1) distances are judged
+    and dropped, so no (n, k + 1) float table is ever held.
     """
     from scipy.spatial import cKDTree   # deferred, as in density_filter
     n, k, m = len(points), cfg.normal_k, cfg.density_min_points
@@ -540,14 +536,13 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
     tie_free = np.empty(n, dtype=bool)
     verdict = np.empty(n, dtype=np.int8) if 0 < m <= k else None
 
-    def query(rows):
-        dist, idx = tree.query(points[rows], k=k + 1, workers=1)
+    def keep(rows, dist, idx):
         table[rows] = idx[:, :k]
         (dist[:, 1:] > dist[:, :-1]).all(axis=1, out=tie_free[rows])
         if verdict is not None:
             verdict[rows] = np.where(dist[:, m] <= cfg.density_radius, 1, 2)
 
-    run_row_blocks(n, _QUERY_BLOCK, query)
+    query_blocks(tree, points, k + 1, keep)
     ties = np.flatnonzero(~tie_free)
     if len(ties):
         table[ties] = tree.query(points[ties], k=k,

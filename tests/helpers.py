@@ -57,10 +57,18 @@ def lattice(n_side, spacing):
 
 def _neighbourhood_covariances(points, neighbor_idx):
     """Covariance stack of every (n, k) neighbourhood in one pass over the
-    whole (n, k, 3) gather, by the expression ``geom`` uses per block."""
-    neigh = points[neighbor_idx]
-    X = neigh - neigh.mean(axis=1, keepdims=True)
-    return np.matmul(X.transpose(0, 2, 1), X) / neighbor_idx.shape[1]
+    whole table, by the expression ``geom`` uses per block: three (n, k)
+    coordinate columns, each row centred on its mean, and the six
+    upper-triangle sums of products."""
+    n, k = neighbor_idx.shape
+    xs = [points[:, axis][neighbor_idx] for axis in range(3)]
+    xs = [x - x.mean(axis=1, keepdims=True) for x in xs]
+    cov = np.empty((n, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            cov[:, i, j] = cov[:, j, i] = np.einsum(
+                "ij,ij->i", xs[i], xs[j]) / k
+    return cov
 
 
 def _oriented(points, lam, normals, viewpoint):

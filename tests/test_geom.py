@@ -50,17 +50,41 @@ class TestKnnTable:
                 assert set(table[i].tolist()) == \
                     set(brute_knn(pts, pts[i], min(k, n)).tolist())
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_is_the_table_plus_blocks(self, monkeypatch, workers):
+        # the call holds the (n, k) index table and the kd-tree's index
+        # array (the tree does not copy the cloud); each block's (b, k)
+        # distances and indices live only while the block is kept, never
+        # as an (n, k) float table
+        monkeypatch.setattr(geom, "_query_workers", workers)
+        pts = np.random.default_rng(3).uniform(0.0, 40.0, (60000, 3))
+        k = 30
+        tracemalloc.start()
+        try:
+            table = geom.knn_table(pts, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        blocks = workers * geom._QUERY_BLOCK * k * 16
+        tree = np.dtype(np.intp).itemsize * len(pts)
+        assert peak <= table.nbytes + tree + 2 * blocks
+        assert table.nbytes + tree + 2 * blocks \
+            < table.nbytes + len(pts) * k * 8
+
 
 class TestQueryWorkers:
     def test_default_is_the_affinity_set(self):
         assert geom.query_workers() == len(os.sched_getaffinity(0))
 
     def test_threaded_knn_equals_single_thread_on_ties(self, monkeypatch):
+        # one query block, and many blocks with a short tail
         pts = lattice(9, 0.5)
         monkeypatch.setattr(geom, "_query_workers", 2)
-        for k in (7, 19, 30):
-            _, expect = cKDTree(pts).query(pts, k=k, workers=1)
-            assert np.array_equal(geom.knn_table(pts, k), expect)
+        for block in (geom._QUERY_BLOCK, 11):
+            monkeypatch.setattr(geom, "_QUERY_BLOCK", block)
+            for k in (7, 19, 30):
+                _, expect = cKDTree(pts).query(pts, k=k, workers=1)
+                assert np.array_equal(geom.knn_table(pts, k), expect)
 
     def test_single_threaded_queries(self, monkeypatch):
         monkeypatch.setattr(geom, "_query_workers", None)
@@ -426,22 +450,89 @@ class TestNormals:
             assert curv.max() <= 1 / 3 + 1e-12
 
 
+def kernel_covariances(points, neighbor_idx):
+    """The covariance stack ``normals_from_neighbors`` hands its
+    eigensolver, block by block."""
+    blocks = []
+    inner = geom._oriented_normals
+
+    def record(cov, *args):
+        blocks.append(cov.copy())
+        return inner(cov, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_oriented_normals", record)
+        geom.normals_from_neighbors(points, neighbor_idx, (0.0, 0.0, 0.0))
+    return np.concatenate(blocks)
+
+
+def assert_covariances_match_oracle(points, neighbor_idx):
+    """Each kernel covariance equals ``geom.covariance`` of its
+    neighbourhood to 1e-12 of its trace. An all-duplicate neighbourhood has
+    a covariance of rounding noise only: there the floor is the square of a
+    few ulps of its coordinates."""
+    got = kernel_covariances(points, neighbor_idx)
+    assert got.shape == (len(neighbor_idx), 3, 3)
+    eps = np.finfo(np.float64).eps
+    for i, row in enumerate(neighbor_idx):
+        _, want = geom.covariance(points, row)
+        floor = (8 * eps * np.abs(points[row]).max()) ** 2
+        assert np.abs(got[i] - want).max() \
+            <= 1e-12 * np.trace(want) + floor, i
+        assert np.array_equal(got[i], got[i].T)
+
+
+@pytest.fixture(scope="module")
+def shipped_scan(tmp_path_factory):
+    """Points of one training scan (seed 1), moved ~30 m from the origin."""
+    from trusskit import cli
+    out = tmp_path_factory.mktemp("training")
+    assert cli.main(["generate", "--config", "configs/training.cfg",
+                     "--out", str(out), "--n", "1", "--seed", "1"]) == 0
+    cloud = tio.read_pcd(out / "clouds" / "scan_00000.pcd")
+    return cloud.points + [24.0, -18.0, 0.5]
+
+
+class TestNeighbourhoodCovariances:
+    """The kernel's covariances against the per-neighbourhood oracle
+    ``geom.covariance`` (centroid, then ``X.T @ X``)."""
+
+    def test_shipped_scan_far_from_the_origin(self, shipped_scan):
+        assert np.linalg.norm(shipped_scan, axis=1).min() > 20.0
+        assert_covariances_match_oracle(shipped_scan,
+                                        geom.knn_table(shipped_scan, 30))
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.lists(st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+                         min_size=1, max_size=25),
+           copies=st.lists(st.integers(1, 4), min_size=25, max_size=25),
+           k=st.integers(3, 20),
+           offset=st.sampled_from([0.0, 30.0]))
+    def test_clouds_with_duplicates(self, base, copies, k, offset):
+        pts = np.repeat(np.array(base), copies[:len(base)], axis=0) + offset
+        k = min(k, len(pts))
+        if k < 3:
+            return
+        assert_covariances_match_oracle(pts, geom.knn_table(pts, k))
+
+
 class TestNormalsMemory:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_bounded_by_the_block(self, monkeypatch, workers):
-        # the (b, k, 3) gather, its centred copy and the eigensolver's
-        # temporaries of one block per thread, plus the outputs and the
-        # (n, 3, 3) covariances; a whole-cloud (n, k, 3) temporary alone
-        # would exceed the bound
+        # the outputs, the (n, 3, 3) covariances and the cloud's x, y and z
+        # columns (4 + 9 + 3 floats a point), three (b, k) coordinate
+        # columns per thread, and one block of per-row temporaries (the
+        # means and sums, the eigensolver's 3x3 candidates: under 64
+        # floats a row); one whole-cloud (n, k) column alone would exceed
+        # the bound
         monkeypatch.setattr(geom, "_query_workers", workers)
         rng = np.random.default_rng(0)
-        n, k = 40_000, 30
-        pts = np.column_stack([rng.uniform(-20, 20, (n, 2)),
+        n, k, b = 80_000, 30, geom._NORMALS_BLOCK
+        pts = np.column_stack([rng.uniform(-28, 28, (n, 2)),
                                rng.normal(0, 0.01, n)])
         idx = geom.knn_table(pts, k)
-        bound = n * (4 + 9) * 8 \
-            + workers * 3 * geom._NORMALS_BLOCK * k * 3 * 8
-        assert bound < n * k * 3 * 8
+        bound = n * (4 + 9 + 3) * 8 + workers * 3 * b * k * 8 + b * 64 * 8
+        assert bound < n * k * 8
         tracemalloc.start()
         try:
             geom.normals_from_neighbors(pts, idx, (0.0, 0.0, 10.0))

@@ -1057,7 +1057,7 @@ class TestSharedNeighbourhoods:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        blocks = geom.query_workers() * segment._QUERY_BLOCK * (k + 1) * 16
+        blocks = geom.query_workers() * geom._QUERY_BLOCK * (k + 1) * 16
         flags = 2 * len(pts)
         tree = np.dtype(np.intp).itemsize * len(pts)
         assert peak <= table.nbytes + flags + tree + 2 * blocks
@@ -1070,7 +1070,7 @@ class TestSharedNeighbourhoods:
 _SMALL_BLOCKS = {(geom, "_NORMALS_BLOCK"): 7, (segment, "_EDGE_BLOCK"): 13,
                  (segment, "_SCORE_HYPOTHESES"): 7,
                  (segment, "_SCORE_POINTS"): 13,
-                 (segment, "_QUERY_BLOCK"): 11}
+                 (geom, "_QUERY_BLOCK"): 11}
 _SHIPPED_BLOCKS = {site: getattr(*site) for site in _SMALL_BLOCKS}
 
 
