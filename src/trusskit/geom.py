@@ -4,7 +4,8 @@ Points are plain ``(n, 3)`` float64 numpy arrays throughout the package.
 This module provides the labeled-cloud container, an exact k-nearest-neighbour
 table, PCA-based normal/curvature estimation, the cubic grid cells behind
 voxel-grid downsampling and the density filter's dense-cell test, and small
-projection helpers used by the segmentation stages.
+projection helpers used by the segmentation stages. Every function takes
+coordinates: no function here reads a LabeledCloud's labels or pose.
 
 Per-point normals take the neighbourhood covariances, six sums per row
 over three contiguous ``(b, k)`` coordinate columns, through a closed-form
@@ -90,6 +91,13 @@ def _as_points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidSpecError(
             f"expected (n, 3) point array, got shape {pts.shape}")
+    return pts
+
+
+def _finite_points(points) -> np.ndarray:
+    pts = _as_points(points)
+    if not np.isfinite(pts).all():
+        raise NonFiniteError("cloud contains NaN/inf coordinates")
     return pts
 
 
@@ -236,10 +244,9 @@ class LabeledCloud:
     sensor_pose: Pose = field(default_factory=Pose)
 
     def __post_init__(self):
-        self.points = _as_points(self.points) if np.size(self.points) else np.zeros((0, 3))
+        self.points = _finite_points(self.points) if np.size(self.points) \
+            else np.zeros((0, 3))
         n = len(self.points)
-        if not np.isfinite(self.points).all():
-            raise NonFiniteError("cloud contains NaN/inf coordinates")
         if self.face_label is None:
             self.face_label = np.zeros(n, dtype=np.int64)
         else:
@@ -577,12 +584,12 @@ def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
     return normals, curvature
 
 
-def estimate_normals(cloud: LabeledCloud, k: int = 30,
+def estimate_normals(points, k: int = 30,
                      viewpoint=(0.0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
     """Per-point PCA normals and curvature from k-nearest neighbourhoods.
 
     Args:
-        cloud: input cloud (at least k points).
+        points: (n, 3) coordinates, at least k of them.
         k: neighbourhood size, >= 3; the query point counts as a neighbour.
         viewpoint: normals are sign-flipped to face this position. Scans are
             stored in the sensor frame, so the default (origin) orients
@@ -591,12 +598,13 @@ def estimate_normals(cloud: LabeledCloud, k: int = 30,
     Returns:
         (normals (n, 3) unit, curvature (n,) in [0, 1/3]).
     """
+    pts = _finite_points(points)
+    k = field_value(int, None, k)
     if k < 3:
         raise TooFewPointsError(f"k={k} must be at least 3")
-    if len(cloud) < k:
-        raise TooFewPointsError(f"cloud has {len(cloud)} points, needs >= {k}")
-    return normals_from_neighbors(cloud.points, knn_table(cloud.points, k),
-                                  viewpoint)
+    if len(pts) < k:
+        raise TooFewPointsError(f"cloud has {len(pts)} points, needs >= {k}")
+    return normals_from_neighbors(pts, knn_table(pts, k), viewpoint)
 
 
 def grid_cells(points: np.ndarray, edge: float) -> tuple[np.ndarray, int]:
@@ -625,36 +633,22 @@ def grid_cells(points: np.ndarray, edge: float) -> tuple[np.ndarray, int]:
     return inv.reshape(-1), len(uniq)
 
 
-def voxel_downsample(cloud: LabeledCloud, leaf: float) -> LabeledCloud:
-    """Grid filter: one centroid point per occupied voxel of edge ``leaf``.
-
-    The voxel of a point is floor(coord / leaf) per axis (``grid_cells``).
-    The output label is the majority face label of the voxel, ties resolved
-    toward the lowest label. Output points are ordered by voxel key.
-    """
+def voxel_downsample(points, leaf: float) -> np.ndarray:
+    """Grid filter: the (m, 3) centroids of the points in each occupied
+    voxel of edge ``leaf`` (floor(coord / leaf) per axis, ``grid_cells``),
+    in voxel-key order."""
     if not leaf > 0.0:
         raise NonPositiveLeafError(f"leaf={leaf} must be > 0")
-    n = len(cloud)
-    if n == 0:
-        return LabeledCloud(np.zeros((0, 3)), sensor_pose=cloud.sensor_pose)
-    inv, m = grid_cells(cloud.points, leaf)
+    pts = _finite_points(points)
+    if len(pts) == 0:
+        return np.zeros((0, 3))
+    inv, m = grid_cells(pts, leaf)
     counts = np.bincount(inv, minlength=m).astype(np.float64)
     centroids = np.empty((m, 3))
     for d in range(3):
-        centroids[:, d] = np.bincount(inv, weights=cloud.points[:, d], minlength=m)
+        centroids[:, d] = np.bincount(inv, weights=pts[:, d], minlength=m)
     centroids /= counts[:, None]
-
-    labels = cloud.face_label
-    pair = inv * (labels.max() + 1) + labels
-    pair_uniq, pair_count = np.unique(pair, return_counts=True)
-    pair_voxel = pair_uniq // (labels.max() + 1)
-    pair_label = pair_uniq % (labels.max() + 1)
-    # majority label per voxel; np.unique returns pairs sorted by (voxel,
-    # label), so a stable sort on -count keeps the lowest label among ties
-    order = np.lexsort((pair_label, -pair_count, pair_voxel))
-    _, first = np.unique(pair_voxel[order], return_index=True)
-    out_labels = pair_label[order][first]
-    return LabeledCloud(centroids, out_labels, sensor_pose=cloud.sensor_pose)
+    return centroids
 
 
 def extent_along(points, subset, direction) -> float:

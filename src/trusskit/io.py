@@ -1,10 +1,11 @@
 """File formats: PCD read/write, colored PLY export, run configuration.
 
 The PCD dialect written here is ``VERSION .7`` with single-precision
-coordinates and an unsigned 32-bit ``label`` channel; binary bodies are
-little-endian and tightly packed in field order. The reader additionally
-accepts any column order, wider numeric types, and a float ``intensity``
-channel carrying labels.
+coordinates and an unsigned 32-bit ``label`` channel, in a binary body:
+little-endian and tightly packed in field order. The reader, whose input
+comes from outside the program, accepts ascii bodies as well, any column
+order, wider numeric types, and a float ``intensity`` channel carrying
+labels.
 """
 
 from __future__ import annotations
@@ -75,15 +76,12 @@ def _header_text(header: PcdHeader) -> str:
     ]) + "\n"
 
 
-def write_pcd_fields(columns: list, viewpoint, mode: str = "binary",
-                     path=None) -> Optional[bytes]:
-    """Serialise named columns as a PCD file.
+def write_pcd_fields(columns: list, viewpoint, path=None) -> Optional[bytes]:
+    """Serialise named columns as a binary PCD file.
 
     columns: list of (name, type_char, size, 1-d array). Writes to ``path``
     when given, otherwise returns the bytes.
     """
-    if mode not in ("ascii", "binary"):
-        raise InvalidSpecError(f"unsupported DATA mode {mode!r}")
     n = len(columns[0][3]) if columns else 0
     for name, _, _, arr in columns:
         if len(arr) != n:
@@ -93,22 +91,13 @@ def write_pcd_fields(columns: list, viewpoint, mode: str = "binary",
         sizes=[c[2] for c in columns],
         types=[c[1] for c in columns],
         counts=[1] * len(columns),
-        width=n, height=1, viewpoint=tuple(viewpoint), points=n, data=mode,
+        width=n, height=1, viewpoint=tuple(viewpoint), points=n, data="binary",
     )
     dtype = np.dtype([(c[0], _DTYPES[(c[1], c[2])]) for c in columns])
     rec = np.zeros(n, dtype=dtype)
     for name, tc, size, arr in columns:
         rec[name] = np.asarray(arr).astype(_DTYPES[(tc, size)])
-
-    if mode == "binary":
-        blob = _header_text(header).encode("ascii") + rec.tobytes()
-    else:
-        fmts = ["%.9g" if c[1] == "F" else "%d" for c in columns]
-        lines = []
-        for row in rec:
-            lines.append(" ".join(f % row[i] for i, f in enumerate(fmts)))
-        body = "\n".join(lines) + ("\n" if n else "")
-        blob = (_header_text(header) + body).encode("ascii")
+    blob = _header_text(header).encode("ascii") + rec.tobytes()
     if path is not None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_bytes(blob)
@@ -116,27 +105,26 @@ def write_pcd_fields(columns: list, viewpoint, mode: str = "binary",
     return blob
 
 
-def _write_cloud(cloud: LabeledCloud, path, mode: str, after_label=()):
+def _write_cloud(cloud: LabeledCloud, path, after_label=()):
     """Write the columns ``x y z``, ``label``, ``after_label`` of a cloud,
     its sensor pose as the viewpoint."""
     xyz = [(axis, "F", 4, cloud.points[:, i]) for i, axis in enumerate("xyz")]
     return write_pcd_fields(
         [*xyz, ("label", "U", 4, cloud.face_label), *after_label],
-        cloud.sensor_pose.viewpoint_tuple(), mode, path)
+        cloud.sensor_pose.viewpoint_tuple(), path)
 
 
-def write_pcd(cloud: LabeledCloud, path=None, mode: str = "binary"):
+def write_pcd(cloud: LabeledCloud, path=None):
     """Write a labeled cloud with fields ``x y z label`` (F F F U)."""
-    return _write_cloud(cloud, path, mode)
+    return _write_cloud(cloud, path)
 
 
-def write_prediction_pcd(cloud: LabeledCloud, pred, path=None,
-                         mode: str = "binary"):
+def write_prediction_pcd(cloud: LabeledCloud, pred, path=None):
     """Write a cloud plus its binary prediction: fields ``x y z label pred``."""
     pred = np.asarray(pred).astype(bool)
     if len(pred) != len(cloud):
         raise LengthMismatchError("prediction length differs from cloud")
-    return _write_cloud(cloud, path, mode,
+    return _write_cloud(cloud, path,
                         after_label=[("pred", "U", 1, pred.astype(np.uint8))])
 
 

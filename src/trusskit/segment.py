@@ -4,7 +4,9 @@ Stage one (coarse) fits a ground plane with RANSAC on a voxel-filtered copy
 of the scan and splits the original points by plane distance. Stage two
 (fine) region-grows planar clusters inside the coarse ground and promotes
 the slender/short ones back to structure using eigenvalue tests. A radius
-density filter finally demotes sparse structure points.
+density filter finally demotes sparse structure points. Every stage takes
+the scan's ``(n, 3)`` coordinates: ``run_pipeline`` reads them from its
+``LabeledCloud`` once, so no stage can see truth labels or the sensor pose.
 
 RANSAC scores its hypotheses in cache-sized blocks of voxels and
 hypotheses. The density filter marks every point of a grid cell that holds
@@ -226,13 +228,17 @@ def ransac_plane(points: np.ndarray, threshold: float, iterations: int,
 
     Ties keep the first hypothesis found. Returns (Plane, inlier indices)
     where every inlier satisfies |n . p + d| <= threshold. Hypotheses are
-    scored in float32, in cache-sized blocks (``_inlier_counts``).
+    scored in float32, in cache-sized blocks (``_inlier_counts``). The
+    three numbers pass ``PipelineConfig``'s rules of its ``ransac_`` fields.
     """
+    rule = PipelineConfig(ransac_threshold=threshold,
+                          ransac_iterations=iterations, ransac_seed=seed)
+    threshold, iterations = rule.ransac_threshold, rule.ransac_iterations
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     if n < 3:
         raise DegenerateCloudError("plane fit needs at least 3 points")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rule.ransac_seed)
     samples = np.empty((iterations, 3), dtype=np.intp)
     for it in range(iterations):
         samples[it] = rng.choice(n, size=3, replace=False)
@@ -260,28 +266,28 @@ def ransac_plane(points: np.ndarray, threshold: float, iterations: int,
     return plane, inliers
 
 
-def coarse_split(cloud: LabeledCloud, cfg: PipelineConfig) -> CoarseSplit:
-    """Voxel filter + RANSAC on the filtered copy, then split the original
-    points by absolute plane distance at the RANSAC threshold.
+def coarse_split(points: np.ndarray, cfg: PipelineConfig) -> CoarseSplit:
+    """Voxel filter + RANSAC on the filtered copy, then split the (n, 3)
+    ``points`` by absolute plane distance at the RANSAC threshold.
 
     Fails open: when the best hypothesis explains under 5% of the voxel
     cloud, no ground is subtracted and every point goes to structure.
     """
-    if len(cloud) == 0:
+    if len(points) == 0:
         raise DegenerateCloudError("cannot split an empty cloud")
-    voxel = voxel_downsample(cloud, cfg.voxel_leaf)
-    plane, vox_inliers = ransac_plane(voxel.points, cfg.ransac_threshold,
+    voxel = voxel_downsample(points, cfg.voxel_leaf)
+    plane, vox_inliers = ransac_plane(voxel, cfg.ransac_threshold,
                                       cfg.ransac_iterations, cfg.ransac_seed)
     if len(vox_inliers) < _MIN_GROUND_INLIER_FRACTION * len(voxel):
         return CoarseSplit(
             plane=None,
             ground=np.empty(0, dtype=np.intp),
-            structure=np.arange(len(cloud), dtype=np.intp),
+            structure=np.arange(len(points), dtype=np.intp),
             warning=(f"GroundNotFound: best inlier fraction "
                      f"{len(vox_inliers) / len(voxel):.3f} < "
                      f"{_MIN_GROUND_INLIER_FRACTION}"),
         )
-    near = plane.distance(cloud.points) <= cfg.ransac_threshold
+    near = plane.distance(points) <= cfg.ransac_threshold
     return CoarseSplit(plane=plane,
                        ground=np.flatnonzero(near),
                        structure=np.flatnonzero(~near))
@@ -666,7 +672,7 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
 
     if stage_modes & {FULL, WITHOUT_FINE}:
         with _timed(ms, "coarse"):
-            coarse = coarse_split(cloud, cfg)
+            coarse = coarse_split(pts, cfg)
     # the whole cloud first: its query serves the coarse ground's normals
     if WITHOUT_COARSE in stage_modes and n >= 3:
         whole = fine(WITHOUT_COARSE, everything)

@@ -32,6 +32,7 @@ from .geom import (
     LabeledCloud,
     Pose,
     canonicalize,
+    field_value,
     fingerprint,
     map_jobs,
     quat_to_matrix,
@@ -287,15 +288,23 @@ def pose_has_clearance(scene: Scene, position, margin: float = 0.2) -> bool:
     return True
 
 
+def _seed(value) -> int:
+    seed = field_value(int, None, value)
+    if seed < 0:
+        raise InvalidSpecError("seed must be >= 0")
+    return seed
+
+
 def sample_sensor_pose(mode: str, bounds, seed) -> Pose:
     """Draw a sensor pose.
 
     fixed_position_random_orientation: bounds is the (x, y, z) position.
     random_within_structure: bounds is (lo, hi) corner arrays; the
     translation is uniform inside, orientation uniform over rotations.
+    ``seed`` is a Generator or an integer seed >= 0.
     """
     rng = seed if isinstance(seed, np.random.Generator) else \
-        np.random.default_rng(seed)
+        np.random.default_rng(_seed(seed))
     if mode == FIXED_ORIENTATION_MODE:
         pos = np.asarray(bounds, dtype=np.float64).reshape(3)
     elif mode == WITHIN_STRUCTURE_MODE:
@@ -423,8 +432,7 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
     and the points equal ``raycast_scan(...).points.astype(np.float32)``
     bit for bit, with the same labels.
     """
-    if seed < 0:
-        raise InvalidSpecError("seed must be >= 0")
+    seed = _seed(seed)
     if dtype not in (np.float64, np.float32):
         raise InvalidSpecError(
             f"dtype must be np.float64 or np.float32, not {dtype!r}")
@@ -563,7 +571,7 @@ def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
     cloud = raycast_scan(scene, pose, sensor, seed=scan_seed, dtype=np.float32)
 
     rel = f"clouds/scan_{i:05d}.pcd"
-    tio.write_pcd(cloud, Path(out_dir) / rel, mode="binary")
+    tio.write_pcd(cloud, Path(out_dir) / rel)
     return {
         "file": rel,
         "seed": scan_seed,
@@ -580,14 +588,17 @@ def generate_dataset(scene_spec: SceneSpec, n_scans: int, seed: int, out_dir,
 
     Every scan draws from an independent stream derived from (seed, index),
     so the dataset is byte-reproducible and order/parallelism independent.
-    The manifest (one JSON record per line) is written last.
+    The manifest (one JSON record per line) is written last. ``n_scans``,
+    ``seed`` and ``out_dir`` pass ``DatasetConfig``'s rules.
     """
-    if n_scans < 1:
-        raise InvalidSpecError("n_scans must be >= 1")
-    out = Path(out_dir)
+    from . import io as tio
+
+    ds = tio.DatasetConfig(str(out_dir), n_scans, seed)
+    out = Path(ds.out_dir)
     (out / "clouds").mkdir(parents=True, exist_ok=True)
-    records = map_jobs(_scan_record, jobs, range(n_scans), repeat(scene_spec),
-                       repeat(sensor), repeat(seed), repeat(str(out)))
+    records = map_jobs(_scan_record, jobs, range(ds.n_scans),
+                       repeat(scene_spec), repeat(sensor), repeat(ds.seed),
+                       repeat(str(out)))
     with open(out / "manifest.json-lines", "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

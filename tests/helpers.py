@@ -808,3 +808,19 @@ def parse_pcd_header_reference(text):
         raise MalformedHeaderError("VERSION line is empty")
     return PcdHeader(names, sizes, types, counts, width, height, viewpoint,
                      points, data, version[0]), offset
+
+
+def ascii_pcd(blob):
+    """The ascii form of the binary PCD ``blob``: its header, ``DATA
+    ascii``, then one line per point, floats as ``%.9g`` and integers as
+    ``%d`` (trusskit writes binary only; the reader takes both)."""
+    header, offset = parse_pcd_header_reference(blob.decode("latin-1"))
+    kinds = {"F": "f", "U": "u", "I": "i"}
+    dtype = np.dtype([(f, f"<{kinds[t]}{s}") for f, t, s in
+                      zip(header.fields, header.types, header.sizes)])
+    rec = np.frombuffer(blob, dtype, count=header.points, offset=offset)
+    forms = ["%.9g" if t == "F" else "%d" for t in header.types]
+    body = "".join(" ".join(f % v for f, v in zip(forms, row)) + "\n"
+                   for row in rec.tolist())
+    head = blob[:offset].decode("ascii").replace("DATA binary", "DATA ascii")
+    return (head + body).encode("ascii")

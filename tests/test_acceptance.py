@@ -292,12 +292,12 @@ def test_criterion_7_io_suite(tmp_path):
         cloud = LabeledCloud(rng.normal(size=(int(rng.integers(1, 400)), 3)),
                              None)
         cloud.face_label[:] = rng.integers(0, 500, len(cloud))
-        back = tio.read_pcd(tio.write_pcd(cloud, mode="binary"))
+        back = tio.read_pcd(tio.write_pcd(cloud))
         assert np.array_equal(back.points.astype(np.float32),
                               cloud.points.astype(np.float32))
         assert np.array_equal(back.face_label, cloud.face_label)
 
-    base = tio.write_pcd(LabeledCloud(rng.normal(size=(30, 3))), mode="binary")
+    base = tio.write_pcd(LabeledCloud(rng.normal(size=(30, 3))))
     for _ in range(400):
         blob = bytearray(base)
         for _ in range(rng.integers(1, 10)):

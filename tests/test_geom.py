@@ -13,6 +13,7 @@ from trusskit import io as tio
 from trusskit import metrics, segment, synth
 from trusskit.errors import (
     EmptySubsetError,
+    InvalidSpecError,
     NonFiniteError,
     NonPositiveLeafError,
     NonUnitDirectionError,
@@ -20,6 +21,7 @@ from trusskit.errors import (
     TooFewPointsError,
     TrussKitError,
 )
+from trusskit.primitives import HeightFieldGround, Scene
 from helpers import (
     brute_knn,
     covariance_loop,
@@ -29,8 +31,8 @@ from helpers import (
 )
 
 
-def random_cloud(rng, n, scale=5.0):
-    return geom.LabeledCloud(rng.uniform(-scale, scale, size=(n, 3)))
+def random_points(rng, n, scale=5.0):
+    return rng.uniform(-scale, scale, size=(n, 3))
 
 
 class TestKnnTable:
@@ -101,6 +103,27 @@ class TestMapJobs:
 
 
 _ROTATION = np.eye(3)
+_SCENE = synth.SceneSpec()
+_GROUND = Scene([], HeightFieldGround(0.1, 10.0))
+_SENSOR = synth.SensorConfig(v_resolution=2, h_resolution=4)
+_POINTS = np.random.default_rng(0).normal(size=(40, 3))
+# no directory can be made here: a call that gets past its checks writes
+# nothing
+_NOWHERE = os.path.join(os.devnull, "scans")
+
+
+def refused(call):
+    """A MISUSE row for a number that its own rule refuses: the error must
+    be an InvalidSpecError, not a later typed error (a degenerate fit)."""
+    def row():
+        try:
+            call()
+        except InvalidSpecError:
+            raise
+        except Exception as exc:
+            pytest.fail(f"not refused by its rule: {exc!r}")
+    return row
+
 
 # library misuse: each call raises a TrussKitError that is also a
 # ValueError
@@ -118,11 +141,31 @@ MISUSE = {
                                               2.0 * _ROTATION, np.zeros(3)),
     "eigen_stack_shape": lambda: geom.eigen_sym3_stack(np.eye(3)),
     "eigen_matrix_shape": lambda: geom.eigen_sym3(np.eye(2)),
-    "pcd_data_mode": lambda: tio.write_pcd_fields(
-        [("x", "F", 4, np.zeros(1))], (0, 0, 0, 1, 0, 0, 0), "text"),
     "confusion_counts": lambda: metrics.ConfusionMatrix(-1, 0, 0, 0),
     "plane_normal": lambda: segment.Plane((0.0, 0.0, 2.0), 0.0),
     "pose_mode": lambda: synth.sample_sensor_pose("bogus", (0, 0, 0), 0),
+    "dataset_seed_negative": refused(
+        lambda: synth.generate_dataset(_SCENE, 1, -1, _NOWHERE)),
+    "dataset_seed_fraction": refused(
+        lambda: synth.generate_dataset(_SCENE, 1, 2.5, _NOWHERE)),
+    "dataset_scans_fraction": refused(
+        lambda: synth.generate_dataset(_SCENE, 1.5, 0, _NOWHERE)),
+    "raycast_seed_fraction": refused(
+        lambda: synth.raycast_scan(_GROUND, geom.Pose(), _SENSOR, seed=2.5)),
+    "raycast_seed_bool": refused(
+        lambda: synth.raycast_scan(_GROUND, geom.Pose(), _SENSOR, seed=True)),
+    "pose_seed_negative": refused(lambda: synth.sample_sensor_pose(
+        synth.FIXED_ORIENTATION_MODE, (0, 0, 0), -1)),
+    "pose_seed_fraction": refused(lambda: synth.sample_sensor_pose(
+        synth.FIXED_ORIENTATION_MODE, (0, 0, 0), 2.5)),
+    "ransac_no_iterations": refused(
+        lambda: segment.ransac_plane(_POINTS, 0.1, 0, 0)),
+    "ransac_threshold_negative": refused(
+        lambda: segment.ransac_plane(_POINTS, -1.0, 10, 0)),
+    "ransac_seed_negative": refused(
+        lambda: segment.ransac_plane(_POINTS, 0.1, 10, -1)),
+    "normals_k_fraction": refused(
+        lambda: geom.estimate_normals(_POINTS, k=4.5)),
 }
 
 
@@ -338,8 +381,7 @@ class TestNormals:
         pts = np.column_stack([rng.uniform(-1, 1, 200),
                                rng.uniform(-1, 1, 200),
                                np.zeros(200)])
-        cloud = geom.LabeledCloud(pts)
-        normals, curv = geom.estimate_normals(cloud, k=12, viewpoint=(0, 0, 10))
+        normals, curv = geom.estimate_normals(pts, k=12, viewpoint=(0, 0, 10))
         assert np.allclose(normals, [0, 0, 1], atol=1e-9)
         assert curv.max() <= 1e-9
 
@@ -348,8 +390,7 @@ class TestNormals:
         d = rng.normal(size=(1500, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         pts = d * rng.random(1500)[:, None] ** (1 / 3)
-        cloud = geom.LabeledCloud(pts)
-        _, curv = geom.estimate_normals(cloud, k=len(pts))
+        _, curv = geom.estimate_normals(pts, k=len(pts))
         assert curv[0] > 0.32
         assert curv.max() <= 1 / 3 + 1e-12
 
@@ -359,9 +400,8 @@ class TestNormals:
         pts = np.column_stack([rng.uniform(-0.15, 0.15, n),
                                rng.uniform(-0.15, 0.15, n),
                                rng.normal(0, 0.008, n)])
-        cloud = geom.LabeledCloud(pts)
         k = 30
-        normals, curv = geom.estimate_normals(cloud, k=k, viewpoint=(0, 0, 5))
+        normals, curv = geom.estimate_normals(pts, k=k, viewpoint=(0, 0, 5))
         for pi in rng.choice(n, size=10, replace=False):
             nb = brute_knn(pts, pts[pi], k)
             _, C = covariance_loop(pts[nb])
@@ -372,29 +412,32 @@ class TestNormals:
     def test_rotation_invariance(self):
         rng = np.random.default_rng(31)
         pts = rng.normal(size=(300, 3)) * [1.0, 0.6, 0.05]
-        cloud = geom.LabeledCloud(pts)
         vp = np.array([0.0, 0.0, 4.0])
-        n0, c0 = geom.estimate_normals(cloud, k=20, viewpoint=vp)
+        n0, c0 = geom.estimate_normals(pts, k=20, viewpoint=vp)
         q = geom.random_unit_quaternion(rng)
         R = geom.quat_to_matrix(q)
-        n1, c1 = geom.estimate_normals(geom.LabeledCloud(pts @ R.T), k=20,
-                                       viewpoint=R @ vp)
+        n1, c1 = geom.estimate_normals(pts @ R.T, k=20, viewpoint=R @ vp)
         assert np.abs(n1 - n0 @ R.T).max() <= 1e-6
         assert np.abs(c1 - c0).max() <= 1e-9
 
     def test_too_few_points(self):
-        cloud = geom.LabeledCloud(np.random.default_rng(0).random((5, 3)))
+        pts = np.random.default_rng(0).random((5, 3))
         with pytest.raises(TooFewPointsError):
-            geom.estimate_normals(cloud, k=6)
+            geom.estimate_normals(pts, k=6)
         with pytest.raises(TooFewPointsError):
-            geom.estimate_normals(cloud, k=2)
+            geom.estimate_normals(pts, k=2)
 
     def test_empty_and_nonfinite(self):
         # the guards in front of the kNN query: no empty or NaN cloud reaches it
         with pytest.raises(TooFewPointsError):
-            geom.estimate_normals(geom.LabeledCloud(np.zeros((0, 3))))
-        with pytest.raises(NonFiniteError):
-            geom.LabeledCloud([[0.0, np.nan, 0.0]])
+            geom.estimate_normals(np.zeros((0, 3)))
+        for bad in (np.nan, np.inf):
+            pts = np.random.default_rng(0).random((40, 3))
+            pts[7, 1] = bad
+            with pytest.raises(NonFiniteError):
+                geom.estimate_normals(pts)
+            with pytest.raises(NonFiniteError):
+                geom.LabeledCloud(pts)
 
     def test_all_duplicate_neighbourhood_is_eigh_form(self):
         for point in ([2.5, -1.25, 0.75], [30.1, -2.7, 1.3]):
@@ -435,7 +478,7 @@ class TestNormals:
         k = min(k, len(pts))
         if k < 3:
             return
-        normals, curv = geom.estimate_normals(geom.LabeledCloud(pts), k=k)
+        normals, curv = geom.estimate_normals(pts, k=k)
         assert np.isfinite(normals).all()
         assert np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() <= 1e-6
         assert curv.min() >= 0.0
@@ -444,8 +487,8 @@ class TestNormals:
     def test_curvature_range_random_clouds(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            cloud = random_cloud(rng, int(rng.integers(40, 300)))
-            _, curv = geom.estimate_normals(cloud, k=15)
+            pts = random_points(rng, int(rng.integers(40, 300)))
+            _, curv = geom.estimate_normals(pts, k=15)
             assert curv.min() >= 0.0
             assert curv.max() <= 1 / 3 + 1e-12
 
@@ -545,40 +588,39 @@ class TestNormalsMemory:
 class TestVoxel:
     def test_degenerate_voxel(self):
         pts = np.tile([[0.33, 0.71, -0.28]], (10, 1))
-        out = geom.voxel_downsample(geom.LabeledCloud(pts), 0.1)
-        assert len(out) == 1
-        assert np.allclose(out.points[0], pts[0])
+        out = geom.voxel_downsample(pts, 0.1)
+        assert out.shape == (1, 3)
+        assert np.allclose(out[0], pts[0])
 
     def test_same_voxel_centroid(self):
         pts = np.array([[0.01, 0, 0], [0.09, 0, 0]])
-        out = geom.voxel_downsample(geom.LabeledCloud(pts), 0.1)
-        assert len(out) == 1
-        assert np.allclose(out.points[0], [0.05, 0, 0])
+        out = geom.voxel_downsample(pts, 0.1)
+        assert out.shape == (1, 3)
+        assert np.allclose(out[0], [0.05, 0, 0])
 
     def test_count_matches_hash_set(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 10, size=(5000, 3))
-        out = geom.voxel_downsample(geom.LabeledCloud(pts), 0.1)
+        out = geom.voxel_downsample(pts, 0.1)
         keys = {tuple(k) for k in np.floor(pts / 0.1).astype(int)}
         assert len(out) == len(keys)
 
     def test_nested_leaf_monotone(self):
         rng = np.random.default_rng(19)
-        cloud = random_cloud(rng, 3000)
+        pts = random_points(rng, 3000)
         for leaf in (0.05, 0.2, 0.7):
-            a = geom.voxel_downsample(cloud, leaf)
-            b = geom.voxel_downsample(cloud, 2 * leaf)
+            a = geom.voxel_downsample(pts, leaf)
+            b = geom.voxel_downsample(pts, 2 * leaf)
             assert len(b) <= len(a)
-
-    def test_majority_label_tie_lowest(self):
-        pts = np.zeros((4, 3))
-        out = geom.voxel_downsample(
-            geom.LabeledCloud(pts, [5, 5, 2, 2]), 1.0)
-        assert out.face_label[0] == 2
 
     def test_bad_leaf(self):
         with pytest.raises(NonPositiveLeafError):
-            geom.voxel_downsample(geom.LabeledCloud(np.zeros((1, 3))), 0.0)
+            geom.voxel_downsample(np.zeros((1, 3)), 0.0)
+
+    def test_empty_and_nonfinite(self):
+        assert geom.voxel_downsample(np.zeros((0, 3)), 0.1).shape == (0, 3)
+        with pytest.raises(NonFiniteError):
+            geom.voxel_downsample([[0.0, np.inf, 0.0]], 0.1)
 
     def test_fine_leaf_keeps_far_voxels_apart(self):
         # packed as (k0 * span1 + k1) * span2 + k2, these keys pass 2**64;
@@ -586,11 +628,9 @@ class TestVoxel:
         leaf = 1e-9
         pts = np.array([[0.0, 0.0, 0.0], [(2**32 + 0.5) * leaf, 0.0, 0.0],
                         [0.5 * leaf, 65535.5 * leaf, 65535.5 * leaf]])
-        out = geom.voxel_downsample(geom.LabeledCloud(pts, [1, 2, 3]), leaf)
-        assert len(out) == 3
+        out = geom.voxel_downsample(pts, leaf)
         # in key order: (0, 0, 0), (0, 65535, 65535), (2**32, 0, 0)
-        assert np.array_equal(out.points, pts[[0, 2, 1]])
-        assert out.face_label.tolist() == [1, 3, 2]
+        assert np.array_equal(out, pts[[0, 2, 1]])
 
 
 class TestGridCells:

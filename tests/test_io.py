@@ -29,7 +29,7 @@ from trusskit.geom import LabeledCloud, Pose, fingerprint
 from trusskit.segment import PipelineConfig
 from trusskit.synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
-from helpers import parse_pcd_header_reference
+from helpers import ascii_pcd, parse_pcd_header_reference
 
 
 def random_cloud(rng, n, with_pose=True):
@@ -71,14 +71,14 @@ class TestPcdRoundTrip:
         rng = np.random.default_rng(0)
         for _ in range(5):
             cloud = random_cloud(rng, int(rng.integers(1, 300)))
-            blob = tio.write_pcd(cloud, mode="binary")
+            blob = tio.write_pcd(cloud)
             back = tio.read_pcd(blob)
             assert np.array_equal(back.points.astype(np.float32),
                                   cloud.points.astype(np.float32))
             assert np.array_equal(back.face_label, cloud.face_label)
             assert back.sensor_pose == cloud.sensor_pose
             # byte determinism
-            assert blob == tio.write_pcd(cloud, mode="binary")
+            assert blob == tio.write_pcd(cloud)
 
     @settings(max_examples=60, deadline=None)
     @given(points=st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 3),
@@ -89,7 +89,8 @@ class TestPcdRoundTrip:
         lab = labels.draw(st.lists(st.integers(0, 2**32 - 1),
                                    min_size=len(pts), max_size=len(pts)))
         cloud = LabeledCloud(pts, np.array(lab, dtype=np.int64))
-        back = tio.read_pcd(tio.write_pcd(cloud, mode=mode))
+        blob = tio.write_pcd(cloud)
+        back = tio.read_pcd(ascii_pcd(blob) if mode == "ascii" else blob)
         assert np.array_equal(back.points.astype(np.float32),
                               pts.astype(np.float32))
         assert np.array_equal(back.face_label, cloud.face_label)
@@ -97,8 +98,9 @@ class TestPcdRoundTrip:
     def test_ascii_binary_agree(self):
         rng = np.random.default_rng(1)
         cloud = random_cloud(rng, 64)
-        a = tio.read_pcd(tio.write_pcd(cloud, mode="ascii"))
-        b = tio.read_pcd(tio.write_pcd(cloud, mode="binary"))
+        blob = tio.write_pcd(cloud)
+        a = tio.read_pcd(ascii_pcd(blob))
+        b = tio.read_pcd(blob)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.face_label, b.face_label)
 
@@ -118,7 +120,7 @@ class TestPcdRoundTrip:
         with pytest.raises(TruncatedBodyError):
             tio.read_pcd(text.encode())
         cloud = random_cloud(np.random.default_rng(2), 10)
-        blob = tio.write_pcd(cloud, mode="binary")
+        blob = tio.write_pcd(cloud)
         with pytest.raises(TruncatedBodyError,
                            match="^body holds 156 bytes, header declares 160$"):
             tio.read_pcd(blob[:-4])
@@ -250,7 +252,7 @@ class TestPcdRoundTrip:
 
     def test_fuzzed_headers_raise_typed_errors(self):
         rng = np.random.default_rng(3)
-        base = tio.write_pcd(random_cloud(rng, 20), mode="binary")
+        base = tio.write_pcd(random_cloud(rng, 20))
         junk = [b"", b"\x00\x01\x02", b"VERSION .7\n", b"DATA binary\n",
                 b"not a pcd at all\n\n\n"]
         for blob in junk:
@@ -387,7 +389,8 @@ class TestReadArraysOwnData:
     def test_arrays_own_their_data(self, mode, tmp_path):
         cloud = random_cloud(np.random.default_rng(5), 7)
         path = tmp_path / "c.pcd"
-        tio.write_pcd(cloud, path, mode=mode)
+        blob = tio.write_pcd(cloud)
+        path.write_bytes(ascii_pcd(blob) if mode == "ascii" else blob)
         header, arrays = tio.read_pcd_arrays(path)
         assert list(arrays) == ["x", "y", "z", "label"]
         for name, arr in arrays.items():
@@ -427,12 +430,23 @@ class TestCloudColumns:
                ("z", "F", 4, p[:, 2])]
         label = [("label", "U", 4, cloud.face_label)]
         vp = cloud.sensor_pose.viewpoint_tuple()
-        assert tio.write_pcd(cloud, mode=mode) == \
-            tio.write_pcd_fields(xyz + label, vp, mode)
-        assert tio.write_prediction_pcd(cloud, pred, mode=mode) == \
-            tio.write_pcd_fields(
-                xyz + label + [("pred", "U", 1, pred.astype(np.uint8))],
-                vp, mode)
+        pred_col = [("pred", "U", 1, pred.astype(np.uint8))]
+        for blob, columns in ((tio.write_pcd(cloud), xyz + label),
+                              (tio.write_prediction_pcd(cloud, pred),
+                               xyz + label + pred_col)):
+            spelled = tio.write_pcd_fields(columns, vp)
+            if mode == "binary":
+                assert blob == spelled
+                continue
+            # the ascii reader gives the spelled-out columns' ascii form
+            # back as the writer's file
+            header, arrays = tio.read_pcd_arrays(ascii_pcd(spelled))
+            want_header, want = tio.read_pcd_arrays(blob)
+            assert (header.fields, header.viewpoint) == \
+                (want_header.fields, want_header.viewpoint)
+            for name, column in want.items():
+                assert arrays[name].dtype == column.dtype
+                assert np.array_equal(arrays[name], column), name
 
 
 class TestConfigValueForms:

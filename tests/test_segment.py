@@ -66,13 +66,13 @@ class TestRansac:
         # runs on the voxelized copy; on the raw scan the 1/r^2 density bias
         # lets a nearby lattice plane out-vote the ground.
         cloud = truss_scene_cloud(seed=5, trees=0)
-        voxel = geom.voxel_downsample(cloud, 0.1)
-        plane, _ = segment.ransac_plane(voxel.points, 0.5, 500, seed=2)
+        voxel = geom.voxel_downsample(cloud.points, 0.1)
+        plane, _ = segment.ransac_plane(voxel, 0.5, 500, seed=2)
         ground_idx = np.flatnonzero(~cloud.truss_mask)
         # oracle: every true ground point must satisfy the distance test
         dist = plane.distance(cloud.points[ground_idx])
         assert dist.max() <= 0.5
-        cs = segment.coarse_split(cloud, CFG)
+        cs = segment.coarse_split(cloud.points, CFG)
         assert set(ground_idx.tolist()) <= set(cs.ground.tolist())
 
     def test_inliers_satisfy_threshold(self):
@@ -118,9 +118,10 @@ def assert_same_ransac(monkeypatch, points, threshold, iterations, seed):
 class TestRansacBlockScoring:
     @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
     def test_voxelized_shipped_scans(self, monkeypatch, shipped_cloud, scan):
-        voxel = geom.voxel_downsample(shipped_cloud(scan), CFG.voxel_leaf)
+        voxel = geom.voxel_downsample(shipped_cloud(scan).points,
+                                      CFG.voxel_leaf)
         assert len(voxel) > 4 * segment._SCORE_POINTS
-        assert_same_ransac(monkeypatch, voxel.points, CFG.ransac_threshold,
+        assert_same_ransac(monkeypatch, voxel, CFG.ransac_threshold,
                            CFG.ransac_iterations, CFG.ransac_seed)
 
     @pytest.mark.parametrize("iterations", [1, 256, 257, 600])
@@ -180,20 +181,20 @@ class TestCoarseSplit:
         cloud = synth.raycast_scan(
             scene, Pose((0, 0, 2)),
             synth.SensorConfig(v_resolution=32, h_resolution=64), seed=1)
-        cs = segment.coarse_split(cloud, CFG)
+        cs = segment.coarse_split(cloud.points, CFG)
         assert len(cs.ground) == len(cloud)
         assert len(cs.structure) == 0
 
     def test_partition(self):
         cloud = truss_scene_cloud(seed=2)
-        cs = segment.coarse_split(cloud, CFG)
+        cs = segment.coarse_split(cloud.points, CFG)
         union = np.union1d(cs.ground, cs.structure)
         assert np.array_equal(union, np.arange(len(cloud)))
         assert len(np.intersect1d(cs.ground, cs.structure)) == 0
 
     def test_low_bars_in_coarse_ground(self):
         cloud = truss_scene_cloud(seed=4)
-        cs = segment.coarse_split(cloud, CFG)
+        cs = segment.coarse_split(cloud.points, CFG)
         R = cloud.sensor_pose.rotation_matrix()
         z_world = (cloud.points @ R.T)[:, 2] + cloud.sensor_pose.translation[2]
         truss = cloud.truss_mask
@@ -208,7 +209,7 @@ class TestCoarseSplit:
     def test_ground_not_found_fails_open(self):
         rng = np.random.default_rng(6)
         cloud = LabeledCloud(rng.uniform(-50, 50, size=(3000, 3)))
-        cs = segment.coarse_split(cloud, CFG)
+        cs = segment.coarse_split(cloud.points, CFG)
         assert cs.warning is not None and "GroundNotFound" in cs.warning
         assert len(cs.structure) == len(cloud)
         assert len(cs.ground) == 0
@@ -295,7 +296,7 @@ class TestRegionGrow:
     def test_mixed_curvature_matches_sequential_oracle(self, seed, threshold):
         cloud = _reduced_scan(seed)
         cfg = segment.PipelineConfig(rg_curvature_threshold=threshold)
-        ground = segment.coarse_split(cloud, cfg).ground
+        ground = segment.coarse_split(cloud.points, cfg).ground
         normals, curv, knn_idx = segment._normals_for(cloud.points, ground,
                                                       cfg)[:3]
         assert 0.10 <= (curv > threshold).mean() <= 0.20
@@ -399,7 +400,7 @@ def grow_inputs(shipped_cloud):
     def get(scan, subset):
         if (scan, subset) not in made:
             cloud = shipped_cloud(scan)
-            idx = (segment.coarse_split(cloud, CFG).ground
+            idx = (segment.coarse_split(cloud.points, CFG).ground
                    if subset == "coarse" else np.arange(len(cloud)))
             made[scan, subset] = (cloud.points, idx, *segment._normals_for(
                 cloud.points, idx, CFG)[:3])
@@ -801,6 +802,30 @@ def run_alone(cloud, cfg, stage, eigen):
         cloud, replace(cfg, stage_mode=stage, eigen_mode=eigen))
 
 
+class TestCoordinatesOnly:
+    """Segmentation reads a scan's coordinates only: its truth labels and
+    sensor pose change no output of any variant."""
+
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_labels_and_pose_change_no_output(self, shipped_cloud, scan):
+        cloud = shipped_cloud(scan)
+        modes = list(cli.MODES.values())
+        shuffled = np.random.default_rng(29).permutation(cloud.face_label)
+        assert (shuffled != cloud.face_label).any()
+        altered = {
+            "zeroed": replace(cloud, face_label=np.zeros(len(cloud), int)),
+            "shuffled": replace(cloud, face_label=shuffled),
+            "pose": replace(cloud, sensor_pose=Pose((4.0, -3.0, 2.5),
+                                                    (0.5, 0.5, 0.5, 0.5))),
+        }
+        want = [output_digest(out)
+                for out in segment.run_pipeline(cloud, CFG, modes)]
+        for name, other in altered.items():
+            got = [output_digest(out)
+                   for out in segment.run_pipeline(other, CFG, modes)]
+            assert got == want, name
+
+
 class TestStagePlan:
     """The stages the variants of one ``run_pipeline`` call share run once
     and serve each variant as its own call would."""
@@ -947,7 +972,7 @@ class TestSharedNeighbourhoods:
         whole = whole_cloud(cloud)
         rng = np.random.default_rng(7)
         subsets = {
-            "coarse": segment.coarse_split(cloud, CFG).ground,
+            "coarse": segment.coarse_split(pts, CFG).ground,
             "random": np.flatnonzero(rng.random(len(pts)) < 0.5),
             "half_space": np.flatnonzero(pts[:, 0] < np.median(pts[:, 0])),
             "normal_k": np.sort(rng.choice(len(pts), CFG.normal_k,
@@ -973,7 +998,7 @@ class TestSharedNeighbourhoods:
         # whole-cloud table, only the boundary is queried and made again
         cloud = shipped_cloud("ortho")
         whole = whole_cloud(cloud)
-        ground = segment.coarse_split(cloud, CFG).ground
+        ground = segment.coarse_split(cloud.points, CFG).ground
         counts = normals_rows(monkeypatch)
         segment._normals_for(cloud.points, ground, CFG, whole)
         assert len(counts) <= 1
@@ -1148,12 +1173,13 @@ class TestThreadedBlocks:
 
     @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
     def test_ransac(self, monkeypatch, shipped_cloud, scan):
-        voxel = geom.voxel_downsample(shipped_cloud(scan), CFG.voxel_leaf)
-        want = ransac_plane_reference(voxel.points, CFG.ransac_threshold,
+        voxel = geom.voxel_downsample(shipped_cloud(scan).points,
+                                      CFG.voxel_leaf)
+        want = ransac_plane_reference(voxel, CFG.ransac_threshold,
                                       CFG.ransac_iterations, CFG.ransac_seed)
         for setting in thread_settings(monkeypatch):
             plane, inliers, counts = ransac_with_counts(
-                monkeypatch, voxel.points, CFG.ransac_threshold,
+                monkeypatch, voxel, CFG.ransac_threshold,
                 CFG.ransac_iterations, CFG.ransac_seed)
             assert np.array_equal(counts, want[2]), setting
             assert plane.normal.tobytes() == want[0].normal.tobytes()
