@@ -25,7 +25,9 @@ blocked neighbour queries and the normals' covariances here, the edge
 table and RANSAC scoring in ``segment``), run on every CPU this process
 may run on (``query_workers``); the calling thread takes blocks too. Each row's
 arithmetic is the same on any number of threads, so results are bit
-identical. ``map_jobs`` is the one ``--jobs`` map (``generate``,
+identical. ``run_beside`` runs one job on a helper thread while the
+calling thread goes on, or inline when ``query_workers()`` is 1.
+``map_jobs`` is the one ``--jobs`` map (``generate``,
 ``segment``, ``sweep``): with more than one job it runs on a
 ``worker_pool``, whose workers call ``single_threaded_queries``, so they
 run every block inline and do not oversubscribe the cores.
@@ -41,7 +43,9 @@ import hashlib
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, get_args, get_origin, get_type_hints
@@ -244,8 +248,7 @@ class LabeledCloud:
     sensor_pose: Pose = field(default_factory=Pose)
 
     def __post_init__(self):
-        self.points = _finite_points(self.points) if np.size(self.points) \
-            else np.zeros((0, 3))
+        self.points = _finite_points(self.points)
         n = len(self.points)
         if self.face_label is None:
             self.face_label = np.zeros(n, dtype=np.int64)
@@ -424,6 +427,46 @@ def run_row_blocks(n: int, block: int, job) -> None:
         drain()
         for f in running:
             f.result()
+
+
+@contextmanager
+def run_beside(job):
+    """Run ``job()`` on one helper thread while the ``with`` block runs;
+    yields a function that waits for the job and returns its result or
+    raises its exception. With ``query_workers() == 1`` no thread is
+    started: the job runs inline on entry. The helper is joined when the
+    block exits, whether it returns or raises.
+
+    The helper ends with its job, unlike an idle pool worker: glibc keeps
+    a malloc arena per live thread, so a helper alive until the block
+    exits sent the block's row-block threads to yet another arena, and
+    each arena keeps its high-water mark resident.
+    """
+    if query_workers() == 1:
+        result = job()
+        yield lambda: result
+        return
+    outcome = {}
+
+    def settle():
+        try:
+            outcome["result"] = job()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=settle)
+    helper.start()
+
+    def result():
+        helper.join()
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["result"]
+
+    try:
+        yield result
+    finally:
+        helper.join()
 
 
 def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,23 +16,27 @@ seven of a sweep) as one plan, each stage they need once: the coarse
 split, the whole-cloud and coarse-ground normals and region growing, one
 density filter over the union of their masks. The whole cloud's
 (k+1)-nearest query gives its neighbour table, most coarse-ground rows and
-their normals, and every point's density verdict (``_normals_for``). None
-of these shortcuts changes a prediction.
+their normals, and every point's density verdict (``_normals_for``). A
+plan without such a query (mode H alone, say) judges the coarse
+structure's density on one helper thread while the fine stage runs
+(``_structure_tree``). None of these shortcuts changes a prediction.
 
 The RANSAC hypothesis blocks, the normals' covariances and region
 growing's edge table run their row blocks on ``geom.query_workers()`` threads
 (``geom.run_row_blocks``); no row's arithmetic depends on the thread count,
-so predictions are bit identical on any number of cores. Every function the
-benchmark tracer wraps by name (``ransac_plane``, ``_normals_for``,
-``normals_from_neighbors``, ``region_grow``, ...) is called from the
-calling thread only.
+so predictions are bit identical on any number of cores. With one worker
+the density helper's job runs inline, before the fine stage. Every
+function the benchmark tracer wraps by name (``ransac_plane``,
+``_normals_for``, ``normals_from_neighbors``, ``region_grow``,
+``density_filter``, ...) is called from the calling thread only.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -43,8 +47,10 @@ from .errors import (
     NonUnitDirectionError,
 )
 from .geom import (
+    _QUERY_BLOCK,
     EigenDecomp,
     LabeledCloud,
+    _finite_points,
     canonicalize,
     covariance,
     eigen_sym3_stack,
@@ -54,6 +60,7 @@ from .geom import (
     normals_from_neighbors,
     query_blocks,
     query_workers,
+    run_beside,
     run_row_blocks,
     voxel_downsample,
 )
@@ -222,26 +229,87 @@ def _inlier_counts(pts32: np.ndarray, n32: np.ndarray, d32: np.ndarray,
     return counts
 
 
+# a uint32 draw is one half of a raw PCG64 word
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _uint32_draws(bitgen, count: int) -> np.ndarray:
+    """The next ``count`` uint32 draws of ``bitgen`` (one more when
+    ``count`` is odd), as uint64: each raw word gives its low half, then
+    its high half, the order numpy's ``next_uint32`` hands them out."""
+    words = bitgen.random_raw(-(-count // 2))
+    draws = np.empty((len(words), 2), dtype=np.uint64)
+    draws[:, 0] = words & _LOW32
+    draws[:, 1] = words >> np.uint64(32)
+    return draws.reshape(-1)
+
+
+def _ransac_triples(n: int, iterations: int, seed: int) -> np.ndarray:
+    """(iterations, 3) indices, row i the i-th
+    ``rng.choice(n, 3, replace=False)`` of ``np.random.default_rng(seed)``,
+    drawn in one pass; 3 <= n < 2**32.
+
+    ``choice`` runs Floyd's algorithm, bounded draws in [0, j] for
+    j = n-3, n-2, n-1 where a value already taken becomes j, then shuffles
+    the three with draws in [0, 2] and [0, 1]. A draw in [0, j] takes no
+    uint32 when j is 0 (n = 3); else it is Lemire's: a uint32 u times
+    j + 1, whose high 32 bits are the value unless its low 32 bits fall
+    below (2**32 - j - 1) mod (j + 1). Then u is rejected and the draw
+    takes the next uint32. Every draw is computed at the place it takes
+    when nothing is rejected; from the first rejection on, the draws move
+    one uint32 along and are computed again.
+    """
+    bounds = [j for j in (n - 3, n - 2, n - 1, 2, 1) if j > 0]
+    span = np.tile(np.array(bounds, dtype=np.uint64) + np.uint64(1),
+                   iterations)
+    reject_below = (np.uint64(2**32) - span) % span
+    bitgen = np.random.PCG64(seed)
+    stream = _uint32_draws(bitgen, len(span))
+    value = np.empty(len(span), dtype=np.uint64)
+    done = skipped = 0
+    while done < len(span):
+        if len(span) + skipped > len(stream):
+            stream = np.concatenate((stream, _uint32_draws(bitgen, skipped)))
+        m = stream[done + skipped:len(span) + skipped] * span[done:]
+        rejected = np.flatnonzero((m & _LOW32) < reject_below[done:])
+        take = rejected[0] if len(rejected) else len(m)
+        value[done:done + take] = m[:take] >> np.uint64(32)
+        done += take
+        skipped += 1 if len(rejected) else 0
+    draws = value.astype(np.intp).reshape(iterations, len(bounds)).T
+    first = np.zeros(iterations, dtype=np.intp) if n == 3 else draws[0]
+    second, third, swap2, swap1 = draws[-4:]
+    second = np.where(second == first, n - 2, second)
+    third = np.where((third == first) | (third == second), n - 1, third)
+    triples = np.column_stack((first, second, third))
+    rows = np.arange(iterations)
+    for col, other in ((2, swap2), (1, swap1)):
+        picked = triples[rows, other]
+        triples[rows, other] = triples[:, col]
+        triples[:, col] = picked
+    return triples
+
+
 def ransac_plane(points: np.ndarray, threshold: float, iterations: int,
                  seed: int):
     """Best plane through seeded 3-point hypotheses, scored by inlier count.
 
     Ties keep the first hypothesis found. Returns (Plane, inlier indices)
-    where every inlier satisfies |n . p + d| <= threshold. Hypotheses are
-    scored in float32, in cache-sized blocks (``_inlier_counts``). The
-    three numbers pass ``PipelineConfig``'s rules of its ``ransac_`` fields.
+    where every inlier satisfies |n . p + d| <= threshold. The triples are
+    those of a ``rng.choice(n, 3, replace=False)`` loop, drawn in one pass
+    (``_ransac_triples``); hypotheses are scored in float32, in cache-sized
+    blocks (``_inlier_counts``). The three numbers pass ``PipelineConfig``'s
+    rules of its ``ransac_`` fields; a NaN or infinite coordinate raises
+    NonFiniteError.
     """
     rule = PipelineConfig(ransac_threshold=threshold,
                           ransac_iterations=iterations, ransac_seed=seed)
     threshold, iterations = rule.ransac_threshold, rule.ransac_iterations
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _finite_points(points)
     n = len(pts)
     if n < 3:
         raise DegenerateCloudError("plane fit needs at least 3 points")
-    rng = np.random.default_rng(rule.ransac_seed)
-    samples = np.empty((iterations, 3), dtype=np.intp)
-    for it in range(iterations):
-        samples[it] = rng.choice(n, size=3, replace=False)
+    samples = _ransac_triples(n, iterations, rule.ransac_seed)
     p0, p1, p2 = pts[samples[:, 0]], pts[samples[:, 1]], pts[samples[:, 2]]
     normals = np.cross(p1 - p0, p2 - p0)
     norms = np.linalg.norm(normals, axis=1)
@@ -475,6 +543,28 @@ def _dense_cells(points: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     return verdict
 
 
+def _query_density(tree, points: np.ndarray, rows: np.ndarray,
+                   cfg: PipelineConfig, workers: int) -> np.ndarray:
+    """1 (dense) or 2 (sparse) per point ``points[rows]``: whether at least
+    density_min_points other points of the kd-tree ``tree`` of ``points``
+    lie within density_radius, boundary inclusive. Queried in
+    ``_QUERY_BLOCK`` row blocks on ``workers`` threads each."""
+    # "at least m neighbours within r (excluding self)" is equivalent to
+    # "the (m+1)-th nearest indexed point (self included, distance 0) lies
+    # within r" -- a pruned knn query instead of full neighbour enumeration.
+    # That distance is exact, so no tree shape changes a verdict.
+    k = cfg.density_min_points + 1
+    bound = np.nextafter(cfg.density_radius, np.inf)
+    verdict = np.empty(len(rows), dtype=np.int8)
+    for lo in range(0, len(rows), _QUERY_BLOCK):
+        block = rows[lo:lo + _QUERY_BLOCK]
+        dist, _ = tree.query(points[block], k=k, distance_upper_bound=bound,
+                             workers=workers)
+        verdict[lo:lo + len(block)] = np.where(
+            dist[:, -1] <= cfg.density_radius, 1, 2)
+    return verdict
+
+
 def density_filter(points: np.ndarray, structure_mask: np.ndarray,
                    cfg: PipelineConfig,
                    verdict: Optional[np.ndarray] = None) -> np.ndarray:
@@ -483,22 +573,21 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     A structure point stays when at least density_min_points points of the
     whole cloud (structure and ground, the point itself excluded) lie
     within density_radius, boundary inclusive. Never promotes ground. A
-    point's verdict does not depend on the mask.
+    point's verdict does not depend on the mask. A NaN or infinite
+    coordinate raises NonFiniteError.
 
     ``verdict`` holds what is known per point (0 not judged, 1 dense, 2
     sparse; left unchanged): by default the grid's dense cells
     (``_dense_cells``), or every point's (``Neighbours.density``). The
-    structure points not yet judged query a kd-tree of the cloud.
+    structure points not yet judged query a kd-tree of the cloud
+    (``_query_density``).
     """
+    points = _finite_points(points)
     mask = np.asarray(structure_mask, dtype=bool).copy()
     idx = np.flatnonzero(mask)
     if len(idx) == 0 or cfg.density_min_points == 0:
         return mask
-    # "at least m neighbours within r (excluding self)" is equivalent to
-    # "the (m+1)-th nearest indexed point (self included, distance 0) lies
-    # within r" -- a pruned knn query instead of full neighbour enumeration
-    k = cfg.density_min_points + 1
-    if len(points) < k:
+    if len(points) <= cfg.density_min_points:
         mask[idx] = False
         return mask
     if verdict is None:
@@ -508,13 +597,24 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     if todo.any():
         # scipy.spatial takes ~0.35 s to import; only kd-tree users pay
         from scipy.spatial import cKDTree
-        bound = np.nextafter(cfg.density_radius, np.inf)
-        dist, _ = cKDTree(points).query(
-            points[idx[todo]], k=k, distance_upper_bound=bound,
-            workers=query_workers())
-        judged[todo] = np.where(dist[:, -1] <= cfg.density_radius, 1, 2)
+        judged[todo] = _query_density(cKDTree(points), points, idx[todo],
+                                      cfg, query_workers())
     mask[idx[judged == 2]] = False
     return mask
+
+
+def _structure_tree(points: np.ndarray, structure: np.ndarray,
+                    verdict: np.ndarray, cfg: PipelineConfig):
+    """The whole cloud's kd-tree, after judging on it, on one thread, each
+    point of ``structure`` that ``verdict`` leaves open (0): the density
+    work of a plan without a WC variant that needs only the coarse split.
+    ``run_pipeline`` runs it beside the fine stage (``geom.run_beside``),
+    so it calls no function the benchmark tracer wraps."""
+    from scipy.spatial import cKDTree   # deferred, as in density_filter
+    tree = cKDTree(points, balanced_tree=False, copy_data=False)
+    todo = structure[verdict[structure] == 0]
+    verdict[todo] = _query_density(tree, points, todo, cfg, 1)
+    return tree
 
 
 def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
@@ -644,9 +744,19 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
     coarse ground's rows and every point's density (``_normals_for``);
     coarse-ground normals and region growing; one density filter over the
     union of the variants' masks. Each variant then only judges its
-    clusters (``classify_cluster``). Its latency_ms holds the measured time
-    of each stage it uses, region_growing with its own verdicts added.
-    Outputs share arrays: treat them as read-only.
+    clusters (``classify_cluster``). Without a without_coarse variant, a
+    helper thread builds the whole cloud's kd-tree and judges the coarse
+    structure's density on it while the fine stage runs
+    (``_structure_tree``, ``geom.run_beside``); the calling thread then
+    judges only the promoted points the grid left open, and the filter gets
+    every verdict it needs. The helper is joined before the call returns or
+    raises.
+
+    Each variant's latency_ms holds the measured time of each stage it
+    uses on the calling thread, region_growing with its own verdicts
+    added; density is the time the density stage holds the calling thread
+    (the grid, the wait for the helper, the promoted points and the
+    filter). Outputs share arrays: treat them as read-only.
     """
     single = modes is None
     variants = [replace(cfg, stage_mode=s, eigen_mode=e) for s, e in
@@ -670,17 +780,7 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
                                             nbrs.curvature, cfg, nbrs.knn_idx)
         return nbrs
 
-    if stage_modes & {FULL, WITHOUT_FINE}:
-        with _timed(ms, "coarse"):
-            coarse = coarse_split(pts, cfg)
-    # the whole cloud first: its query serves the coarse ground's normals
-    if WITHOUT_COARSE in stage_modes and n >= 3:
-        whole = fine(WITHOUT_COARSE, everything)
-    if FULL in stage_modes and len(coarse.ground) >= 3:
-        fine(FULL, coarse.ground, whole)
-
-    outputs = []
-    for v in variants:
+    def output(v):   # variant v before the density filter
         split = v.stage_mode != WITHOUT_COARSE
         out = SegmentationOutput(
             prediction=np.zeros(n, dtype=bool),
@@ -703,12 +803,40 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
                 for c in out.clusters:
                     if c.verdict == STRUCTURE:
                         out.prediction[c.indices] = True
-        outputs.append(out)
+        return out
 
-    with _timed(ms, "density"):
-        kept = density_filter(
-            pts, np.logical_or.reduce([out.prediction for out in outputs]),
-            cfg, None if whole is None else whole.density)
+    if stage_modes & {FULL, WITHOUT_FINE}:
+        with _timed(ms, "coarse"):
+            coarse = coarse_split(pts, cfg)
+    # without a WC variant no whole-cloud query judges density: the coarse
+    # structure is judged beside the fine stage, on a whole-cloud tree
+    ahead = (coarse is not None and WITHOUT_COARSE not in stage_modes
+             and n > cfg.density_min_points > 0)
+    with ExitStack() as helper:
+        if ahead:
+            with _timed(ms, "density"):
+                verdict = _dense_cells(pts, cfg)
+                # a module's objects stay in the malloc arena of the thread
+                # that imports it: the kd-tree's, on this thread's
+                import scipy.spatial  # noqa: F401
+                tree_of = helper.enter_context(run_beside(partial(
+                    _structure_tree, pts, coarse.structure, verdict, cfg)))
+        # the whole cloud first: its query serves the coarse ground's normals
+        if WITHOUT_COARSE in stage_modes and n >= 3:
+            whole = fine(WITHOUT_COARSE, everything)
+        if FULL in stage_modes and len(coarse.ground) >= 3:
+            fine(FULL, coarse.ground, whole)
+
+        outputs = [output(v) for v in variants]
+        with _timed(ms, "density"):
+            union = np.logical_or.reduce([out.prediction for out in outputs])
+            if ahead:   # the promoted points the grid left open
+                todo = np.flatnonzero(union & (verdict == 0))
+                verdict[todo] = _query_density(tree_of(), pts, todo, cfg,
+                                               query_workers())
+            else:
+                verdict = None if whole is None else whole.density
+            kept = density_filter(pts, union, cfg, verdict)
     for out in outputs:
         out.density_removed = np.flatnonzero(out.prediction & ~kept)
         out.prediction &= kept

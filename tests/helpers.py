@@ -589,6 +589,27 @@ def region_grow_waves(points, subset, normals, curvatures, cfg, knn_idx):
     return clusters
 
 
+def ransac_triples_loop(n, iterations, seed, uint32s=False):
+    """The RANSAC triples as ``segment.ransac_plane`` drew them before it
+    drew them in one pass: one ``rng.choice(n, 3, replace=False)`` per
+    iteration. With ``uint32s``, also the number of uint32 draws the loop
+    took from the PCG64 stream, found by advancing a fresh generator one
+    raw word (two uint32s) at a time to the loop's final state."""
+    rng = np.random.default_rng(seed)
+    samples = np.empty((iterations, 3), dtype=np.intp)
+    for it in range(iterations):
+        samples[it] = rng.choice(n, size=3, replace=False)
+    if not uint32s:
+        return samples
+    end = rng.bit_generator.state
+    fresh = np.random.PCG64(seed)
+    words = 0
+    while fresh.state["state"] != end["state"]:
+        fresh.advance(1)
+        words += 1
+    return samples, 2 * words - end["has_uint32"]
+
+
 def ransac_plane_reference(points, threshold, iterations, seed):
     """The hypothesis scoring ``segment.ransac_plane`` had before it scored
     in cache-sized blocks: one (n, 256) distance chunk per 256 hypotheses
@@ -604,10 +625,7 @@ def ransac_plane_reference(points, threshold, iterations, seed):
     n = len(pts)
     if n < 3:
         raise DegenerateCloudError("plane fit needs at least 3 points")
-    rng = np.random.default_rng(seed)
-    samples = np.empty((iterations, 3), dtype=np.intp)
-    for it in range(iterations):
-        samples[it] = rng.choice(n, size=3, replace=False)
+    samples = ransac_triples_loop(n, iterations, seed)
     p0, p1, p2 = pts[samples[:, 0]], pts[samples[:, 1]], pts[samples[:, 2]]
     normals = np.cross(p1 - p0, p2 - p0)
     norms = np.linalg.norm(normals, axis=1)

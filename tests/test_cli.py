@@ -849,6 +849,33 @@ class TestTracerContract:
                 [(r.error, r.cm) for r in untraced]
             assert all(r.error is None for r in traced)
 
+    def test_wrapped_functions_run_on_the_calling_thread(self, monkeypatch):
+        # the tracer's span stack is not thread-safe: mode H's density
+        # helper must call none of the functions it wraps
+        tracing = load_tracing()
+        threads = {}
+
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                threads.setdefault(name, set()).add(
+                    threading.current_thread())
+                return fn(*args, **kwargs)
+            return call
+
+        targets = [(name, sites) for name, sites, _, _ in
+                   tracing.instrumentation()]
+        targets.append(("helper", [(segment, "_structure_tree")]))
+        for name, sites in targets:
+            fn = getattr(*sites[0])
+            for module, attr in sites:
+                monkeypatch.setattr(module, attr, recording(name, fn))
+        monkeypatch.setattr(geom, "_query_workers", 2)
+        segment.run_pipeline(_reduced_scan(1), segment.PipelineConfig())
+        main = threading.current_thread()
+        assert threads.pop("helper") != {main}
+        assert "segment.density" in threads
+        assert all(seen == {main} for seen in threads.values()), threads
+
 
 class TestThreshold:
     def test_separable_scores(self, tmp_path, capsys):

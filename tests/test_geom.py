@@ -107,18 +107,20 @@ _SCENE = synth.SceneSpec()
 _GROUND = Scene([], HeightFieldGround(0.1, 10.0))
 _SENSOR = synth.SensorConfig(v_resolution=2, h_resolution=4)
 _POINTS = np.random.default_rng(0).normal(size=(40, 3))
+_NAN_POINTS = np.where(np.arange(40)[:, None] == 7, np.nan, _POINTS)
 # no directory can be made here: a call that gets past its checks writes
 # nothing
 _NOWHERE = os.path.join(os.devnull, "scans")
 
 
-def refused(call):
-    """A MISUSE row for a number that its own rule refuses: the error must
-    be an InvalidSpecError, not a later typed error (a degenerate fit)."""
+def refused(call, error=InvalidSpecError):
+    """A MISUSE row for a value that its own rule refuses: the error must
+    be ``error``, by default an InvalidSpecError, not a later typed error
+    (a degenerate fit) or a library's own ValueError."""
     def row():
         try:
             call()
-        except InvalidSpecError:
+        except error:
             raise
         except Exception as exc:
             pytest.fail(f"not refused by its rule: {exc!r}")
@@ -166,6 +168,15 @@ MISUSE = {
         lambda: segment.ransac_plane(_POINTS, 0.1, 10, -1)),
     "normals_k_fraction": refused(
         lambda: geom.estimate_normals(_POINTS, k=4.5)),
+    "cloud_empty_points_shape": refused(
+        lambda: geom.LabeledCloud(np.zeros((0, 5)))),
+    "ransac_nonfinite": refused(
+        lambda: segment.ransac_plane(_NAN_POINTS, 0.5, 10, 0),
+        NonFiniteError),
+    "density_nonfinite": refused(
+        lambda: segment.density_filter(_NAN_POINTS, np.ones(40, dtype=bool),
+                                       segment.PipelineConfig()),
+        NonFiniteError),
 }
 
 

@@ -1,3 +1,5 @@
+import threading
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from helpers import (
     lattice,
     normals_one_pass,
     ransac_plane_reference,
+    ransac_triples_loop,
     region_grow_sequential,
     region_grow_waves,
 )
@@ -173,6 +176,33 @@ class TestRansacBlockScoring:
         pts = np.vstack([line, rng.uniform(-5, 5, (4, 3))])
         counts = assert_same_ransac(monkeypatch, pts, 0.2, 300, seed=3)
         assert (counts == -1).any() and (counts >= 0).any()
+
+
+class TestRansacTriples:
+    """The one-pass sampler against the ``rng.choice`` loop it replaced."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 100, 23_000, 40_001, 10**6])
+    def test_equals_the_choice_loop(self, n):
+        draws = 1000 * (4 if n == 3 else 5)     # n = 3: no draw in [0, 0]
+        rejections = []
+        for seed in range(48):
+            want, taken = ransac_triples_loop(n, 1000, seed, uint32s=True)
+            got = segment._ransac_triples(n, 1000, seed)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), seed
+            rejections.append(taken - draws)
+        assert min(rejections) == 0
+        if n == 10**6:      # Lemire rejections: one and more in one call
+            assert max(rejections) >= 2
+
+    @pytest.mark.parametrize("iterations", [1, 2, 7])
+    def test_few_iterations(self, iterations):
+        # odd draw counts leave half of the last raw word unused
+        for n in (3, 4, 10**6):
+            for seed in range(8):
+                assert np.array_equal(
+                    segment._ransac_triples(n, iterations, seed),
+                    ransac_triples_loop(n, iterations, seed))
 
 
 class TestCoarseSplit:
@@ -920,6 +950,92 @@ class TestStagePlan:
         segment.run_pipeline(_reduced_scan(1), CFG,
                              [cli.MODES[m] for m in modes])
         assert tuple(counts[name] for name in names) == calls
+
+
+class TestDensityBeside:
+    """A plan without a WC variant judges the coarse structure's density on
+    one helper thread while the fine stage runs, or inline before it with
+    one worker; outputs do not depend on which."""
+
+    PLANS = [["H"], ["R"], ["M"], ["WF"], list(cli.MODES)]
+
+    @pytest.mark.parametrize("scan", ["ortho", "crossed", "training"])
+    def test_one_and_two_workers_agree(self, monkeypatch, shipped_cloud,
+                                       scan):
+        cloud = shipped_cloud(scan)
+        cfg = tio.load_config(f"configs/{scan}.cfg").pipeline
+        got = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(geom, "_query_workers", workers)
+            got[workers] = [[output_digest(out) for out in segment.run_pipeline(
+                cloud, cfg, [cli.MODES[m] for m in plan])]
+                for plan in self.PLANS]
+        assert got[1] == got[2]
+
+    def test_one_worker_runs_inline_first(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 1)
+
+        def no_thread(thread):
+            raise AssertionError(f"started {thread}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        calls = []
+
+        def recording(name):
+            inner = getattr(segment, name)
+
+            def call(*args):
+                calls.append((name, threading.current_thread()))
+                return inner(*args)
+            return call
+
+        for name in ("_structure_tree", "_normals_for"):
+            monkeypatch.setattr(segment, name, recording(name))
+        segment.run_pipeline(_reduced_scan(1), CFG)
+        main = threading.current_thread()
+        assert calls == [("_structure_tree", main), ("_normals_for", main)]
+
+    def test_helper_is_joined_on_return_and_on_raise(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 2)
+        cloud = _reduced_scan(1)
+        before = threading.active_count()
+        segment.run_pipeline(cloud, CFG)
+        assert threading.active_count() == before
+        # the helper is still querying when region growing raises
+        helping = threading.Event()
+        inner = segment._query_density
+
+        def slow(*args):
+            if threading.current_thread() is not threading.main_thread():
+                helping.set()
+                time.sleep(0.3)
+            return inner(*args)
+
+        def broken(*args):
+            assert helping.wait(10)
+            raise RuntimeError("region growing failed")
+
+        monkeypatch.setattr(segment, "_query_density", slow)
+        monkeypatch.setattr(segment, "region_grow", broken)
+        with pytest.raises(RuntimeError, match="region growing failed"):
+            segment.run_pipeline(cloud, CFG)
+        assert threading.active_count() == before
+
+    def test_helper_exception_keeps_its_type(self, monkeypatch):
+        class HelperFailure(Exception):
+            pass
+
+        monkeypatch.setattr(geom, "_query_workers", 2)
+        threads = []
+
+        def failing(*args):
+            threads.append(threading.current_thread())
+            raise HelperFailure
+
+        monkeypatch.setattr(segment, "_query_density", failing)
+        with pytest.raises(HelperFailure):
+            segment.run_pipeline(_reduced_scan(1), CFG)
+        assert threads and threads[0] is not threading.main_thread()
 
 
 WC = replace(CFG, stage_mode=segment.WITHOUT_COARSE)
