@@ -15,6 +15,10 @@ class NonFiniteError(TrussKitError, ValueError):
     """A coordinate is NaN or infinite."""
 
 
+class CoordinateRangeError(TrussKitError, ValueError):
+    """A finite coordinate's magnitude exceeds ``geom.COORDINATE_BOUND``."""
+
+
 class EmptySubsetError(TrussKitError, ValueError):
     """A subset argument selected zero points."""
 

@@ -53,6 +53,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import (
+    CoordinateRangeError,
     EmptySubsetError,
     FieldTypeError,
     InvalidSpecError,
@@ -65,6 +66,13 @@ from .errors import (
 )
 
 MAX_CURVATURE = 1.0 / 3.0
+
+# the largest |coordinate| a stage takes. RANSAC scores its hypotheses in
+# float32 (finite below 3.4e38), and the kd-trees and covariances square
+# coordinate differences in float64 (finite below 1.8e308): at 1e30 both
+# hold with eight orders of magnitude to spare, where a scan in metres
+# spans about 1e2. Past 1e38 the float32 scores overflow.
+COORDINATE_BOUND = 1e30
 
 # a covariance row whose lambda1 - lambda0 is at most this share of its trace
 # goes to np.linalg.eigh: there the closed-form normal is ill-conditioned
@@ -99,9 +107,17 @@ def _as_points(points) -> np.ndarray:
 
 
 def _finite_points(points) -> np.ndarray:
+    """``points`` as (n, 3) float64 when every |coordinate| is at most
+    ``COORDINATE_BOUND``: NonFiniteError for NaN or inf, else
+    CoordinateRangeError. The min/max test is False for NaN too, and makes
+    no (n, 3) temporary."""
     pts = _as_points(points)
-    if not np.isfinite(pts).all():
-        raise NonFiniteError("cloud contains NaN/inf coordinates")
+    if pts.size and not (-COORDINATE_BOUND <= pts.min()
+                         and pts.max() <= COORDINATE_BOUND):
+        if not np.isfinite(pts).all():
+            raise NonFiniteError("cloud contains NaN/inf coordinates")
+        raise CoordinateRangeError(
+            f"cloud has a coordinate beyond ±{COORDINATE_BOUND:g}")
     return pts
 
 

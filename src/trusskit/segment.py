@@ -229,56 +229,21 @@ def _inlier_counts(pts32: np.ndarray, n32: np.ndarray, d32: np.ndarray,
     return counts
 
 
-# a uint32 draw is one half of a raw PCG64 word
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _uint32_draws(bitgen, count: int) -> np.ndarray:
-    """The next ``count`` uint32 draws of ``bitgen`` (one more when
-    ``count`` is odd), as uint64: each raw word gives its low half, then
-    its high half, the order numpy's ``next_uint32`` hands them out."""
-    words = bitgen.random_raw(-(-count // 2))
-    draws = np.empty((len(words), 2), dtype=np.uint64)
-    draws[:, 0] = words & _LOW32
-    draws[:, 1] = words >> np.uint64(32)
-    return draws.reshape(-1)
-
-
 def _ransac_triples(n: int, iterations: int, seed: int) -> np.ndarray:
     """(iterations, 3) indices, row i the i-th
     ``rng.choice(n, 3, replace=False)`` of ``np.random.default_rng(seed)``,
-    drawn in one pass; 3 <= n < 2**32.
+    for any n >= 3.
 
     ``choice`` runs Floyd's algorithm, bounded draws in [0, j] for
     j = n-3, n-2, n-1 where a value already taken becomes j, then shuffles
-    the three with draws in [0, 2] and [0, 1]. A draw in [0, j] takes no
-    uint32 when j is 0 (n = 3); else it is Lemire's: a uint32 u times
-    j + 1, whose high 32 bits are the value unless its low 32 bits fall
-    below (2**32 - j - 1) mod (j + 1). Then u is rejected and the draw
-    takes the next uint32. Every draw is computed at the place it takes
-    when nothing is rejected; from the first rejection on, the draws move
-    one uint32 along and are computed again.
+    the three with draws in [0, 2] and [0, 1]. ``integers`` given an array
+    of inclusive bounds makes the same bounded draw per element, in order
+    (a bound of 0, at n = 3, takes none), so one call makes every draw.
     """
-    bounds = [j for j in (n - 3, n - 2, n - 1, 2, 1) if j > 0]
-    span = np.tile(np.array(bounds, dtype=np.uint64) + np.uint64(1),
-                   iterations)
-    reject_below = (np.uint64(2**32) - span) % span
-    bitgen = np.random.PCG64(seed)
-    stream = _uint32_draws(bitgen, len(span))
-    value = np.empty(len(span), dtype=np.uint64)
-    done = skipped = 0
-    while done < len(span):
-        if len(span) + skipped > len(stream):
-            stream = np.concatenate((stream, _uint32_draws(bitgen, skipped)))
-        m = stream[done + skipped:len(span) + skipped] * span[done:]
-        rejected = np.flatnonzero((m & _LOW32) < reject_below[done:])
-        take = rejected[0] if len(rejected) else len(m)
-        value[done:done + take] = m[:take] >> np.uint64(32)
-        done += take
-        skipped += 1 if len(rejected) else 0
-    draws = value.astype(np.intp).reshape(iterations, len(bounds)).T
-    first = np.zeros(iterations, dtype=np.intp) if n == 3 else draws[0]
-    second, third, swap2, swap1 = draws[-4:]
+    spans = np.tile(np.array((n - 3, n - 2, n - 1, 2, 1), dtype=np.int64),
+                    iterations)
+    draws = np.random.default_rng(seed).integers(0, spans, endpoint=True)
+    first, second, third, swap2, swap1 = draws.reshape(iterations, 5).T
     second = np.where(second == first, n - 2, second)
     third = np.where((third == first) | (third == second), n - 1, third)
     triples = np.column_stack((first, second, third))
@@ -296,11 +261,12 @@ def ransac_plane(points: np.ndarray, threshold: float, iterations: int,
 
     Ties keep the first hypothesis found. Returns (Plane, inlier indices)
     where every inlier satisfies |n . p + d| <= threshold. The triples are
-    those of a ``rng.choice(n, 3, replace=False)`` loop, drawn in one pass
-    (``_ransac_triples``); hypotheses are scored in float32, in cache-sized
-    blocks (``_inlier_counts``). The three numbers pass ``PipelineConfig``'s
-    rules of its ``ransac_`` fields; a NaN or infinite coordinate raises
-    NonFiniteError.
+    those of a ``rng.choice(n, 3, replace=False)`` loop, drawn by one
+    ``Generator.integers`` call (``_ransac_triples``); hypotheses are scored
+    in float32, in cache-sized blocks (``_inlier_counts``). The three
+    numbers pass ``PipelineConfig``'s rules of its ``ransac_`` fields; a NaN
+    or infinite coordinate raises NonFiniteError, and one beyond
+    ``geom.COORDINATE_BOUND`` CoordinateRangeError.
     """
     rule = PipelineConfig(ransac_threshold=threshold,
                           ransac_iterations=iterations, ransac_seed=seed)
@@ -574,7 +540,8 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     whole cloud (structure and ground, the point itself excluded) lie
     within density_radius, boundary inclusive. Never promotes ground. A
     point's verdict does not depend on the mask. A NaN or infinite
-    coordinate raises NonFiniteError.
+    coordinate raises NonFiniteError, and one beyond
+    ``geom.COORDINATE_BOUND`` CoordinateRangeError.
 
     ``verdict`` holds what is known per point (0 not judged, 1 dense, 2
     sparse; left unchanged): by default the grid's dense cells

@@ -550,8 +550,10 @@ def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
     scene_child, pose_child, noise_child = root.spawn(3)
     spec_i = scene_spec
     if scene_spec.boxes is not None:
-        spec_i = replace(scene_spec,
-                         seed=int(scene_child.generate_state(1, np.uint64)[0]))
+        # a world per scan, drawn from the dataset seed and mixed with
+        # [scene] seed; seed 0 keeps the drawn world
+        drawn = int(scene_child.generate_state(1, np.uint64)[0])
+        spec_i = replace(scene_spec, seed=drawn ^ scene_spec.seed)
     scene = _scene_for(spec_i)
 
     pose_rng = np.random.default_rng(pose_child)

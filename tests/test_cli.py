@@ -432,6 +432,25 @@ class TestSegmentEvaluate:
         assert sorted(p.name for p in out.glob("*.pcd")) == \
             ["scan_00000.pcd", "scan_00001.pcd"]
 
+    def test_huge_coordinates_are_refused_by_name(self, tmp_path, capsys):
+        # float64 coordinates at 1e200 once overflowed the kd-tree's
+        # squared distances, which ended in a raw IndexError
+        pts = np.random.default_rng(2).uniform(-5.0, 5.0, (3000, 3)) * 1e200
+        pts[:, 2] *= 1e-3
+        head = ("VERSION .7\nFIELDS x y z\nSIZE 8 8 8\nTYPE F F F\n"
+                f"COUNT 1 1 1\nWIDTH {len(pts)}\nHEIGHT 1\n"
+                f"POINTS {len(pts)}\nDATA binary\n")
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "a.pcd").write_bytes(
+            head.encode() + pts.astype("<f8").tobytes())
+        capsys.readouterr()
+        rc = cli.main(["segment", "--in", str(tmp_path / "in"),
+                       "--out", str(tmp_path / "pred"), "--mode", "WC_H"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: a.pcd: CoordinateRangeError: cloud has a coordinate "
+            f"beyond ±{geom.COORDINATE_BOUND:g}\n")
+
     def test_write_failure_fails_only_its_target(self, tmp_path):
         # a directory stands where one target's prediction goes
         data = make_tiny_dataset(tmp_path, n=1)

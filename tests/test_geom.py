@@ -1,6 +1,7 @@
 import os
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from trusskit import geom
 from trusskit import io as tio
 from trusskit import metrics, segment, synth
 from trusskit.errors import (
+    CoordinateRangeError,
     EmptySubsetError,
     InvalidSpecError,
     NonFiniteError,
@@ -179,12 +181,60 @@ MISUSE = {
         NonFiniteError),
 }
 
+# a planar cloud of 3,000 points, scaled past geom.COORDINATE_BOUND: every
+# stage refuses it by name before an overflow warning, a raw IndexError
+# from the kd-tree's missing-neighbour marker, or a misleading typed error
+_PLANAR = np.column_stack((
+    np.random.default_rng(1).uniform(-5.0, 5.0, (3000, 2)), np.zeros(3000)))
+_TAKES_COORDINATES = {
+    "pipeline_full": lambda p: segment.run_pipeline(
+        geom.LabeledCloud(p), segment.PipelineConfig()),
+    "pipeline_without_coarse": lambda p: segment.run_pipeline(
+        geom.LabeledCloud(p),
+        segment.PipelineConfig(stage_mode=segment.WITHOUT_COARSE)),
+    "normals": lambda p: geom.estimate_normals(p, 30),
+    "voxel": lambda p: geom.voxel_downsample(p, 0.1),
+    "ransac": lambda p: segment.ransac_plane(p, 0.5, 1000, 0),
+    "density": lambda p: segment.density_filter(
+        p, np.ones(len(p), dtype=bool), segment.PipelineConfig()),
+    "cloud": geom.LabeledCloud,
+}
+MISUSE.update({
+    f"{name}_at_{scale:.0e}": refused(partial(call, _PLANAR * scale),
+                                      CoordinateRangeError)
+    for name, call in _TAKES_COORDINATES.items()
+    for scale in (1e40, 1e77, 1e154, 1e160, 1e200)})
+
 
 @pytest.mark.parametrize("call", MISUSE.values(), ids=list(MISUSE))
 def test_misuse_raises_typed_error(call):
     with pytest.raises(TrussKitError) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+class TestCoordinateBound:
+    def test_nonfinite_keeps_its_error(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            pts = _PLANAR * 1e40
+            pts[7, 1] = bad
+            with pytest.raises(NonFiniteError,
+                               match="cloud contains NaN/inf coordinates"):
+                geom.LabeledCloud(pts)
+
+    @pytest.mark.parametrize("mode", [segment.FULL, segment.WITHOUT_COARSE])
+    def test_pipeline_runs_at_the_bound(self, mode):
+        # the bound itself passes; with the lengths scaled along, no stage
+        # overflows (pytest turns a trusskit RuntimeWarning into an error)
+        scale = geom.COORDINATE_BOUND / 5.0
+        pts = _PLANAR * scale
+        pts[0, 0] = -geom.COORDINATE_BOUND
+        cfg = segment.PipelineConfig(
+            voxel_leaf=0.1 * scale, ransac_threshold=0.5 * scale,
+            magnitude_threshold=0.5 * scale, density_radius=0.25 * scale,
+            stage_mode=mode)
+        out = segment.run_pipeline(geom.LabeledCloud(pts), cfg)
+        assert len(out.prediction) == len(pts)
 
 
 class TestRunRowBlocks:

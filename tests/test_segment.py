@@ -179,7 +179,7 @@ class TestRansacBlockScoring:
 
 
 class TestRansacTriples:
-    """The one-pass sampler against the ``rng.choice`` loop it replaced."""
+    """The one-call sampler against the ``rng.choice`` loop it replaced."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 100, 23_000, 40_001, 10**6])
     def test_equals_the_choice_loop(self, n):
@@ -194,6 +194,13 @@ class TestRansacTriples:
         assert min(rejections) == 0
         if n == 10**6:      # Lemire rejections: one and more in one call
             assert max(rejections) >= 2
+
+    @pytest.mark.parametrize("n", [2**32, 2**32 + 5, 2**40])
+    def test_equals_the_choice_loop_past_uint32(self, n):
+        # bounds past 2**32 - 1 take 64-bit draws
+        for seed in range(8):
+            assert np.array_equal(segment._ransac_triples(n, 7, seed),
+                                  ransac_triples_loop(n, 7, seed))
 
     @pytest.mark.parametrize("iterations", [1, 2, 7])
     def test_few_iterations(self, iterations):

@@ -881,6 +881,30 @@ class TestGenerateDataset:
         synth.generate_dataset(boxes, 3, 42, tmp_path / "c", sensor=SMALL_SENSOR)
         assert len(builds) == 3 and len({b.seed for b in builds}) == 3
 
+    def test_scene_seed_shapes_the_box_worlds(self, tmp_path, monkeypatch):
+        # each scan's drawn world seed is XORed with [scene] seed: 0 keeps
+        # it (the bytes of every seed-0 dataset made before), 7 changes it
+        built = []
+
+        def recording(spec):
+            built.append(spec.seed)
+            return build(spec)
+
+        build = synth.build_scene
+        monkeypatch.setattr(synth, "build_scene", recording)
+        synth._scene_for.cache_clear()
+        spec = synth.SceneSpec(tree_count=2, boxes=synth.BoxFieldSpec(count=6))
+        for seed in (0, 7):
+            synth.generate_dataset(replace(spec, seed=seed), 2, 42,
+                                   tmp_path / str(seed), sensor=SMALL_SENSOR)
+        drawn = [int(np.random.SeedSequence(42, spawn_key=(i,)).spawn(3)[0]
+                     .generate_state(1, np.uint64)[0]) for i in range(2)]
+        assert built == drawn + [d ^ 7 for d in drawn]
+        for i in range(2):
+            scan = f"clouds/scan_{i:05d}.pcd"
+            assert (tmp_path / "0" / scan).read_bytes() != \
+                (tmp_path / "7" / scan).read_bytes()
+
     @pytest.mark.parametrize("clear_at", [1, 4, None])
     def test_pose_is_the_first_clear_draw(self, tmp_path, monkeypatch,
                                           clear_at):
