@@ -493,14 +493,16 @@ def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from the largest cross product of two rows of ``C - lambda0 I`` (unit
     length, arbitrary sign), both on ``C / trace(C)`` so that no product
     under- or overflows. Rows where ``lambda1 - lambda0`` is not above
-    ``_EIGEN_GAP_TOL`` times the trace (NaN included, as for ``C = c I``
-    and ``C = 0``) take both from ``np.linalg.eigh`` instead.
+    ``_EIGEN_GAP_TOL`` times the trace (NaN included, as for ``C = c I``,
+    ``C = 0`` and a subnormal trace) take both from ``np.linalg.eigh``
+    instead.
 
     cov is (n, 3, 3); returns (lam (n, 3), v0 (n, 3)).
     """
     n = len(cov)
-    # C = 0 and C = c I make NaNs here; the gap test below routes them
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # C = 0, C = c I and a subnormal trace (1 / trace overflows) make NaNs
+    # here; the gap test below routes them
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         trace = cov[:, 0, 0] + cov[:, 1, 1] + cov[:, 2, 2]
         inv = 1.0 / trace
         a00, a01, a02, a11, a12, a22 = (cov[:, i, j] * inv

@@ -332,6 +332,17 @@ class TestEigen:
             assert abs(dec.eigenvalues.sum() - np.trace(C)) <= \
                 1e-9 * max(1.0, abs(np.trace(C)))
 
+    def test_subnormal_trace_goes_to_eigh(self):
+        # 1 / trace overflows for these; eigh3_smallest must hand them to
+        # np.linalg.eigh without a RuntimeWarning
+        cov = np.zeros((2, 3, 3))
+        cov[0, 2, 2] = 5.06e-321
+        cov[1] = np.diag([1e-310, 2e-310, 3e-315])
+        lam, v0 = geom.eigh3_smallest(cov)
+        want_lam, want_v = np.linalg.eigh(cov)
+        assert np.array_equal(lam, want_lam)
+        assert np.array_equal(v0, want_v[:, :, 0])
+
     @staticmethod
     def _rotated(rng, m, diag):
         """m covariances R diag(d) R^T, one random rotation and d each."""
