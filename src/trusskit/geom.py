@@ -330,12 +330,17 @@ def covariance(points, subset=None):
 
     Returns:
         (centroid (3,), C (3, 3)) with C exactly symmetric.
+
+    The points used (the subset's alone, so a call costs O(subset)) must
+    be finite (NonFiniteError) and within ``COORDINATE_BOUND``
+    (CoordinateRangeError), where C cannot overflow.
     """
     pts = _as_points(points)
     if subset is not None:
         pts = pts[np.asarray(subset, dtype=np.intp)]
     if len(pts) == 0:
         raise EmptySubsetError("covariance of an empty subset")
+    pts = _finite_points(pts)
     centroid = pts.mean(axis=0)
     X = pts - centroid
     C = (X.T @ X) / len(pts)

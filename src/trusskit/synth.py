@@ -427,10 +427,11 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
 
     ``dtype`` is the precision of the returned points: ``np.float64`` (the
     default) or ``np.float32``, the points a PCD stores. With float32 the
-    ground bisection of a ray stops once every t in its bracket gives the
-    same ground decision, range gate and float32 point (``_ground_settled``),
-    and the points equal ``raycast_scan(...).points.astype(np.float32)``
-    bit for bit, with the same labels.
+    ground root loop of a ray (``ray_ground``) stops once every t in its
+    bracket gives the same ground decision, range gate and float32 point
+    (``_ground_settled``), and the points equal
+    ``raycast_scan(...).points.astype(np.float32)`` bit for bit, with the
+    same labels.
     """
     seed = _seed(seed)
     if dtype not in (np.float64, np.float32):
@@ -502,7 +503,8 @@ def _ground_settled(dirs_s, noise, t_solid, cfg: SensorConfig):
     these is monotone in t, so every t in the bracket then gives what the
     root gives. A bracket wider than ``lo * 2**-26`` is not tested: it
     holds a float32 rounding point of some coordinate in most cases, and
-    one more halving costs less than the test.
+    the root loop's next step usually closes it or brings it below that
+    width.
     """
     def settled(lo, hi, rays):
         width = hi - lo

@@ -222,17 +222,25 @@ def ray_ground_fine_march(origin, direction, ground, t_max, step=0.002):
     return 0.5 * (lo + hi)
 
 
-def ray_ground_stepwise(origin, dirs, ground, t_upper, step=None):
-    """Reference for ``primitives.ray_ground``: its earlier form, kept
-    verbatim as a bit-identity gate. It re-gathers ``dirs[mask]`` on every
-    surface evaluation, re-concatenates the brackets on every march step
-    and always runs all 80 bisection halvings.
+def ray_ground_stepwise(origin, dirs, ground, t_upper, step=None,
+                        brackets=False):
+    """Reference for ``primitives.ray_ground``: an earlier form, the oracle
+    of its march and of the float32 scans. It re-gathers ``dirs[mask]`` on
+    every surface evaluation, re-concatenates the brackets on every march
+    step and always runs all 80 bisection halvings.
 
     First crossing of the ground surface along each ray, below t_upper.
 
     amplitude 0 is solved exactly against the plane z = 0. Otherwise the
     surface is bracketed by marching within the |z| <= amplitude band and
-    refined by bisection to sub-nanometre residuals.
+    refined by bisection to sub-nanometre residuals. ``ray_ground`` makes
+    the same march steps and the same hits; its float64 root may sit on
+    another sign change of the computed surface inside the same step, and a
+    float32 scan rounds both roots to the same points.
+
+    With ``brackets=True`` it returns (t, lo, hi): each hit's march step
+    [lo, hi], which holds its root, and NaN for a miss or an immediate
+    contact (t = its start).
     """
     from trusskit.primitives import _EPS
 
@@ -303,6 +311,10 @@ def ray_ground_stepwise(origin, dirs, ground, t_upper, step=None):
             hi_b = np.where(below, mid, hi_b)
             lo_b = np.where(below, lo_b, mid)
         t[bracket_idx] = 0.5 * (lo_b + hi_b)
+    if brackets:
+        step_lo, step_hi = np.full(len(dirs), np.nan), np.full(len(dirs), np.nan)
+        step_lo[bracket_idx], step_hi[bracket_idx] = bracket_lo, bracket_hi
+        return t, step_lo, step_hi
     return t
 
 
@@ -371,10 +383,12 @@ def candidate_rays_cap(center_s, radius, els, azs):
     return (rows[:, None] * h + cols[None, :]).ravel()
 
 
-def raycast_scan_per_solid(scene, pose, cfg, seed=0):
+def raycast_scan_per_solid(scene, pose, cfg, seed=0, ground_root=None):
     """Reference for ``synth.raycast_scan``: its earlier form, kept verbatim
     as a bit-identity gate. It culls and intersects one solid at a time, in
-    scene order, with ``ray_box_slab`` for boxes."""
+    scene order, with ``ray_box_slab`` for boxes. ``ground_root`` replaces
+    ``primitives.ray_ground`` as the ground intersection (same signature,
+    without ``settled``)."""
     from trusskit.geom import LabeledCloud
     from trusskit.primitives import (
         OrientedBox,
@@ -417,7 +431,7 @@ def raycast_scan_per_solid(scene, pose, cfg, seed=0):
 
     if scene.ground is not None:
         t_upper = np.minimum(t_best, cfg.max_range + 1.0)
-        tg = ray_ground(origin, dirs_w, scene.ground, t_upper)
+        tg = (ground_root or ray_ground)(origin, dirs_w, scene.ground, t_upper)
         better = tg < t_best
         t_best[better] = tg[better]
         label_best[better] = 0

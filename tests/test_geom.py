@@ -179,6 +179,10 @@ MISUSE = {
         lambda: segment.density_filter(_NAN_POINTS, np.ones(40, dtype=bool),
                                        segment.PipelineConfig()),
         NonFiniteError),
+    "covariance_nonfinite": refused(
+        lambda: geom.covariance(_NAN_POINTS), NonFiniteError),
+    "covariance_nonfinite_subset": refused(
+        lambda: geom.covariance(_NAN_POINTS, [3, 7, 9]), NonFiniteError),
 }
 
 # a planar cloud of 3,000 points, scaled past geom.COORDINATE_BOUND: every
@@ -198,6 +202,7 @@ _TAKES_COORDINATES = {
     "density": lambda p: segment.density_filter(
         p, np.ones(len(p), dtype=bool), segment.PipelineConfig()),
     "cloud": geom.LabeledCloud,
+    "covariance": geom.covariance,
 }
 MISUSE.update({
     f"{name}_at_{scale:.0e}": refused(partial(call, _PLANAR * scale),
@@ -307,6 +312,16 @@ class TestCovariance:
     def test_empty_subset(self):
         with pytest.raises(EmptySubsetError):
             geom.covariance(np.zeros((4, 3)), [])
+
+    def test_checks_only_the_subset(self):
+        # a NaN or a huge point outside the subset is not read
+        pts = _POINTS.copy()
+        pts[7] = np.nan
+        pts[8] = 1e200
+        subset = [0, 1, 2, 3]
+        c, C = geom.covariance(pts, subset)
+        c0, C0 = geom.covariance(_POINTS[:4])
+        assert np.array_equal(c, c0) and np.array_equal(C, C0)
 
 
 class TestEigen:

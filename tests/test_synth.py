@@ -597,9 +597,23 @@ def _assert_float32_scan(scene, pose, cfg, seed=0):
     return want
 
 
+def _assert_bisection_bytes(scene, pose, cfg, seed=0):
+    """The float32 scan is, bit for bit, the scan whose ground root is the
+    bisection of ``ray_ground_stepwise``, rounded: the points generate
+    writes do not depend on which sign change of f the root loop lands on."""
+    got = synth.raycast_scan(scene, pose, cfg, seed=seed, dtype=np.float32)
+    want = raycast_scan_per_solid(scene, pose, cfg, seed,
+                                  ground_root=ray_ground_stepwise)
+    assert (got.points.astype(np.float32).tobytes()
+            == want.points.astype(np.float32).tobytes())
+    assert np.array_equal(got.face_label, want.face_label)
+    return got
+
+
 class TestFloat32Scan:
-    """raycast_scan(..., dtype=np.float32), whose ground bisection stops once
-    a ray's float32 point is fixed, against the float64 scan rounded."""
+    """raycast_scan(..., dtype=np.float32), whose ground root loop stops once
+    a ray's float32 point is fixed, against the float64 scan rounded and
+    against the scan of the bisection root."""
 
     SENSOR = synth.SensorConfig(v_resolution=8, h_resolution=32,
                                 v_fov_deg=60.0, noise_sigma=0.008)
@@ -633,6 +647,43 @@ class TestFloat32Scan:
                                  min_range=min_range, max_range=max_range,
                                  noise_sigma=noise_sigma)
         _assert_float32_scan(scene, pose, cfg, seed=pose_seed)
+
+    @pytest.mark.parametrize("config", ["ortho", "crossed", "training"])
+    def test_bytes_of_the_bisection_root(self, config, tmp_path, monkeypatch):
+        [(scene, pose, sensor, seed), _] = _dataset_scans(config, 8, tmp_path,
+                                                          monkeypatch)
+        cloud = _assert_bisection_bytes(scene, pose, sensor, seed)
+        assert (cloud.face_label == 0).sum() > 1000
+
+    @settings(max_examples=30, deadline=None)
+    @given(amplitude=st.floats(0.05, 0.5),
+           wavelength=st.floats(1.0, 12.0),
+           height=st.floats(0.5, 1.6),
+           level=st.booleans(),
+           noise_sigma=st.sampled_from([0.0, 0.008]),
+           pose_seed=st.integers(0, 2 ** 16))
+    def test_grazing_rays(self, amplitude, wavelength, height, level,
+                          noise_sigma, pose_seed):
+        # a sensor at 0.5-1.6 amplitudes over the ground: most rays meet it
+        # at a grazing angle, where the computed f is flattest and the root
+        # loop leans on its fallbacks
+        ground = HeightFieldGround(amplitude, wavelength)
+        rng = np.random.default_rng(pose_seed)
+        quaternion = ((1.0, 0.0, 0.0, 0.0) if level
+                      else tuple(synth.random_unit_quaternion(rng)))
+        pose = Pose((*rng.uniform(-10.0, 10.0, 2), height * amplitude),
+                    quaternion)
+        cfg = synth.SensorConfig(v_resolution=32, h_resolution=128,
+                                 noise_sigma=noise_sigma)
+        _assert_bisection_bytes(Scene([], ground), pose, cfg, seed=pose_seed)
+        # every float64 root closed its bracket: none was left at the cap
+        dirs_s, _, _ = synth.ray_grid(cfg)
+        dirs = dirs_s @ pose.rotation_matrix().T
+        origin = np.asarray(pose.translation)
+        t_upper = np.full(len(dirs), cfg.max_range + 1.0)
+        t = ray_ground(origin, dirs, ground, t_upper)
+        assert np.isfinite(t).sum() > 100
+        _assert_closed(origin, dirs, ground, t)
 
     def _roots(self):
         """Rays of SENSOR at POSE and their float64 ground roots below
@@ -695,6 +746,30 @@ def _ground_f(origin, dirs, ground, t):
                                                   oy + t * dirs[:, 1])
 
 
+def _assert_same_march(origin, dirs, ground, t_upper, t):
+    """t has the hits and misses of ``ray_ground_stepwise``, its immediate
+    contacts, and each root inside the reference root's march step."""
+    want, step_lo, step_hi = ray_ground_stepwise(origin, dirs, ground,
+                                                 t_upper, brackets=True)
+    assert np.array_equal(np.isfinite(t), np.isfinite(want))
+    stepped = ~np.isnan(step_lo)
+    assert np.array_equal(t[~stepped], want[~stepped])
+    assert ((step_lo <= t) & (t <= step_hi))[stepped].all()
+
+
+def _assert_closed(origin, dirs, ground, t, where=""):
+    """Each hit after the start sits on a sign change of f between two
+    adjacent floats, which an early exit before its bracket closes, or a
+    ray left open at the step cap, would not give."""
+    ok = np.isfinite(t) & (t > 0.0)
+    d, th = dirs[ok], t[ok]
+    f_t = _ground_f(origin, d, ground, th)
+    f_prev = _ground_f(origin, d, ground, np.nextafter(th, -np.inf))
+    f_next = _ground_f(origin, d, ground, np.nextafter(th, np.inf))
+    closed = ((f_t <= 0.0) & (f_prev > 0.0)) | ((f_t > 0.0) & (f_next <= 0.0))
+    assert closed.all(), f"{where}: {np.flatnonzero(~closed)}"
+
+
 class TestRayGround:
     GROUND = HeightFieldGround(amplitude=0.2, wavelength=10.0)
 
@@ -705,8 +780,8 @@ class TestRayGround:
         return ray_ground(origin, dirs, ground, t_upper)
 
     @pytest.mark.parametrize("config", ["training", "ortho"])
-    def test_bit_identical_to_stepwise_reference(self, config, tmp_path,
-                                                 monkeypatch):
+    def test_same_march_as_stepwise_reference(self, config, tmp_path,
+                                              monkeypatch):
         # every ray of one real scan, with the t_upper raycast_scan passes:
         # a box field around the fixed sensor, and a pose inside the truss
         cfg = tio.load_config(CONFIGS / f"{config}.cfg")
@@ -721,13 +796,13 @@ class TestRayGround:
         [(origin, dirs, ground, t_upper)] = calls
         assert len(dirs) == cfg.sensor.v_resolution * cfg.sensor.h_resolution
         got = ray_ground(origin, dirs, ground, t_upper)
-        want = ray_ground_stepwise(origin, dirs, ground, t_upper)
         assert np.isfinite(got).sum() > 1000
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        _assert_same_march(origin, dirs, ground, t_upper, got)
+        _assert_closed(origin, dirs, ground, got)
         # a settled rule that never fires changes nothing
         never = ray_ground(origin, dirs, ground, t_upper,
                            lambda lo, hi, rays: np.zeros(len(lo), dtype=bool))
-        assert np.array_equal(never.view(np.int64), want.view(np.int64))
+        assert np.array_equal(never.view(np.int64), got.view(np.int64))
 
     def test_origin_below_surface_is_immediate_contact(self):
         # height(2.5, 2.5) = 0.2: an origin at z = 0.1 is inside the band
@@ -779,11 +854,25 @@ class TestRayGround:
         # beyond t_upper, pointing up, level
         assert np.array_equal(t[2:], np.full(3, np.inf))
 
+    @pytest.mark.parametrize("z", [1e-310, 5e-324])
+    def test_subnormal_start_height(self, z):
+        # f(lo) starts subnormal, and halving it would reach 0 beside an
+        # f(hi) of 0: the secant quotient would be 0/0, a RuntimeWarning
+        # (an error under pytest) and a NaN step
+        rng = np.random.default_rng(2)
+        origin = np.array([0.0, 5.0, z])
+        dirs = rng.normal(size=(2000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        t_upper = np.full(len(dirs), 30.0)
+        t = ray_ground(origin, dirs, self.GROUND, t_upper)
+        assert np.isfinite(t).sum() > 900
+        _assert_same_march(origin, dirs, self.GROUND, t_upper, t)
+
     @pytest.mark.parametrize("wavelength", [10.0, 2.5])
     def test_random_rays_bracket_closed(self, wavelength):
-        # each non-immediate hit sits on a sign change of f between two
-        # adjacent floats, which an early exit before the brackets close
-        # would not give
+        # the march steps, hits and misses of the stepwise reference, and
+        # each non-immediate hit on a sign change of f between two adjacent
+        # floats
         ground = HeightFieldGround(amplitude=0.2, wavelength=wavelength)
         rng = np.random.default_rng(11)
         for trial in range(8):
@@ -797,18 +886,10 @@ class TestRayGround:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             t_upper = rng.uniform(1.0, 40.0, len(dirs))
             t = ray_ground(origin, dirs, ground, t_upper)
-            assert np.array_equal(
-                t.view(np.int64),
-                ray_ground_stepwise(origin, dirs, ground, t_upper).view(np.int64))
+            _assert_same_march(origin, dirs, ground, t_upper, t)
             ok = np.isfinite(t) & (t > 0.0)
             assert (t[ok] < t_upper[ok]).all()
-            d, th = dirs[ok], t[ok]
-            f_t = _ground_f(origin, d, ground, th)
-            f_prev = _ground_f(origin, d, ground, np.nextafter(th, -np.inf))
-            f_next = _ground_f(origin, d, ground, np.nextafter(th, np.inf))
-            closed = ((f_t <= 0.0) & (f_prev > 0.0)) | \
-                ((f_t > 0.0) & (f_next <= 0.0))
-            assert closed.all(), f"trial {trial}: {np.flatnonzero(~closed)}"
+            _assert_closed(origin, dirs, ground, t, f"trial {trial}")
 
 
 class TestGenerateDataset:
