@@ -18,6 +18,8 @@ from .errors import InvalidSpecError, NonFiniteError
 _EPS = 1e-12
 # the least positive float64: an Illinois-halved f(lo) stops there
 _F_TINY = np.nextafter(0.0, 1.0)
+# the most grid points the ground march passes unevaluated in one round
+_MARCH_SKIP = 8
 
 
 @dataclass
@@ -112,10 +114,22 @@ class HeightFieldGround:
             raise InvalidSpecError("ground wavelength must be positive")
 
     def height(self, x, y):
+        x = np.array(x, dtype=np.float64)
         if self.amplitude == 0.0:
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
+            return np.zeros_like(x)
+        return self.height_in_place(x, np.array(y, dtype=np.float64))
+
+    def height_in_place(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``height(x, y)`` of float64 arrays, computed in x and y (both are
+        overwritten) with the same operations; returns x."""
         k = 2.0 * np.pi / self.wavelength
-        return self.amplitude * np.sin(k * np.asarray(x)) * np.sin(k * np.asarray(y))
+        x *= k
+        np.sin(x, out=x)
+        x *= self.amplitude
+        y *= k
+        np.sin(y, out=y)
+        x *= y
+        return x
 
 
 @dataclass
@@ -333,22 +347,42 @@ def ray_ellipsoid(origin: np.ndarray, dirs: np.ndarray, ell: Ellipsoid):
 
 
 def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
-               t_upper: np.ndarray, settled=None):
+               t_upper: np.ndarray):
     """First crossing of the ground surface along each ray, below t_upper.
 
     amplitude 0 is solved exactly against the plane z = 0. Otherwise the
-    surface is bracketed by marching within the |z| <= amplitude band in
-    steps of min(0.05, wavelength / 64), and each step in which the signed
-    height f(t) falls to <= 0 is refined by one root loop that keeps
-    f(lo) > 0 >= f(hi), starting from the f values the march computed. Each
-    step evaluates f at one point: the secant point of the Illinois
-    regula falsi (the retained end's f is halved when the same end moves
-    twice in a row); where that point is not strictly inside (lo, hi), the
-    point one ulp beside the end it fell on, or, after such a try failed,
-    twice as far from the new end (a gallop across a plateau of the
-    computed f);
-    and the midpoint when that leaves the bracket, after a successful try,
-    or when the last three steps did not halve the bracket.
+    surface is bracketed by marching within the |z| <= amplitude band over
+    the grid lo, min(lo + step, end), ... (repeated addition, step =
+    min(0.05, wavelength / 64)), and the first grid step in which the
+    signed height f(t) falls to <= 0 is refined by one root loop that keeps
+    f(lo) > 0 >= f(hi).
+
+    The march passes the grid points it can prove positive (sphere
+    tracing, Hart 1996). Along a ray, |df/dt| <= L = |dz| + A k (|dx| +
+    |dy|), with k = 2 pi / wavelength. The computed f strays from the exact
+    one by a few tens of ulps of the magnitudes it is computed from; the
+    margin m = 2**-36 (|oz| + T max|dz| + A (1 + k (|ox| + |oy| +
+    T max(|dx| + |dy|)))) + 2**-1060, with T the farthest end, covers twice
+    that by far. So the grid point i steps past an evaluated point c is
+    positive in the computed f too when (f(c) - m) / (L' stride) > i. Here
+    L' = L (1 + 2**-30), against the rounding of L and of the quotient, and
+    stride = step + one ulp of T + step, the widest gap the repeated
+    addition leaves. Each round moves every live row over its proven
+    points (at most ``_MARCH_SKIP``) by the same additions, evaluates f
+    once at the next grid point, and evaluates f(lo) where a crossing's
+    lower end was passed. The grid, the brackets (lo, hi, f(lo), f(hi))
+    and so the roots are those of the march that evaluates every grid
+    point, bit for bit, given that f of a row has the same bits in a batch
+    of any size and at any offset (numpy's elementwise ``np.sin``).
+
+    Each root loop step evaluates f at one point: the secant point of the
+    Illinois regula falsi (the retained end's f is halved when the same
+    end moves twice in a row); where that point is not strictly inside
+    (lo, hi), the point one ulp beside the end it fell on, or, after such
+    a try failed, twice as far from the new end (a gallop across a plateau
+    of the computed f); and the midpoint when that leaves the bracket,
+    after a successful try, or when the last three steps did not halve the
+    bracket.
 
     A ray leaves the loop with t = mid, the midpoint of its bracket, once
     mid equals its lo or hi, i.e. the bracket is two adjacent floats on a
@@ -359,14 +393,6 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     the root may be another of those sign changes than the one bisection
     finds (24 ulps away at most on shipped scans, a few thousand on random
     rays); the float32 scans checked round both to the same points.
-
-    ``settled(lo, hi, rays)``, if given, is asked before each step for a
-    bool mask over the open brackets (``rays`` are their indices into
-    ``dirs``); a ray it marks leaves with t = mid too. The caller promises
-    that every t in [lo, hi] serves it as well as the root, which lies in
-    that bracket. The brackets do not depend on ``settled``, so it only
-    stops rays early; with ``settled=None`` every t is the root described
-    above.
 
     A level ray starting inside the band is marched up to its t_upper,
     which must then be finite (NonFiniteError otherwise).
@@ -387,7 +413,14 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
 
     def f(tv, dx, dy, dzs):
         # per component, the same operations as origin + tv[:, None] * dirs
-        return (oz + tv * dzs) - ground.height(ox + tv * dx, oy + tv * dy)
+        x = tv * dx
+        x += ox
+        y = tv * dy
+        y += oy
+        z = tv * dzs
+        z += oz
+        z -= ground.height_in_place(x, y)
+        return z
 
     # per-ray parameter interval where |z| <= A (clipped to t_upper)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -411,6 +444,10 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     idx = np.flatnonzero(active)
     cur, end = lo[idx], hi[idx]
     dx, dy, dzs = dirs[idx, 0], dirs[idx, 1], dz[idx]
+    # the whole-scan arrays go before the march. Once a large array has
+    # been freed, glibc trims its heap only above twice that size, so the
+    # raycast's peak of live arrays, the march included, stays resident
+    del ta, tb, lo, hi, level, inside_band, active
     f_cur = f(cur, dx, dy, dzs)
     # origin below the surface inside the band: treat as immediate contact
     immediate = f_cur <= 0.0
@@ -418,23 +455,50 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     live = ~immediate
     n_live = np.count_nonzero(live)
 
-    # (lo, hi, f(lo) > 0, f(hi) <= 0, ray index) per march step. A row that
-    # has left the march keeps stepping, masked out by live; the rows go
-    # only once a quarter of them have left, as in the root loop below
+    # the certificate (see the docstring): grid point i past an evaluated c
+    # is positive when (f(c) - margin) / rise > i, rise = L' stride. On a
+    # huge ground either may overflow to inf, which proves no point
+    k = 2.0 * np.pi / ground.wavelength
+    far = end.max()
+    with np.errstate(over="ignore"):
+        stride = step + np.spacing(far + step)
+        rise = np.abs(dx)
+        rise += np.abs(dy)
+        margin = 2.0 ** -36 * (abs(oz) + far * np.abs(dzs).max() + A * (
+            1.0 + k * (abs(ox) + abs(oy) + far * rise.max()))) + 2.0 ** -1060
+        rise *= A * k
+        rise += np.abs(dzs)
+        rise *= (1.0 + 2.0 ** -30) * stride
+
+    # (lo, hi, f(lo) > 0, f(hi) <= 0, ray index) per march round. A row that
+    # has left the march stays, masked out by live; the rows go only once a
+    # quarter of them have left, as in the root loop below
     brackets = []
     while n_live:
         if 4 * (len(idx) - n_live) >= len(idx):
             keep = np.flatnonzero(live)
-            idx, cur, end, f_cur, dx, dy, dzs = (
-                a.take(keep) for a in (idx, cur, end, f_cur, dx, dy, dzs))
+            idx, cur, end, f_cur, dx, dy, dzs, rise = (a.take(keep) for a in (
+                idx, cur, end, f_cur, dx, dy, dzs, rise))
             live = np.ones(len(idx), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            proven = (f_cur - margin) / rise
+        # pass the proven grid points by the march's own additions
+        span = int(np.fmin(proven, _MARCH_SKIP).max(where=live, initial=0.0))
+        for i in range(1, span + 1):
+            np.copyto(cur, np.minimum(cur + step, end), where=proven > i)
+        live &= cur < end           # proven positive up to its end: a miss
         nxt = np.minimum(cur + step, end)
         f_nxt = f(nxt, dx, dy, dzs)
-        crossed = (f_nxt <= 0.0) & live
-        if crossed.any():
-            brackets.append((cur[crossed], nxt[crossed], f_cur[crossed],
+        crossed = np.flatnonzero((f_nxt <= 0.0) & live)
+        if len(crossed):
+            f_lo = f_cur[crossed]
+            blind = np.flatnonzero(proven[crossed] > 1.0)   # lo was passed
+            if len(blind):
+                r = crossed[blind]
+                f_lo[blind] = f(cur[r], dx[r], dy[r], dzs[r])
+            brackets.append((cur[crossed], nxt[crossed], f_lo,
                              f_nxt[crossed], idx[crossed]))
-            live &= ~crossed
+            live[crossed] = False
         live &= nxt < end
         n_live = np.count_nonzero(live)
         cur, f_cur = nxt, f_nxt
@@ -452,8 +516,6 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)
-        if settled is not None:
-            done |= settled(lo, hi, idx)
         n_done = np.count_nonzero(done)
         # a finished ray keeps the bracket (mid, mid), a fixed point of the
         # loop; its rows go only once a quarter of the rows are finished,

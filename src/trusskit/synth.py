@@ -426,12 +426,9 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
     (>= 0), so output does not depend on evaluation order.
 
     ``dtype`` is the precision of the returned points: ``np.float64`` (the
-    default) or ``np.float32``, the points a PCD stores. With float32 the
-    ground root loop of a ray (``ray_ground``) stops once every t in its
-    bracket gives the same ground decision, range gate and float32 point
-    (``_ground_settled``), and the points equal
-    ``raycast_scan(...).points.astype(np.float32)`` bit for bit, with the
-    same labels.
+    default) or ``np.float32``, the points a PCD stores. Both cast the same
+    rays with the same float64 arithmetic, so the float32 points are
+    ``raycast_scan(...).points.astype(np.float32)``, with the same labels.
     """
     seed = _seed(seed)
     if dtype not in (np.float64, np.float32):
@@ -479,10 +476,7 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
 
     if scene.ground is not None:
         t_upper = np.minimum(t_best, cfg.max_range + 1.0)
-        settled = None
-        if dtype == np.float32:
-            settled = _ground_settled(dirs_s, noise, t_best, cfg)
-        tg = ray_ground(origin, dirs_w, scene.ground, t_upper, settled)
+        tg = ray_ground(origin, dirs_w, scene.ground, t_upper)
         better = tg < t_best
         t_best = np.where(better, tg, t_best)
         label_best[better] = 0
@@ -491,39 +485,6 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
     ranges = t_best[hit] + noise[hit]         # t + 0.0 == t when noiseless
     points = (dirs_s[hit] * ranges[:, None]).astype(dtype, copy=False)
     return LabeledCloud(points, label_best[hit], sensor_pose=pose)
-
-
-def _ground_settled(dirs_s, noise, t_solid, cfg: SensorConfig):
-    """The ``settled`` rule of ``ray_ground`` for a float32 scan.
-
-    A bracket [lo, hi] of ray r is settled when lo and hi agree on
-    ``t < t_solid[r]`` (the ground is nearer), on ``t >= min_range`` and on
-    ``t <= max_range``, and, where these make a ground point, on its
-    float32 coordinates ``float32(dirs_s[r] * (t + noise[r]))``. Each of
-    these is monotone in t, so every t in the bracket then gives what the
-    root gives. A bracket wider than ``lo * 2**-26`` is not tested: it
-    holds a float32 rounding point of some coordinate in most cases, and
-    the root loop's next step usually closes it or brings it below that
-    width.
-    """
-    def settled(lo, hi, rays):
-        width = hi - lo
-        out = (width > 0.0) & (width <= lo * 2.0 ** -26)
-        near = np.flatnonzero(out)
-        a, b, r = lo[near], hi[near], rays[near]
-        d, noise_r, t_solid_r = dirs_s[r], noise[r], t_solid[r]
-        ground = a < t_solid_r
-        same = (b < t_solid_r) == ground
-        after_min = a >= cfg.min_range
-        same &= (b >= cfg.min_range) == after_min
-        before_max = a <= cfg.max_range
-        same &= (b <= cfg.max_range) == before_max
-        eq = ((d * (a + noise_r)[:, None]).astype(np.float32)
-              == (d * (b + noise_r)[:, None]).astype(np.float32))
-        point = ground & after_min & before_max
-        out[near] = same & (~point | (eq[:, 0] & eq[:, 1] & eq[:, 2]))
-        return out
-    return settled
 
 
 # ---------------------------------------------------------------------------

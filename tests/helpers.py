@@ -387,8 +387,7 @@ def raycast_scan_per_solid(scene, pose, cfg, seed=0, ground_root=None):
     """Reference for ``synth.raycast_scan``: its earlier form, kept verbatim
     as a bit-identity gate. It culls and intersects one solid at a time, in
     scene order, with ``ray_box_slab`` for boxes. ``ground_root`` replaces
-    ``primitives.ray_ground`` as the ground intersection (same signature,
-    without ``settled``)."""
+    ``primitives.ray_ground`` as the ground intersection (same signature)."""
     from trusskit.geom import LabeledCloud
     from trusskit.primitives import (
         OrientedBox,

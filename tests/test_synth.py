@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import warnings
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trusskit import synth
+from trusskit import primitives, synth
 from trusskit import io as tio
-from trusskit.errors import InvalidBoundsError, InvalidSpecError, NonFiniteError
+from trusskit.errors import (
+    InvalidBoundsError,
+    InvalidSpecError,
+    NonFiniteError,
+    TrussKitError,
+)
 from trusskit.geom import Pose, quat_to_matrix
 from trusskit.primitives import (
     Ellipsoid,
@@ -611,9 +617,8 @@ def _assert_bisection_bytes(scene, pose, cfg, seed=0):
 
 
 class TestFloat32Scan:
-    """raycast_scan(..., dtype=np.float32), whose ground root loop stops once
-    a ray's float32 point is fixed, against the float64 scan rounded and
-    against the scan of the bisection root."""
+    """raycast_scan(..., dtype=np.float32) against the float64 scan rounded
+    and against the scan of the bisection root."""
 
     SENSOR = synth.SensorConfig(v_resolution=8, h_resolution=32,
                                 v_fov_deg=60.0, noise_sigma=0.008)
@@ -770,6 +775,28 @@ def _assert_closed(origin, dirs, ground, t, where=""):
     assert closed.all(), f"{where}: {np.flatnonzero(~closed)}"
 
 
+def _assert_every_grid_point(origin, dirs, ground, t_upper):
+    """ray_ground's roots equal, bit for bit, those of its march with no
+    grid point passed unevaluated; returns them."""
+    got = ray_ground(origin, dirs, ground, t_upper)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(primitives, "_MARCH_SKIP", 0)
+        every = ray_ground(origin, dirs, ground, t_upper)
+    assert got.tobytes() == every.tobytes()
+    return got
+
+
+@dataclass
+class _CountingGround(HeightFieldGround):
+    """A ground that counts the rows its surface is evaluated at."""
+
+    rows: int = 0
+
+    def height_in_place(self, x, y):
+        self.rows += x.size
+        return super().height_in_place(x, y)
+
+
 class TestRayGround:
     GROUND = HeightFieldGround(amplitude=0.2, wavelength=10.0)
 
@@ -787,9 +814,9 @@ class TestRayGround:
         cfg = tio.load_config(CONFIGS / f"{config}.cfg")
         calls = []
 
-        def recording(origin, dirs, ground, t_upper, settled=None):
+        def recording(origin, dirs, ground, t_upper):
             calls.append((origin, dirs, ground, t_upper))
-            return ray_ground(origin, dirs, ground, t_upper, settled)
+            return ray_ground(origin, dirs, ground, t_upper)
 
         monkeypatch.setattr(synth, "ray_ground", recording)
         synth.generate_dataset(cfg.scene, 1, 3, tmp_path, sensor=cfg.sensor)
@@ -799,10 +826,6 @@ class TestRayGround:
         assert np.isfinite(got).sum() > 1000
         _assert_same_march(origin, dirs, ground, t_upper, got)
         _assert_closed(origin, dirs, ground, got)
-        # a settled rule that never fires changes nothing
-        never = ray_ground(origin, dirs, ground, t_upper,
-                           lambda lo, hi, rays: np.zeros(len(lo), dtype=bool))
-        assert np.array_equal(never.view(np.int64), got.view(np.int64))
 
     def test_origin_below_surface_is_immediate_contact(self):
         # height(2.5, 2.5) = 0.2: an origin at z = 0.1 is inside the band
@@ -890,6 +913,148 @@ class TestRayGround:
             ok = np.isfinite(t) & (t > 0.0)
             assert (t[ok] < t_upper[ok]).all()
             _assert_closed(origin, dirs, ground, t, f"trial {trial}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(amplitude=st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e),
+           wavelength=st.floats(2.0, 100.0),
+           start=st.sampled_from(["inside", "above", "below"]),
+           height=st.floats(0.0, 1.0),
+           ray_seed=st.integers(0, 2 ** 32 - 1))
+    def test_certified_march_on_random_grounds(self, amplitude, wavelength,
+                                               start, height, ray_seed):
+        # level, grazing and steep rays, up and down, from inside, above or
+        # below the band: the roots of the march with no grid point passed,
+        # and the march steps, hits and misses of the stepwise reference
+        ground = HeightFieldGround(amplitude, wavelength)
+        z = {"inside": amplitude * (2.0 * height - 1.0),
+             "above": amplitude + 3.0 * height,
+             "below": -amplitude - 3.0 * height}[start]
+        rng = np.random.default_rng(ray_seed)
+        origin = np.append(rng.uniform(-50.0, 50.0, 2), z)
+        n = 40
+        sign = rng.choice([-1.0, 1.0], 3 * n)
+        el = np.concatenate([np.zeros(n),                            # level
+                             10.0 ** rng.uniform(-6.0, -1.3, n),     # grazing
+                             rng.uniform(0.05, np.pi / 2, n)]) * sign
+        az = rng.uniform(0.0, 2.0 * np.pi, 3 * n)
+        dirs = np.column_stack([np.cos(el) * np.cos(az),
+                                np.cos(el) * np.sin(az), np.sin(el)])
+        t_upper = rng.uniform(0.5, 20.0, 3 * n)
+        t = _assert_every_grid_point(origin, dirs, ground, t_upper)
+        _assert_same_march(origin, dirs, ground, t_upper, t)
+        if start != "below":        # from below, every hit is at band entry
+            _assert_closed(origin, dirs, ground, t)
+
+    def test_crest_touched_at_one_grid_point(self):
+        # a level ray along the crest line y = 2.5 from the trough x = -2.5,
+        # at the height of the crest on grid point 100: f falls from 2A to
+        # exactly 0 there and rises again. The march proves most of the way
+        # positive and still stops at that one point; a bound without the
+        # A k term (0 for a level ray) passes it
+        ground = _CountingGround(0.2, 10.0)
+        crest = 0.0
+        for _ in range(100):
+            crest = min(crest + 0.05, 10.0)
+        z = ground.height(np.array([-2.5 + crest]), np.array([2.5]))[0]
+        origin = np.array([-2.5, 2.5, z])
+        dirs = np.array([[1.0, 0.0, 0.0]])
+        t_upper = np.array([10.0])
+        t = _assert_every_grid_point(origin, dirs, ground, t_upper)
+        assert crest - 0.05 < t[0] <= crest
+        _assert_same_march(origin, dirs, ground, t_upper, t)
+        # the same brackets, so the same root loop: the difference in rows
+        # evaluated is the grid points passed, less the f(lo) evaluated
+        rows = []
+        for skip in (primitives._MARCH_SKIP, 0):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(primitives, "_MARCH_SKIP", skip)
+                ground.rows = 0
+                ray_ground(origin, dirs, ground, t_upper)
+                rows.append(ground.rows)
+        assert rows[1] - rows[0] >= 60
+
+    def test_far_crossing_at_full_slope(self):
+        # a level ray along the crest line y = w / 4, 1e11 from the origin,
+        # falls through f = 0 where f = -A sin(kx) is as steep as the bound
+        # L. There x carries ~1e-5 of rounding, the computed f strays from
+        # the exact one by ~1e-8, more than the inflated L leaves over, and
+        # a certificate without the margin passes the crossing grid point
+        ground = HeightFieldGround(0.2, 1000.0)
+        origin = np.array([1e11 - 2.0, 250.0, 0.0])
+        dirs = np.array([[1.0, 0.0, 0.0]])
+        t_upper = np.array([4.0])
+        t = _assert_every_grid_point(origin, dirs, ground, t_upper)
+        assert 1.95 < t[0] < 2.0
+        _assert_same_march(origin, dirs, ground, t_upper, t)
+
+
+class TestSurfaceBits:
+    """What the certified march's bit identity rests on: a row's surface
+    value has the same bits alone, in a batch of any size and at any
+    offset, as the march's rounds and compaction change both (numpy's SIMD
+    ``np.sin`` loops must agree with their scalar tails)."""
+
+    def test_row_alone_in_any_batch(self):
+        ground = HeightFieldGround(0.2, 10.0)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-60.0, 60.0, 400)
+        y = rng.uniform(-60.0, 60.0, 400)
+        x[::7] *= 1e9                       # large arguments: range reduction
+        whole = ground.height(x, y)
+        for i in range(len(x)):
+            assert ground.height(x[i:i + 1], y[i:i + 1]).tobytes() \
+                == whole[i:i + 1].tobytes()
+        for size in (2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 127, 250):
+            for offset in range(9):
+                bx, by = np.empty(offset + size), np.empty(offset + size)
+                bx[offset:], by[offset:] = x[offset:offset + size], \
+                    y[offset:offset + size]
+                got = ground.height_in_place(bx[offset:], by[offset:])
+                assert got.tobytes() == whole[offset:offset + size].tobytes()
+
+
+class TestDegenerateGrounds:
+    """raycast_scan and ray_ground over valid but degenerate grounds: no
+    RuntimeWarning escapes, and an error raised is a TrussKitError."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(amplitude=st.sampled_from(["zero", "tiny", "over the sensor"]),
+           wavelength=st.floats(0.0, 12.0).map(lambda e: 10.0 ** e),
+           sensor_z=st.sampled_from(["top edge", "bottom edge", "above"]),
+           v_resolution=st.sampled_from([1, 3, 9]),
+           level=st.booleans(),
+           max_range=st.floats(1.0, 40.0),
+           noise_sigma=st.sampled_from([0.0, 0.008]),
+           pose_seed=st.integers(0, 2 ** 16))
+    def test_no_warning_and_typed_errors(self, amplitude, wavelength, sensor_z,
+                                         v_resolution, level, max_range,
+                                         noise_sigma, pose_seed):
+        rng = np.random.default_rng(pose_seed)
+        z = rng.uniform(0.5, 3.0)
+        A = {"zero": 0.0, "tiny": 1e-300,
+             "over the sensor": z * rng.uniform(1.0, 10.0)}[amplitude]
+        z = {"top edge": A, "bottom edge": -A, "above": z}[sensor_z]
+        ground = HeightFieldGround(A, wavelength)
+        quaternion = ((1.0, 0.0, 0.0, 0.0) if level
+                      else tuple(synth.random_unit_quaternion(rng)))
+        pose = Pose((*rng.uniform(-20.0, 20.0, 2), z), quaternion)
+        cfg = synth.SensorConfig(v_resolution=v_resolution, h_resolution=24,
+                                 max_range=max_range, noise_sigma=noise_sigma)
+        dirs = synth.ray_grid(cfg)[0] @ pose.rotation_matrix().T
+        origin = np.asarray(pose.translation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dtype in (np.float64, np.float32):
+                cloud = synth.raycast_scan(Scene([], ground), pose, cfg,
+                                           seed=pose_seed, dtype=dtype)
+                assert np.isfinite(cloud.points).all()
+            for t_upper in (max_range + 1.0, np.inf):
+                try:
+                    t = ray_ground(origin, dirs, ground,
+                                   np.full(len(dirs), t_upper))
+                except TrussKitError:
+                    continue
+                assert not np.isnan(t).any()
 
 
 class TestGenerateDataset:
