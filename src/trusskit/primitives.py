@@ -18,8 +18,6 @@ from .errors import InvalidSpecError, NonFiniteError
 _EPS = 1e-12
 # the least positive float64: an Illinois-halved f(lo) stops there
 _F_TINY = np.nextafter(0.0, 1.0)
-# the most grid points the ground march passes unevaluated in one round
-_MARCH_SKIP = 8
 
 
 @dataclass
@@ -334,7 +332,8 @@ def ray_ellipsoid(origin: np.ndarray, dirs: np.ndarray, ell: Ellipsoid):
     q0 = (origin - ell.center) / ell.radii
     qd = dirs / ell.radii
     a = np.einsum("ij,ij->i", qd, qd)
-    b = 2.0 * (qd @ q0)
+    # elementwise: BLAS gives a one-row qd @ q0 other bits than a batch
+    b = 2.0 * (qd[:, 0] * q0[0] + qd[:, 1] * q0[1] + qd[:, 2] * q0[2])
     c = float(q0 @ q0) - 1.0
     disc = b * b - 4.0 * a * c
     ok = disc >= 0.0
@@ -352,10 +351,10 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
 
     amplitude 0 is solved exactly against the plane z = 0. Otherwise the
     surface is bracketed by marching within the |z| <= amplitude band over
-    the grid lo, min(lo + step, end), ... (repeated addition, step =
-    min(0.05, wavelength / 64)), and the first grid step in which the
-    signed height f(t) falls to <= 0 is refined by one root loop that keeps
-    f(lo) > 0 >= f(hi).
+    the grid min(lo + j step, end), j = 0, 1, ... (step = min(0.05,
+    wavelength / 64)), and the first grid step in which the signed height
+    f(t) falls to <= 0 is refined by one root loop that keeps f(lo) > 0 >=
+    f(hi).
 
     The march passes the grid points it can prove positive (sphere
     tracing, Hart 1996). Along a ray, |df/dt| <= L = |dz| + A k (|dx| +
@@ -366,14 +365,14 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     that by far. So the grid point i steps past an evaluated point c is
     positive in the computed f too when (f(c) - m) / (L' stride) > i. Here
     L' = L (1 + 2**-30), against the rounding of L and of the quotient, and
-    stride = step + one ulp of T + step, the widest gap the repeated
-    addition leaves. Each round moves every live row over its proven
-    points (at most ``_MARCH_SKIP``) by the same additions, evaluates f
-    once at the next grid point, and evaluates f(lo) where a crossing's
-    lower end was passed. The grid, the brackets (lo, hi, f(lo), f(hi))
-    and so the roots are those of the march that evaluates every grid
-    point, bit for bit, given that f of a row has the same bits in a batch
-    of any size and at any offset (numpy's elementwise ``np.sin``).
+    stride = step + 2 ulp(T + step): a computed grid point is within one
+    such ulp of lo + j step, so points i apart are at most i stride apart.
+    Each round jumps every live row past all its proven points (a NaN or
+    infinite certificate proves none), evaluates f at the next grid point,
+    and evaluates f(lo) where a crossing's lower end was jumped to. The
+    grid and the brackets (lo, hi, f(lo), f(hi)) are those of the march
+    that evaluates every grid point, given that f of a row has the same
+    bits in a batch of any size and at any offset (numpy's ``np.sin``).
 
     Each root loop step evaluates f at one point: the secant point of the
     Illinois regula falsi (the retained end's f is halved when the same
@@ -417,13 +416,14 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
         x += ox
         y = tv * dy
         y += oy
-        z = tv * dzs
-        z += oz
-        z -= ground.height_in_place(x, y)
+        with np.errstate(over="ignore"):        # inf keeps the sign of f
+            z = tv * dzs
+            z += oz
+            z -= ground.height_in_place(x, y)
         return z
 
     # per-ray parameter interval where |z| <= A (clipped to t_upper)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ta = (-A - oz) / dz
         tb = (A - oz) / dz
     lo = np.minimum(ta, tb)
@@ -442,16 +442,16 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
                              "starts inside the ground band")
 
     idx = np.flatnonzero(active)
-    cur, end = lo[idx], hi[idx]
+    start, end = lo[idx], hi[idx]
     dx, dy, dzs = dirs[idx, 0], dirs[idx, 1], dz[idx]
     # the whole-scan arrays go before the march. Once a large array has
     # been freed, glibc trims its heap only above twice that size, so the
     # raycast's peak of live arrays, the march included, stays resident
     del ta, tb, lo, hi, level, inside_band, active
-    f_cur = f(cur, dx, dy, dzs)
+    f_cur = f(start, dx, dy, dzs)
     # origin below the surface inside the band: treat as immediate contact
     immediate = f_cur <= 0.0
-    t[idx[immediate]] = cur[immediate]
+    t[idx[immediate]] = start[immediate]
     live = ~immediate
     n_live = np.count_nonzero(live)
 
@@ -461,7 +461,7 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     k = 2.0 * np.pi / ground.wavelength
     far = end.max()
     with np.errstate(over="ignore"):
-        stride = step + np.spacing(far + step)
+        stride = step + 2.0 * np.spacing(far + step)
         rise = np.abs(dx)
         rise += np.abs(dy)
         margin = 2.0 ** -36 * (abs(oz) + far * np.abs(dzs).max() + A * (
@@ -470,29 +470,32 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
         rise += np.abs(dzs)
         rise *= (1.0 + 2.0 ** -30) * stride
 
-    # (lo, hi, f(lo) > 0, f(hi) <= 0, ray index) per march round. A row that
-    # has left the march stays, masked out by live; the rows go only once a
-    # quarter of them have left, as in the root loop below
+    # grid point j of a row is min(start + j step, end). (lo, hi, f(lo) > 0,
+    # f(hi) <= 0, ray index) per round. A row that has left the march stays,
+    # masked out by live, until a quarter of the rows have, as in the root loop
+    j = np.zeros(len(idx))
     brackets = []
     while n_live:
         if 4 * (len(idx) - n_live) >= len(idx):
             keep = np.flatnonzero(live)
-            idx, cur, end, f_cur, dx, dy, dzs, rise = (a.take(keep) for a in (
-                idx, cur, end, f_cur, dx, dy, dzs, rise))
+            idx, start, end, j, f_cur, dx, dy, dzs, rise = (a.take(keep) for a
+                in (idx, start, end, j, f_cur, dx, dy, dzs, rise))
             live = np.ones(len(idx), dtype=bool)
+        # jump past the proven grid points j + i, i < (f_cur - margin) / rise
+        # (none for a NaN or infinite quotient); a huge jump lands on end
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            proven = (f_cur - margin) / rise
-        # pass the proven grid points by the march's own additions
-        span = int(np.fmin(proven, _MARCH_SKIP).max(where=live, initial=0.0))
-        for i in range(1, span + 1):
-            np.copyto(cur, np.minimum(cur + step, end), where=proven > i)
+            jump = np.ceil((f_cur - margin) / rise) - 1.0
+            jump[~((jump > 0.0) & (jump < np.inf))] = 0.0
+            j += jump
+            cur = np.minimum(start + j * step, end)
+            j += 1.0
+            nxt = np.minimum(start + j * step, end)
         live &= cur < end           # proven positive up to its end: a miss
-        nxt = np.minimum(cur + step, end)
         f_nxt = f(nxt, dx, dy, dzs)
         crossed = np.flatnonzero((f_nxt <= 0.0) & live)
         if len(crossed):
             f_lo = f_cur[crossed]
-            blind = np.flatnonzero(proven[crossed] > 1.0)   # lo was passed
+            blind = np.flatnonzero(jump[crossed] > 0.0)     # lo was passed
             if len(blind):
                 r = crossed[blind]
                 f_lo[blind] = f(cur[r], dx[r], dy[r], dzs[r])
@@ -501,7 +504,7 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
             live[crossed] = False
         live &= nxt < end
         n_live = np.count_nonzero(live)
-        cur, f_cur = nxt, f_nxt
+        f_cur = f_nxt
 
     if not brackets:
         return t

@@ -143,7 +143,10 @@ class Plane:
         self.d = float(self.d)
 
     def distance(self, points: np.ndarray) -> np.ndarray:
-        return np.abs(points @ self.normal + self.d)
+        # elementwise: BLAS gives a one-row product other bits than a batch
+        n = self.normal
+        return np.abs(points[:, 0] * n[0] + points[:, 1] * n[1]
+                      + points[:, 2] * n[2] + self.d)
 
 
 @dataclass

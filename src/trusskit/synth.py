@@ -414,7 +414,7 @@ def _solid_pairs(scene: Scene, R, origin, els, azs, max_range):
 
 
 def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
-                 seed: int = 0, dtype=np.float64) -> LabeledCloud:
+                 seed: int = 0) -> LabeledCloud:
     """Simulate one scan: nearest-hit labels, range gating, along-ray noise.
 
     Rays outside [min_range, max_range] of their nearest hit yield no point.
@@ -423,17 +423,10 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
     intersected with its own rays. Each ray takes the smallest hit parameter
     over all solids, ties going to the solid listed first. Noise draws come
     from one per-ray slot of a counter-based stream keyed by ``seed``
-    (>= 0), so output does not depend on evaluation order.
-
-    ``dtype`` is the precision of the returned points: ``np.float64`` (the
-    default) or ``np.float32``, the points a PCD stores. Both cast the same
-    rays with the same float64 arithmetic, so the float32 points are
-    ``raycast_scan(...).points.astype(np.float32)``, with the same labels.
+    (>= 0), so output does not depend on evaluation order. A PCD stores
+    the points rounded to float32.
     """
     seed = _seed(seed)
-    if dtype not in (np.float64, np.float32):
-        raise InvalidSpecError(
-            f"dtype must be np.float64 or np.float32, not {dtype!r}")
     dirs_s, els, azs = ray_grid(cfg)
     R = pose.rotation_matrix()
     origin = np.asarray(pose.translation, dtype=np.float64)
@@ -483,7 +476,7 @@ def raycast_scan(scene: Scene, pose: Pose, cfg: SensorConfig,
 
     hit = np.isfinite(t_best) & (t_best >= cfg.min_range) & (t_best <= cfg.max_range)
     ranges = t_best[hit] + noise[hit]         # t + 0.0 == t when noiseless
-    points = (dirs_s[hit] * ranges[:, None]).astype(dtype, copy=False)
+    points = dirs_s[hit] * ranges[:, None]
     return LabeledCloud(points, label_best[hit], sensor_pose=pose)
 
 
@@ -532,8 +525,7 @@ def _scan_record(i: int, scene_spec: SceneSpec, sensor: SensorConfig,
                                   scene_spec.sensor_position, pose_rng)
 
     scan_seed = int(noise_child.generate_state(1, np.uint64)[0])
-    # float32: the points write_pcd stores, bit for bit
-    cloud = raycast_scan(scene, pose, sensor, seed=scan_seed, dtype=np.float32)
+    cloud = raycast_scan(scene, pose, sensor, seed=scan_seed)
 
     rel = f"clouds/scan_{i:05d}.pcd"
     tio.write_pcd(cloud, Path(out_dir) / rel)

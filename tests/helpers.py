@@ -225,7 +225,8 @@ def ray_ground_fine_march(origin, direction, ground, t_max, step=0.002):
 def ray_ground_stepwise(origin, dirs, ground, t_upper, step=None,
                         brackets=False):
     """Reference for ``primitives.ray_ground``: an earlier form, the oracle
-    of its march and of the float32 scans. It re-gathers ``dirs[mask]`` on
+    of its march and of the float32 scans. It evaluates f at every point of
+    the march grid min(lo + j step, end), re-gathers ``dirs[mask]`` on
     every surface evaluation, re-concatenates the brackets on every march
     step and always runs all 80 bisection halvings.
 
@@ -279,29 +280,29 @@ def ray_ground_stepwise(origin, dirs, ground, t_upper, step=None,
         return t
 
     idx = np.flatnonzero(active)
-    cur = lo[idx]
+    start = lo[idx]
     end = hi[idx]
-    f_cur = f(cur, idx)
     # origin below the surface inside the band: treat as immediate contact
-    immediate = f_cur <= 0.0
-    t[idx[immediate]] = cur[immediate]
+    immediate = f(start, idx) <= 0.0
+    t[idx[immediate]] = start[immediate]
     alive = ~immediate
-    idx, cur, end, f_cur = idx[alive], cur[alive], end[alive], f_cur[alive]
+    idx, cur, start, end = idx[alive], start[alive], start[alive], end[alive]
 
+    # every point of the grid min(start + j step, end), j = 1, 2, ...
     bracket_lo = np.empty(0)
     bracket_hi = np.empty(0)
     bracket_idx = np.empty(0, dtype=np.intp)
+    j = 0
     while len(idx):
-        nxt = np.minimum(cur + step, end)
-        f_nxt = f(nxt, idx)
-        crossed = f_nxt <= 0.0
+        j += 1
+        nxt = np.minimum(start + j * step, end)
+        crossed = f(nxt, idx) <= 0.0
         if crossed.any():
             bracket_lo = np.concatenate([bracket_lo, cur[crossed]])
             bracket_hi = np.concatenate([bracket_hi, nxt[crossed]])
             bracket_idx = np.concatenate([bracket_idx, idx[crossed]])
         alive = ~crossed & (nxt < end)
-        idx, cur, f_cur = idx[alive], nxt[alive], f_nxt[alive]
-        end = end[alive]
+        idx, cur, start, end = idx[alive], nxt[alive], start[alive], end[alive]
 
     if len(bracket_idx):
         lo_b, hi_b = bracket_lo, bracket_hi

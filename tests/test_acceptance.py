@@ -7,6 +7,7 @@ remaining criteria are property suites that run in seconds.
 """
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -321,6 +322,20 @@ def test_criterion_7_io_suite(tmp_path):
     report("criterion 7", True,
            "50 lossless binary round-trips, 400 fuzzed reads typed-only, "
            "generate byte-identical across runs and across --jobs 1/8")
+
+
+def test_readme_library_example(capsys):
+    # README's library example runs as printed, and its stored points are
+    # those a PCD of the scan holds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"## Library example\n\n```python\n(.*?)```",
+                         readme, re.S)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert "CloudMetrics(" in capsys.readouterr().out
+    back = tio.read_pcd(tio.write_pcd(names["cloud"]))
+    assert back.points.astype(np.float32).tobytes() \
+        == names["stored"].tobytes()
 
 
 def test_criterion_8_performance_sanity():

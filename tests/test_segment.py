@@ -78,6 +78,23 @@ class TestRansac:
         cs = segment.coarse_split(cloud.points, CFG)
         assert set(ground_idx.tolist()) <= set(cs.ground.tolist())
 
+    def test_distance_alone_as_in_a_batch(self):
+        # the coarse split compares these distances with the threshold, so
+        # a point's side must not depend on the batch it is in (a one-row
+        # mat-vec took another BLAS path, and 740 of these rows differed)
+        rng = np.random.default_rng(12)
+        normal = rng.normal(size=3)
+        plane = segment.Plane(normal / np.linalg.norm(normal), rng.normal())
+        pts = rng.normal(0.0, 20.0, (4000, 3))
+        whole = plane.distance(pts)
+        for i in range(len(pts)):
+            assert plane.distance(pts[i:i + 1]).tobytes() \
+                == whole[i:i + 1].tobytes(), i
+        for size in (2, 3, 5, 8, 17, 64):
+            for a in range(0, 300, size):
+                assert plane.distance(pts[a:a + size]).tobytes() \
+                    == whole[a:a + size].tobytes()
+
     def test_inliers_satisfy_threshold(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(300, 3))

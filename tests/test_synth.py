@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trusskit import primitives, synth
+from trusskit import synth
 from trusskit import io as tio
 from trusskit.errors import (
     InvalidBoundsError,
@@ -279,6 +279,25 @@ class TestRaycast:
         for p in world[:: max(1, len(world) // 60)]:
             assert surface_residual(scene, p) <= 1e-9
 
+    def test_canopy_hit_alone_as_in_a_batch(self):
+        # a ray's hit parameter has the same bits alone as in the batch the
+        # broad phase hands its canopy (a one-row mat-vec took another BLAS
+        # path, and 613 of these rays differed)
+        ell = Ellipsoid([3.0, -2.0, 4.0], [1.5, 1.2, 2.0])
+        rng = np.random.default_rng(8)
+        origin = np.array([0.3, 0.1, 1.7])
+        dirs = ell.center - origin + rng.normal(0.0, 1.0, (4000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        whole, _ = intersect_solid(origin, dirs, ell)
+        assert np.isfinite(whole).sum() > 2000
+        for i in range(len(dirs)):
+            alone, _ = intersect_solid(origin, dirs[i:i + 1], ell)
+            assert alone.tobytes() == whole[i:i + 1].tobytes(), i
+        for size in (2, 3, 5, 8, 17, 64):
+            for a in range(0, 300, size):
+                batch, _ = intersect_solid(origin, dirs[a:a + size], ell)
+                assert batch.tobytes() == whole[a:a + size].tobytes()
+
     def test_occlusion_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(77)
         for trial in range(5):
@@ -368,13 +387,13 @@ def _box_ring(count=12, radius=6.0, seed=0):
 
 def _dataset_scans(config, dataset_seed, tmp_path, monkeypatch):
     """(scene, pose, sensor, noise seed) of the two scans a dataset of a
-    shipped config raycasts, recorded with their dtype passed through."""
+    shipped config raycasts; the dataset is written under tmp_path."""
     cfg = tio.load_config(CONFIGS / f"{config}.cfg")
     calls = []
 
-    def recording(scene, pose, sensor, seed, dtype=np.float64):
+    def recording(scene, pose, sensor, seed):
         calls.append((scene, pose, sensor, seed))
-        return raycast(scene, pose, sensor, seed=seed, dtype=dtype)
+        return raycast(scene, pose, sensor, seed=seed)
 
     raycast = synth.raycast_scan
     monkeypatch.setattr(synth, "raycast_scan", recording)
@@ -592,22 +611,24 @@ class TestBatchedBoxes:
             assert (dist <= cover.radius[own][None]).any(axis=1).all()
 
 
-def _assert_float32_scan(scene, pose, cfg, seed=0):
-    """The float32 scan is the float64 scan rounded, bit for bit."""
-    want = synth.raycast_scan(scene, pose, cfg, seed=seed)
-    got = synth.raycast_scan(scene, pose, cfg, seed=seed, dtype=np.float32)
-    stored = got.points.astype(np.float32)
-    assert np.array_equal(stored, got.points)
-    assert stored.tobytes() == want.points.astype(np.float32).tobytes()
-    assert np.array_equal(got.face_label, want.face_label)
-    return want
+def _assert_stored_scan(scene, pose, cfg, seed=0, pcd=None):
+    """The PCD of a scan (``pcd``, by default the bytes write_pcd makes of
+    it) holds its float64 points rounded to float32, bit for bit, and its
+    labels; the float64 scan is its per-solid reference's, bit for bit."""
+    cloud = _assert_same_scan(scene, pose, cfg, seed)
+    stored = tio.read_pcd(tio.write_pcd(cloud) if pcd is None else pcd)
+    assert (stored.points.astype(np.float32).tobytes()
+            == cloud.points.astype(np.float32).tobytes())
+    assert np.array_equal(stored.face_label, cloud.face_label)
+    return cloud
 
 
 def _assert_bisection_bytes(scene, pose, cfg, seed=0):
-    """The float32 scan is, bit for bit, the scan whose ground root is the
-    bisection of ``ray_ground_stepwise``, rounded: the points generate
-    writes do not depend on which sign change of f the root loop lands on."""
-    got = synth.raycast_scan(scene, pose, cfg, seed=seed, dtype=np.float32)
+    """The scan rounded to float32 is, bit for bit, the scan whose ground
+    root is the bisection of ``ray_ground_stepwise``, rounded: the points
+    generate writes do not depend on which sign change of f the root loop
+    lands on."""
+    got = synth.raycast_scan(scene, pose, cfg, seed=seed)
     want = raycast_scan_per_solid(scene, pose, cfg, seed,
                                   ground_root=ray_ground_stepwise)
     assert (got.points.astype(np.float32).tobytes()
@@ -617,8 +638,8 @@ def _assert_bisection_bytes(scene, pose, cfg, seed=0):
 
 
 class TestFloat32Scan:
-    """raycast_scan(..., dtype=np.float32) against the float64 scan rounded
-    and against the scan of the bisection root."""
+    """The points a PCD stores: the float64 scan rounded, and the scan of
+    the bisection root rounded."""
 
     SENSOR = synth.SensorConfig(v_resolution=8, h_resolution=32,
                                 v_fov_deg=60.0, noise_sigma=0.008)
@@ -627,9 +648,11 @@ class TestFloat32Scan:
 
     @pytest.mark.parametrize("config", ["ortho", "crossed", "training"])
     def test_real_scans(self, config, tmp_path, monkeypatch):
-        for scene, pose, sensor, seed in _dataset_scans(config, 6, tmp_path,
-                                                        monkeypatch):
-            cloud = _assert_float32_scan(scene, pose, sensor, seed)
+        # the PCDs generate wrote
+        scans = _dataset_scans(config, 6, tmp_path, monkeypatch)
+        for i, (scene, pose, sensor, seed) in enumerate(scans):
+            pcd = tmp_path / "clouds" / f"scan_{i:05d}.pcd"
+            cloud = _assert_stored_scan(scene, pose, sensor, seed, pcd)
             assert (cloud.face_label == 0).sum() > 1000
 
     @settings(max_examples=40, deadline=None)
@@ -651,7 +674,7 @@ class TestFloat32Scan:
         cfg = synth.SensorConfig(v_resolution=16, h_resolution=64,
                                  min_range=min_range, max_range=max_range,
                                  noise_sigma=noise_sigma)
-        _assert_float32_scan(scene, pose, cfg, seed=pose_seed)
+        _assert_stored_scan(scene, pose, cfg, seed=pose_seed)
 
     @pytest.mark.parametrize("config", ["ortho", "crossed", "training"])
     def test_bytes_of_the_bisection_root(self, config, tmp_path, monkeypatch):
@@ -712,7 +735,7 @@ class TestFloat32Scan:
             for b in (np.nextafter(root[r], 0.0), root[r],
                       np.nextafter(root[r], np.inf)):
                 cfg = replace(self.SENSOR, **{bound: b})
-                _assert_float32_scan(scene, self.POSE, cfg, seed=int(r))
+                _assert_stored_scan(scene, self.POSE, cfg, seed=int(r))
 
     def test_crossing_ties_a_solid(self):
         # a wall whose -x face runs, to within two floats, through a ray's
@@ -733,15 +756,9 @@ class TestFloat32Scan:
                                   np.array([t_wall]))
                 outcomes.add("ground" if tg < t_wall else
                              "tie" if tg == t_wall else "wall")
-                _assert_float32_scan(Scene([wall], self.GROUND), self.POSE,
-                                     self.SENSOR, seed=int(r))
+                _assert_stored_scan(Scene([wall], self.GROUND), self.POSE,
+                                    self.SENSOR, seed=int(r))
         assert {"ground", "tie"} <= outcomes, outcomes
-
-    @pytest.mark.parametrize("dtype", [np.float16, np.int64, "float32"])
-    def test_other_dtypes_are_refused(self, dtype):
-        with pytest.raises(InvalidSpecError, match="dtype must be"):
-            synth.raycast_scan(Scene([], self.GROUND), self.POSE, self.SENSOR,
-                               dtype=dtype)
 
 
 def _ground_f(origin, dirs, ground, t):
@@ -773,17 +790,6 @@ def _assert_closed(origin, dirs, ground, t, where=""):
     f_next = _ground_f(origin, d, ground, np.nextafter(th, np.inf))
     closed = ((f_t <= 0.0) & (f_prev > 0.0)) | ((f_t > 0.0) & (f_next <= 0.0))
     assert closed.all(), f"{where}: {np.flatnonzero(~closed)}"
-
-
-def _assert_every_grid_point(origin, dirs, ground, t_upper):
-    """ray_ground's roots equal, bit for bit, those of its march with no
-    grid point passed unevaluated; returns them."""
-    got = ray_ground(origin, dirs, ground, t_upper)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(primitives, "_MARCH_SKIP", 0)
-        every = ray_ground(origin, dirs, ground, t_upper)
-    assert got.tobytes() == every.tobytes()
-    return got
 
 
 @dataclass
@@ -923,8 +929,8 @@ class TestRayGround:
     def test_certified_march_on_random_grounds(self, amplitude, wavelength,
                                                start, height, ray_seed):
         # level, grazing and steep rays, up and down, from inside, above or
-        # below the band: the roots of the march with no grid point passed,
-        # and the march steps, hits and misses of the stepwise reference
+        # below the band: the march steps, hits and misses of the stepwise
+        # reference, which evaluates every grid point
         ground = HeightFieldGround(amplitude, wavelength)
         z = {"inside": amplitude * (2.0 * height - 1.0),
              "above": amplitude + 3.0 * height,
@@ -940,7 +946,7 @@ class TestRayGround:
         dirs = np.column_stack([np.cos(el) * np.cos(az),
                                 np.cos(el) * np.sin(az), np.sin(el)])
         t_upper = rng.uniform(0.5, 20.0, 3 * n)
-        t = _assert_every_grid_point(origin, dirs, ground, t_upper)
+        t = ray_ground(origin, dirs, ground, t_upper)
         _assert_same_march(origin, dirs, ground, t_upper, t)
         if start != "below":        # from below, every hit is at band entry
             _assert_closed(origin, dirs, ground, t)
@@ -952,39 +958,32 @@ class TestRayGround:
         # positive and still stops at that one point; a bound without the
         # A k term (0 for a level ray) passes it
         ground = _CountingGround(0.2, 10.0)
-        crest = 0.0
-        for _ in range(100):
-            crest = min(crest + 0.05, 10.0)
+        crest = min(0.0 + 100 * 0.05, 10.0)
         z = ground.height(np.array([-2.5 + crest]), np.array([2.5]))[0]
         origin = np.array([-2.5, 2.5, z])
         dirs = np.array([[1.0, 0.0, 0.0]])
         t_upper = np.array([10.0])
-        t = _assert_every_grid_point(origin, dirs, ground, t_upper)
+        ground.rows = 0
+        t = ray_ground(origin, dirs, ground, t_upper)
+        # f is evaluated at 13 of the 101 grid points up to the crest, and
+        # at the root loop's 57 points inside the crossing step: 70 rows,
+        # against 158 for a march that evaluates every grid point
+        assert ground.rows <= 80
         assert crest - 0.05 < t[0] <= crest
         _assert_same_march(origin, dirs, ground, t_upper, t)
-        # the same brackets, so the same root loop: the difference in rows
-        # evaluated is the grid points passed, less the f(lo) evaluated
-        rows = []
-        for skip in (primitives._MARCH_SKIP, 0):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(primitives, "_MARCH_SKIP", skip)
-                ground.rows = 0
-                ray_ground(origin, dirs, ground, t_upper)
-                rows.append(ground.rows)
-        assert rows[1] - rows[0] >= 60
 
     def test_far_crossing_at_full_slope(self):
-        # a level ray along the crest line y = w / 4, 1e11 from the origin,
+        # a level ray along the crest line y = w / 4, 1e13 from the origin,
         # falls through f = 0 where f = -A sin(kx) is as steep as the bound
-        # L. There x carries ~1e-5 of rounding, the computed f strays from
-        # the exact one by ~1e-8, more than the inflated L leaves over, and
+        # L. There x carries ~1e-3 of rounding, the computed f strays from
+        # the exact one by ~1e-6, more than the inflated L leaves over, and
         # a certificate without the margin passes the crossing grid point
         ground = HeightFieldGround(0.2, 1000.0)
-        origin = np.array([1e11 - 2.0, 250.0, 0.0])
+        origin = np.array([1e13 - 2.05, 250.0, 0.0])
         dirs = np.array([[1.0, 0.0, 0.0]])
         t_upper = np.array([4.0])
-        t = _assert_every_grid_point(origin, dirs, ground, t_upper)
-        assert 1.95 < t[0] < 2.0
+        t = ray_ground(origin, dirs, ground, t_upper)
+        assert 2.0 < t[0] < 2.05
         _assert_same_march(origin, dirs, ground, t_upper, t)
 
 
@@ -1018,7 +1017,8 @@ class TestDegenerateGrounds:
     RuntimeWarning escapes, and an error raised is a TrussKitError."""
 
     @settings(max_examples=30, deadline=None)
-    @given(amplitude=st.sampled_from(["zero", "tiny", "over the sensor"]),
+    @given(amplitude=st.sampled_from(["zero", "tiny", "over the sensor",
+                                      "1e300", "1.7e308"]),
            wavelength=st.floats(0.0, 12.0).map(lambda e: 10.0 ** e),
            sensor_z=st.sampled_from(["top edge", "bottom edge", "above"]),
            v_resolution=st.sampled_from([1, 3, 9]),
@@ -1026,13 +1026,19 @@ class TestDegenerateGrounds:
            max_range=st.floats(1.0, 40.0),
            noise_sigma=st.sampled_from([0.0, 0.008]),
            pose_seed=st.integers(0, 2 ** 16))
+    # the band interval (-A - oz) / dz overflows, and on a band edge so does
+    # f, where oz - A sin sin reaches 2A
+    @example("1.7e308", 10.0, "above", 3, False, 20.0, 0.0, 0)
+    @example("1.7e308", 10.0, "top edge", 3, False, 20.0, 0.0, 0)
+    @example("1e300", 10.0, "bottom edge", 3, True, 20.0, 0.0, 0)
     def test_no_warning_and_typed_errors(self, amplitude, wavelength, sensor_z,
                                          v_resolution, level, max_range,
                                          noise_sigma, pose_seed):
         rng = np.random.default_rng(pose_seed)
         z = rng.uniform(0.5, 3.0)
         A = {"zero": 0.0, "tiny": 1e-300,
-             "over the sensor": z * rng.uniform(1.0, 10.0)}[amplitude]
+             "over the sensor": z * rng.uniform(1.0, 10.0),
+             "1e300": 1e300, "1.7e308": 1.7e308}[amplitude]
         z = {"top edge": A, "bottom edge": -A, "above": z}[sensor_z]
         ground = HeightFieldGround(A, wavelength)
         quaternion = ((1.0, 0.0, 0.0, 0.0) if level
@@ -1044,11 +1050,11 @@ class TestDegenerateGrounds:
         origin = np.asarray(pose.translation)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for dtype in (np.float64, np.float32):
-                cloud = synth.raycast_scan(Scene([], ground), pose, cfg,
-                                           seed=pose_seed, dtype=dtype)
-                assert np.isfinite(cloud.points).all()
-            for t_upper in (max_range + 1.0, np.inf):
+            cloud = synth.raycast_scan(Scene([], ground), pose, cfg,
+                                       seed=pose_seed)
+            assert np.isfinite(cloud.points).all()
+            # a march with no t_upper across a band 1e300 deep would not end
+            for t_upper in (max_range + 1.0, np.inf)[:1 + (A < 1e300)]:
                 try:
                     t = ray_ground(origin, dirs, ground,
                                    np.full(len(dirs), t_upper))
