@@ -25,8 +25,8 @@ blocked neighbour queries and the normals' covariances here, the edge
 table and RANSAC scoring in ``segment``), run on every CPU this process
 may run on (``query_workers``); the calling thread takes blocks too. Each row's
 arithmetic is the same on any number of threads, so results are bit
-identical. ``run_beside`` runs one job on a helper thread while the
-calling thread goes on, or inline when ``query_workers()`` is 1.
+identical. ``run_beside`` runs one job on a one-worker thread pool while
+the calling thread goes on, or inline when ``query_workers()`` is 1.
 ``map_jobs`` is the one ``--jobs`` map (``generate``,
 ``segment``, ``sweep``): with more than one job it runs on a
 ``worker_pool``, whose workers call ``single_threaded_queries``, so they
@@ -43,7 +43,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -289,8 +288,9 @@ class LabeledCloud:
 class EigenDecomp:
     """Sorted eigen-decomposition of a neighbourhood covariance.
 
-    eigenvalues are ascending and clamped non-negative; eigenvector j is
-    column j of ``eigenvectors``.
+    eigenvalues are ascending and clamped non-negative; one below
+    -1e-9 max(1, |lam|max) is refused. Eigenvector j is column j of
+    ``eigenvectors``.
     """
 
     eigenvalues: np.ndarray
@@ -304,7 +304,7 @@ class EigenDecomp:
         lam = self.eigenvalues
         if lam[0] > lam[1] + 1e-12 or lam[1] > lam[2] + 1e-12:
             raise InvalidSpecError("eigenvalues must be sorted ascending")
-        if lam[0] < -1e-9:
+        if lam[0] < -1e-9 * max(1.0, np.abs(lam).max()):
             raise InvalidSpecError(
                 "covariance eigenvalues must be non-negative")
         self.eigenvalues = np.maximum(lam, 0.0)
@@ -355,7 +355,8 @@ def eigen_sym3_stack(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     C is (n, 3, 3); returns (lam (n, 3) ascending, V (n, 3, 3) with
     eigenvector j of matrix i in column j of V[i]). Tiny negative round-off
-    eigenvalues (in [-1e-9, 0)) are clamped to zero. Raises
+    eigenvalues (in [-1e-9 max(1, |lam|max), 0), the largest |eigenvalue|
+    of the same matrix) are clamped to zero. Raises
     NotSymmetricError when ``|C - C.T|`` of any matrix exceeds 1e-9.
     """
     C = np.asarray(C, dtype=np.float64)
@@ -365,7 +366,8 @@ def eigen_sym3_stack(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(C) and np.abs(C - Ct).max() > 1e-9:
         raise NotSymmetricError("matrix is not symmetric within 1e-9")
     lam, V = np.linalg.eigh((C + Ct) / 2.0)
-    lam = np.where((lam < 0.0) & (lam >= -1e-9), 0.0, lam)
+    tol = 1e-9 * np.maximum(1.0, np.abs(lam).max(axis=1))
+    lam = np.where((lam < 0.0) & (lam >= -tol[:, None]), 0.0, lam)
     return lam, V
 
 
@@ -458,36 +460,20 @@ def run_beside(job):
     started: the job runs inline on entry. The helper is joined when the
     block exits, whether it returns or raises.
 
-    The helper ends with its job, unlike an idle pool worker: glibc keeps
-    a malloc arena per live thread, so a helper alive until the block
-    exits sent the block's row-block threads to yet another arena, and
-    each arena keeps its high-water mark resident.
+    The helper is a one-worker ``ThreadPoolExecutor`` shut down as soon as
+    the job is submitted, so its thread ends with the job, unlike an idle
+    pool worker: glibc keeps a malloc arena per live thread, so a helper
+    alive until the block exits sent the block's row-block threads to yet
+    another arena, and each arena keeps its high-water mark resident.
     """
     if query_workers() == 1:
         result = job()
         yield lambda: result
         return
-    outcome = {}
-
-    def settle():
-        try:
-            outcome["result"] = job()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    helper = threading.Thread(target=settle)
-    helper.start()
-
-    def result():
-        helper.join()
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["result"]
-
-    try:
-        yield result
-    finally:
-        helper.join()
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(job)
+        pool.shutdown(wait=False)
+        yield future.result
 
 
 def eigh3_smallest(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -394,7 +394,10 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     rays); the float32 scans checked round both to the same points.
 
     A level ray starting inside the band is marched up to its t_upper,
-    which must then be finite (NonFiniteError otherwise).
+    which must then be finite (NonFiniteError otherwise). The farthest end
+    T of any march must let the grid advance, 2 ulp(T + step) < step (T
+    below 2**47, about 1.4e14, for step = 0.05): a deeper band with an
+    infinite t_upper raises NonFiniteError too.
     """
     oz = origin[2]
     dz = dirs[:, 2]
@@ -443,6 +446,12 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
 
     idx = np.flatnonzero(active)
     start, end = lo[idx], hi[idx]
+    # past this reach the grid lo + j step no longer advances: a step is
+    # within rounding of t itself
+    far = end.max()
+    if 2.0 * np.spacing(far + step) >= step:
+        raise NonFiniteError(f"the ground march cannot step at t = {far:g}: "
+                             "t_upper must be finite and nearer")
     dx, dy, dzs = dirs[idx, 0], dirs[idx, 1], dz[idx]
     # the whole-scan arrays go before the march. Once a large array has
     # been freed, glibc trims its heap only above twice that size, so the
@@ -459,7 +468,6 @@ def ray_ground(origin: np.ndarray, dirs: np.ndarray, ground: HeightFieldGround,
     # is positive when (f(c) - margin) / rise > i, rise = L' stride. On a
     # huge ground either may overflow to inf, which proves no point
     k = 2.0 * np.pi / ground.wavelength
-    far = end.max()
     with np.errstate(over="ignore"):
         stride = step + 2.0 * np.spacing(far + step)
         rise = np.abs(dx)

@@ -10,16 +10,17 @@ the scan's ``(n, 3)`` coordinates: ``run_pipeline`` reads them from its
 
 RANSAC scores its hypotheses in cache-sized blocks of voxels and
 hypotheses. The density filter marks every point of a grid cell that holds
-more than density_min_points points as dense and queries the kd-tree only
-for the rest. One ``run_pipeline`` call runs any set of variants (the
-seven of a sweep) as one plan, each stage they need once: the coarse
-split, the whole-cloud and coarse-ground normals and region growing, one
-density filter over the union of their masks. The whole cloud's
-(k+1)-nearest query gives its neighbour table, most coarse-ground rows and
-their normals, and every point's density verdict (``_normals_for``). A
-plan without such a query (mode H alone, say) judges the coarse
-structure's density on one helper thread while the fine stage runs
-(``_structure_tree``). None of these shortcuts changes a prediction.
+more than density_min_points points as dense and queries a kd-tree only
+for the rest, by one rule (``_judge_open``). One ``run_pipeline`` call
+runs any set of variants (the seven of a sweep) as one plan, each stage
+they need once: the coarse split, the whole-cloud and coarse-ground
+normals and region growing, one density filter over the union of their
+masks. The whole cloud's (k+1)-nearest query gives its neighbour table,
+most coarse-ground rows and their normals, and every point's density
+verdict (``_normals_for``). A plan without such a query (mode H alone,
+say) judges the coarse structure's density by that rule on one helper
+thread while the fine stage runs (``geom.run_beside``). None of these
+shortcuts changes a prediction.
 
 The RANSAC hypothesis blocks, the normals' covariances and region
 growing's edge table run their row blocks on ``geom.query_workers()`` threads
@@ -534,6 +535,21 @@ def _query_density(tree, points: np.ndarray, rows: np.ndarray,
     return verdict
 
 
+def _judge_open(points: np.ndarray, rows: np.ndarray, verdict: np.ndarray,
+                cfg: PipelineConfig, workers: int):
+    """The kd-tree of ``points``, after judging on it each point of ``rows``
+    that ``verdict`` leaves open (0), on ``workers`` threads
+    (``_query_density``): the density work the grid (``_dense_cells``)
+    leaves to a tree, in ``density_filter`` and on ``run_pipeline``'s
+    helper thread. It calls no function the benchmark tracer wraps."""
+    # scipy.spatial takes ~0.35 s to import; only kd-tree users pay
+    from scipy.spatial import cKDTree
+    tree = cKDTree(points, balanced_tree=False, copy_data=False)
+    todo = rows[verdict[rows] == 0]
+    verdict[todo] = _query_density(tree, points, todo, cfg, workers)
+    return tree
+
+
 def density_filter(points: np.ndarray, structure_mask: np.ndarray,
                    cfg: PipelineConfig,
                    verdict: Optional[np.ndarray] = None) -> np.ndarray:
@@ -546,45 +562,25 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     coordinate raises NonFiniteError, and one beyond
     ``geom.COORDINATE_BOUND`` CoordinateRangeError.
 
-    ``verdict`` holds what is known per point (0 not judged, 1 dense, 2
-    sparse; left unchanged): by default the grid's dense cells
-    (``_dense_cells``), or every point's (``Neighbours.density``). The
-    structure points not yet judged query a kd-tree of the cloud
-    (``_query_density``).
+    ``verdict``, when given, judges every structure point (1 dense, 2
+    sparse; left unchanged): ``Neighbours.density``, say. By default the
+    grid's dense cells (``_dense_cells``) judge what they can, and the
+    structure points they leave open query a kd-tree of the cloud
+    (``_judge_open``). On a cloud of at most density_min_points points
+    that query finds fewer than density_min_points + 1 points, so every
+    point is sparse.
     """
     points = _finite_points(points)
     mask = np.asarray(structure_mask, dtype=bool).copy()
     idx = np.flatnonzero(mask)
     if len(idx) == 0 or cfg.density_min_points == 0:
         return mask
-    if len(points) <= cfg.density_min_points:
-        mask[idx] = False
-        return mask
     if verdict is None:
         verdict = _dense_cells(points, cfg)
-    judged = verdict[idx]
-    todo = judged == 0
-    if todo.any():
-        # scipy.spatial takes ~0.35 s to import; only kd-tree users pay
-        from scipy.spatial import cKDTree
-        judged[todo] = _query_density(cKDTree(points), points, idx[todo],
-                                      cfg, query_workers())
-    mask[idx[judged == 2]] = False
+        if not verdict[idx].all():
+            _judge_open(points, idx, verdict, cfg, query_workers())
+    mask[idx[verdict[idx] == 2]] = False
     return mask
-
-
-def _structure_tree(points: np.ndarray, structure: np.ndarray,
-                    verdict: np.ndarray, cfg: PipelineConfig):
-    """The whole cloud's kd-tree, after judging on it, on one thread, each
-    point of ``structure`` that ``verdict`` leaves open (0): the density
-    work of a plan without a WC variant that needs only the coarse split.
-    ``run_pipeline`` runs it beside the fine stage (``geom.run_beside``),
-    so it calls no function the benchmark tracer wraps."""
-    from scipy.spatial import cKDTree   # deferred, as in density_filter
-    tree = cKDTree(points, balanced_tree=False, copy_data=False)
-    todo = structure[verdict[structure] == 0]
-    verdict[todo] = _query_density(tree, points, todo, cfg, 1)
-    return tree
 
 
 def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
@@ -605,7 +601,7 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
     (``geom.query_blocks``): each block's (b, k + 1) distances are judged
     and dropped, so no (n, k + 1) float table is ever held.
     """
-    from scipy.spatial import cKDTree   # deferred, as in density_filter
+    from scipy.spatial import cKDTree   # deferred, as in _judge_open
     n, k, m = len(points), cfg.normal_k, cfg.density_min_points
     tree = cKDTree(points)
     table = np.empty((n, k), dtype=np.intp)
@@ -647,7 +643,7 @@ def _subset_from_whole(points: np.ndarray, subset: np.ndarray, k: int,
         ~(whole.tie_free[subset] & (knn_idx >= 0).all(axis=1)))
     normals, curv = whole.normals[subset], whole.curvature[subset]
     if len(redo):
-        from scipy.spatial import cKDTree   # deferred, as in density_filter
+        from scipy.spatial import cKDTree   # deferred, as in _judge_open
         sub_pts = points[subset]
         knn_idx[redo] = cKDTree(sub_pts).query(
             sub_pts[redo], k=k, workers=query_workers())[1]
@@ -714,13 +710,13 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
     coarse ground's rows and every point's density (``_normals_for``);
     coarse-ground normals and region growing; one density filter over the
     union of the variants' masks. Each variant then only judges its
-    clusters (``classify_cluster``). Without a without_coarse variant, a
-    helper thread builds the whole cloud's kd-tree and judges the coarse
-    structure's density on it while the fine stage runs
-    (``_structure_tree``, ``geom.run_beside``); the calling thread then
-    judges only the promoted points the grid left open, and the filter gets
-    every verdict it needs. The helper is joined before the call returns or
-    raises.
+    clusters (``classify_cluster``). Without a without_coarse variant, the
+    calling thread marks the grid's dense cells, then a helper thread
+    builds the whole cloud's kd-tree and judges on it the coarse structure
+    the grid left open while the fine stage runs (``_judge_open`` on
+    ``geom.run_beside``); the calling thread then judges only the promoted
+    points the grid left open, and the filter gets every verdict it needs.
+    The helper is joined before the call returns or raises.
 
     Each variant's latency_ms holds the measured time of each stage it
     uses on the calling thread, region_growing with its own verdicts
@@ -781,7 +777,7 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
     # without a WC variant no whole-cloud query judges density: the coarse
     # structure is judged beside the fine stage, on a whole-cloud tree
     ahead = (coarse is not None and WITHOUT_COARSE not in stage_modes
-             and n > cfg.density_min_points > 0)
+             and cfg.density_min_points > 0)
     with ExitStack() as helper:
         if ahead:
             with _timed(ms, "density"):
@@ -790,7 +786,7 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
                 # that imports it: the kd-tree's, on this thread's
                 import scipy.spatial  # noqa: F401
                 tree_of = helper.enter_context(run_beside(partial(
-                    _structure_tree, pts, coarse.structure, verdict, cfg)))
+                    _judge_open, pts, coarse.structure, verdict, cfg, 1)))
         # the whole cloud first: its query serves the coarse ground's normals
         if WITHOUT_COARSE in stage_modes and n >= 3:
             whole = fine(WITHOUT_COARSE, everything)

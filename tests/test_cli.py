@@ -883,7 +883,7 @@ class TestTracerContract:
 
         targets = [(name, sites) for name, sites, _, _ in
                    tracing.instrumentation()]
-        targets.append(("helper", [(segment, "_structure_tree")]))
+        targets.append(("helper", [(segment, "_judge_open")]))
         for name, sites in targets:
             fn = getattr(*sites[0])
             for module, attr in sites:

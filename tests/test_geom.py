@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -241,6 +242,30 @@ class TestCoordinateBound:
         out = segment.run_pipeline(geom.LabeledCloud(pts), cfg)
         assert len(out.prediction) == len(pts)
 
+    @pytest.mark.parametrize("scale", [1e4, 1e12, 1e28])
+    @pytest.mark.parametrize("mode", [segment.FULL, segment.WITHOUT_COARSE])
+    def test_exact_plane_at_scale(self, mode, scale):
+        # the round-off of a zero eigenvalue grows with the covariance: an
+        # exact plane's smallest one reads below -1e-9 once scaled by 1e4
+        x, y = np.meshgrid(np.arange(101) * 0.2, np.arange(101) * 0.2)
+        pts = np.column_stack((x.ravel(), y.ravel(),
+                               0.3 * x.ravel() + 0.2 * y.ravel())) * scale
+        cfg = segment.PipelineConfig(
+            voxel_leaf=0.1 * scale, ransac_threshold=0.5 * scale,
+            magnitude_threshold=0.5 * scale, density_radius=0.25 * scale,
+            stage_mode=mode)
+        out = segment.run_pipeline(geom.LabeledCloud(pts), cfg)
+        assert len(out.prediction) == len(pts)
+
+    def test_exact_planes_pass_pca_at_scale(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            xy = rng.uniform(-1.0, 1.0, (50, 2))
+            a, b = rng.uniform(-1.0, 1.0, 2)
+            pts = np.column_stack((xy, a * xy[:, 0] + b * xy[:, 1])) * 1e6
+            lam = geom.pca_stats(pts).eigenvalues
+            assert lam[0] <= 1e-9 * lam[2]
+
 
 class TestRunRowBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -288,6 +313,62 @@ class TestRunRowBlocks:
 
         with pytest.raises(NonFiniteError, match="block 8"):
             geom.run_row_blocks(32, 4, job)
+
+
+class TestRunBeside:
+    @staticmethod
+    def job(threads, result="done", pause=0.0):
+        def run():
+            threads.append(threading.current_thread())
+            time.sleep(pause)
+            return result
+        return run
+
+    def test_one_worker_runs_inline_on_entry(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 1)
+
+        def no_thread(thread):
+            raise AssertionError(f"started {thread}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        threads = []
+        with geom.run_beside(self.job(threads)) as result:
+            assert threads == [threading.current_thread()]
+            assert result() == "done"
+
+    def test_helper_ends_with_its_job(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 2)
+        before = set(threading.enumerate())
+        threads = []
+        with geom.run_beside(self.job(threads)) as result:
+            assert result() == "done"
+            helper, = threads
+            assert helper is not threading.current_thread()
+            # the block goes on: the helper's thread is gone already
+            helper.join(timeout=5.0)
+            assert not helper.is_alive()
+        assert set(threading.enumerate()) == before
+
+    def test_helper_is_joined_when_the_block_raises(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 2)
+        before = set(threading.enumerate())
+        threads = []
+        with pytest.raises(KeyError):
+            with geom.run_beside(self.job(threads, pause=0.2)):
+                raise KeyError("block failed")
+        assert not threads[0].is_alive()
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_error_keeps_its_type(self, monkeypatch, workers):
+        monkeypatch.setattr(geom, "_query_workers", workers)
+
+        def failing():
+            raise NonFiniteError("job failed")
+
+        with pytest.raises(NonFiniteError, match="job failed"):
+            with geom.run_beside(failing) as result:
+                result()
 
 
 class TestCovariance:
@@ -452,14 +533,18 @@ class TestEigen:
         assert geom.eigen_sym3_stack(np.zeros((0, 3, 3)))[0].shape == (0, 3)
 
     def test_stack_clamps_only_round_off_negatives(self):
-        lam_in = [[-5e-10, 1.0, 2.0], [-1e-9, 1.0, 2.0], [-2e-9, 1.0, 2.0],
-                  [0.0, 1.0, 2.0]]
+        # the window is [-1e-9 max(1, |lam|max), 0): 1e-9 for a matrix
+        # whose eigenvalues are at most 1, 1e-5 beside an eigenvalue 1e4
+        lam_in = [[-5e-10, 0.5, 1.0], [-1e-9, 0.5, 1.0], [-2e-9, 0.5, 1.0],
+                  [0.0, 0.5, 1.0], [-1e-5, 1e3, 1e4], [-2e-5, 1e3, 1e4]]
         stack = np.array([np.diag(d) for d in lam_in])
         lam, _ = geom.eigen_sym3_stack(stack)
-        assert lam[:, 0].tolist() == [0.0, 0.0, -2e-9, 0.0]
+        assert lam[:, 0].tolist() == [0.0, 0.0, -2e-9, 0.0, 0.0, -2e-5]
         assert geom.eigen_sym3(stack[0]).eigenvalues[0] == 0.0
-        with pytest.raises(ValueError):         # below the clamp window
-            geom.eigen_sym3(stack[2])
+        assert geom.eigen_sym3(stack[4]).eigenvalues[0] == 0.0
+        for below in (2, 5):                    # below the clamp window
+            with pytest.raises(ValueError):
+                geom.eigen_sym3(stack[below])
 
 
 class TestNormals:

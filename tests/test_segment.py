@@ -585,6 +585,7 @@ class TestDensityFilter:
 
     def test_matches_brute_radius_oracle(self):
         rng = np.random.default_rng(8)
+        cases = []
         for _ in range(20):
             n = int(rng.integers(20, 600))
             pts = rng.uniform(-1, 1, (n, 3)) * rng.uniform(0.3, 2.0)
@@ -592,10 +593,18 @@ class TestDensityFilter:
             cfg = segment.PipelineConfig(
                 density_radius=float(rng.uniform(0.1, 0.6)),
                 density_min_points=int(rng.integers(0, 16)))
+            cases.append((pts, mask, cfg))
+        # clouds of 1 ... m + 1 points, each within the radius of every
+        # other: up to m points, the query pads each row with inf
+        for n in range(1, CFG.density_min_points + 2):
+            cases.append((rng.uniform(0.0, 0.1, (n, 3)), np.ones(n, bool),
+                          CFG))
+        for pts, mask, cfg in cases:
             got = segment.density_filter(pts, mask, cfg)
             count = np.array([len(brute_radius(pts, p, cfg.density_radius)) - 1
                               for p in pts])
             assert np.array_equal(got, mask & (count >= cfg.density_min_points))
+        assert got.all()                # the m + 1 points are dense
 
     def test_radius_boundary_inclusive(self):
         # point 0 has density_min_points - 1 close neighbours plus one at
@@ -996,6 +1005,29 @@ class TestDensityBeside:
                 for plan in self.PLANS]
         assert got[1] == got[2]
 
+    @pytest.mark.parametrize("n", [4, CFG.density_min_points,
+                                   CFG.density_min_points + 1])
+    def test_clouds_of_at_most_m_plus_one_points(self, monkeypatch, n):
+        # points within the radius of each other, all but a RANSAC triple
+        # off its plane: the coarse structure holds n - 3 points, sparse
+        # unless the cloud has m + 1 points
+        pts = np.random.default_rng(n).uniform(0.0, 0.1, (n, 3))
+        cfg = replace(CFG, voxel_leaf=1e-4, ransac_threshold=1e-9)
+        plans = [[cli.MODES[m] for m in plan] for plan in self.PLANS[:-1]]
+        outs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(geom, "_query_workers", workers)
+            outs[workers] = [
+                out for plan in plans
+                for out in segment.run_pipeline(LabeledCloud(pts), cfg, plan)]
+        assert [output_digest(out) for out in outs[1]] == \
+            [output_digest(out) for out in outs[2]]
+        dense = n > CFG.density_min_points
+        for out in outs[2]:
+            assert len(out.coarse_ground) == 3
+            assert out.prediction.sum() == (n - 3 if dense else 0)
+            assert len(out.density_removed) == (0 if dense else n - 3)
+
     def test_one_worker_runs_inline_first(self, monkeypatch):
         monkeypatch.setattr(geom, "_query_workers", 1)
 
@@ -1013,11 +1045,11 @@ class TestDensityBeside:
                 return inner(*args)
             return call
 
-        for name in ("_structure_tree", "_normals_for"):
+        for name in ("_judge_open", "_normals_for"):
             monkeypatch.setattr(segment, name, recording(name))
         segment.run_pipeline(_reduced_scan(1), CFG)
         main = threading.current_thread()
-        assert calls == [("_structure_tree", main), ("_normals_for", main)]
+        assert calls == [("_judge_open", main), ("_normals_for", main)]
 
     def test_helper_is_joined_on_return_and_on_raise(self, monkeypatch):
         monkeypatch.setattr(geom, "_query_workers", 2)

@@ -874,6 +874,20 @@ class TestRayGround:
         t = self._call((0.0, 2.5, 2.0), (0.6, 0.0, -0.8), np.inf)
         assert np.isfinite(t[0])
 
+    def test_march_that_cannot_step_raises(self):
+        # from 2**47 on, a 0.05 step is within rounding of t: the grid
+        # lo + j step stops advancing, and a march there would never end.
+        # A band 2e300 deep with an infinite t_upper reaches that far
+        with pytest.raises(NonFiniteError, match="cannot step"):
+            ray_ground(np.array((0.0, 0.0, 1e300)),
+                       np.array([(0.6, 0.0, -0.8)]),
+                       HeightFieldGround(1e300, 10.0), np.array([np.inf]))
+        # the bound itself: a level ray starting below the surface
+        below = (0.0, 0.0, -0.05)
+        assert self._call(below, (1.0, 0.0, 0.0), 2.0**47 - 1.0)[0] == 0.0
+        with pytest.raises(NonFiniteError, match="cannot step"):
+            self._call(below, (1.0, 0.0, 0.0), 2.0**47)
+
     def test_flat_ground_solved_exactly(self):
         flat = HeightFieldGround(amplitude=0.0)
         dirs = np.array([(0, 0, -1.0), (0.0, 0.28, -0.96), (0.6, 0.0, -0.8),
@@ -1053,8 +1067,7 @@ class TestDegenerateGrounds:
             cloud = synth.raycast_scan(Scene([], ground), pose, cfg,
                                        seed=pose_seed)
             assert np.isfinite(cloud.points).all()
-            # a march with no t_upper across a band 1e300 deep would not end
-            for t_upper in (max_range + 1.0, np.inf)[:1 + (A < 1e300)]:
+            for t_upper in (max_range + 1.0, np.inf):
                 try:
                     t = ray_ground(origin, dirs, ground,
                                    np.full(len(dirs), t_upper))
