@@ -20,16 +20,17 @@ Full eigen-decompositions (cluster statistics) go through one stacked path,
 ``eigen_sym3_stack``: one ``np.linalg.eigh`` call over an ``(n, 3, 3)``
 stack. ``eigen_sym3`` and ``pca_stats`` are that path on a stack of one.
 
-kd-tree queries, and the row-block kernels of ``run_row_blocks`` (the
-blocked neighbour queries and the normals' covariances here, the edge
-table and RANSAC scoring in ``segment``), run on every CPU this process
-may run on (``query_workers``); the calling thread takes blocks too. Each row's
+Every kd-tree of the package is built here (``knn_table``, ``kd_tree``)
+and queried by ``query_blocks``. It and the other row-block kernels of
+``run_row_blocks`` (the normals' covariances here, the edge table and
+RANSAC scoring in ``segment``) run on every CPU this process may run on
+(``query_workers``); the calling thread takes blocks too. Each row's
 arithmetic is the same on any number of threads, so results are bit
-identical. ``run_beside`` runs one job on a one-worker thread pool while
-the calling thread goes on, or inline when ``query_workers()`` is 1.
-``map_jobs`` is the one ``--jobs`` map (``generate``,
-``segment``, ``sweep``): with more than one job it runs on a
-``worker_pool``, whose workers call ``single_threaded_queries``, so they
+identical. ``run_beside`` runs one job on a one-worker thread pool, its
+blocks inline, while the calling thread goes on, or inline when
+``query_workers()`` is 1. ``map_jobs`` is the one ``--jobs`` map
+(``generate``, ``segment``, ``sweep``): with more than one job it runs on
+a ``worker_pool``, whose workers call ``single_threaded_queries``, so they
 run every block inline and do not oversubscribe the cores.
 
 ``field_value`` is the one rule of a stored config value, ``canonicalize``
@@ -43,6 +44,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -77,19 +79,17 @@ COORDINATE_BOUND = 1e30
 # goes to np.linalg.eigh: there the closed-form normal is ill-conditioned
 _EIGEN_GAP_TOL = 1e-4
 
-# threads of one kd-tree query or run_row_blocks call; None means every CPU
-# this process may run on
+# threads of one run_row_blocks call; None means every CPU this process
+# may run on
 _query_workers: Optional[int] = None
 
-# neighbourhoods per normals block: keeps the three (b, k) coordinate
-# columns at ~1 MB each for k = 30. Freeing whole-cloud temporaries (tens
-# of MB) raises glibc's mmap and trim thresholds, which leaves the heap
-# resident after the call.
-_NORMALS_BLOCK = 4096
+# run_beside's helper thread sets .beside: its row blocks run inline
+_thread = threading.local()
 
-# rows per block of a kd-tree query (query_blocks): each block's (b, k)
-# distances are handed on and dropped, so no (n, k) float table is held
-_QUERY_BLOCK = 4096
+# rows per block of a run_row_blocks kernel: a (b, k) float block is ~1 MB
+# at k = 30. Freeing whole-cloud temporaries (tens of MB) raises glibc's
+# mmap and trim thresholds, which leaves the heap resident after the call.
+_ROW_BLOCK = 4096
 
 # the upper triangle of a symmetric 3x3 matrix, row by row
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -388,8 +388,11 @@ def pca_stats(points, subset=None) -> EigenDecomp:
 
 
 def query_workers() -> int:
-    """Threads of one kd-tree query and of one ``run_row_blocks`` call: the
-    CPUs this process may run on, or 1 after ``single_threaded_queries``."""
+    """Threads of one ``run_row_blocks`` call: the CPUs this process may
+    run on, or 1 after ``single_threaded_queries`` and on ``run_beside``'s
+    helper thread."""
+    if getattr(_thread, "beside", False):
+        return 1
     if _query_workers is not None:
         return _query_workers
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -397,16 +400,16 @@ def query_workers() -> int:
 
 
 def single_threaded_queries() -> None:
-    """Make this process's kd-tree queries single-threaded and run every
-    ``run_row_blocks`` block inline (an initializer for worker processes
-    that share the cores with each other)."""
+    """Run every ``run_row_blocks`` block of this process inline (an
+    initializer for worker processes that share the cores with each
+    other)."""
     global _query_workers
     _query_workers = 1
 
 
 def worker_pool(jobs: int) -> ProcessPoolExecutor:
     """``jobs`` worker processes of a ``--jobs`` command, each running its
-    kd-tree queries and row blocks on one thread."""
+    row blocks on one thread."""
     return ProcessPoolExecutor(max_workers=jobs,
                                initializer=single_threaded_queries)
 
@@ -419,11 +422,12 @@ def map_jobs(fn, jobs: int, *iterables) -> list:
     return list(map(fn, *iterables))
 
 
-def run_row_blocks(n: int, block: int, job) -> None:
+def run_row_blocks(n: int, job, block: Optional[int] = None) -> None:
     """Call ``job(rows)`` once per slice ``rows`` of the disjoint blocks
-    ``[lo, lo + block)`` that cover ``range(n)``, on ``query_workers()``
-    threads: the calling thread and ``query_workers() - 1`` helpers take
-    the blocks in order from one shared list.
+    ``[lo, lo + block)`` (``_ROW_BLOCK`` by default) that cover
+    ``range(n)``, on ``query_workers()`` threads: the calling thread and
+    ``query_workers() - 1`` helpers take the blocks in order from one
+    shared list.
 
     Each job writes only its own rows of outputs the caller preallocated,
     so no lock is needed and no row depends on the blocking or on the
@@ -433,6 +437,8 @@ def run_row_blocks(n: int, block: int, job) -> None:
     call, so a process forked after it inherits none. A job's exception is
     raised here.
     """
+    if block is None:
+        block = _ROW_BLOCK
     # a list iterator hands each block out once: next() holds the GIL
     blocks = iter([slice(lo, min(lo + block, n))
                    for lo in range(0, n, block)])
@@ -457,8 +463,10 @@ def run_beside(job):
     """Run ``job()`` on one helper thread while the ``with`` block runs;
     yields a function that waits for the job and returns its result or
     raises its exception. With ``query_workers() == 1`` no thread is
-    started: the job runs inline on entry. The helper is joined when the
-    block exits, whether it returns or raises.
+    started: the job runs inline on entry. On the helper,
+    ``query_workers()`` is 1, so the job runs its row blocks inline beside
+    the block's own. The helper is joined when the block exits, whether it
+    returns or raises.
 
     The helper is a one-worker ``ThreadPoolExecutor`` shut down as soon as
     the job is submitted, so its thread ends with the job, unlike an idle
@@ -470,8 +478,12 @@ def run_beside(job):
         result = job()
         yield lambda: result
         return
+    def beside():
+        _thread.beside = True
+        return job()
+
     with ThreadPoolExecutor(1) as pool:
-        future = pool.submit(job)
+        future = pool.submit(beside)
         pool.shutdown(wait=False)
         yield future.result
 
@@ -552,43 +564,52 @@ def _oriented_normals(cov: np.ndarray, points: np.ndarray,
     return normals, np.clip(curvature, 0.0, MAX_CURVATURE)
 
 
-def query_blocks(tree, points: np.ndarray, k: int, keep) -> None:
-    """Query the k nearest neighbours of every row of ``points`` on the
-    kd-tree ``tree`` in blocks of ``_QUERY_BLOCK`` rows on
-    ``query_workers()`` threads (``run_row_blocks``), calling
-    ``keep(rows, dist, idx)`` with each block's distances and indices. Each
-    row's result is the one a single whole query gives it."""
-    run_row_blocks(len(points), _QUERY_BLOCK, lambda rows: keep(
-        rows, *tree.query(points[rows], k=k, workers=1)))
-
-
-def knn_table(points: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) indices of each point's k nearest points, nearest first, from
-    an exact kd-tree query in row blocks (``query_blocks``); only the index
-    table is kept, never an (n, k) table of distances. A point is its own
-    first neighbour; k is capped at n."""
+def kd_tree(points: np.ndarray):
+    """A kd-tree of ``points`` for the queries that read only distances, or
+    whose rows no tie can reorder: sliding-midpoint splits (Maneewongvatana
+    & Mount 1999), the points not copied."""
     # scipy.spatial takes ~0.35 s to import; only kd-tree users pay for it
     from scipy.spatial import cKDTree
+    return cKDTree(points, balanced_tree=False, copy_data=False)
+
+
+def query_blocks(tree, points: np.ndarray, k: int, keep,
+                 bound: float = np.inf) -> None:
+    """Query the k nearest neighbours within ``bound`` of every row of
+    ``points`` on ``tree`` in row blocks (``run_row_blocks``), calling
+    ``keep(rows, dist, idx)`` with each block's distances and indices
+    (``inf`` and ``tree.n`` where none is left within ``bound``). Each row
+    gets what one whole query gives it; no (n, k) float table is held."""
+    run_row_blocks(len(points), lambda rows: keep(rows, *tree.query(
+        points[rows], k=k, distance_upper_bound=bound, workers=1)))
+
+
+def knn_table(points: np.ndarray, k: int,
+              rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """(n, k) indices of each point's k nearest points, nearest first, or
+    just the rows of the points ``rows``; k is capped at n. A balanced
+    kd-tree's order of equidistant points is the tie order of every
+    neighbour table. Column 0 is the point or a coincident duplicate."""
+    from scipy.spatial import cKDTree   # deferred, as in kd_tree
 
     k = min(k, len(points))
-    table = np.empty((len(points), k), dtype=np.intp)
+    centres = points if rows is None else points[rows]
+    table = np.empty((len(centres), k), dtype=np.intp)
 
-    def keep(rows, _, idx):
-        table[rows] = idx.reshape(-1, k)
+    def keep(block, _, idx):
+        table[block] = idx.reshape(-1, k)
 
-    query_blocks(cKDTree(points), points, k, keep)
+    query_blocks(cKDTree(points), centres, k, keep)
     return table
 
 
 def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
-                           viewpoint, rows: Optional[np.ndarray] = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           viewpoint) -> tuple[np.ndarray, np.ndarray]:
     """Normals and curvature given precomputed neighbour indices.
 
-    Row i of ``neighbor_idx`` holds the neighbours of ``points[i]``, or of
-    ``points[rows[i]]`` when ``rows`` is given: then only those points'
-    normals and curvature are made, each equal to its row of the call over
-    every point.
+    Each row of ``neighbor_idx`` is a ``knn_table`` row, of any subset of
+    the points: column 0, the point or a coincident duplicate, gives the
+    centre that the normal's sign is judged from.
 
     The smallest-eigenvalue eigenvector of each neighbourhood covariance is
     the normal, flipped to point toward ``viewpoint``. Curvature is
@@ -601,19 +622,16 @@ def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
     its trace (all duplicates, collinear points) gets ``np.linalg.eigh``'s
     normal and eigenvalues exactly.
 
-    The covariances are made in blocks of ``_NORMALS_BLOCK`` rows on
-    ``query_workers()`` threads (``run_row_blocks``). A block gathers three
-    contiguous (b, k) coordinate columns from x, y and z arrays made once
-    per call, centres each row on its own mean and takes the six
-    upper-triangle sums of products row by row (``einsum``, no BLAS). The
-    eigen-analysis, dozens of small operations per block, then runs block
-    by block on the calling thread, so the threads do not pass the GIL back
-    and forth. Each row's sums read only that row and use no BLAS, so they
-    depend on neither the block, the thread count nor the BLAS kernel:
-    every row is that of a single whole-cloud pass, bit for bit.
+    The covariances are made in row blocks (``run_row_blocks``). A block
+    gathers three contiguous (b, k) coordinate columns from x, y and z
+    arrays made once per call, centres each row on its own mean and takes
+    the six upper-triangle sums of products row by row (``einsum``, no
+    BLAS). The eigen-analysis, dozens of small operations per block, then
+    runs block by block on the calling thread, so the threads do not pass
+    the GIL back and forth. Each row's sums read only that row and use no
+    BLAS: every row is that of a single whole-cloud pass, bit for bit.
     """
     n, k = neighbor_idx.shape
-    centres = points if rows is None else points[rows]
     view = np.asarray(viewpoint, dtype=np.float64)
     columns = [np.ascontiguousarray(points[:, axis]) for axis in range(3)]
     cov = np.empty((n, 3, 3))
@@ -626,13 +644,13 @@ def normals_from_neighbors(points: np.ndarray, neighbor_idx: np.ndarray,
             cov[block, i, j] = cov[block, j, i] = np.einsum(
                 "ij,ij->i", xs[i], xs[j]) / k
 
-    run_row_blocks(n, _NORMALS_BLOCK, covariances)
+    run_row_blocks(n, covariances)
     normals = np.empty((n, 3))
     curvature = np.empty(n)
-    for lo in range(0, n, _NORMALS_BLOCK):
-        block = slice(lo, lo + _NORMALS_BLOCK)
+    for lo in range(0, n, _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
         normals[block], curvature[block] = _oriented_normals(
-            cov[block], centres[block], view)
+            cov[block], points[neighbor_idx[block, 0]], view)
     return normals, curvature
 
 

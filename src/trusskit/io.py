@@ -80,7 +80,8 @@ def write_pcd_fields(columns: list, viewpoint, path=None) -> Optional[bytes]:
     """Serialise named columns as a binary PCD file.
 
     columns: list of (name, type_char, size, 1-d array). Writes to ``path``
-    when given, otherwise returns the bytes.
+    when given, otherwise returns the bytes. An integer column refuses a
+    value its type cannot hold (FieldRangeError) rather than wrap it.
     """
     n = len(columns[0][3]) if columns else 0
     for name, _, _, arr in columns:
@@ -96,7 +97,13 @@ def write_pcd_fields(columns: list, viewpoint, path=None) -> Optional[bytes]:
     dtype = np.dtype([(c[0], _DTYPES[(c[1], c[2])]) for c in columns])
     rec = np.zeros(n, dtype=dtype)
     for name, tc, size, arr in columns:
-        rec[name] = np.asarray(arr).astype(_DTYPES[(tc, size)])
+        values = np.asarray(arr)
+        if tc != "F" and len(values):
+            info = np.iinfo(_DTYPES[(tc, size)])
+            if not info.min <= values.min() <= values.max() <= info.max:
+                raise FieldRangeError(f"field {name!r} holds a value that "
+                                      f"does not fit {tc}{size}")
+        rec[name] = values.astype(_DTYPES[(tc, size)])
     blob = _header_text(header).encode("ascii") + rec.tobytes()
     if path is not None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)

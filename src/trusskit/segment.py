@@ -22,10 +22,11 @@ say) judges the coarse structure's density by that rule on one helper
 thread while the fine stage runs (``geom.run_beside``). None of these
 shortcuts changes a prediction.
 
-The RANSAC hypothesis blocks, the normals' covariances and region
-growing's edge table run their row blocks on ``geom.query_workers()`` threads
-(``geom.run_row_blocks``); no row's arithmetic depends on the thread count,
-so predictions are bit identical on any number of cores. With one worker
+``geom`` builds every kd-tree and runs every query (``kd_tree``,
+``knn_table``, ``query_blocks``); the queries, RANSAC scoring and region
+growing's edge table run in ``geom.run_row_blocks`` row blocks, whose
+rows' arithmetic does not depend on the thread count, so predictions
+are bit identical on any number of cores. With one worker
 the density helper's job runs inline, before the fine stage. Every
 function the benchmark tracer wraps by name (``ransac_plane``,
 ``_normals_for``, ``normals_from_neighbors``, ``region_grow``,
@@ -48,7 +49,6 @@ from .errors import (
     NonUnitDirectionError,
 )
 from .geom import (
-    _QUERY_BLOCK,
     EigenDecomp,
     LabeledCloud,
     _finite_points,
@@ -57,10 +57,10 @@ from .geom import (
     eigen_sym3_stack,
     extent_along,
     grid_cells,
+    kd_tree,
     knn_table,
     normals_from_neighbors,
     query_blocks,
-    query_workers,
     run_beside,
     run_row_blocks,
     voxel_downsample,
@@ -212,7 +212,7 @@ def _inlier_counts(pts32: np.ndarray, n32: np.ndarray, d32: np.ndarray,
     <= thr32, all in float32.
 
     Scored in blocks of ``_SCORE_POINTS`` points by ``_SCORE_HYPOTHESES``
-    hypotheses, the hypothesis blocks on ``query_workers()`` threads
+    hypotheses, the hypothesis blocks on ``geom.query_workers`` threads
     (``geom.run_row_blocks``). Each distance is the K=3 sgemm dot product
     plus d that one product over every point gives, so blocking changes no
     count.
@@ -229,7 +229,7 @@ def _inlier_counts(pts32: np.ndarray, n32: np.ndarray, d32: np.ndarray,
             np.abs(dist, out=dist)
             total += np.count_nonzero(dist <= thr32, axis=0)
 
-    run_row_blocks(len(n32), _SCORE_HYPOTHESES, score)
+    run_row_blocks(len(n32), score, _SCORE_HYPOTHESES)
     return counts
 
 
@@ -331,10 +331,6 @@ def coarse_split(points: np.ndarray, cfg: PipelineConfig) -> CoarseSplit:
                        structure=np.flatnonzero(~near))
 
 
-# rows of the neighbour table judged per block in _edge_tables
-_EDGE_BLOCK = 4096
-
-
 def _edge_tables(normals: np.ndarray, knn_idx: np.ndarray, cos_thr: float,
                  pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The angle test of every neighbour edge, and the points that can grow
@@ -344,10 +340,8 @@ def _edge_tables(normals: np.ndarray, knn_idx: np.ndarray, cos_thr: float,
     ``normals[i] . normals[knn_idx[i, j]] >= cos_thr``, the dot product
     summed x, y, z left to right. ``grows[i]`` is True when point i has a
     passing edge to a point later in seed order (``pos[i]`` is its place in
-    that order). Rows are judged in blocks of ``_EDGE_BLOCK`` on
-    ``query_workers()`` threads (``geom.run_row_blocks``), with two float
-    temporaries per block: (m, k)-sized ones kept the heap of a whole-cloud
-    sweep resident long after the call.
+    that order). Rows are judged in row blocks (``geom.run_row_blocks``),
+    with two float temporaries per block.
     """
     m = len(knn_idx)
     nx, ny, nz = (np.ascontiguousarray(normals[:, d]) for d in range(3))
@@ -369,7 +363,7 @@ def _edge_tables(normals: np.ndarray, knn_idx: np.ndarray, cos_thr: float,
         later &= ok[rows]
         later.any(axis=1, out=grows[rows])
 
-    run_row_blocks(m, _EDGE_BLOCK, judge)
+    run_row_blocks(m, judge)
     return ok, grows
 
 
@@ -513,40 +507,28 @@ def _dense_cells(points: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     return verdict
 
 
-def _query_density(tree, points: np.ndarray, rows: np.ndarray,
-                   cfg: PipelineConfig, workers: int) -> np.ndarray:
-    """1 (dense) or 2 (sparse) per point ``points[rows]``: whether at least
-    density_min_points other points of the kd-tree ``tree`` of ``points``
-    lie within density_radius, boundary inclusive. Queried in
-    ``_QUERY_BLOCK`` row blocks on ``workers`` threads each."""
+def _judge_open(points: np.ndarray, rows: np.ndarray, verdict: np.ndarray,
+                cfg: PipelineConfig, tree=None):
+    """Set each point of ``rows`` that ``verdict`` leaves open (0) to 1
+    (dense) when at least density_min_points other points of ``points``
+    lie within density_radius, boundary inclusive, else 2 (sparse), by a
+    query on ``tree`` (a ``geom.kd_tree`` of ``points``, built when not
+    given); returns the tree. The one density query, in ``density_filter``
+    and ``run_pipeline``; it calls no function the benchmark tracer wraps."""
+    if tree is None:
+        tree = kd_tree(points)
+    todo = rows[verdict[rows] == 0]
+
     # "at least m neighbours within r (excluding self)" is equivalent to
     # "the (m+1)-th nearest indexed point (self included, distance 0) lies
     # within r" -- a pruned knn query instead of full neighbour enumeration.
     # That distance is exact, so no tree shape changes a verdict.
-    k = cfg.density_min_points + 1
-    bound = np.nextafter(cfg.density_radius, np.inf)
-    verdict = np.empty(len(rows), dtype=np.int8)
-    for lo in range(0, len(rows), _QUERY_BLOCK):
-        block = rows[lo:lo + _QUERY_BLOCK]
-        dist, _ = tree.query(points[block], k=k, distance_upper_bound=bound,
-                             workers=workers)
-        verdict[lo:lo + len(block)] = np.where(
-            dist[:, -1] <= cfg.density_radius, 1, 2)
-    return verdict
+    def keep(block, dist, _):
+        verdict[todo[block]] = np.where(dist[:, -1] <= cfg.density_radius,
+                                        1, 2)
 
-
-def _judge_open(points: np.ndarray, rows: np.ndarray, verdict: np.ndarray,
-                cfg: PipelineConfig, workers: int):
-    """The kd-tree of ``points``, after judging on it each point of ``rows``
-    that ``verdict`` leaves open (0), on ``workers`` threads
-    (``_query_density``): the density work the grid (``_dense_cells``)
-    leaves to a tree, in ``density_filter`` and on ``run_pipeline``'s
-    helper thread. It calls no function the benchmark tracer wraps."""
-    # scipy.spatial takes ~0.35 s to import; only kd-tree users pay
-    from scipy.spatial import cKDTree
-    tree = cKDTree(points, balanced_tree=False, copy_data=False)
-    todo = rows[verdict[rows] == 0]
-    verdict[todo] = _query_density(tree, points, todo, cfg, workers)
+    query_blocks(tree, points[todo], cfg.density_min_points + 1, keep,
+                 np.nextafter(cfg.density_radius, np.inf))
     return tree
 
 
@@ -578,7 +560,7 @@ def density_filter(points: np.ndarray, structure_mask: np.ndarray,
     if verdict is None:
         verdict = _dense_cells(points, cfg)
         if not verdict[idx].all():
-            _judge_open(points, idx, verdict, cfg, query_workers())
+            _judge_open(points, idx, verdict, cfg)
     mask[idx[verdict[idx] == 2]] = False
     return mask
 
@@ -589,21 +571,16 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
     query per point; k is normal_k and the cloud has more than k points.
 
     A row is tie-free when its k + 1 distances strictly increase. Then its
-    first k columns are the k-nearest query's row, in the same order. A
-    row with a tie (duplicate points, a lattice) is queried again for k
-    neighbours on the same tree, so the table equals ``geom.knn_table``
-    row for row. When density_min_points is at most k, column
-    density_min_points of the distances is each point's (m+1)-th nearest
-    distance, the density filter's own test, so the verdict is 1 (dense)
-    or 2 (sparse); else it is None.
-
-    The query runs in row blocks on ``query_workers()`` threads
-    (``geom.query_blocks``): each block's (b, k + 1) distances are judged
-    and dropped, so no (n, k + 1) float table is ever held.
+    first k columns are the only k nearest points, in the only order, so
+    any tree gives them (``geom.kd_tree``), and they are
+    ``geom.knn_table``'s row. A row with a tie (duplicate points, a
+    lattice) takes ``knn_table``'s row, so the table equals it row for
+    row. When density_min_points is at most k, column density_min_points
+    of the distances is each point's (m+1)-th nearest distance, the
+    density filter's own test, so the verdict is 1 (dense) or 2 (sparse);
+    else it is None.
     """
-    from scipy.spatial import cKDTree   # deferred, as in _judge_open
     n, k, m = len(points), cfg.normal_k, cfg.density_min_points
-    tree = cKDTree(points)
     table = np.empty((n, k), dtype=np.intp)
     tie_free = np.empty(n, dtype=bool)
     verdict = np.empty(n, dtype=np.int8) if 0 < m <= k else None
@@ -614,11 +591,10 @@ def _whole_cloud_neighbours(points: np.ndarray, cfg: PipelineConfig):
         if verdict is not None:
             verdict[rows] = np.where(dist[:, m] <= cfg.density_radius, 1, 2)
 
-    query_blocks(tree, points, k + 1, keep)
+    query_blocks(kd_tree(points), points, k + 1, keep)
     ties = np.flatnonzero(~tie_free)
     if len(ties):
-        table[ties] = tree.query(points[ties], k=k,
-                                 workers=query_workers())[1]
+        table[ties] = knn_table(points, k, ties)
     return table, tie_free, verdict
 
 
@@ -633,8 +609,8 @@ def _subset_from_whole(points: np.ndarray, subset: np.ndarray, k: int,
     order: every other subset point lies at least as far as its (k+1)-th
     whole-cloud neighbour, strictly beyond the k-th. Its row is the mapped
     whole-cloud row, and its normal and curvature, made from the same
-    coordinates in the same order, are copied. The other rows are queried
-    on a kd-tree of the subset and get their normals made alone.
+    coordinates in the same order, are copied. The other rows take the
+    subset's ``geom.knn_table`` rows and get their normals made alone.
     """
     local = np.full(len(points), -1, dtype=np.intp)
     local[subset] = np.arange(len(subset))
@@ -643,12 +619,10 @@ def _subset_from_whole(points: np.ndarray, subset: np.ndarray, k: int,
         ~(whole.tie_free[subset] & (knn_idx >= 0).all(axis=1)))
     normals, curv = whole.normals[subset], whole.curvature[subset]
     if len(redo):
-        from scipy.spatial import cKDTree   # deferred, as in _judge_open
         sub_pts = points[subset]
-        knn_idx[redo] = cKDTree(sub_pts).query(
-            sub_pts[redo], k=k, workers=query_workers())[1]
+        knn_idx[redo] = knn_table(sub_pts, k, redo)
         normals[redo], curv[redo] = normals_from_neighbors(
-            sub_pts, knn_idx[redo], _VIEWPOINT, rows=redo)
+            sub_pts, knn_idx[redo], _VIEWPOINT)
     return Neighbours(normals, curv, knn_idx)
 
 
@@ -786,7 +760,7 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
                 # that imports it: the kd-tree's, on this thread's
                 import scipy.spatial  # noqa: F401
                 tree_of = helper.enter_context(run_beside(partial(
-                    _judge_open, pts, coarse.structure, verdict, cfg, 1)))
+                    _judge_open, pts, coarse.structure, verdict, cfg)))
         # the whole cloud first: its query serves the coarse ground's normals
         if WITHOUT_COARSE in stage_modes and n >= 3:
             whole = fine(WITHOUT_COARSE, everything)
@@ -797,9 +771,8 @@ def run_pipeline(cloud: LabeledCloud, cfg: PipelineConfig, modes=None):
         with _timed(ms, "density"):
             union = np.logical_or.reduce([out.prediction for out in outputs])
             if ahead:   # the promoted points the grid left open
-                todo = np.flatnonzero(union & (verdict == 0))
-                verdict[todo] = _query_density(tree_of(), pts, todo, cfg,
-                                               query_workers())
+                _judge_open(pts, np.flatnonzero(union), verdict, cfg,
+                            tree_of())
             else:
                 verdict = None if whole is None else whole.density
             kept = density_filter(pts, union, cfg, verdict)

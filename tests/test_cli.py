@@ -432,6 +432,27 @@ class TestSegmentEvaluate:
         assert sorted(p.name for p in out.glob("*.pcd")) == \
             ["scan_00000.pcd", "scan_00001.pcd"]
 
+    def test_label_past_the_prediction_column_is_refused_by_name(
+            self, tmp_path, capsys):
+        # a U8 label column of 2**32 + face label: the prediction's U4
+        # label column cannot hold it
+        data = make_tiny_dataset(tmp_path, n=1)
+        scan = data / "clouds" / "scan_00000.pcd"
+        header, arrays = tio.read_pcd_arrays(scan)
+        tio.write_pcd_fields(
+            [*((axis, "F", 4, arrays[axis]) for axis in "xyz"),
+             ("label", "U", 8, arrays["label"].astype(np.uint64) + 2**32)],
+            header.viewpoint, scan)
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        rc = cli.main(["segment", "--config", "configs/ortho.cfg",
+                       "--in", str(data), "--out", str(out), "--mode", "H"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: scan_00000.pcd: FieldRangeError: field 'label' holds a "
+            "value that does not fit U4\n")
+        assert not list(out.glob("*.pcd"))
+
     def test_huge_coordinates_are_refused_by_name(self, tmp_path, capsys):
         # float64 coordinates at 1e200 once overflowed the kd-tree's
         # squared distances, which ended in a raw IndexError

@@ -70,11 +70,57 @@ class TestKnnTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        blocks = workers * geom._QUERY_BLOCK * k * 16
+        blocks = workers * geom._ROW_BLOCK * k * 16
         tree = np.dtype(np.intp).itemsize * len(pts)
         assert peak <= table.nbytes + tree + 2 * blocks
         assert table.nbytes + tree + 2 * blocks \
             < table.nbytes + len(pts) * k * 8
+
+    @pytest.mark.parametrize("cloud_kind", ["lattice", "duplicates"])
+    def test_rows_equal_the_whole_table(self, monkeypatch, cloud_kind):
+        rng = np.random.default_rng(5)
+        if cloud_kind == "lattice":
+            pts = lattice(9, 0.5)
+        else:
+            pts = rng.uniform(0.0, 3.0, (600, 3))
+            pts = np.vstack([pts, pts[rng.choice(600, 200, replace=False)]])
+        rows = rng.choice(len(pts), len(pts) // 3, replace=False)
+        shipped = geom._ROW_BLOCK
+        for workers in (1, 2):
+            for block in (shipped, 11):
+                monkeypatch.setattr(geom, "_query_workers", workers)
+                monkeypatch.setattr(geom, "_ROW_BLOCK", block)
+                for k in (7, 30):
+                    table = geom.knn_table(pts, k, rows)
+                    assert np.array_equal(table, geom.knn_table(pts, k)[rows])
+                    # column 0: the point itself or a coincident duplicate
+                    assert np.array_equal(pts[table[:, 0]], pts[rows])
+
+
+class TestQueryBlocks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bounded_query_equals_one_scipy_query(self, monkeypatch,
+                                                  workers):
+        monkeypatch.setattr(geom, "_query_workers", workers)
+        monkeypatch.setattr(geom, "_ROW_BLOCK", 11)
+        pts = np.random.default_rng(8).uniform(0.0, 4.0, (500, 3))
+        queries = pts[::3] + 0.01
+        k, bound = 12, 0.6
+        for tree in (cKDTree(pts), geom.kd_tree(pts)):
+            want_d, want_i = tree.query(queries, k=k,
+                                        distance_upper_bound=bound)
+            # some rows hold k neighbours, others the inf padding
+            assert np.isinf(want_d[:, -1]).any()
+            assert np.isfinite(want_d[:, -1]).any()
+            got_d = np.full_like(want_d, np.nan)
+            got_i = np.full_like(want_i, -1)
+
+            def keep(rows, dist, idx):
+                got_d[rows], got_i[rows] = dist, idx
+
+            geom.query_blocks(tree, queries, k, keep, bound)
+            assert np.array_equal(got_d, want_d)
+            assert np.array_equal(got_i, want_i)
 
 
 class TestQueryWorkers:
@@ -85,8 +131,8 @@ class TestQueryWorkers:
         # one query block, and many blocks with a short tail
         pts = lattice(9, 0.5)
         monkeypatch.setattr(geom, "_query_workers", 2)
-        for block in (geom._QUERY_BLOCK, 11):
-            monkeypatch.setattr(geom, "_QUERY_BLOCK", block)
+        for block in (geom._ROW_BLOCK, 11):
+            monkeypatch.setattr(geom, "_ROW_BLOCK", block)
             for k in (7, 19, 30):
                 _, expect = cKDTree(pts).query(pts, k=k, workers=1)
                 assert np.array_equal(geom.knn_table(pts, k), expect)
@@ -281,7 +327,7 @@ class TestRunRowBlocks:
             seen[rows] += 1
             sizes.append(rows.stop - rows.start)
 
-        geom.run_row_blocks(n, block, job)
+        geom.run_row_blocks(n, job, block)
         assert (seen == 1).all()
         assert sorted(sizes, reverse=True) == \
             [block] * (n // block) + ([n % block] if n % block else [])
@@ -289,8 +335,8 @@ class TestRunRowBlocks:
     def test_one_worker_runs_inline_in_order(self, monkeypatch):
         monkeypatch.setattr(geom, "_query_workers", 1)
         calls = []
-        geom.run_row_blocks(10, 4, lambda rows: calls.append(
-            (rows.start, rows.stop, threading.current_thread())))
+        geom.run_row_blocks(10, lambda rows: calls.append(
+            (rows.start, rows.stop, threading.current_thread())), 4)
         main = threading.current_thread()
         assert calls == [(0, 4, main), (4, 8, main), (8, 10, main)]
 
@@ -298,8 +344,8 @@ class TestRunRowBlocks:
         monkeypatch.setattr(geom, "_query_workers", 2)
         before = set(threading.enumerate())
         threads = set()
-        geom.run_row_blocks(64, 8, lambda rows: threads.add(
-            threading.current_thread()))
+        geom.run_row_blocks(64, lambda rows: threads.add(
+            threading.current_thread()), 8)
         # the calling thread and at most one helper ran blocks
         assert len(threads - {threading.current_thread()}) <= 1
         assert set(threading.enumerate()) == before
@@ -312,7 +358,7 @@ class TestRunRowBlocks:
                 raise NonFiniteError("block 8")
 
         with pytest.raises(NonFiniteError, match="block 8"):
-            geom.run_row_blocks(32, 4, job)
+            geom.run_row_blocks(32, job, 4)
 
 
 class TestRunBeside:
@@ -358,6 +404,13 @@ class TestRunBeside:
                 raise KeyError("block failed")
         assert not threads[0].is_alive()
         assert set(threading.enumerate()) == before
+
+    def test_job_runs_its_blocks_inline(self, monkeypatch):
+        monkeypatch.setattr(geom, "_query_workers", 2)
+        with geom.run_beside(geom.query_workers) as result:
+            assert geom.query_workers() == 2
+            assert result() == 1
+        assert geom.query_workers() == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_job_error_keeps_its_type(self, monkeypatch, workers):
@@ -626,6 +679,21 @@ class TestNormals:
         _, curv = geom.normals_from_neighbors(pts, idx, (0, 0, 0))
         assert (curv == 0.0).all()
 
+    def test_rows_and_a_duplicate_in_column_0_give_the_same_bits(self):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-2.0, 2.0, (300, 3))
+        pts = np.vstack([pts, pts[:100]])   # point i + 300 doubles point i
+        idx = geom.knn_table(pts, 10)
+        want = geom.normals_from_neighbors(pts, idx, (0.0, 0.0, 5.0))
+        doubled = np.r_[0:100, 300:400]
+        assert (pts[idx[doubled, 1]] == pts[doubled]).all()
+        swapped = idx.copy()
+        swapped[doubled, :2] = idx[doubled, 1::-1]
+        rows = np.r_[doubled, 150:200]
+        got = geom.normals_from_neighbors(pts, swapped[rows], (0.0, 0.0, 5.0))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b[rows].tobytes()
+
     def test_collinear_neighbourhood_is_eigh_form(self):
         t = np.arange(16.0)
         for direction, origin in (([1.0, 2.0, 2.0], [2.0, -1.0, 0.5]),
@@ -742,7 +810,7 @@ class TestNormalsMemory:
         # the bound
         monkeypatch.setattr(geom, "_query_workers", workers)
         rng = np.random.default_rng(0)
-        n, k, b = 80_000, 30, geom._NORMALS_BLOCK
+        n, k, b = 80_000, 30, geom._ROW_BLOCK
         pts = np.column_stack([rng.uniform(-28, 28, (n, 2)),
                                rng.normal(0, 0.01, n)])
         idx = geom.knn_table(pts, k)

@@ -95,6 +95,23 @@ class TestPcdRoundTrip:
                               pts.astype(np.float32))
         assert np.array_equal(back.face_label, cloud.face_label)
 
+    def test_label_past_its_column_is_refused(self, tmp_path):
+        # a cast would wrap 2**32 to 0, background
+        top = LabeledCloud(np.zeros((2, 3)), [0, 2**32 - 1])
+        assert tio.read_pcd(tio.write_pcd(top)).face_label.tolist() == \
+            [0, 2**32 - 1]
+        past = LabeledCloud(np.zeros((2, 3)), [0, 2**32])
+        path = tmp_path / "past.pcd"
+
+        def write_prediction(cloud, path):
+            return tio.write_prediction_pcd(cloud, [True, False], path)
+
+        for write in (tio.write_pcd, write_prediction):
+            with pytest.raises(FieldRangeError, match="^field 'label' holds "
+                               "a value that does not fit U4$"):
+                write(past, path)
+            assert not path.exists()
+
     def test_ascii_binary_agree(self):
         rng = np.random.default_rng(1)
         cloud = random_cloud(rng, 64)

@@ -956,19 +956,23 @@ class TestStagePlan:
 
     # modes -> calls of (coarse_split, _normals_for, region_grow,
     # density_filter, _whole_cloud_neighbours, _subset_from_whole,
-    # _dense_cells): with a WC mode, the whole-cloud query serves the
-    # coarse ground's rows and judges every point's density
+    # _dense_cells, kd_tree, knn_table): with a WC mode, the whole-cloud
+    # query serves the coarse ground's rows and judges every point's
+    # density. A plan builds one kd_tree (the whole cloud's, for its query
+    # or for density), and a knn_table tree where rows are queried directly
+    # (the coarse ground of mode H) or redone (the seven's ground boundary)
     @pytest.mark.parametrize("modes,calls", [
-        (list(cli.MODES), (1, 2, 2, 1, 1, 1, 0)),
-        (["H"], (1, 1, 1, 1, 0, 0, 1)),
-        (["WF", "WF"], (1, 0, 0, 1, 0, 0, 1)),
-        (["WC_H", "WC_R"], (0, 1, 1, 1, 1, 0, 0)),
-        (["M", "R"], (1, 1, 1, 1, 0, 0, 1))],
+        (list(cli.MODES), (1, 2, 2, 1, 1, 1, 0, 1, 1)),
+        (["H"], (1, 1, 1, 1, 0, 0, 1, 1, 1)),
+        (["WF", "WF"], (1, 0, 0, 1, 0, 0, 1, 1, 0)),
+        (["WC_H", "WC_R"], (0, 1, 1, 1, 1, 0, 0, 1, 0)),
+        (["M", "R"], (1, 1, 1, 1, 0, 0, 1, 1, 1))],
         ids=["seven", "H", "WF_twice", "WC_only", "M_R"])
     def test_each_stage_runs_once(self, monkeypatch, modes, calls):
         names = ("coarse_split", "_normals_for", "region_grow",
                  "density_filter", "_whole_cloud_neighbours",
-                 "_subset_from_whole", "_dense_cells")
+                 "_subset_from_whole", "_dense_cells", "kd_tree",
+                 "knn_table")
         counts = dict.fromkeys(names, 0)
 
         def counting(name, inner):
@@ -1049,7 +1053,10 @@ class TestDensityBeside:
             monkeypatch.setattr(segment, name, recording(name))
         segment.run_pipeline(_reduced_scan(1), CFG)
         main = threading.current_thread()
-        assert calls == [("_judge_open", main), ("_normals_for", main)]
+        # the coarse structure before the fine stage, the promoted points
+        # after it
+        assert calls == [("_judge_open", main), ("_normals_for", main),
+                         ("_judge_open", main)]
 
     def test_helper_is_joined_on_return_and_on_raise(self, monkeypatch):
         monkeypatch.setattr(geom, "_query_workers", 2)
@@ -1059,7 +1066,7 @@ class TestDensityBeside:
         assert threading.active_count() == before
         # the helper is still querying when region growing raises
         helping = threading.Event()
-        inner = segment._query_density
+        inner = segment._judge_open
 
         def slow(*args):
             if threading.current_thread() is not threading.main_thread():
@@ -1071,7 +1078,7 @@ class TestDensityBeside:
             assert helping.wait(10)
             raise RuntimeError("region growing failed")
 
-        monkeypatch.setattr(segment, "_query_density", slow)
+        monkeypatch.setattr(segment, "_judge_open", slow)
         monkeypatch.setattr(segment, "region_grow", broken)
         with pytest.raises(RuntimeError, match="region growing failed"):
             segment.run_pipeline(cloud, CFG)
@@ -1088,7 +1095,7 @@ class TestDensityBeside:
             threads.append(threading.current_thread())
             raise HelperFailure
 
-        monkeypatch.setattr(segment, "_query_density", failing)
+        monkeypatch.setattr(segment, "_judge_open", failing)
         with pytest.raises(HelperFailure):
             segment.run_pipeline(_reduced_scan(1), CFG)
         assert threads and threads[0] is not threading.main_thread()
@@ -1117,9 +1124,9 @@ def normals_rows(monkeypatch):
     counts = []
     inner = segment.normals_from_neighbors
 
-    def counting(points, neighbor_idx, viewpoint, rows=None):
+    def counting(points, neighbor_idx, viewpoint):
         counts.append(len(neighbor_idx))
-        return inner(points, neighbor_idx, viewpoint, rows=rows)
+        return inner(points, neighbor_idx, viewpoint)
 
     monkeypatch.setattr(segment, "normals_from_neighbors", counting)
     return counts
@@ -1254,7 +1261,7 @@ class TestSharedNeighbourhoods:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        blocks = geom.query_workers() * geom._QUERY_BLOCK * (k + 1) * 16
+        blocks = geom.query_workers() * geom._ROW_BLOCK * (k + 1) * 16
         flags = 2 * len(pts)
         tree = np.dtype(np.intp).itemsize * len(pts)
         assert peak <= table.nbytes + flags + tree + 2 * blocks
@@ -1264,10 +1271,9 @@ class TestSharedNeighbourhoods:
 
 # block sizes of the row-block kernels: odd and small, so that every kernel
 # runs many blocks and a short tail block
-_SMALL_BLOCKS = {(geom, "_NORMALS_BLOCK"): 7, (segment, "_EDGE_BLOCK"): 13,
+_SMALL_BLOCKS = {(geom, "_ROW_BLOCK"): 11,
                  (segment, "_SCORE_HYPOTHESES"): 7,
-                 (segment, "_SCORE_POINTS"): 13,
-                 (geom, "_QUERY_BLOCK"): 11}
+                 (segment, "_SCORE_POINTS"): 13}
 _SHIPPED_BLOCKS = {site: getattr(*site) for site in _SMALL_BLOCKS}
 
 
