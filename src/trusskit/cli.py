@@ -301,7 +301,7 @@ def cmd_export(args) -> int:
     pred = np.asarray(arrays[args.pred_field]).reshape(-1) > 0.5
     truth = None
     if args.truth:
-        truth = tio.read_pcd(args.truth).truss_mask
+        truth = tio.read_truss_mask(args.truth)
     elif not args.no_truth and "label" in arrays:
         truth = cloud.truss_mask
     tio.export_ply_colored(cloud, pred, truth, args.out)

@@ -98,6 +98,11 @@ class FieldRangeError(TrussKitError, ValueError):
     """A PCD value does not fit the type of its field."""
 
 
+class LatencySidecarError(TrussKitError, ValueError):
+    """A ``.latency.json`` sidecar is not a JSON object, or its
+    ``total_ms`` is not a finite number >= 0."""
+
+
 # configuration
 
 class ConfigError(TrussKitError, ValueError):

@@ -107,17 +107,26 @@ def _as_points(points) -> np.ndarray:
 
 def _finite_points(points) -> np.ndarray:
     """``points`` as (n, 3) float64 when every |coordinate| is at most
-    ``COORDINATE_BOUND``: NonFiniteError for NaN or inf, else
-    CoordinateRangeError. The min/max test is False for NaN too, and makes
-    no (n, 3) temporary."""
+    ``COORDINATE_BOUND`` (``_within_bound``)."""
     pts = _as_points(points)
-    if pts.size and not (-COORDINATE_BOUND <= pts.min()
-                         and pts.max() <= COORDINATE_BOUND):
-        if not np.isfinite(pts).all():
-            raise NonFiniteError("cloud contains NaN/inf coordinates")
-        raise CoordinateRangeError(
-            f"cloud has a coordinate beyond ±{COORDINATE_BOUND:g}")
+    _within_bound([pts])
     return pts
+
+
+def _within_bound(columns) -> None:
+    """Refuse coordinate arrays with a value past ``COORDINATE_BOUND``:
+    NonFiniteError if any value is NaN or inf, else CoordinateRangeError.
+    The min/max test is False for NaN too, and makes no temporary; it
+    compares in float64, so a float32 column is judged as its float64
+    cast would be."""
+    if all(c.size == 0 or (-COORDINATE_BOUND <= float(c.min())
+                           and float(c.max()) <= COORDINATE_BOUND)
+           for c in columns):
+        return
+    if not all(np.isfinite(c).all() for c in columns):
+        raise NonFiniteError("cloud contains NaN/inf coordinates")
+    raise CoordinateRangeError(
+        f"cloud has a coordinate beyond ±{COORDINATE_BOUND:g}")
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import sys
 from dataclasses import dataclass, fields as dc_fields
 from decimal import Decimal
 from pathlib import Path
@@ -25,13 +26,14 @@ from .errors import (
     FieldRangeError,
     FieldTypeError,
     InvalidSpecError,
+    LatencySidecarError,
     LengthMismatchError,
     MalformedHeaderError,
     MissingXyzError,
     TruncatedBodyError,
     UnknownKeyError,
 )
-from .geom import LabeledCloud, Pose, _typed_fields, canonicalize
+from .geom import LabeledCloud, Pose, _typed_fields, _within_bound, canonicalize
 from .segment import PipelineConfig
 from .synth import BoxFieldSpec, SceneSpec, SensorConfig, TrussSpec
 
@@ -143,9 +145,27 @@ def write_latency(pred_path, stages_ms, total_ms, warnings) -> None:
 
 
 def read_latency(pred_path) -> Optional[dict]:
-    """``write_latency``'s keys and values, or None without a sidecar."""
+    """``write_latency``'s keys and values, or None without a sidecar.
+    LatencySidecarError, naming the sidecar, if it is not a JSON object or
+    has a ``total_ms`` that is not a finite number >= 0 (a bool is not a
+    number); a sidecar without ``total_ms`` is read as no latency."""
     path = Path(pred_path).with_suffix(".latency.json")
-    return json.loads(path.read_text()) if path.exists() else None
+    if not path.exists():
+        return None
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:      # JSONDecodeError, UnicodeDecodeError
+        raise LatencySidecarError(f"{path.name}: not JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise LatencySidecarError(f"{path.name}: not a JSON object")
+    total = payload.get("total_ms", 0)        # absent: no latency
+    # an int past the largest float is refused too: no mean of it exists
+    if isinstance(total, bool) or not isinstance(total, (int, float)) \
+            or not 0 <= total <= sys.float_info.max:
+        raise LatencySidecarError(
+            f"{path.name}: total_ms must be a finite number >= 0, "
+            f"not {total!r}")
+    return payload
 
 
 # a header is a few hundred bytes: its lines are first looked for in this
@@ -268,11 +288,17 @@ def _exact_int(token: str, info: np.iinfo) -> Optional[int]:
         and value == value.to_integral_value() else None
 
 
-def read_pcd_arrays(src: Union[str, Path, bytes]):
+def read_pcd_arrays(src: Union[str, Path, bytes], fields=None):
     """Parse a PCD file into (header, {field: array}) without interpreting
     any semantics. COUNT>1 fields come back as (n, count) arrays. An ascii
     integer field accepts any spelling float64 parses (``5``, ``5.0``,
-    ``5e0``); 8-byte integers past 2**53 are read exactly."""
+    ``5e0``); 8-byte integers past 2**53 are read exactly.
+
+    ``fields``, when given, names the fields to return: those the file
+    holds come back, in file order, and a name it lacks is absent. Only
+    they are copied out of a binary body; an ascii body is parsed and
+    checked whole all the same, so the errors do not depend on
+    ``fields``. Every returned array owns its data."""
     blob = Path(src).read_bytes() if isinstance(src, (str, Path)) else src
     head_text = blob[:65536].decode("latin-1", errors="replace")
     header, body_off = _parse_header(head_text)
@@ -291,7 +317,8 @@ def read_pcd_arrays(src: Union[str, Path, bytes]):
                             offset=body_off)
         # each field is copied out, so no array keeps the file's bytes alive
         for f, _, _ in specs:
-            out[f] = rec[f].copy()
+            if fields is None or f in fields:
+                out[f] = rec[f].copy()
     else:
         tokens = blob[body_off:].decode("latin-1", errors="replace").split()
         per_point = sum(header.counts)
@@ -326,7 +353,8 @@ def read_pcd_arrays(src: Union[str, Path, bytes]):
                 chunk = np.where(big, 0, chunk).astype(d)
                 chunk[big] = exact
             col += c
-            out[f] = (chunk[:, 0] if not sh else chunk).astype(d)
+            if fields is None or f in fields:
+                out[f] = (chunk[:, 0] if not sh else chunk).astype(d)
     return header, out
 
 
@@ -342,17 +370,49 @@ def read_pcd(src: Union[str, Path, bytes]) -> LabeledCloud:
     return cloud_from_arrays(*read_pcd_arrays(src))
 
 
+# the fields read_pcd's checks and truss mask read
+_TRUTH_FIELDS = ("x", "y", "z", "label", "intensity")
+
+
+def read_truss_mask(src: Union[str, Path, bytes]) -> np.ndarray:
+    """``read_pcd(src).truss_mask``, read from the x, y, z and label
+    columns alone. It makes ``read_pcd``'s checks in the same order, with
+    the same errors, but builds no (n, 3) array and no LabeledCloud: the
+    coordinates are checked column by column."""
+    header, arrays = read_pcd_arrays(src, fields=_TRUTH_FIELDS)
+    columns = _xyz_columns(arrays)
+    labels = _face_labels(header, arrays)
+    _viewpoint_pose(header)
+    _within_bound(columns)
+    return labels > 0
+
+
 def cloud_from_arrays(header: PcdHeader, arrays: dict) -> LabeledCloud:
     """The LabeledCloud of ``read_pcd_arrays``' ``(header, arrays)``, with
     ``read_pcd``'s rules; for a caller that needs the other fields too, so
     the file is parsed once."""
+    pts = np.column_stack(_xyz_columns(arrays)).astype(np.float64)
+    labels = _face_labels(header, arrays)
+    return LabeledCloud(pts, labels, sensor_pose=_viewpoint_pose(header))
+
+
+def _xyz_columns(arrays: dict) -> tuple:
+    """The x, y and z arrays; MissingXyzError if one is absent or not a
+    scalar field."""
     for axis in ("x", "y", "z"):
         if axis not in arrays or arrays[axis].ndim != 1:
             raise MissingXyzError(f"missing scalar field {axis!r}")
-    pts = np.column_stack([arrays["x"], arrays["y"], arrays["z"]]).astype(np.float64)
+    return arrays["x"], arrays["y"], arrays["z"]
+
+
+def _face_labels(header: PcdHeader, arrays: dict) -> np.ndarray:
+    """The int64 face labels ``read_pcd`` gives: the scalar ``label``
+    field, else ``intensity``, else 0; rounded to the nearest integer and
+    clamped at 0. FieldRangeError for a label that is not finite or is
+    >= 2**63."""
     source = next((f for f in ("label", "intensity")
                    if f in arrays and arrays[f].ndim == 1), None)
-    raw = arrays[source] if source else np.zeros(len(pts))
+    raw = arrays[source] if source else np.zeros(len(arrays["x"]))
     exact = raw.dtype.kind in "iu"     # integer labels skip float64
     if not (raw <= 2**63 - 1 if exact
             else np.isfinite(raw) & (raw < 2.0**63)).all():
@@ -360,11 +420,14 @@ def cloud_from_arrays(header: PcdHeader, arrays: dict) -> LabeledCloud:
         raise FieldRangeError(
             f"field {source!r} ({header.types[at]}{header.sizes[at]}) holds "
             f"a label that is not finite or >= 2**63")
-    labels = np.maximum(raw if exact else np.rint(raw.astype(np.float64)),
-                        0).astype(np.int64)
+    return np.maximum(raw if exact else np.rint(raw.astype(np.float64)),
+                      0).astype(np.int64)
+
+
+def _viewpoint_pose(header: PcdHeader) -> Pose:
+    """The sensor pose of the header's VIEWPOINT, quaternion normalised."""
     vp = header.viewpoint
-    pose = Pose(tuple(vp[:3]), tuple(np.asarray(vp[3:]) / np.linalg.norm(vp[3:])))
-    return LabeledCloud(pts, labels, sensor_pose=pose)
+    return Pose(tuple(vp[:3]), tuple(np.asarray(vp[3:]) / np.linalg.norm(vp[3:])))
 
 
 # colours follow the inspection convention: hits green, background black,

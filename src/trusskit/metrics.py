@@ -284,18 +284,20 @@ def evaluate_dataset(truth_files: list, pred_dir) -> DatasetReport:
     clouds (``trusskit evaluate``).
 
     Each truth file is matched by name to a prediction PCD carrying a
-    ``pred`` field, and to its ``.latency.json`` when there is one.
+    ``pred`` field, and to its ``.latency.json`` when there is one. A
+    truth file is read for its truss mask alone (``io.read_truss_mask``,
+    with ``read_pcd``'s checks), a prediction for its ``pred`` field.
     Per-file problems are collected in the report instead of aborting the
     whole run.
     """
     records = []
     for path in sorted(Path(p) for p in truth_files):
         try:
-            truth = tio.read_pcd(path).truss_mask
+            truth = tio.read_truss_mask(path)
             ppath = Path(pred_dir) / path.name
             if not ppath.exists():
                 raise FileNotFoundError(f"no prediction for {path.name}")
-            _, fields = tio.read_pcd_arrays(ppath)
+            _, fields = tio.read_pcd_arrays(ppath, fields=("pred",))
             if "pred" not in fields:
                 raise LengthMismatchError(f"{ppath.name} lacks field 'pred'")
             pred = np.asarray(fields["pred"]).reshape(-1) > 0.5

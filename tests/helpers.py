@@ -856,3 +856,32 @@ def ascii_pcd(blob):
                    for row in rec.tolist())
     head = blob[:offset].decode("ascii").replace("DATA binary", "DATA ascii")
     return (head + body).encode("ascii")
+
+
+def evaluate_dataset_reference(truth_files, pred_dir):
+    """Reference for ``metrics.evaluate_dataset``: its earlier form, which
+    read each truth file whole (``read_pcd(...).truss_mask``) and every
+    field of each prediction file."""
+    from pathlib import Path
+
+    from trusskit import io as tio
+    from trusskit.errors import LengthMismatchError
+    from trusskit.metrics import CloudRecord, evaluate_pairs, score_cloud
+
+    records = []
+    for path in sorted(Path(p) for p in truth_files):
+        try:
+            truth = tio.read_pcd(path).truss_mask
+            ppath = Path(pred_dir) / path.name
+            if not ppath.exists():
+                raise FileNotFoundError(f"no prediction for {path.name}")
+            _, fields = tio.read_pcd_arrays(ppath)
+            if "pred" not in fields:
+                raise LengthMismatchError(f"{ppath.name} lacks field 'pred'")
+            pred = np.asarray(fields["pred"]).reshape(-1) > 0.5
+            latency = (tio.read_latency(ppath) or {}).get("total_ms")
+            records.append(score_cloud(path.name, pred, truth, latency))
+        except Exception as exc:
+            records.append(CloudRecord(
+                path.name, error=f"{type(exc).__name__}: {exc}"))
+    return evaluate_pairs(records, "external-predictions")

@@ -19,6 +19,7 @@ from trusskit import io as tio
 from trusskit import metrics as tmetrics
 from trusskit.geom import LabeledCloud
 from test_acceptance import _reduced_scan
+from helpers import ascii_pcd
 from test_io import MALFORMED_PCDS
 from test_segment import thread_settings
 
@@ -556,6 +557,43 @@ class TestSegmentEvaluate:
             f"error: {name}: FileNotFoundError: no prediction for {name}\n"
             for name in ("a.pcd", "b.pcd"))
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"total_ms": "abc"}', "total_ms must be a finite number >= 0, "
+                                "not 'abc'"),
+        ('{"total_ms": true}', "total_ms must be a finite number >= 0, "
+                               "not True"),
+        ('{"total_ms": NaN}', "total_ms must be a finite number >= 0, "
+                              "not nan"),
+        ("[1, 2]", "not a JSON object")],
+        ids=["string", "bool", "nan", "list"])
+    def test_evaluate_malformed_latency_fails_only_its_scan(
+            self, tmp_path, capsys, text, reason):
+        truth_dir, pred_dir = tmp_path / "truth", tmp_path / "pred"
+        truth_dir.mkdir(), pred_dir.mkdir()
+        cloud = LabeledCloud(np.eye(3), [1, 0, 1])
+        for name in ("a.pcd", "b.pcd"):
+            tio.write_pcd(cloud, truth_dir / name)
+            tio.write_prediction_pcd(cloud, [1, 1, 0], pred_dir / name)
+        tio.write_latency(pred_dir / "a.pcd", {}, 10.0, [])
+        (pred_dir / "b.latency.json").write_text(text)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--truth", str(truth_dir),
+                       "--pred", str(pred_dir),
+                       "--report", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: b.pcd: LatencySidecarError: b.latency.json: {reason}\n")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        report = json.loads((tmp_path / "rep.json").read_text(),
+                            parse_constant=refuse)
+        assert report["latency_mean_ms"] == 10.0
+        assert [(c["file"], c["tp"], c["latency_ms"])
+                for c in report["clouds"]] == [("a.pcd", 1, 10.0),
+                                               ("b.pcd", None, None)]
+
 
 class TestSweep:
     def test_seven_mode_layout(self, tmp_path):
@@ -889,6 +927,26 @@ class TestTracerContract:
                 [(r.error, r.cm) for r in untraced]
             assert all(r.error is None for r in traced)
 
+    def test_evaluate_reads_two_arrays_per_scan(self, tmp_path):
+        # io.read_pcd_ms and io.bytes_read count evaluate's reads only if
+        # both go through io.read_pcd_arrays, path first
+        tracing = load_tracing()
+        data = make_tiny_dataset(tmp_path, n=3)
+        pred = tmp_path / "pred"
+        assert cli.main(["segment", "--in", str(data), "--out", str(pred),
+                         "--mode", "WF"]) == 0
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            assert cli.main(["evaluate", "--truth", str(data), "--pred",
+                             str(pred), "--report", str(tmp_path / "r")]) == 0
+        names = [span[0] for span in tracer.spans]
+        assert "io.read_pcd" not in names
+        reads = sorted((span[4], span[5]["bytes"]) for span in tracer.spans
+                       if span[0] == "io.read_pcd_arrays")
+        files = [*(data / "clouds").glob("*.pcd"), *pred.glob("*.pcd")]
+        assert reads == sorted((p.stem, p.stat().st_size) for p in files)
+        assert len(reads) == 2 * 3
+
     def test_wrapped_functions_run_on_the_calling_thread(self, monkeypatch):
         # the tracer's span stack is not thread-safe: mode H's density
         # helper must call none of the functions it wraps
@@ -1016,6 +1074,41 @@ class TestExport:
         colors = [tuple(int(v) for v in line.split()[3:]) for line in body]
         tp, tn, fp, fn = (0, 255, 0), (0, 0, 0), (255, 0, 0), (255, 165, 0)
         assert colors == [tp, fp, tp, tn, fn, tn]
+        # the bytes of a truth mask read from the whole truth cloud
+        assert out.read_text() == tio.export_ply_colored(
+            tio.read_pcd(src), [1, 1, 1, 0, 0, 0],
+            tio.read_pcd(truth).truss_mask)
+
+    @pytest.mark.parametrize("mode", ["binary", "ascii"])
+    def test_truth_file_bytes_and_refusals(self, tmp_path, capsys, mode):
+        # a truth file with intensity labels and its columns out of order
+        # colours as its whole cloud's mask; a NaN coordinate in it is
+        # refused as read_pcd refuses it
+        rng = np.random.default_rng(3)
+        n = 40
+        cloud = LabeledCloud(rng.normal(size=(n, 3)))
+        src = tmp_path / "pred.pcd"
+        tio.write_prediction_pcd(cloud, rng.random(n) < 0.5, src)
+        xyz = rng.normal(size=(n, 3))
+        columns = [("intensity", "F", 4, rng.uniform(-1, 3, n)),
+                   *(("zyx"[i], "F", 8, xyz[:, i]) for i in range(3))]
+        blob = tio.write_pcd_fields(columns, (0, 0, 0, 1, 0, 0, 0))
+        truth = tmp_path / "truth.pcd"
+        truth.write_bytes(ascii_pcd(blob) if mode == "ascii" else blob)
+        out = tmp_path / "c.ply"
+        argv = ["export", "--cloud", str(src), "--truth", str(truth),
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_text() == tio.export_ply_colored(
+            tio.read_pcd(src), tio.read_pcd_arrays(src)[1]["pred"],
+            tio.read_pcd(truth).truss_mask)
+        xyz[5, 1] = np.nan
+        columns[2] = ("y", "F", 8, xyz[:, 1])
+        truth.write_bytes(tio.write_pcd_fields(columns, (0, 0, 0, 1, 0, 0, 0)))
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: cloud contains NaN/inf coordinates\n"
 
     def test_label_past_int64_fails_cleanly(self, tmp_path, capsys):
         src = tmp_path / "huge.pcd"

@@ -15,12 +15,15 @@ from trusskit import io as tio
 from trusskit.errors import (
     ConfigRangeError,
     ConfigTypeError,
+    CoordinateRangeError,
     FieldRangeError,
     FieldTypeError,
     InvalidSpecError,
+    LatencySidecarError,
     LengthMismatchError,
     MalformedHeaderError,
     MissingXyzError,
+    NonFiniteError,
     TrussKitError,
     TruncatedBodyError,
     UnknownKeyError,
@@ -408,15 +411,102 @@ class TestReadArraysOwnData:
         path = tmp_path / "c.pcd"
         blob = tio.write_pcd(cloud)
         path.write_bytes(ascii_pcd(blob) if mode == "ascii" else blob)
-        header, arrays = tio.read_pcd_arrays(path)
-        assert list(arrays) == ["x", "y", "z", "label"]
-        for name, arr in arrays.items():
-            assert arr.base is None and arr.flags.writeable, name
-            assert arr.flags.c_contiguous, name
-            before = arr.copy()
-            arr[:] = 0
-            _, again = tio.read_pcd_arrays(path)
-            assert np.array_equal(again[name], before), name
+        for fields, names in ((None, ["x", "y", "z", "label"]),
+                              (("label", "x"), ["x", "label"])):
+            header, arrays = tio.read_pcd_arrays(path, fields=fields)
+            assert list(arrays) == names
+            for name, arr in arrays.items():
+                assert arr.base is None and arr.flags.writeable, name
+                assert arr.flags.c_contiguous, name
+                before = arr.copy()
+                arr[:] = 0
+                _, again = tio.read_pcd_arrays(path, fields=fields)
+                assert np.array_equal(again[name], before), name
+
+
+class TestReadArraysFields:
+    """``read_pcd_arrays(src, fields=...)`` returns only the named fields,
+    in file order, with the errors of a whole read."""
+
+    @pytest.mark.parametrize("mode", ["binary", "ascii"])
+    def test_subset_equals_the_whole_read(self, mode):
+        rng = np.random.default_rng(6)
+        n = 9
+        blob = (b"VERSION .7\nFIELDS rgb z x label y\nSIZE 1 8 4 2 4\n"
+                b"TYPE U F F I F\nCOUNT 3 1 1 1 1\n"
+                + f"WIDTH {n}\nHEIGHT 1\nPOINTS {n}\nDATA binary\n".encode())
+        rec = np.zeros(n, [("rgb", "<u1", (3,)), ("z", "<f8"), ("x", "<f4"),
+                           ("label", "<i2"), ("y", "<f4")])
+        rec["rgb"] = rng.integers(0, 256, (n, 3))
+        for name in ("z", "x", "y"):
+            rec[name] = rng.normal(size=n)
+        rec["label"] = rng.integers(-5, 40, n)
+        blob += rec.tobytes()
+        if mode == "ascii":
+            head = blob[:-rec.nbytes].replace(b"binary", b"ascii")
+            rows = [" ".join([*map(str, r[0]), repr(float(r[1])),
+                              repr(float(r[2])), str(r[3]), repr(float(r[4]))])
+                    for r in rec.tolist()]
+            blob = head + "\n".join(rows).encode()
+        header, whole = tio.read_pcd_arrays(blob)
+        for fields in (("x",), ("label", "rgb"), ("y", "z", "x"),
+                       ("label", "intensity", "nope"), ()):
+            got_header, got = tio.read_pcd_arrays(blob, fields=fields)
+            assert got_header == header
+            # file order, and a name the file lacks is absent
+            assert list(got) == [f for f in header.fields if f in fields]
+            for name, arr in got.items():
+                assert arr.dtype == whole[name].dtype, name
+                assert np.array_equal(arr, whole[name]), name
+
+    def test_unrequested_ascii_column_is_still_checked(self):
+        blob = (b"VERSION .7\nFIELDS x y z rgb\nSIZE 4 4 4 1\n"
+                b"TYPE F F F U\nCOUNT 1 1 1 1\nWIDTH 2\nHEIGHT 1\n"
+                b"POINTS 2\nDATA ascii\n1 2 3 4\n5 6 7 300\n")
+        with pytest.raises(FieldRangeError, match="field 'rgb' holds a "
+                           "value that does not fit U1"):
+            tio.read_pcd_arrays(blob, fields=("x", "y", "z"))
+
+
+class TestReadTrussMask:
+    """``read_truss_mask`` is ``read_pcd(...).truss_mask``, errors
+    included (the property over whole datasets is
+    ``test_metrics.TestEvaluateOracle``)."""
+
+    @staticmethod
+    def _outcome(read, blob):
+        try:
+            return read(blob)
+        except TrussKitError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("value", [
+        float(np.float32(1e30)), -float(np.float32(1e30)), 1e30, -1e30,
+        float(np.nextafter(np.float32(1e30), np.float32(0)))])
+    @pytest.mark.parametrize("type_size", ["F 4", "F 8"])
+    def test_coordinate_bound_is_judged_in_float64(self, value, type_size):
+        # float32(1e30) lies past 1e30: a float32 comparison would pass it
+        t, size = type_size.split()
+        blob = (f"VERSION .7\nFIELDS x y z label\nSIZE {size} 4 4 4\n"
+                f"TYPE {t} F F U\nCOUNT 1 1 1 1\nWIDTH 2\nHEIGHT 1\n"
+                f"POINTS 2\nDATA ascii\n0 0 0 1\n{value!r} 2 3 0\n").encode()
+        assert str(self._outcome(tio.read_truss_mask, blob)) == \
+            str(self._outcome(lambda b: tio.read_pcd(b).truss_mask, blob))
+
+    @pytest.mark.parametrize("body, error", [
+        ("nan 2 3 nan", FieldRangeError), ("nan 2 3 1", NonFiniteError),
+        ("1e31 2 nan 1", NonFiniteError), ("1e31 2 3 1", CoordinateRangeError)])
+    def test_checks_in_read_pcd_order(self, body, error):
+        # labels are checked before coordinates, and NaN anywhere wins
+        # over a coordinate past the bound
+        blob = ("VERSION .7\nFIELDS x y z label\nSIZE 4 4 4 8\n"
+                "TYPE F F F F\nCOUNT 1 1 1 1\nWIDTH 2\nHEIGHT 1\n"
+                f"POINTS 2\nDATA ascii\n0 0 0 1\n{body}\n").encode()
+        with pytest.raises(error) as got:
+            tio.read_truss_mask(blob)
+        with pytest.raises(error) as want:
+            tio.read_pcd(blob)
+        assert str(got.value) == str(want.value)
 
 
 class TestLatencySidecar:
@@ -431,6 +521,40 @@ class TestLatencySidecar:
 
     def test_absent_sidecar_reads_none(self, tmp_path):
         assert tio.read_latency(tmp_path / "scan.pcd") is None
+
+    @pytest.mark.parametrize("text", [
+        '{"warnings": []}', '{"total_ms": 0}', '{"total_ms": 12}',
+        '{"total_ms": 1.5e300}', '{"total_ms": 179' + "0" * 306 + '}'],
+        ids=["absent", "zero", "int", "float", "int_below_max_float"])
+    def test_sound_sidecar_is_read(self, tmp_path, text):
+        (tmp_path / "scan.latency.json").write_text(text)
+        assert tio.read_latency(tmp_path / "scan.pcd") == json.loads(text)
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"total_ms": "abc"}', "total_ms must be a finite number >= 0, "
+                                "not 'abc'"),
+        ('{"total_ms": true}', "total_ms must be a finite number >= 0, "
+                               "not True"),
+        ('{"total_ms": NaN}', "total_ms must be a finite number >= 0, "
+                              "not nan"),
+        ('{"total_ms": Infinity}', "total_ms must be a finite number "
+                                   ">= 0, not inf"),
+        ('{"total_ms": -1.0}', "total_ms must be a finite number >= 0, "
+                               "not -1.0"),
+        ('{"total_ms": null}', "total_ms must be a finite number >= 0, "
+                               "not None"),
+        ('{"total_ms": 18' + "0" * 307 + '}', "total_ms must be a finite "
+                                             "number >= 0, not 18000"),
+        ('[1, 2]', "not a JSON object"), ('7', "not a JSON object"),
+        ('{"total_ms": ', "not JSON")],
+        ids=["string", "bool", "nan", "inf", "negative", "null",
+             "int_past_float", "list", "number", "cut"])
+    def test_malformed_sidecar_is_refused_by_name(self, tmp_path, text,
+                                                   reason):
+        (tmp_path / "scan.latency.json").write_text(text)
+        with pytest.raises(LatencySidecarError) as exc:
+            tio.read_latency(tmp_path / "scan.pcd")
+        assert str(exc.value).startswith(f"scan.latency.json: {reason}")
 
 
 class TestCloudColumns:

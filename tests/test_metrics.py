@@ -1,13 +1,19 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trusskit import io as tio
 from trusskit import metrics as tm
 from trusskit.errors import EmptyInputError, LengthMismatchError, SingleClassError
 from trusskit.geom import LabeledCloud
+
+from helpers import evaluate_dataset_reference
 
 
 class TestConfusion:
@@ -319,3 +325,129 @@ class TestReportFields:
             assert written[key] == pytest.approx(getattr(report, key))
         assert [row["two_class_iou"] for row in written["clouds"]] == \
             [two["a.pcd"], None, two["c.pcd"]]
+
+
+def pcd_bytes(columns, data, truncate=0, vp=None):
+    """A PCD file of ``columns`` [(name, type, size, (n, count) values)],
+    with a ``data`` body missing its last ``truncate`` bytes or values."""
+    n = len(columns[0][3])
+    lines = ["VERSION .7", "FIELDS " + " ".join(c[0] for c in columns),
+             "SIZE " + " ".join(str(c[2]) for c in columns),
+             "TYPE " + " ".join(c[1] for c in columns),
+             "COUNT " + " ".join(str(c[3].shape[1]) for c in columns),
+             f"WIDTH {n}", "HEIGHT 1"]
+    if vp is not None:
+        lines.append("VIEWPOINT " + " ".join(repr(v) for v in vp))
+    head = "\n".join([*lines, f"POINTS {n}", f"DATA {data}"]) + "\n"
+    if data == "binary":
+        dtype = np.dtype([(name, tio._DTYPES[(t, size)], (v.shape[1],))
+                          for name, t, size, v in columns])
+        rec = np.zeros(n, dtype)
+        for name, _, _, values in columns:
+            rec[name] = values
+        body = rec.tobytes()
+        return head.encode() + body[:len(body) - truncate]
+    tokens = [repr(float(v)) if t == "F" else str(int(v))
+              for row in range(n) for _, t, _, values in columns
+              for v in values[row]]
+    return (head + " ".join(tokens[:len(tokens) - truncate])).encode()
+
+
+# a label column: (type, size) and the values drawn for it
+_LABEL_KINDS = {"U4": ("U", 4), "U8": ("U", 8), "I4": ("I", 4),
+                "I8": ("I", 8), "F4": ("F", 4), "F8": ("F", 8)}
+_TRUTH_FAULTS = ("missing_y", "nan_coord", "huge_coord", "nan_label",
+                 "label_2_63", "truncated")
+_PRED_FAULTS = ("missing_pred", "short_pred", "truncated", "no_file",
+                "latency")
+
+
+def _draw_scan(data, rng):
+    """Columns, body mode and truncation of a truth file and of its
+    prediction, and the prediction's sidecar latency (or None)."""
+    n = data.draw(st.integers(1, 7), label="n")
+    # a file is sound or has one or two faults, about half the time each
+    faults, pred_faults = (
+        data.draw(st.booleans().flatmap(lambda faulty: st.sets(
+            st.sampled_from(choices), min_size=faulty,
+            max_size=2 * faulty)), label=label)
+        for choices, label in ((_TRUTH_FAULTS, "truth faults"),
+                               (_PRED_FAULTS, "pred faults")))
+    coord = data.draw(st.sampled_from(["F4", "F8"]), label="coordinates")
+    xyz = rng.normal(size=(n, 3)) * 5
+    if "nan_coord" in faults:
+        xyz[rng.integers(n), rng.integers(3)] = np.nan
+    if "huge_coord" in faults:
+        xyz[rng.integers(n), rng.integers(3)] = rng.choice([1e31, -1e31])
+    columns = [(axis, "F", int(coord[1]), xyz[:, [i]])
+               for i, axis in enumerate("xyz")
+               if not (axis == "y" and "missing_y" in faults)]
+    kind = data.draw(st.sampled_from(
+        [*_LABEL_KINDS, "intensity", "none", "wide_label"]), label="label")
+    if kind in _LABEL_KINDS:
+        t, size = _LABEL_KINDS[kind]
+        values = (rng.integers(0 if t == "U" else -3, 4, n) if t != "F"
+                  else rng.integers(-6, 9, n) / 2 + rng.choice(
+                      [0.0, 0.2, -0.3], n)).astype(float)
+        if "nan_label" in faults:
+            t, size = "F", 8
+            values[rng.integers(n)] = np.nan
+        if "label_2_63" in faults:
+            t, size = ("U", 8) if t != "F" else (t, 8)
+            values = values.astype(object) if t == "U" else values
+            values = np.maximum(values, 0)
+            values[rng.integers(n)] = 2**63 if t == "U" else 2.0**63
+        columns.append(("label", t, size, values.reshape(n, 1)))
+    elif kind == "intensity":
+        columns.append(("intensity", "F", 4,
+                        rng.uniform(-2, 4, (n, 1)).astype(np.float32)))
+    elif kind == "wide_label":
+        # a label of COUNT 2 is not scalar: the labels come from intensity
+        columns.append(("label", "U", 2, rng.integers(0, 3, (n, 2))))
+        columns.append(("intensity", "F", 8, rng.uniform(0, 3, (n, 1))))
+    if data.draw(st.booleans(), label="extra"):
+        columns.append(("normal", "F", 4, rng.normal(size=(n, 3))))
+    order = data.draw(st.permutations(range(len(columns))), label="order")
+    columns = [columns[i] for i in order]
+    mode = data.draw(st.sampled_from(["binary", "ascii"]), label="truth body")
+    truth = pcd_bytes(columns, mode, truncate=2 * ("truncated" in faults),
+                      vp=(1.0, -2.0, 0.5, 0.0, 0.0, 0.6, 0.8))
+
+    m = n - ("short_pred" in pred_faults)
+    pred_kind = data.draw(st.sampled_from(["U1", "F4"]), label="pred")
+    pred = (rng.integers(0, 2, m) if pred_kind == "U1"
+            else rng.uniform(0, 1, m)).reshape(m, 1)
+    pred_columns = [(axis, "F", 4, rng.normal(size=(m, 1))) for axis in "xyz"]
+    pred_columns.append(("label", "U", 4, rng.integers(0, 3, (m, 1))))
+    if "missing_pred" not in pred_faults:
+        pred_columns.append(("pred", pred_kind[0], int(pred_kind[1]), pred))
+    pred_mode = data.draw(st.sampled_from(["binary", "ascii"]),
+                          label="pred body")
+    pred_file = None if "no_file" in pred_faults else pcd_bytes(
+        pred_columns, pred_mode, truncate=2 * ("truncated" in pred_faults))
+    latency = float(rng.uniform(1, 100)) if "latency" in pred_faults else None
+    return truth, pred_file, latency
+
+
+class TestEvaluateOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+           scans=st.integers(1, 3))
+    def test_report_equals_whole_file_reference(self, data, seed, scans):
+        # the report, error texts included, equals the earlier path's,
+        # which read whole truth clouds and every prediction field
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as root:
+            truth_dir, pred_dir = Path(root, "truth"), Path(root, "pred")
+            truth_dir.mkdir(), pred_dir.mkdir()
+            for i in range(scans):
+                truth, pred, latency = _draw_scan(data, rng)
+                (truth_dir / f"s{i}.pcd").write_bytes(truth)
+                if pred is not None:
+                    (pred_dir / f"s{i}.pcd").write_bytes(pred)
+                if latency is not None:
+                    tio.write_latency(pred_dir / f"s{i}.pcd", {}, latency, [])
+            files = sorted(truth_dir.glob("*.pcd"))
+            got = tm.evaluate_dataset(files, pred_dir).to_json_dict()
+            want = evaluate_dataset_reference(files, pred_dir).to_json_dict()
+        assert got == want
